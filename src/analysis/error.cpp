@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "util/blob.hpp"
 #include "util/rng.hpp"
 
 namespace aetr::analysis {
@@ -86,19 +87,66 @@ std::vector<CurvePoint> sweep_error_curve(const clockgen::ScheduleConfig& cfg,
   return curve;
 }
 
+void RecordScorer::add(const frontend::CaptureRecord& rec) {
+  const Time request = rec.request.time;
+  if (have_prev_) {
+    const bool saturated = rec.word.is_saturated();
+    const Time measured =
+        saturated ? saturation_span_
+                  : tick_unit_ *
+                        static_cast<Time::Rep>(rec.word.timestamp_ticks());
+    score(stats_, request - prev_request_, measured, saturated, tick_unit_);
+  }
+  have_prev_ = true;
+  prev_request_ = request;
+}
+
+void RecordScorer::add(const std::vector<frontend::CaptureRecord>& records) {
+  for (const auto& rec : records) add(rec);
+}
+
+void RecordScorer::save_state(BlobWriter& w) const {
+  w.b(have_prev_);
+  w.time(prev_request_);
+  const auto rs = stats_.rel_error.state();
+  w.u64(rs.n);
+  w.f64(rs.mean);
+  w.f64(rs.m2);
+  w.f64(rs.min);
+  w.f64(rs.max);
+  w.u64(stats_.events);
+  w.u64(stats_.saturated);
+  w.u64(stats_.sub_nyquist);
+  w.f64(stats_.abs_err_sec);
+  w.f64(stats_.true_sec);
+  w.f64(stats_.abs_err_unsat_sec);
+  w.f64(stats_.true_unsat_sec);
+}
+
+void RecordScorer::restore_state(BlobReader& r) {
+  have_prev_ = r.b();
+  prev_request_ = r.time();
+  RunningStats::State rs{};
+  rs.n = r.u64();
+  rs.mean = r.f64();
+  rs.m2 = r.f64();
+  rs.min = r.f64();
+  rs.max = r.f64();
+  stats_.rel_error.set_state(rs);
+  stats_.events = r.u64();
+  stats_.saturated = r.u64();
+  stats_.sub_nyquist = r.u64();
+  stats_.abs_err_sec = r.f64();
+  stats_.true_sec = r.f64();
+  stats_.abs_err_unsat_sec = r.f64();
+  stats_.true_unsat_sec = r.f64();
+}
+
 ErrorStats analyze_records(const std::vector<frontend::CaptureRecord>& records,
                            Time tick_unit, Time saturation_span) {
-  ErrorStats stats;
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    const Time true_delta = records[i].request.time - records[i - 1].request.time;
-    const bool saturated = records[i].word.is_saturated();
-    const Time measured =
-        saturated ? saturation_span
-                  : tick_unit * static_cast<Time::Rep>(
-                        records[i].word.timestamp_ticks());
-    score(stats, true_delta, measured, saturated, tick_unit);
-  }
-  return stats;
+  RecordScorer scorer{tick_unit, saturation_span};
+  scorer.add(records);
+  return scorer.stats();
 }
 
 std::vector<double> record_errors(

@@ -19,6 +19,11 @@
 #include "util/stats.hpp"
 #include "util/time.hpp"
 
+namespace aetr {
+class BlobWriter;
+class BlobReader;
+}  // namespace aetr
+
 namespace aetr::analysis {
 
 /// The three operating regions of Fig. 6 (§5.1).
@@ -91,6 +96,34 @@ struct CurvePoint {
 [[nodiscard]] std::vector<CurvePoint> sweep_error_curve(
     const clockgen::ScheduleConfig& cfg, double rate_lo_hz, double rate_hi_hz,
     std::size_t points, const SweepOptions& opt = {});
+
+/// Streaming form of analyze_records(): folds capture records one at a
+/// time, carrying the previous request time across calls. A long-lived
+/// session scores its capture log chunk by chunk and drops each chunk
+/// afterwards; folding a log split at any points gives bitwise the stats
+/// analyze_records() gives over the whole log.
+class RecordScorer {
+ public:
+  RecordScorer(Time tick_unit, Time saturation_span)
+      : tick_unit_{tick_unit}, saturation_span_{saturation_span} {}
+
+  void add(const frontend::CaptureRecord& rec);
+  void add(const std::vector<frontend::CaptureRecord>& records);
+
+  [[nodiscard]] const ErrorStats& stats() const { return stats_; }
+
+  /// Serialize the running fold (the scale factors come from the
+  /// constructor).
+  void save_state(BlobWriter& w) const;
+  void restore_state(BlobReader& r);
+
+ private:
+  Time tick_unit_;
+  Time saturation_span_;
+  bool have_prev_{false};
+  Time prev_request_{Time::zero()};
+  ErrorStats stats_;
+};
 
 /// Score the ground-truth capture log of a DES run: compares each AETR
 /// timestamp against the true inter-request interval.

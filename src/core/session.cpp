@@ -7,11 +7,13 @@
 #include <utility>
 
 #include "aer/caviar.hpp"
+#include "analysis/error.hpp"
 #include "core/config_io.hpp"
 #include "core/fast_path.hpp"
 #include "mcu/consumer.hpp"
 #include "sim/scheduler.hpp"
 #include "util/blob.hpp"
+#include "util/crc32.hpp"
 #include "util/profiler.hpp"
 
 namespace aetr::core {
@@ -20,6 +22,8 @@ namespace {
 
 constexpr char kSnapshotMagic[8] = {'A', 'E', 'T', 'R',
                                     'S', 'N', 'A', 'P'};
+/// CRC-32 over every byte before it, appended as a u32 LE.
+constexpr std::size_t kTrailerBytes = 4;
 
 /// Settle-loop bound. Every iteration dispatches at least one scheduler
 /// event at its exact scheduled time, so the only way to spin this long is
@@ -41,6 +45,10 @@ struct Session::Impl {
   std::optional<aer::CaviarChecker> caviar;
   std::optional<mcu::McuConsumer> mcu;
   std::optional<telemetry::BlockTelemetry> run_tel;
+  // Timestamp-error fold over the front-end's capture log. With history
+  // off the log is folded and dropped after every advance and snapshot,
+  // so it never outgrows one advance; finish() folds whatever is left.
+  std::optional<analysis::RecordScorer> scorer;
 
   // Delivery-latency harvest (see run_scenario's original comment: every
   // word the MCU accepts appends decoded events; the gap between the
@@ -113,6 +121,7 @@ struct Session::Impl {
     iface->aer_in().set_strict(scenario.strict_protocol);
     sender.emplace(sched, iface->aer_in(), scenario.sender);
     caviar.emplace(iface->aer_in());
+    scorer.emplace(iface->tick_unit(), iface->saturation_span());
     mcu.emplace(iface->tick_unit(), iface->saturation_span() == Time::max()
                                         ? Time::zero()
                                         : iface->saturation_span());
@@ -183,6 +192,15 @@ struct Session::Impl {
     for (; harvested < evs.size(); ++harvested) {
       latencies.push_back((now - evs[harvested].reconstructed_time).to_sec());
     }
+  }
+
+  /// Fold the capture log into the scorer and drop it. Every record is
+  /// folded exactly once, in log order, so ErrorStats do not depend on
+  /// how often this runs.
+  void fold_records() {
+    frontend::AerFrontEnd& fe = iface->front_end();
+    scorer->add(fe.records());
+    fe.clear_records();
   }
 
   [[nodiscard]] std::size_t buffered() const {
@@ -374,6 +392,7 @@ struct Session::Impl {
       arm_watchdog_at(sched.now() + watchdog_period);
     }
     sched.run_until(t);
+    if (!keep_history) fold_records();
   }
 
   // --- quiescence / snapshot ------------------------------------------------
@@ -415,6 +434,7 @@ struct Session::Impl {
   [[nodiscard]] std::vector<std::uint8_t> snapshot() {
     require_live("snapshot");
     settle();
+    if (!keep_history) fold_records();
 
     BlobWriter w;
     w.raw(kSnapshotMagic, sizeof kSnapshotMagic);
@@ -466,13 +486,15 @@ struct Session::Impl {
     sender->save_state(w);
     caviar->save_state(w);
     mcu->save_state(w);
+    scorer->save_state(w);
 
     w.u64(latencies.size());
     for (const double v : latencies) w.f64(v);
     w.u64(harvested);
 
     if (tel != nullptr) tel->save_state(w);
-    return w.bytes();
+    w.u32(util::crc32_bytes(w.bytes()));
+    return std::move(w).take();
   }
 
   void restore(const std::vector<std::uint8_t>& blob) {
@@ -482,7 +504,11 @@ struct Session::Impl {
           "Session::restore: requires a freshly constructed session");
     }
 
-    BlobReader r{blob};
+    if (blob.size() < sizeof kSnapshotMagic + 4 + kTrailerBytes) {
+      throw std::runtime_error("Session::restore: truncated snapshot");
+    }
+    const std::size_t body = blob.size() - kTrailerBytes;
+    BlobReader r{blob.data(), body};
     char magic[8];
     r.raw(magic, sizeof magic);
     if (std::memcmp(magic, kSnapshotMagic, sizeof magic) != 0) {
@@ -493,6 +519,14 @@ struct Session::Impl {
       throw std::runtime_error("Session::restore: snapshot version " +
                                std::to_string(version) + " != supported " +
                                std::to_string(kSnapshotVersion));
+    }
+    // Magic and version come first so a foreign file or an older format
+    // gets a precise error; the checksum then guards every byte the
+    // section parsers below will read.
+    if (BlobReader{blob.data() + body, kTrailerBytes}.u32() !=
+        util::crc32_bytes(blob.data(), body)) {
+      throw std::runtime_error(
+          "Session::restore: snapshot checksum mismatch (corrupted blob)");
     }
     const std::string fingerprint = r.str();
     if (fingerprint != dump_scenario(scenario)) {
@@ -561,6 +595,7 @@ struct Session::Impl {
     sender->restore_state(r);
     caviar->restore_state(r);
     mcu->restore_state(r);
+    scorer->restore_state(r);
 
     latencies.clear();
     const std::uint64_t n_lat = r.u64();
@@ -631,9 +666,11 @@ struct Session::Impl {
     r.activity = iface->activity();
     r.average_power_w = iface->average_power_w();
     r.breakdown = iface->power_breakdown();
-    r.records = iface->front_end().records();
-    r.error = analysis::analyze_records(r.records, iface->tick_unit(),
-                                        iface->saturation_span());
+    // Fold what is left of the capture log: all of it with history on,
+    // the tail since the last advance with history off.
+    scorer->add(iface->front_end().records());
+    if (keep_history) r.records = iface->front_end().records();
+    r.error = scorer->stats();
     r.decoded = mcu->events();
     r.delivery_latency_sec = std::move(latencies);
     r.events_in = fed_total;
@@ -644,7 +681,7 @@ struct Session::Impl {
     // channel and its observers never see edges there).
     r.handshakes = fast ? fast->handshakes : iface->aer_in().handshakes();
     r.caviar_violations =
-        fast ? fast->caviar_violations : caviar->violations().size();
+        fast ? fast->caviar_violations : caviar->violation_count();
     r.protocol_violations = iface->aer_in().violations().size();
     if (faults != nullptr) r.faults = faults->counters();
     r.sim_end = sched.now();

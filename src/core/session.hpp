@@ -42,7 +42,7 @@ class Session {
  public:
   /// Snapshot blob format version (bumped on any layout change; restore
   /// rejects blobs whose version or config fingerprint does not match).
-  static constexpr std::uint32_t kSnapshotVersion = 1;
+  static constexpr std::uint32_t kSnapshotVersion = 2;
 
   /// Build the full system (scheduler, interface, sender, checker, MCU,
   /// telemetry, fault injector) exactly as run_scenario always has.
@@ -132,10 +132,13 @@ class Session {
   // --- service-mode knobs / component access --------------------------------
 
   /// Drop per-event history (sender sent-log, MCU decoded-event log,
-  /// delivery-latency harvest) so an endless ingest loop runs at a
-  /// steady-state RSS ceiling. Call before the first advance. RunResult
-  /// fields derived from the dropped logs (decoded, delivery latencies,
-  /// error stats over records) come back empty; counters are unaffected.
+  /// delivery-latency harvest, front-end capture log) so an endless ingest
+  /// loop runs at a steady-state RSS ceiling and its snapshots stay the
+  /// size of the input buffer. Call before the first advance. The capture
+  /// log is folded into the timestamp-error stats after every advance and
+  /// snapshot, so RunResult::error comes back exactly as with history on;
+  /// RunResult::records, decoded and delivery_latency_sec come back empty.
+  /// Counters are unaffected.
   void set_keep_history(bool keep);
 
   /// The resolved telemetry session (null when telemetry is off).

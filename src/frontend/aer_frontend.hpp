@@ -78,6 +78,11 @@ class AerFrontEnd {
     return records_;
   }
 
+  /// Drop the records logged so far (capacity is kept). A session that
+  /// runs without history folds each chunk of the log into its error
+  /// scorer and then clears it, so the log never outgrows one advance.
+  void clear_records() { records_.clear(); }
+
   /// Address-bus flip lottery + runt filtering. Null (default) is inert.
   void attach_faults(fault::FaultInjector* faults) { faults_ = faults; }
 

@@ -1,29 +1,12 @@
 #include "net/wire.hpp"
 
-#include <array>
 #include <stdexcept>
+#include <utility>
 
 #include "util/blob.hpp"
 
 namespace aetr::net {
 namespace {
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) != 0u ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  return table;
-}
 
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v & 0xffu));
@@ -78,19 +61,6 @@ const char* to_string(MsgType t) {
 bool is_known_type(std::uint8_t raw) {
   return raw >= static_cast<std::uint8_t>(MsgType::kHello) &&
          raw <= static_cast<std::uint8_t>(MsgType::kBye);
-}
-
-std::uint32_t crc32_bytes(const std::uint8_t* data, std::size_t size) {
-  const auto& table = crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-std::uint32_t crc32_bytes(const std::vector<std::uint8_t>& b) {
-  return crc32_bytes(b.data(), b.size());
 }
 
 std::vector<std::uint8_t> encode_frame(
@@ -186,7 +156,7 @@ std::vector<std::uint8_t> encode_hello(const Hello& m) {
   w.u32(m.protocol_version);
   w.str(m.session_name);
   w.str(m.config_text);
-  return w.bytes();
+  return std::move(w).take();
 }
 
 Hello decode_hello(const std::vector<std::uint8_t>& payload) {
@@ -205,7 +175,7 @@ std::vector<std::uint8_t> encode_hello_ack(const HelloAck& m) {
   w.u64(m.events_fed);
   w.i64(m.position_ps);
   w.u64(m.credit);
-  return w.bytes();
+  return std::move(w).take();
 }
 
 HelloAck decode_hello_ack(const std::vector<std::uint8_t>& payload) {
@@ -234,7 +204,7 @@ std::vector<std::uint8_t> encode_data(const aer::EventStream& events,
     w.u16(ev.address);
     w.i64(ev.time.count_ps());
   }
-  return w.bytes();
+  return std::move(w).take();
 }
 
 aer::EventStream decode_data(const std::vector<std::uint8_t>& payload) {
@@ -260,7 +230,7 @@ aer::EventStream decode_data(const std::vector<std::uint8_t>& payload) {
 std::vector<std::uint8_t> encode_credit(const Credit& m) {
   BlobWriter w;
   w.u64(m.grant);
-  return w.bytes();
+  return std::move(w).take();
 }
 
 Credit decode_credit(const std::vector<std::uint8_t>& payload) {
@@ -274,7 +244,7 @@ Credit decode_credit(const std::vector<std::uint8_t>& payload) {
 std::vector<std::uint8_t> encode_nack(const Nack& m) {
   BlobWriter w;
   w.str(m.reason);
-  return w.bytes();
+  return std::move(w).take();
 }
 
 Nack decode_nack(const std::vector<std::uint8_t>& payload) {
@@ -289,7 +259,7 @@ std::vector<std::uint8_t> encode_snapshot_ack(const SnapshotAck& m) {
   BlobWriter w;
   w.i64(m.position_ps);
   w.u64(m.blob_bytes);
-  return w.bytes();
+  return std::move(w).take();
 }
 
 SnapshotAck decode_snapshot_ack(const std::vector<std::uint8_t>& payload) {
@@ -304,7 +274,7 @@ SnapshotAck decode_snapshot_ack(const std::vector<std::uint8_t>& payload) {
 std::vector<std::uint8_t> encode_summary(const Summary& m) {
   BlobWriter w;
   w.str(m.text);
-  return w.bytes();
+  return std::move(w).take();
 }
 
 Summary decode_summary(const std::vector<std::uint8_t>& payload) {

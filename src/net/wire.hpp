@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "aer/event.hpp"
+#include "util/crc32.hpp"
 
 namespace aetr::net {
 
@@ -83,15 +84,11 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-// --- CRC-32 (byte-wise IEEE reflected, poly 0xEDB88320) ---------------------
-// The I2S carrier's crc32_words (i2s/framing.hpp) runs over u32 words; the
-// socket transport frames arbitrary byte payloads, so it needs the byte-wise
-// form. Same polynomial, same init/final inversion — crc32_bytes of a
-// whole-word buffer equals crc32_words of those words.
+// --- CRC-32 ------------------------------------------------------------------
+// Frames are checked with the byte-wise IEEE CRC-32 shared with the session
+// snapshot trailer (util/crc32.hpp).
 
-[[nodiscard]] std::uint32_t crc32_bytes(const std::uint8_t* data,
-                                        std::size_t size);
-[[nodiscard]] std::uint32_t crc32_bytes(const std::vector<std::uint8_t>& b);
+using util::crc32_bytes;
 
 // --- frame encode / streaming decode ----------------------------------------
 

@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/time.hpp"
@@ -46,6 +47,10 @@ class BlobWriter {
     return bytes_;
   }
   [[nodiscard]] std::size_t size() const { return bytes_.size(); }
+  /// Move the finished buffer out (the writer is spent afterwards).
+  [[nodiscard]] std::vector<std::uint8_t> take() && {
+    return std::move(bytes_);
+  }
 
  private:
   void le(std::uint64_t v, int n) {

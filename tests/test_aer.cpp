@@ -204,8 +204,8 @@ TEST(Caviar, SlowHandshakeFlagged) {
   sender.submit(Event{1, Time::zero()});
   sched.run();
   EXPECT_EQ(checker.checked(), 1u);
-  ASSERT_EQ(checker.violations().size(), 1u);
-  EXPECT_GT(checker.violations()[0].duration(), 700_ns);
+  ASSERT_EQ(checker.violation_count(), 1u);
+  EXPECT_GT(checker.durations().max(), 700e-9);
 }
 
 TEST(Trace, WriteReadRoundTrip) {

@@ -3,7 +3,14 @@
 // agreement between the algorithmic model and record scoring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "analysis/error.hpp"
+#include "util/blob.hpp"
 
 namespace aetr::analysis {
 namespace {
@@ -131,6 +138,76 @@ TEST(Sweep, SyncEdgesInflateErrorBoundedly) {
       sweep_error(cfg, 20e3, {.n_events = 4000, .seed = 31, .sync_edges = 2});
   EXPECT_GT(synced.mean_rel_error(), plain.mean_rel_error());
   EXPECT_LT(synced.mean_rel_error(), 3.2 * analytic_error_bound(64));
+}
+
+/// Bitwise equality of two doubles (EXPECT_EQ would also pass -0.0 == 0.0).
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_stats(const ErrorStats& a, const ErrorStats& b,
+                       const std::string& what) {
+  const auto ra = a.rel_error.state();
+  const auto rb = b.rel_error.state();
+  EXPECT_EQ(ra.n, rb.n) << what;
+  EXPECT_EQ(bits(ra.mean), bits(rb.mean)) << what;
+  EXPECT_EQ(bits(ra.m2), bits(rb.m2)) << what;
+  EXPECT_EQ(bits(ra.min), bits(rb.min)) << what;
+  EXPECT_EQ(bits(ra.max), bits(rb.max)) << what;
+  EXPECT_EQ(a.events, b.events) << what;
+  EXPECT_EQ(a.saturated, b.saturated) << what;
+  EXPECT_EQ(a.sub_nyquist, b.sub_nyquist) << what;
+  EXPECT_EQ(bits(a.abs_err_sec), bits(b.abs_err_sec)) << what;
+  EXPECT_EQ(bits(a.true_sec), bits(b.true_sec)) << what;
+  EXPECT_EQ(bits(a.abs_err_unsat_sec), bits(b.abs_err_unsat_sec)) << what;
+  EXPECT_EQ(bits(a.true_unsat_sec), bits(b.true_unsat_sec)) << what;
+}
+
+// RecordScorer is analyze_records() in pieces: folding a capture log split
+// at arbitrary points — with a save/restore round trip at one of them —
+// gives bitwise the stats of scoring the whole log at once.
+TEST(RecordScorer, SplitFoldEqualsWholeLog) {
+  const Time tick = Time::ns(1e3 / 15.0);
+  const Time saturation = tick * 4096;
+  std::mt19937_64 rng{0x5C0AEu};
+  std::vector<frontend::CaptureRecord> log;
+  Time t = Time::zero();
+  for (int i = 0; i < 5000; ++i) {
+    // Repeated instants, sub-tick gaps and long silences all occur.
+    const std::uint64_t gap = rng() % 8 == 0 ? 0 : rng() % 400'000'000;
+    t += Time::ps(static_cast<Time::Rep>(gap));
+    const auto addr = static_cast<std::uint16_t>(rng() % 1024);
+    const bool saturated = rng() % 16 == 0;
+    frontend::CaptureRecord rec;
+    rec.request = aer::Event{addr, t};
+    rec.sample_edge = t;
+    rec.word = saturated ? aer::AetrWord::saturated(addr)
+                         : aer::AetrWord::make(addr, rng() % 4096);
+    log.push_back(rec);
+  }
+  const ErrorStats whole = analyze_records(log, tick, saturation);
+  ASSERT_EQ(whole.events, log.size() - 1);
+
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<std::size_t> cuts{0, log.size()};
+    for (int k = 0; k < trial; ++k) cuts.push_back(rng() % log.size());
+    std::sort(cuts.begin(), cuts.end());
+    RecordScorer scorer{tick, saturation};
+    for (std::size_t c = 0; c + 1 < cuts.size(); ++c) {
+      scorer.add({log.begin() + static_cast<std::ptrdiff_t>(cuts[c]),
+                  log.begin() + static_cast<std::ptrdiff_t>(cuts[c + 1])});
+      if (c == cuts.size() / 2) {
+        BlobWriter w;
+        scorer.save_state(w);
+        const std::vector<std::uint8_t> blob = std::move(w).take();
+        RecordScorer resumed{tick, saturation};
+        BlobReader r{blob};
+        resumed.restore_state(r);
+        EXPECT_TRUE(r.done());
+        scorer = resumed;
+      }
+    }
+    expect_same_stats(scorer.stats(), whole,
+                      "split into " + std::to_string(cuts.size() - 1));
+  }
 }
 
 }  // namespace

@@ -132,6 +132,25 @@ TEST(FrontEnd, RecordCapDropsOldestHalf) {
   EXPECT_EQ(b.fe.records().back().request.address, 24);
 }
 
+// clear_records() drops the log, not the counters: captures after it are
+// logged again from an empty log.
+TEST(FrontEnd, ClearRecordsKeepsCounting) {
+  Bench b{small_clock(), FrontEndConfig{}};
+  for (int i = 0; i < 25; ++i) {
+    b.sender.submit(aer::Event{static_cast<std::uint16_t>(i),
+                               Time::us(static_cast<double>(i + 1) * 5.0)});
+  }
+  b.sched.run_until(Time::us(62.0));
+  EXPECT_EQ(b.fe.records().size(), 12u);
+  b.fe.clear_records();
+  EXPECT_TRUE(b.fe.records().empty());
+  b.sched.run();
+  EXPECT_EQ(b.fe.events(), 25u);
+  ASSERT_EQ(b.fe.records().size(), 13u);
+  EXPECT_EQ(b.fe.records().front().request.address, 12);
+  EXPECT_EQ(b.fe.records().back().request.address, 24);
+}
+
 TEST(FrontEnd, MetastabilityAddsOneEdgeSometimes) {
   FrontEndConfig fcfg;
   fcfg.metastability_prob = 0.5;

@@ -7,14 +7,21 @@
 //     restored from the blob continues byte-identically to the session that
 //     took it — including later snapshot blobs, byte for byte — at 25
 //     randomized mid-stream points, with faults injected and telemetry on;
-//   * backpressure, feed ordering, and restore rejection behave as
-//     documented in core/session.hpp.
+//   * with history off the capture log is folded away as the run goes:
+//     snapshots stay the size of the input buffer and the error stats
+//     match the history-on run bitwise;
+//   * backpressure, feed ordering, and restore rejection (including a
+//     corrupted byte anywhere in the blob) behave as documented in
+//     core/session.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "analysis/error.hpp"
 #include "core/scenario.hpp"
 #include "core/session.hpp"
 #include "fault/fault_plan.hpp"
@@ -107,7 +114,8 @@ TEST(Session, StreamedFeedMatchesBatch) {
 // and the continuation is byte-identical to the session that took the
 // snapshot — checked via a second snapshot at a fixed later checkpoint
 // (compared byte for byte) and the final RunResult.
-void check_kill_resume(const core::ScenarioConfig& scenario, int points) {
+void check_kill_resume(const core::ScenarioConfig& scenario, int points,
+                       bool keep_history = true) {
   const aer::EventStream events = make_stream(2000, 11);
   const Time end = events.back().time;
   const Time checkpoint = Time::ps(end.count_ps() * 9 / 10);
@@ -119,6 +127,7 @@ void check_kill_resume(const core::ScenarioConfig& scenario, int points) {
 
     // Reference: one session that snapshots mid-stream and keeps going.
     core::Session ref{scenario};
+    ref.set_keep_history(keep_history);
     std::vector<std::uint8_t> blob;
     std::vector<std::uint8_t> ref_checkpoint;
     std::uint64_t fed_at_snapshot = 0;
@@ -140,6 +149,7 @@ void check_kill_resume(const core::ScenarioConfig& scenario, int points) {
 
     // Resumed: a fresh session restored from the blob, fed the remainder.
     core::Session res{scenario};
+    res.set_keep_history(keep_history);
     res.restore(blob);
     ASSERT_EQ(res.events_fed(), fed_at_snapshot);
     std::vector<std::uint8_t> res_checkpoint;
@@ -168,6 +178,152 @@ TEST(Session, KillResumeByteIdentical25Points) {
 
 TEST(Session, KillResumeByteIdenticalWithFaultsAndTelemetry) {
   check_kill_resume(faulty_scenario(), 25);
+}
+
+TEST(Session, KillResumeByteIdenticalWithoutHistory) {
+  core::ScenarioConfig scenario;
+  scenario.fast_forward = false;
+  check_kill_resume(scenario, 25, /*keep_history=*/false);
+}
+
+// --- history off -------------------------------------------------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The service-mode pattern: bounded feeding with backpressure advances,
+/// plus a snapshot whenever the stream crosses a multiple of `every`.
+core::RunResult run_streamed(const core::ScenarioConfig& scenario,
+                             const aer::EventStream& events, bool keep_history,
+                             Time every) {
+  core::Session s{scenario};
+  s.set_keep_history(keep_history);
+  Time next = every;
+  for (const auto& ev : events) {
+    if (ev.time >= next) {
+      s.advance_to(next);
+      (void)s.snapshot();
+      while (next <= ev.time) next += every;
+    }
+    while (!s.feed(ev)) s.advance_to(ev.time);
+  }
+  return s.finish();
+}
+
+// Dropping the capture log loses nothing from the timestamp-error stats:
+// the history-off run folds each chunk as it goes and ends bitwise equal
+// to the history-on run that scores the whole log at finish().
+TEST(Session, HistoryOffKeepsErrorStatsBitwise) {
+  for (const core::ScenarioConfig& base :
+       {core::ScenarioConfig{}, faulty_scenario()}) {
+    core::ScenarioConfig scenario = base;
+    scenario.fast_forward = false;
+    scenario.session.max_buffered_events = 256;
+    const aer::EventStream events = make_stream(5000, 17);
+    const Time every = Time::ms(3);
+    const core::RunResult on = run_streamed(scenario, events, true, every);
+    const core::RunResult off = run_streamed(scenario, events, false, every);
+    EXPECT_EQ(on.records.size(), events.size());
+    EXPECT_TRUE(off.records.empty());
+    EXPECT_TRUE(off.decoded.empty());
+    const analysis::ErrorStats& a = on.error;
+    const analysis::ErrorStats& b = off.error;
+    const auto ra = a.rel_error.state();
+    const auto rb = b.rel_error.state();
+    EXPECT_EQ(ra.n, rb.n);
+    EXPECT_EQ(bits(ra.mean), bits(rb.mean));
+    EXPECT_EQ(bits(ra.m2), bits(rb.m2));
+    EXPECT_EQ(bits(ra.min), bits(rb.min));
+    EXPECT_EQ(bits(ra.max), bits(rb.max));
+    EXPECT_EQ(a.events, b.events);
+    EXPECT_EQ(a.saturated, b.saturated);
+    EXPECT_EQ(a.sub_nyquist, b.sub_nyquist);
+    EXPECT_EQ(bits(a.abs_err_sec), bits(b.abs_err_sec));
+    EXPECT_EQ(bits(a.true_sec), bits(b.true_sec));
+    EXPECT_EQ(bits(a.abs_err_unsat_sec), bits(b.abs_err_unsat_sec));
+    EXPECT_EQ(bits(a.true_unsat_sec), bits(b.true_unsat_sec));
+    EXPECT_EQ(on.caviar_violations, off.caviar_violations);
+    EXPECT_EQ(on.words_out, off.words_out);
+  }
+}
+
+TEST(Session, HistoryOffDropsCaptureLogAfterAdvance) {
+  core::ScenarioConfig scenario;
+  scenario.fast_forward = false;
+  const aer::EventStream events = make_stream(500, 19);
+  core::Session s{scenario};
+  s.set_keep_history(false);
+  s.feed_all(events);
+  s.advance_to(events[events.size() / 2].time);
+  EXPECT_GT(s.interface().front_end().events(), 0u);
+  EXPECT_TRUE(s.interface().front_end().records().empty());
+}
+
+// With history off a snapshot holds the buffered input plus constant-size
+// state: late in the stream it is no bigger than early on, give or take
+// what is buffered at each point — events the session has not submitted
+// yet (10 blob bytes apiece) and words waiting in the FIFO (4 apiece).
+TEST(Session, HistoryOffSnapshotSizeIsFlat) {
+  core::ScenarioConfig scenario;
+  scenario.fast_forward = false;
+  scenario.session.max_buffered_events = 512;
+  const aer::EventStream events = make_stream(20000, 23);
+  const Time end = events.back().time;
+  const Time early = Time::ps(end.count_ps() / 10);
+  const Time late = Time::ps(end.count_ps() * 9 / 10);
+  core::Session s{scenario};
+  s.set_keep_history(false);
+  std::vector<std::uint8_t> early_blob, late_blob;
+  std::size_t early_buffer_bytes = 0, late_buffer_bytes = 0;
+  const auto buffered_bytes = [&s] {
+    return 10 * s.buffered() + 4 * s.interface().fifo().size();
+  };
+  for (const auto& ev : events) {
+    while (!s.feed(ev)) s.advance_to(ev.time);
+    if (early_blob.empty() && ev.time >= early) {
+      s.advance_to(early);
+      early_blob = s.snapshot();
+      early_buffer_bytes = buffered_bytes();
+    }
+    if (late_blob.empty() && ev.time >= late) {
+      s.advance_to(late);
+      late_blob = s.snapshot();
+      late_buffer_bytes = buffered_bytes();
+    }
+  }
+  ASSERT_FALSE(early_blob.empty());
+  ASSERT_FALSE(late_blob.empty());
+  const std::size_t buffer_bytes =
+      std::max(early_buffer_bytes, late_buffer_bytes);
+  const std::size_t lo = std::min(early_blob.size(), late_blob.size());
+  const std::size_t hi = std::max(early_blob.size(), late_blob.size());
+  EXPECT_LE(hi - lo, buffer_bytes)
+      << "early " << early_blob.size() << " B, late " << late_blob.size()
+      << " B";
+  (void)s.finish();
+}
+
+// Every byte of a blob is covered: the magic and version by their own
+// checks, everything else by the CRC-32 trailer. No single corrupted byte
+// may crash restore() or slip through it.
+TEST(Session, RestoreRejectsEveryCorruptedByte) {
+  core::ScenarioConfig scenario;
+  scenario.fast_forward = false;
+  const aer::EventStream events = make_stream(300, 29);
+  core::Session s{scenario};
+  s.set_keep_history(false);
+  s.feed_all(events);
+  s.advance_to(events[events.size() / 2].time);
+  const std::vector<std::uint8_t> blob = s.snapshot();
+  {
+    core::Session intact{scenario};
+    EXPECT_NO_THROW(intact.restore(blob));
+  }
+  for (std::size_t i = 0; i < blob.size(); ++i) {
+    std::vector<std::uint8_t> bad = blob;
+    bad[i] ^= 0xFF;
+    core::Session fresh{scenario};
+    EXPECT_THROW(fresh.restore(bad), std::runtime_error) << "byte " << i;
+  }
 }
 
 // Two sessions driven through the identical feed/advance/snapshot schedule
