@@ -2,10 +2,9 @@
 // space, reporting the Pareto front against the paper-default scenario.
 //
 // This is the library-level twin of `aetr-sweep opt --quick`: it exists so
-// the bench suite (and BENCH_opt.json via tools/bench_report.py opt) can
-// regress the optimizer's headline result — how much energy per event the
-// search recovers over the paper default without giving up timestamp
-// accuracy — from one self-contained binary.
+// the bench suite can regress the optimizer's headline result — how much
+// energy per event the search recovers over the paper default without
+// giving up timestamp accuracy — from one self-contained binary.
 #include <cstdio>
 #include <iostream>
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "util/blob.hpp"
-#include "util/profiler.hpp"
 
 namespace aetr::clockgen {
 namespace {
@@ -154,10 +153,7 @@ void ClockGenerator::capture_request(std::uint32_t sync_edges, CaptureFn done) {
   const Time delta = elapsed();
   const bool was_asleep = schedule_.is_asleep_at(delta);
   const Time wake = wake_latency_for(was_asleep);
-  const auto m = [&] {
-    util::ProfScope prof{util::ProfSite::kScheduleMeasure};
-    return schedule_.measure(delta, sync_edges, wake);
-  }();
+  const auto m = schedule_.measure(delta, sync_edges, wake);
   const Time sample_abs = origin_ + m.sample_edge;
 
   sched_.schedule_at(
@@ -179,10 +175,7 @@ ClockGenerator::CaptureResult ClockGenerator::capture_now(
   const Time delta = req_abs - origin_;
   const bool was_asleep = schedule_.is_asleep_at(delta);
   const Time wake = wake_latency_for(was_asleep);
-  const auto m = [&] {
-    util::ProfScope prof{util::ProfSite::kScheduleMeasure};
-    return schedule_.measure(delta, sync_edges, wake);
-  }();
+  const auto m = schedule_.measure(delta, sync_edges, wake);
   const Time sample_abs = origin_ + m.sample_edge;
   const std::uint64_t ticks =
       settle_capture(m, delta, was_asleep, wake, sample_abs);

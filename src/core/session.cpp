@@ -14,7 +14,6 @@
 #include "sim/scheduler.hpp"
 #include "util/blob.hpp"
 #include "util/crc32.hpp"
-#include "util/profiler.hpp"
 
 namespace aetr::core {
 
@@ -187,7 +186,6 @@ struct Session::Impl {
 
   void harvest(Time now) {
     if (!keep_history) return;
-    util::ProfScope prof{util::ProfSite::kHarvest};
     const auto& evs = mcu->events();
     for (; harvested < evs.size(); ++harvested) {
       latencies.push_back((now - evs[harvested].reconstructed_time).to_sec());

@@ -104,11 +104,6 @@ void AerFrontEnd::handle_request(Time t) {
           have_last_edge_ = true;
         }
         if (cfg_.keep_records) {
-          if (cfg_.max_records > 0 && records_.size() >= cfg_.max_records) {
-            records_.erase(records_.begin(),
-                           records_.begin() +
-                               static_cast<std::ptrdiff_t>(records_.size() / 2));
-          }
           records_.push_back(CaptureRecord{request, edge, word});
         }
         if (word_fn_) word_fn_(word, edge);
@@ -159,11 +154,6 @@ void AerFrontEnd::fast_capture_commit(const FastCapture& c) {
     have_last_edge_ = true;
   }
   if (cfg_.keep_records) {
-    if (cfg_.max_records > 0 && records_.size() >= cfg_.max_records) {
-      records_.erase(records_.begin(),
-                     records_.begin() +
-                         static_cast<std::ptrdiff_t>(records_.size() / 2));
-    }
     records_.push_back(CaptureRecord{c.request, c.edge, word});
   }
   if (word_fn_) word_fn_(word, c.edge);

@@ -35,10 +35,6 @@ struct FrontEndConfig {
   double metastability_prob = 0.0;      ///< P(one extra resolution edge)
   std::uint64_t seed = 0x5EED;
   bool keep_records = true;             ///< retain per-event ground truth
-  /// Upper bound on retained records; beyond it the oldest half is
-  /// discarded (long soak runs must not grow without bound). Zero keeps
-  /// everything.
-  std::size_t max_records = 0;
 };
 
 /// One timed event with full ground truth, for error analysis.

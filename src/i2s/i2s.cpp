@@ -7,7 +7,6 @@
 
 #include "i2s/framing.hpp"
 #include "util/blob.hpp"
-#include "util/profiler.hpp"
 
 namespace aetr::i2s {
 
@@ -89,10 +88,7 @@ void I2sMaster::finish_drain(Time now) {
     if (tel_.tracing()) [[unlikely]] {
       tel_.instant("crc_word", sched_.now());
     }
-    if (word_fn_) {
-      util::ProfScope prof{util::ProfSite::kWordPath};
-      word_fn_(aer::AetrWord{apply_line_noise(crc)}, sched_.now());
-    }
+    if (word_fn_) word_fn_(aer::AetrWord{apply_line_noise(crc)}, sched_.now());
     complete_drain(sched_.now());
   });
 }
@@ -121,10 +117,7 @@ void I2sMaster::send_next(std::size_t remaining_in_batch) {
       std::uint32_t raw = word.raw();
       if (faults_ != nullptr) raw = apply_line_noise(raw);
       if (crc_active_) batch_words_.push_back(word.raw());
-      if (word_fn_) {
-        util::ProfScope prof{util::ProfSite::kWordPath};
-        word_fn_(aer::AetrWord{raw}, sched_.now());
-      }
+      if (word_fn_) word_fn_(aer::AetrWord{raw}, sched_.now());
     }
     const std::size_t next_remaining =
         cfg_.drain_until_empty ? fifo_.size() : remaining_in_batch - 1;
@@ -153,10 +146,7 @@ void I2sMaster::step_word(Time now) {
     std::uint32_t raw = word.raw();
     if (faults_ != nullptr) raw = apply_line_noise(raw);
     if (crc_active_) batch_words_.push_back(word.raw());
-    if (word_fn_) {
-      util::ProfScope prof{util::ProfSite::kWordPath};
-      word_fn_(aer::AetrWord{raw}, now);
-    }
+    if (word_fn_) word_fn_(aer::AetrWord{raw}, now);
   }
   const std::size_t next_remaining =
       cfg_.drain_until_empty ? fifo_.size() : batch_remaining_ - 1;

@@ -5,7 +5,6 @@
 
 #include "i2s/framing.hpp"
 #include "util/blob.hpp"
-#include "util/profiler.hpp"
 
 namespace aetr::mcu {
 
@@ -148,7 +147,6 @@ void McuConsumer::on_word(aer::AetrWord word, Time arrival) {
 }
 
 void McuConsumer::decode_one(aer::AetrWord word, Time arrival) {
-  util::ProfScope prof{util::ProfSite::kMcuDecode};
   const aer::TimedEvent ev = decoder_.decode(word);
   if (ev.saturated) tel_.instant("saturated_decode", arrival);
   if (keep_events_) events_.push_back(ev);

@@ -20,8 +20,8 @@ struct SendOptions {
   /// Events per DATA frame.
   std::size_t chunk = 512;
   /// usleep(pace_us) every pace_every ingested events (0 = full speed) —
-  /// widens the kill window for the CI SIGKILL/resume job, mirroring
-  /// aetr-serve run --pace-us/--pace-every.
+  /// widens the kill and drain windows of the process-level determinism
+  /// rows, mirroring aetr-serve run --pace-us/--pace-every.
   std::uint64_t pace_us = 0;
   std::uint64_t pace_every = 1000;
   /// Ask the server to checkpoint after every N sent events (0 = never).

@@ -8,8 +8,7 @@
 // DATA chunks are interleaved round-robin across the open connections,
 // which is precisely the concurrency the single-threaded server must not
 // care about: each session's summary is byte-identical to the batch
-// run_scenario() result for that node (asserted in tests/test_net_server
-// and the net-determinism CI job).
+// run_scenario() result for that node (asserted in tests/test_net_server).
 #pragma once
 
 #include <cstdint>

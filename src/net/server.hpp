@@ -6,8 +6,8 @@
 // arrive, so the interleaving of N sessions is exactly the interleaving of
 // their byte streams — no scheduler nondeterminism — and each session's
 // result is a pure function of its own stream (sessions share no state).
-// That is what makes the net-determinism CI job's concurrent-vs-serial
-// byte-diff meaningful.
+// That is what makes the concurrent-vs-serial byte-diff in
+// tests/test_net_server.cpp meaningful.
 //
 // Shutdown: request_stop() (safe from any thread or signal-forwarding
 // loop) wakes the poll via a self-pipe; the server then drains every live

@@ -51,13 +51,6 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return cells;
 }
 
-std::string read_file(const fs::path& p) {
-  std::ifstream is{p, std::ios::binary};
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
-}
-
 /// Fixed-width bar length in px; deterministic because width only depends on
 /// the parsed values and the printf format.
 std::string fmt_px(double frac) {
@@ -205,17 +198,6 @@ void emit_table(std::ostream& os, const fs::path& path,
   os << "</section>\n";
 }
 
-/// BENCH_profile.json is embedded verbatim: wall-clock numbers are
-/// nondeterministic by nature, so they are quoted, not charted, and the
-/// CI determinism diff excludes them by construction (the report only runs
-/// on artifact directories, BENCH_* lives at the repo root).
-void emit_profile(std::ostream& os, const fs::path& path) {
-  os << "<section>\n<h3>" << html_escape(path.filename().string())
-     << "</h3>\n<p>Hot-path wall-clock profile (nondeterministic; informative "
-        "only).</p>\n<pre>"
-     << html_escape(read_file(path)) << "</pre>\n</section>\n";
-}
-
 }  // namespace
 
 ReportSummary render_report(const std::string& in_dir,
@@ -271,10 +253,6 @@ ReportSummary render_report(const std::string& in_dir,
     } else if (ends_with(name, "_metrics.csv")) {
       emit_table(os, p, 48);
       ++summary.metrics;
-    } else if (name == "BENCH_profile.json" ||
-               ends_with(name, "_profile.json")) {
-      emit_profile(os, p);
-      ++summary.profiles;
     }
   }
 

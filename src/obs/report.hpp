@@ -1,10 +1,10 @@
 // `aetr-sweep report` — render the observability artifacts a sweep run left
 // behind (energy ledgers, fleet health roll-ups, metrics CSVs, collapsed
-// stacks, BENCH_profile.json) into one self-contained HTML dashboard with
-// inline SVG charts. No external assets, no JavaScript, no timestamps: the
-// output is a pure function of the input files, so reports produced from
-// byte-identical artifact directories are themselves byte-identical (the CI
-// observability job diffs the --jobs 1 and --jobs 4 reports).
+// stacks) into one self-contained HTML dashboard with inline SVG charts. No
+// external assets, no JavaScript, no timestamps: the output is a pure
+// function of the input files, so reports produced from byte-identical
+// artifact directories are themselves byte-identical (the `ledger` row of
+// tests/determinism.py diffs the --jobs 1 and --jobs 4 reports).
 #pragma once
 
 #include <string>
@@ -16,10 +16,9 @@ struct ReportSummary {
   std::size_t stacks{0};        ///< *_stack.txt files rendered
   std::size_t metrics{0};       ///< *_metrics.csv files rendered
   std::size_t health{0};        ///< fleet health CSVs rendered
-  std::size_t profiles{0};      ///< BENCH_profile.json files rendered
   std::string out_path;         ///< the HTML file written
   [[nodiscard]] std::size_t total() const {
-    return ledgers + stacks + metrics + health + profiles;
+    return ledgers + stacks + metrics + health;
   }
 };
 

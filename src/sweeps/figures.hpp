@@ -52,7 +52,8 @@ struct FigureOptions {
   /// Idle-skip fast path for the figures that run the DES pipeline (see
   /// core/fast_path.hpp). Results are bit-identical either way; turning it
   /// off (`aetr-sweep --no-fast-forward`) forces the reference event-driven
-  /// path — the CI determinism job diffs the two. Figures that enable
+  /// path — tests/test_fastpath_scenario.cpp and the `fastpath-full` row
+  /// of tests/determinism.py diff the two. Figures that enable
   /// per-job telemetry fall back to the reference path regardless.
   bool fast_forward = true;
   /// Forwarded to runtime::SweepOptions::progress.

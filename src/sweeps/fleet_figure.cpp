@@ -195,10 +195,9 @@ FigureResult fleet_impl(const FigureOptions& opt) {
   const std::string csv = util::artifact_path("aetr_fleet.csv", opt.out_dir);
   table.write_csv(csv);
 
-  // The machine-readable companion the acceptance criteria (and the
-  // bench_report fleet mode) consume. Values are rendered with the same
-  // deterministic formats as the CSV, so the file is byte-identical for any
-  // --jobs value too.
+  // The machine-readable companion the acceptance criteria consume. Values
+  // are rendered with the same deterministic formats as the CSV, so the
+  // file is byte-identical for any --jobs value too.
   const std::string summary_path =
       util::artifact_path("aetr_fleet_summary.json", opt.out_dir);
   {

@@ -117,21 +117,6 @@ TEST(FrontEnd, RecordsCanBeDisabled) {
   EXPECT_EQ(b.fe.events(), 1u);
 }
 
-TEST(FrontEnd, RecordCapDropsOldestHalf) {
-  FrontEndConfig fcfg;
-  fcfg.max_records = 10;
-  Bench b{small_clock(), fcfg};
-  for (int i = 0; i < 25; ++i) {
-    b.sender.submit(aer::Event{static_cast<std::uint16_t>(i),
-                               Time::us(static_cast<double>(i + 1) * 5.0)});
-  }
-  b.sched.run();
-  EXPECT_EQ(b.fe.events(), 25u);
-  EXPECT_LE(b.fe.records().size(), 10u);
-  // The newest events survive the trim.
-  EXPECT_EQ(b.fe.records().back().request.address, 24);
-}
-
 // clear_records() drops the log, not the counters: captures after it are
 // logged again from an empty log.
 TEST(FrontEnd, ClearRecordsKeepsCounting) {

@@ -1,5 +1,5 @@
 // Tests for aetr::obs — the energy-attribution ledger, its reconciliation
-// with the power model, the fleet health roll-up, the hot-path profiler,
+// with the power model, the fleet health roll-up, the report renderer,
 // and the disabled paths being bit-identical, allocation-free no-ops.
 //
 // Global operator new/delete are replaced with counting versions (the
@@ -23,7 +23,6 @@
 #include "gen/sources.hpp"
 #include "obs/ledger.hpp"
 #include "obs/report.hpp"
-#include "util/profiler.hpp"
 
 namespace {
 std::uint64_t g_allocs = 0;  // test binary is single-threaded
@@ -368,55 +367,6 @@ TEST(Config, FleetHealthKeyRoundTrips) {
   const auto back = fleet::load_fleet(is);
   EXPECT_TRUE(back.health);
   EXPECT_EQ(fleet::dump_fleet(back), text);
-}
-
-// --- profiler ---------------------------------------------------------------
-
-TEST(Profiler, DisabledScopeRecordsNothingAndAllocatesNothing) {
-  util::profiler_set_enabled(false);
-  util::profiler_reset();
-  const std::uint64_t before = g_allocs;
-  for (int i = 0; i < 1000; ++i) {
-    util::ProfScope scope{util::ProfSite::kMcuDecode};
-  }
-  EXPECT_EQ(g_allocs, before) << "disabled ProfScope allocated";
-  const auto st = util::profiler_stats(util::ProfSite::kMcuDecode);
-  EXPECT_EQ(st.calls, 0u);
-  EXPECT_EQ(st.ns, 0u);
-}
-
-TEST(Profiler, EnabledScopeAccumulatesAndResetClears) {
-  util::profiler_reset();
-  util::profiler_set_enabled(true);
-  for (int i = 0; i < 10; ++i) {
-    util::ProfScope scope{util::ProfSite::kHarvest};
-  }
-  util::profiler_set_enabled(false);
-  const auto st = util::profiler_stats(util::ProfSite::kHarvest);
-  EXPECT_EQ(st.calls, 10u);
-  // Other sites stay untouched.
-  EXPECT_EQ(util::profiler_stats(util::ProfSite::kWordPath).calls, 0u);
-  const std::string json = util::profiler_report_json();
-  EXPECT_NE(json.find("\"site\": \"harvest\""), std::string::npos);
-  EXPECT_NE(json.find("\"calls\": 10"), std::string::npos);
-  util::profiler_reset();
-  EXPECT_EQ(util::profiler_stats(util::ProfSite::kHarvest).calls, 0u);
-}
-
-TEST(Profiler, RunScenarioExercisesEverySiteWhenEnabled) {
-  util::profiler_reset();
-  util::profiler_set_enabled(true);
-  core::ScenarioConfig sc;
-  sc.interface.fifo.batch_threshold = 32;
-  sc.fast_forward = false;  // profile the reference event-driven path
-  gen::PoissonSource src{5e4, 128, 7};
-  (void)core::run_scenario(sc, gen::take(src, 500));
-  util::profiler_set_enabled(false);
-  for (std::size_t i = 0; i < util::kProfSiteCount; ++i) {
-    EXPECT_GT(util::profiler_stats(static_cast<util::ProfSite>(i)).calls, 0u)
-        << util::to_string(static_cast<util::ProfSite>(i));
-  }
-  util::profiler_reset();
 }
 
 // --- report renderer --------------------------------------------------------

@@ -7,7 +7,7 @@
 
 #include "gen/scenario.hpp"
 #include "gen/sources.hpp"
-#include "util/stats_tests.hpp"
+#include "stats_tests.hpp"
 
 namespace aetr::gen {
 namespace {

@@ -19,14 +19,14 @@
 //
 //       With --resume the session first restores the last snapshot and
 //       skips the events it already consumed, continuing byte-identically
-//       to a run that was never interrupted — the CI serve-determinism job
-//       SIGKILLs a paced run mid-stream and diffs the resumed summary
-//       against an uninterrupted one.
+//       to a run that was never interrupted — the `serve-kill-resume` row
+//       of tests/determinism.py SIGKILLs a paced run mid-stream and diffs
+//       the resumed summary against an uninterrupted one.
 //
 //       summary.txt under --out-dir holds only deterministic counters (no
 //       wall-clock data), so `diff -r` across runs is meaningful.
 //       --stats-json lands wall-clock ingest/snapshot timings and peak RSS
-//       outside the out-dir for the BENCH_serve.json report.
+//       outside the out-dir, where they cannot perturb that diff.
 //
 //   aetr-serve listen (--uds PATH | --tcp [--port P]) [--config FILE]
 //              [--out-dir DIR] [--snapshot-dir DIR]

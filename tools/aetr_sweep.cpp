@@ -6,8 +6,9 @@
 //              [--trace] [--metrics] [--ledger] [--report FILE] [--quiet]
 //
 // `all` runs every figure in the sweeps::figures() registry — the fig/
-// ablation set plus the faults and fleet figures — so the CI determinism
-// gates (`all --quick` with fast path on vs off) exercise each of them.
+// ablation set plus the faults and fleet figures — so one command
+// exercises each of them (the fast-path on vs off gate in
+// tests/determinism.py runs `all`).
 //   aetr-sweep opt [--strategy factorial|random|halving] [--budget N]
 //              [--objectives energy,error[,loss,latency]] [--space FILE]
 //              [--events N] [--rate HZ] [--fault-level X] [--resume]
@@ -277,9 +278,9 @@ int run_report(int argc, char** argv, bool* usage_error) {
     const auto summary = aetr::obs::render_report(in_dir, out_dir);
     if (!quiet) {
       std::printf("report: %zu ledgers, %zu stacks, %zu metrics CSVs, "
-                  "%zu health CSVs, %zu profiles -> %s\n",
+                  "%zu health CSVs -> %s\n",
                   summary.ledgers, summary.stacks, summary.metrics,
-                  summary.health, summary.profiles, summary.out_path.c_str());
+                  summary.health, summary.out_path.c_str());
     }
     return 0;
   } catch (const std::exception& e) {
