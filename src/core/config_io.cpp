@@ -204,36 +204,13 @@ KeySchema<InterfaceConfig> make_interface_schema() {
   return s;
 }
 
-/// A telemetry.* key switches the scenario's telemetry choice to owned
-/// options, mutating the current owned options when already owned (a
-/// borrowed in-process session cannot be named in a file).
-template <typename Set>
-KeySchema<ScenarioConfig>::Apply tel_apply(Set set) {
-  return [set](ScenarioConfig& s, const std::string& v) {
-    telemetry::SessionOptions opts =
-        s.telemetry.mode() == TelemetryChoice::Mode::kOwned
-            ? s.telemetry.options()
-            : telemetry::SessionOptions{};
-    set(opts, v);
-    s.telemetry = TelemetryChoice::owned(opts);
-  };
-}
-
-/// Dump view of the telemetry options: a borrowed session dumps as the
-/// defaults (telemetry off), which is what a fresh load reproduces.
-telemetry::SessionOptions tel_view(const ScenarioConfig& s) {
-  return s.telemetry.mode() == TelemetryChoice::Mode::kOwned
-             ? s.telemetry.options()
-             : telemetry::SessionOptions{};
-}
-
 KeySchema<ScenarioConfig> make_scenario_schema() {
   KeySchema<ScenarioConfig> s{"config"};
   s.comment("aetr scenario configuration");
   // Every interface key applies to scenario.interface, so an
   // InterfaceConfig file is a valid scenario file.
   s.extend<InterfaceConfig>(
-      interface_schema(),
+      make_interface_schema(),
       [](ScenarioConfig& c) -> InterfaceConfig& { return c.interface; },
       [](const ScenarioConfig& c) -> const InterfaceConfig& {
         return c.interface;
@@ -264,9 +241,7 @@ KeySchema<ScenarioConfig> make_scenario_schema() {
       [](std::ostream& os, const ScenarioConfig& c) {
         os << c.sender.min_gap.to_ns();
       });
-  // Session lifecycle (formerly run.*; the deprecated alias spellings were
-  // removed after their one-release grace period — run.* keys now fail with
-  // a did-you-mean suggestion like any other unknown key).
+  // Session lifecycle.
   s.add(
       "session.cooldown_us",
       [](ScenarioConfig& c, const std::string& v) {
@@ -474,57 +449,52 @@ KeySchema<ScenarioConfig> make_scenario_schema() {
       });
   // Telemetry.
   s.add("telemetry.trace",
-        tel_apply([](telemetry::SessionOptions& o, const std::string& v) {
-          o.trace = parse_bool(v, "telemetry.trace");
-        }),
+        [](ScenarioConfig& c, const std::string& v) {
+          c.telemetry.trace = parse_bool(v, "telemetry.trace");
+        },
         [](std::ostream& os, const ScenarioConfig& c) {
-          os << fmt(tel_view(c).trace);
+          os << fmt(c.telemetry.trace);
         });
   s.add("telemetry.metrics",
-        tel_apply([](telemetry::SessionOptions& o, const std::string& v) {
-          o.metrics = parse_bool(v, "telemetry.metrics");
-        }),
+        [](ScenarioConfig& c, const std::string& v) {
+          c.telemetry.metrics = parse_bool(v, "telemetry.metrics");
+        },
         [](std::ostream& os, const ScenarioConfig& c) {
-          os << fmt(tel_view(c).metrics);
+          os << fmt(c.telemetry.metrics);
         });
   s.add("telemetry.metrics_window_ms",
-        tel_apply([](telemetry::SessionOptions& o, const std::string& v) {
-          o.metrics_window =
+        [](ScenarioConfig& c, const std::string& v) {
+          c.telemetry.metrics_window =
               Time::ms(parse_double(v, "telemetry.metrics_window_ms"));
-        }),
+        },
         [](std::ostream& os, const ScenarioConfig& c) {
-          os << tel_view(c).metrics_window.to_ms();
+          os << c.telemetry.metrics_window.to_ms();
         });
   s.add("telemetry.trace_json_path",
-        tel_apply([](telemetry::SessionOptions& o, const std::string& v) {
-          o.trace_json_path = v;
-        }),
+        [](ScenarioConfig& c, const std::string& v) {
+          c.telemetry.trace_json_path = v;
+        },
         [](std::ostream& os, const ScenarioConfig& c) {
-          os << tel_view(c).trace_json_path;
+          os << c.telemetry.trace_json_path;
         });
   s.add("telemetry.trace_csv_path",
-        tel_apply([](telemetry::SessionOptions& o, const std::string& v) {
-          o.trace_csv_path = v;
-        }),
+        [](ScenarioConfig& c, const std::string& v) {
+          c.telemetry.trace_csv_path = v;
+        },
         [](std::ostream& os, const ScenarioConfig& c) {
-          os << tel_view(c).trace_csv_path;
+          os << c.telemetry.trace_csv_path;
         });
   s.add("telemetry.metrics_csv_path",
-        tel_apply([](telemetry::SessionOptions& o, const std::string& v) {
-          o.metrics_csv_path = v;
-        }),
+        [](ScenarioConfig& c, const std::string& v) {
+          c.telemetry.metrics_csv_path = v;
+        },
         [](std::ostream& os, const ScenarioConfig& c) {
-          os << tel_view(c).metrics_csv_path;
+          os << c.telemetry.metrics_csv_path;
         });
   return s;
 }
 
 }  // namespace
-
-const KeySchema<InterfaceConfig>& interface_schema() {
-  static const KeySchema<InterfaceConfig> schema = make_interface_schema();
-  return schema;
-}
 
 const KeySchema<ScenarioConfig>& scenario_schema() {
   static const KeySchema<ScenarioConfig> schema = make_scenario_schema();
@@ -545,28 +515,6 @@ std::string suggest_key(const std::string& key,
 void apply_scenario_key(ScenarioConfig& scenario, const std::string& key,
                         const std::string& value) {
   scenario_schema().apply(scenario, key, value);
-}
-
-InterfaceConfig load_config(std::istream& is) {
-  InterfaceConfig config;
-  keyio::parse_stream(is, "config",
-                      [&](const std::string& key, const std::string& value,
-                          std::size_t line_no) {
-                        interface_schema().apply(config, key, value, line_no);
-                      });
-  return config;
-}
-
-InterfaceConfig load_config_file(const std::string& path) {
-  std::ifstream f{path};
-  if (!f) throw std::runtime_error("config: cannot open " + path);
-  return load_config(f);
-}
-
-std::string dump_config(const InterfaceConfig& c) {
-  std::ostringstream os;
-  interface_schema().dump(os, c);
-  return os.str();
 }
 
 ScenarioConfig load_scenario(std::istream& is) {

@@ -1,14 +1,16 @@
-// Textual configuration for the interface: a small "key = value" format so
-// experiments are reproducible from files and the CLI example can expose
-// every knob without recompilation.
+// Textual configuration for a run: a small "key = value" format so
+// experiments are reproducible from files: `aetr-serve run|listen|send
+// --config FILE` takes one, and `aetr-serve run --dump-config` prints
+// every key with its effective value.
 //
-//   # aetr interface configuration
+//   # aetr scenario configuration
 //   clock.theta_div     = 64
 //   clock.n_div         = 8
 //   fifo.batch_threshold = 1024
+//   fault.aer.drop_req_prob = 0.01
 //
 // Unknown keys are an error (catching typos beats silently ignoring them);
-// omitted keys keep their defaults. dump_config() emits every key, so
+// omitted keys keep their defaults. dump_scenario() emits every key, so
 // dump -> load round-trips exactly.
 #pragma once
 
@@ -21,53 +23,33 @@
 
 namespace aetr::core {
 
-/// The declarative schema behind load_config()/dump_config(): every
-/// interface key with its parser and dumper. Exposed so layered formats
-/// (scenario, fleet) and tools can share one table instead of
-/// re-implementing key fall-through.
-[[nodiscard]] const KeySchema<InterfaceConfig>& interface_schema();
-
-/// The declarative schema behind load_scenario()/dump_scenario(): the
-/// interface schema grafted onto scenario.interface, plus sender.*,
-/// session.*, fault.* and telemetry.*.
+/// The declarative schema behind load_scenario()/dump_scenario(): every
+/// interface key (clock.*, frontend.*, fifo.*, i2s.*, power.*,
+/// drain_timeout_us) applied to
+/// scenario.interface, plus sender.*, session.*, fault.* and telemetry.*.
 /// opt::SearchSpace validates its axes against this table, and the fleet
 /// config extends it onto FleetConfig::base.
 [[nodiscard]] const KeySchema<ScenarioConfig>& scenario_schema();
 
-/// Parse a configuration stream on top of default values.
-/// Throws std::runtime_error on syntax errors, unknown keys, or values
-/// that fail validation.
-InterfaceConfig load_config(std::istream& is);
-
-/// Load a configuration file; throws std::runtime_error on failure.
-InterfaceConfig load_config_file(const std::string& path);
-
-/// Render every tunable of `config` in load_config() syntax.
-std::string dump_config(const InterfaceConfig& config);
-
 /// Parse a full scenario (interface keys plus sender.*, session.*, fault.*
-/// and telemetry.*) on top of default values. Every interface key is
-/// accepted unchanged, so an InterfaceConfig file is a valid scenario file.
-/// The pre-Session run.* alias spellings were removed after their
-/// one-release grace period; they now fail like any other unknown key.
+/// and telemetry.*) on top of default values. Throws std::runtime_error on
+/// syntax errors, unknown keys or bad values, and std::invalid_argument
+/// when the result fails ScenarioConfig::validate().
 ScenarioConfig load_scenario(std::istream& is);
 
 /// Load a scenario file; throws std::runtime_error on failure.
 ScenarioConfig load_scenario_file(const std::string& path);
 
 /// Render every tunable of `scenario` in load_scenario() syntax. Emits every
-/// key, so dump -> load -> dump is byte-identical. A borrowed telemetry
-/// session is an in-process handle and dumps as telemetry off.
+/// key, so dump -> load -> dump is byte-identical.
 std::string dump_scenario(const ScenarioConfig& scenario);
 
 /// Apply one `key = value` assignment — any key load_scenario() accepts —
 /// to an existing scenario. This is the single-key counterpart of
 /// load_scenario() that the `opt` search spaces drive: a parameter axis
 /// names a scenario key and materialises each sampled point through here.
-/// A telemetry.* key switches the scenario's telemetry choice to owned
-/// options (mutating the current owned options when already owned). Throws
-/// std::runtime_error on unknown keys (with a nearest-key suggestion) or
-/// unparsable values.
+/// Throws std::runtime_error on unknown keys (with a nearest-key
+/// suggestion) or unparsable values.
 void apply_scenario_key(ScenarioConfig& scenario, const std::string& key,
                         const std::string& value);
 

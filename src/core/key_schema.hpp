@@ -3,9 +3,8 @@
 // One KeySchema<Config> describes everything a textual config namespace
 // needs in a single table: how each key parses into the config struct, how
 // it dumps back out (registration order == dump order, so dump -> load ->
-// dump stays byte-identical), deprecated aliases (accepted with a one-time
-// stderr warning), and the known-key list that feeds unknown-key rejection
-// with did-you-mean suggestions.
+// dump stays byte-identical), and the known-key list that feeds unknown-key
+// rejection with did-you-mean suggestions.
 //
 // Layered formats compose instead of re-implementing fall-through:
 // extend() grafts a complete inner schema through an accessor, so the
@@ -19,7 +18,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <iostream>
+#include <istream>
 #include <map>
 #include <ostream>
 #include <stdexcept>
@@ -153,18 +152,10 @@ class KeySchema {
     return *this;
   }
 
-  /// Accept `old_key` as a deprecated spelling of `canonical`. The first
-  /// application of each alias warns once on stderr; dumps always emit
-  /// the canonical key.
-  KeySchema& alias(std::string old_key, std::string canonical) {
-    aliases_.emplace(std::move(old_key), AliasTarget{std::move(canonical)});
-    return *this;
-  }
-
   /// Graft a complete inner schema: every inner key applies through
-  /// `mut` / dumps through `view`, inner comment rows and aliases carry
-  /// over. This is how layered formats share one table instead of
-  /// re-implementing key fall-through.
+  /// `mut` / dumps through `view`, inner comment rows carry over. This is
+  /// how layered formats share one table instead of re-implementing key
+  /// fall-through.
   template <typename Inner>
   KeySchema& extend(const KeySchema<Inner>& inner,
                     std::function<Inner&(Config&)> mut,
@@ -186,30 +177,18 @@ class KeySchema {
           },
           std::move(dump));
     }
-    for (const auto& [old_key, target] : inner.aliases()) {
-      alias(old_key, target.canonical);
-    }
     return *this;
   }
 
-  /// True when `key` is a canonical key or an accepted alias.
+  /// True when `key` is a registered key.
   [[nodiscard]] bool known(const std::string& key) const {
-    return index_.count(key) != 0 || aliases_.count(key) != 0;
+    return index_.count(key) != 0;
   }
 
   /// Apply one assignment; returns false when the key is unknown.
   bool try_apply(Config& config, const std::string& key,
                  const std::string& value) const {
-    const std::string* resolved = &key;
-    if (const auto a = aliases_.find(key); a != aliases_.end()) {
-      if (!a->second.warned) {
-        a->second.warned = true;
-        std::cerr << context_ << ": key '" << key << "' is deprecated; use '"
-                  << a->second.canonical << "' instead\n";
-      }
-      resolved = &a->second.canonical;
-    }
-    const auto it = index_.find(*resolved);
+    const auto it = index_.find(key);
     if (it == index_.end()) return false;
     entries_[it->second].apply(config, value);
     return true;
@@ -222,8 +201,7 @@ class KeySchema {
     if (!try_apply(config, key, value)) throw_unknown(key, line_no);
   }
 
-  /// Every canonical key, sorted (aliases excluded — they are accepted,
-  /// not advertised).
+  /// Every registered key, sorted.
   [[nodiscard]] std::vector<std::string> keys() const {
     std::vector<std::string> keys;
     keys.reserve(index_.size());
@@ -264,22 +242,13 @@ class KeySchema {
     }
   }
 
-  struct AliasTarget {
-    std::string canonical;
-    mutable bool warned{false};
-  };
-
   [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
-  [[nodiscard]] const std::map<std::string, AliasTarget>& aliases() const {
-    return aliases_;
-  }
   [[nodiscard]] const std::string& context() const { return context_; }
 
  private:
   std::string context_;
   std::vector<Entry> entries_;
   std::map<std::string, std::size_t> index_;
-  std::map<std::string, AliasTarget> aliases_;
 };
 
 }  // namespace aetr::core

@@ -71,10 +71,7 @@ void ScenarioConfig::validate() const {
 RunResult run_scenario(const ScenarioConfig& scenario,
                        const aer::EventStream& events) {
   // Thin wrapper over the incremental API (core/session.hpp): buffer the
-  // whole stream, then run it to completion. The Session reproduces the
-  // original batch runner call-for-call — construction order, standing
-  // timers, fast-path eligibility, telemetry spans — so results are
-  // bit-identical to the pre-Session run_scenario.
+  // whole stream, then run it to completion.
   Session session{scenario};
   session.feed_all(events);
   return session.finish();

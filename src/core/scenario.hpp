@@ -1,11 +1,7 @@
 // The unified run API: one validated, config_io-round-trippable object
 // describing everything a run needs — per-block interface configs, the
 // sensor-side wire timing, the fault plan with its recovery knobs, and the
-// telemetry choice — consumed by run_scenario().
-//
-// This replaces the old (InterfaceConfig, RunOptions) pair whose telemetry
-// fields had dual ownership; the core/runner.hpp compatibility shim that
-// forwarded those entry points here has been removed.
+// telemetry options — consumed by run_scenario() and core::Session.
 #pragma once
 
 #include <cstdint>
@@ -22,50 +18,6 @@
 #include "telemetry/telemetry.hpp"
 
 namespace aetr::core {
-
-/// How a run's telemetry is provided: off entirely, owned by the runner for
-/// the duration of the call (built from SessionOptions, artifacts written
-/// before returning), or borrowed from an outer harness that owns the
-/// session and its artifacts (the sweep runtime does this to name outputs
-/// per job). Exactly one of the three — the old telemetry/telemetry_session
-/// pair whose meaning depended on which fields were set is gone.
-class TelemetryChoice {
- public:
-  enum class Mode { kOff, kOwned, kBorrowed };
-
-  /// Default: no telemetry.
-  TelemetryChoice() = default;
-
-  [[nodiscard]] static TelemetryChoice off() { return TelemetryChoice{}; }
-  [[nodiscard]] static TelemetryChoice owned(telemetry::SessionOptions opts) {
-    TelemetryChoice c;
-    c.mode_ = Mode::kOwned;
-    c.options_ = opts;
-    return c;
-  }
-  [[nodiscard]] static TelemetryChoice borrowed(
-      telemetry::TelemetrySession* session) {
-    TelemetryChoice c;
-    c.mode_ = session != nullptr ? Mode::kBorrowed : Mode::kOff;
-    c.session_ = session;
-    return c;
-  }
-
-  [[nodiscard]] Mode mode() const { return mode_; }
-  /// Session options (meaningful in kOwned mode; defaults otherwise).
-  [[nodiscard]] const telemetry::SessionOptions& options() const {
-    return options_;
-  }
-  /// Borrowed session (non-null exactly in kBorrowed mode).
-  [[nodiscard]] telemetry::TelemetrySession* session() const {
-    return session_;
-  }
-
- private:
-  Mode mode_{Mode::kOff};
-  telemetry::SessionOptions options_{};
-  telemetry::TelemetrySession* session_{nullptr};
-};
 
 /// Session-lifecycle limits (the `session.*` config keys): how much input a
 /// streaming core::Session may buffer before signalling backpressure, and
@@ -101,7 +53,10 @@ struct ScenarioConfig {
   /// without the ledger.
   bool energy_ledger = false;
   SessionLimits session;            ///< streaming-session lifecycle limits
-  TelemetryChoice telemetry;        ///< off / runner-owned / borrowed
+  /// Per-run telemetry. Off exactly when !telemetry.any(); otherwise the
+  /// session owns a TelemetrySession built from these options and writes
+  /// its artifacts when the run finishes.
+  telemetry::SessionOptions telemetry;
 
   /// Throws std::invalid_argument on the first inconsistency (probability
   /// out of [0,1], zero-width runt, degenerate FIFO geometry, ...).

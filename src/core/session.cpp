@@ -36,7 +36,7 @@ struct Session::Impl {
   sim::Scheduler sched;
 
   std::optional<telemetry::TelemetrySession> owned_tel;
-  telemetry::TelemetrySession* tel{nullptr};
+  telemetry::TelemetrySession* tel{nullptr};  ///< &*owned_tel, or null
   std::optional<fault::FaultInjector> injector;
   fault::FaultInjector* faults{nullptr};
   std::optional<AerToI2sInterface> iface;
@@ -92,21 +92,9 @@ struct Session::Impl {
   explicit Impl(const ScenarioConfig& s) : scenario{s} {
     scenario.validate();
 
-    // Resolve the run's telemetry session per the scenario's choice.
-    switch (scenario.telemetry.mode()) {
-      case TelemetryChoice::Mode::kBorrowed:
-        tel = scenario.telemetry.session();
-        break;
-      case TelemetryChoice::Mode::kOwned:
-        if (telemetry::compiled_in() && scenario.telemetry.options().any()) {
-          owned_tel.emplace(scenario.telemetry.options());
-          tel = &*owned_tel;
-        }
-        break;
-      case TelemetryChoice::Mode::kOff:
-        break;
-    }
-    if (tel != nullptr) {
+    if (telemetry::compiled_in() && scenario.telemetry.any()) {
+      owned_tel.emplace(scenario.telemetry);
+      tel = &*owned_tel;
       tel->set_clock([this] { return sched.now(); });
       sched.set_telemetry(tel);  // components pick it up at construction
     }
@@ -296,10 +284,9 @@ struct Session::Impl {
   }
 
   /// Arm the session's standing services on first use of the timeline.
-  /// Order matters for batch bit-identity: the pre-Session runner armed
-  /// the metrics grid, then the watchdog, then opened the runner span, so
-  /// their scheduler sequence numbers (the same-timestamp tie-break) must
-  /// be claimed in that order here too.
+  /// Order matters for bit-identity: the metrics grid, then the watchdog,
+  /// then the runner span claim their scheduler sequence numbers (the
+  /// same-timestamp tie-break) in that fixed order.
   void ensure_started() {
     if (started || done) return;
     started = true;
@@ -654,11 +641,8 @@ struct Session::Impl {
     }
     if (tel != nullptr) {
       if (tel->metrics_on()) tel->metrics().snapshot(sched.now());
-      // The clock closure captures this session's scheduler; detach it
-      // before a harness-owned telemetry session outlives the run.
-      tel->set_clock({});
+      tel->write_artifacts();
     }
-    if (owned_tel) owned_tel->write_artifacts();
 
     RunResult r;
     r.activity = iface->activity();

@@ -6,9 +6,7 @@
 // and resumed run is byte-identical to the same run left uninterrupted.
 //
 // The batch entry point run_scenario() is a thin wrapper over this class:
-// construct, feed the whole stream, finish(). The wrapper reproduces the
-// pre-Session runner call-for-call, so batch results (including the
-// idle-skip fast path and telemetry artifacts) are bit-identical.
+// construct, feed the whole stream, finish().
 //
 // Lifecycle:
 //
@@ -45,7 +43,7 @@ class Session {
   static constexpr std::uint32_t kSnapshotVersion = 2;
 
   /// Build the full system (scheduler, interface, sender, checker, MCU,
-  /// telemetry, fault injector) exactly as run_scenario always has.
+  /// telemetry, fault injector).
   /// Construction schedules nothing and does not advance time. Throws
   /// std::invalid_argument via ScenarioConfig::validate().
   explicit Session(const ScenarioConfig& scenario);
@@ -141,7 +139,8 @@ class Session {
   /// Counters are unaffected.
   void set_keep_history(bool keep);
 
-  /// The resolved telemetry session (null when telemetry is off).
+  /// The session's own telemetry (null when telemetry is off). Stays
+  /// readable after finish(), for as long as the Session lives.
   [[nodiscard]] telemetry::TelemetrySession* telemetry_session();
 
   [[nodiscard]] AerToI2sInterface& interface();

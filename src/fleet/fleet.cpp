@@ -244,11 +244,7 @@ void FleetConfig::validate() const {
          "uplink model)");
   }
   // Nodes run headless: fleet-level metrics come from FleetResult::metrics.
-  // Owned-but-all-off options (what a dump -> load round-trip produces) are
-  // equivalent to off and stay legal.
-  if (base.telemetry.mode() == core::TelemetryChoice::Mode::kBorrowed ||
-      (base.telemetry.mode() == core::TelemetryChoice::Mode::kOwned &&
-       base.telemetry.options().any())) {
+  if (base.telemetry.any()) {
     fail("base scenario telemetry must be off (nodes run headless; use "
          "FleetResult::metrics)");
   }

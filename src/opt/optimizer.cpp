@@ -617,7 +617,7 @@ OptResult optimize(const SearchSpace& space, const core::ScenarioConfig& base,
             so.metrics_csv_path =
                 util::artifact_path(stem + "_metrics.csv", opt.out_dir);
           }
-          sc.telemetry = core::TelemetryChoice::owned(so);
+          sc.telemetry = so;
         }
         evals[slot] =
             evaluate(sc, workload, opt.objectives, rung_stream, n_events);

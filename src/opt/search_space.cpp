@@ -107,8 +107,7 @@ SearchSpace& SearchSpace::add(ParamAxis axis) {
   }
   // Validate the key eagerly against the shared config schema (with its
   // did-you-mean hint) so a typo fails at space construction, not
-  // mid-optimisation. Deprecated aliases (run.*) are accepted here just as
-  // the config loader accepts them.
+  // mid-optimisation.
   const auto& schema = core::scenario_schema();
   if (!schema.known(axis.key)) {
     std::string msg = "axis '" + axis.key + "': unknown scenario key";

@@ -187,7 +187,7 @@ double fig8_measure_power(const core::InterfaceConfig& cfg, double rate_hz,
                           const std::string& ledger_stem = {}) {
   core::ScenarioConfig sc;
   sc.interface = cfg;
-  sc.telemetry = core::TelemetryChoice::owned(tel);
+  sc.telemetry = tel;
   sc.fast_forward = fast_forward;
   sc.energy_ledger = !ledger_stem.empty();
   core::RunResult r;
@@ -474,8 +474,7 @@ FigureResult ablation_agreement_impl(const FigureOptions& opt) {
     run_sc.fast_forward = opt.fast_forward;
     gen::PoissonSource src{rate, 128, ctx.seed, Time::ns(130.0)};
     const auto events = gen::take(src, n_events);
-    run_sc.telemetry = core::TelemetryChoice::owned(
-        job_telemetry(opt, "ablation_agreement", ctx.index));
+    run_sc.telemetry = job_telemetry(opt, "ablation_agreement", ctx.index);
     const auto r = core::run_scenario(run_sc, events);
 
     JobOutput out;
@@ -497,9 +496,8 @@ FigureResult ablation_agreement_impl(const FigureOptions& opt) {
                     {"theta", "rate", "model_err", "sync_err", "des_err"}),
       &sink);
 
-  // The legacy bench printed a wall-clock throughput column inside the
-  // CSV; that column is inherently nondeterministic, so it now lives in
-  // the sweep metrics (report.metrics[i].wall_sec) instead and the CSV
+  // DES throughput is wall-clock and so nondeterministic: it lives in the
+  // sweep metrics (report.metrics[i].wall_sec), not in the CSV, which
   // stays byte-identical across runs and thread counts.
   Table table{{"rate (evt/s)", "theta", "model err", "model+sync err",
                "DES err"}};

@@ -2,10 +2,9 @@
 //
 // Each run_*() builds a parameter grid, maps one simulation job per grid
 // point onto the work-stealing pool, and post-processes the ordered outputs
-// into the paper-style table, the CSV series, and the self-checks the
-// legacy bench mains used to hand-roll sequentially. The bench binaries
-// and the `aetr-sweep` CLI are both thin wrappers over these functions, so
-// a figure is defined in exactly one place.
+// into the paper-style table, the CSV series, and the self-checks. The
+// `aetr-sweep` CLI is the one front door to them (`aetr-sweep fig8`, ...),
+// so a figure is defined in exactly one place.
 //
 // Determinism: for a fixed (figure, seed, grid) every output file is
 // byte-identical whatever `jobs` is — see runtime/sweep.hpp for the
@@ -97,7 +96,7 @@ FigureResult run_faults(const FigureOptions& opt);
 /// aetr_fleet_summary.json.
 FigureResult run_fleet_figure(const FigureOptions& opt);
 
-/// Registry shared by the CLI and the bench mains.
+/// The figure registry behind `aetr-sweep <figure>` and `aetr-sweep all`.
 struct FigureDef {
   const char* name;     ///< CLI subcommand ("fig6", "ablation-ndiv", ...)
   const char* summary;
@@ -107,7 +106,7 @@ struct FigureDef {
 [[nodiscard]] const FigureDef* find_figure(const std::string& name);
 
 /// Print the table, the checks, and the sweep metrics; returns 0 when all
-/// checks passed, 1 otherwise — the bench/CI exit code.
+/// checks passed, 1 otherwise — the CLI/CI exit code.
 int report_figure(const FigureResult& result, std::ostream& os);
 
 }  // namespace aetr::sweeps

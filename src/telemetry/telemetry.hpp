@@ -210,14 +210,14 @@ class MetricsRegistry {
   std::deque<std::pair<std::string, LogHistogram>> histograms_;
 };
 
-/// Per-run telemetry configuration (the Runner's RunOptions::telemetry).
+/// Per-run telemetry configuration (core::ScenarioConfig::telemetry).
 struct SessionOptions {
   bool trace = false;    ///< record spans / instants / counters
   bool metrics = false;  ///< register probes + sample the snapshot grid
   Time metrics_window = Time::ms(1.0);  ///< snapshot grid pitch
   std::size_t max_trace_events = 1u << 20;
   // Artifact paths; empty = don't write that artifact. Written by the
-  // Runner when the run completes (see core::RunOptions::telemetry).
+  // run's core::Session when it finishes.
   std::string trace_json_path;
   std::string trace_csv_path;
   std::string metrics_csv_path;

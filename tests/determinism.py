@@ -13,7 +13,8 @@ those rows instead of passing unnoticed here.
 
 Scripted rows drive the multi-process scenarios a two-variant table cannot
 express: SIGKILL then --resume, SIGTERM drains, and an optimizer run that
-is interrupted (exit 4) and resumed. They wait for a file
+is interrupted (exit 4) and resumed. Two more pin CLI contracts: bad
+`opt` numbers exit 2, and `aetr-serve run --dump-config` round-trips. They wait for a file
 the programs write (an atomic snapshot, the gateway's --port-file),
 giving up after TIMEOUT_S, instead of sleeping a fixed time.
 
@@ -243,10 +244,42 @@ def opt_interrupt_resume(sweep, serve, work):
     compare(work / "straight", work / "resumed", OPT_ARTIFACTS)
 
 
+def opt_bad_numbers(sweep, serve, work):
+    """`opt` exits 2 on a malformed --rate or --fault-level, a rate that is
+    not > 0, and a fault level outside [0, 1], before running a trial."""
+    opt = [sweep, "opt", "--quick", "--jobs", "1", "--quiet", "--out", work]
+    for flag, value in (("--rate", "5e4x"), ("--rate", "0"), ("--rate", "-1"),
+                        ("--rate", "nan"), ("--fault-level", "0.1x"),
+                        ("--fault-level", "-1"), ("--fault-level", "2")):
+        run(opt + [flag, value], expect=2)
+
+
+def serve_config_round_trip(sweep, serve, work):
+    """`run --dump-config` round-trips through --config byte for byte, and
+    a misspelt key in --config exits 2 with a did-you-mean hint."""
+    a_conf, b_conf = work / "a.conf", work / "b.conf"
+    a_conf.write_text(run([serve, "run", "--dump-config"]))
+    b_conf.write_text(run([serve, "run", "--config", a_conf, "--dump-config"]))
+    if not a_conf.stat().st_size:
+        raise Failure("--dump-config printed nothing")
+    if a_conf.read_bytes() != b_conf.read_bytes():
+        raise Failure("--config a.conf --dump-config differs from a.conf")
+    typo = work / "typo.conf"
+    typo.write_text("fifo.overlow_policy = drop_oldest\n")
+    proc = subprocess.run([serve, "run", "--config", typo, "--dump-config"],
+                          capture_output=True, text=True)
+    if proc.returncode != 2:
+        raise Failure(f"misspelt key exited {proc.returncode}, expected 2")
+    if "did you mean 'fifo.overflow_policy'" not in proc.stderr:
+        raise Failure(f"no did-you-mean hint:\n{proc.stderr[-2000:]}")
+
+
 SCRIPTS = {
     "serve-kill-resume": serve_kill_resume,
     "serve-drain": serve_drain,
     "opt-resume": opt_interrupt_resume,
+    "opt-bad-numbers": opt_bad_numbers,
+    "serve-dump-config": serve_config_round_trip,
 }
 
 

@@ -1,4 +1,5 @@
-// Tests for the textual InterfaceConfig format.
+// Tests for the textual scenario format: the interface keys first, then
+// the full ScenarioConfig round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,24 +10,28 @@
 namespace aetr::core {
 namespace {
 
+/// Parse `text` as a scenario file and return its interface part.
+InterfaceConfig load_interface(const std::string& text) {
+  std::stringstream ss{text};
+  return load_scenario(ss).interface;
+}
+
 TEST(ConfigIo, DefaultsWhenEmpty) {
-  std::stringstream ss{""};
-  const auto cfg = load_config(ss);
+  const auto cfg = load_interface("");
   EXPECT_EQ(cfg.clock.theta_div, 64u);
   EXPECT_EQ(cfg.clock.n_div, 8u);
   EXPECT_EQ(cfg.fifo.capacity_words, 2300u);
 }
 
 TEST(ConfigIo, ParsesKeysAndComments) {
-  std::stringstream ss{
+  const auto cfg = load_interface(
       "# comment\n"
       "\n"
       "clock.theta_div = 16\n"
       "  clock.n_div=5  \n"
       "fifo.batch_threshold = 128\n"
       "clock.divide_enabled = false\n"
-      "i2s.sck_mhz = 12.288\n"};
-  const auto cfg = load_config(ss);
+      "i2s.sck_mhz = 12.288\n");
   EXPECT_EQ(cfg.clock.theta_div, 16u);
   EXPECT_EQ(cfg.clock.n_div, 5u);
   EXPECT_EQ(cfg.fifo.batch_threshold, 128u);
@@ -35,49 +40,47 @@ TEST(ConfigIo, ParsesKeysAndComments) {
 }
 
 TEST(ConfigIo, UnknownKeyThrows) {
-  std::stringstream ss{"clock.theta = 16\n"};
-  EXPECT_THROW(load_config(ss), std::runtime_error);
+  EXPECT_THROW(load_interface("clock.theta = 16\n"), std::runtime_error);
 }
 
 TEST(ConfigIo, MissingEqualsThrows) {
-  std::stringstream ss{"clock.theta_div 16\n"};
-  EXPECT_THROW(load_config(ss), std::runtime_error);
+  EXPECT_THROW(load_interface("clock.theta_div 16\n"), std::runtime_error);
 }
 
 TEST(ConfigIo, BadNumberThrows) {
-  std::stringstream ss{"clock.theta_div = banana\n"};
-  EXPECT_THROW(load_config(ss), std::runtime_error);
+  EXPECT_THROW(load_interface("clock.theta_div = banana\n"),
+               std::runtime_error);
 }
 
 TEST(ConfigIo, TrailingJunkThrows) {
-  std::stringstream ss{"clock.ring_mhz = 120 MHz\n"};
-  EXPECT_THROW(load_config(ss), std::runtime_error);
+  EXPECT_THROW(load_interface("clock.ring_mhz = 120 MHz\n"),
+               std::runtime_error);
 }
 
 TEST(ConfigIo, RangeValidation) {
-  std::stringstream a{"clock.theta_div = 0\n"};
-  EXPECT_THROW(load_config(a), std::runtime_error);
-  std::stringstream b{"clock.n_div = 31\n"};
-  EXPECT_THROW(load_config(b), std::runtime_error);
-  std::stringstream c{"clock.theta_div = -4\n"};
-  EXPECT_THROW(load_config(c), std::runtime_error);
+  EXPECT_THROW(load_interface("clock.theta_div = 0\n"), std::runtime_error);
+  EXPECT_THROW(load_interface("clock.n_div = 31\n"), std::runtime_error);
+  EXPECT_THROW(load_interface("clock.theta_div = -4\n"), std::runtime_error);
 }
 
 TEST(ConfigIo, BooleanSpellings) {
   for (const char* spelling : {"true", "1", "on"}) {
-    std::stringstream ss{std::string("clock.shutdown_enabled = ") + spelling};
-    EXPECT_TRUE(load_config(ss).clock.shutdown_enabled);
+    EXPECT_TRUE(load_interface(std::string("clock.shutdown_enabled = ") +
+                               spelling)
+                    .clock.shutdown_enabled);
   }
   for (const char* spelling : {"false", "0", "off"}) {
-    std::stringstream ss{std::string("clock.shutdown_enabled = ") + spelling};
-    EXPECT_FALSE(load_config(ss).clock.shutdown_enabled);
+    EXPECT_FALSE(load_interface(std::string("clock.shutdown_enabled = ") +
+                                spelling)
+                     .clock.shutdown_enabled);
   }
-  std::stringstream bad{"clock.shutdown_enabled = maybe"};
-  EXPECT_THROW(load_config(bad), std::runtime_error);
+  EXPECT_THROW(load_interface("clock.shutdown_enabled = maybe"),
+               std::runtime_error);
 }
 
 TEST(ConfigIo, DumpLoadRoundTrip) {
-  InterfaceConfig cfg;
+  ScenarioConfig scenario;
+  InterfaceConfig& cfg = scenario.interface;
   cfg.clock.theta_div = 32;
   cfg.clock.n_div = 6;
   cfg.clock.divide_enabled = false;
@@ -86,8 +89,7 @@ TEST(ConfigIo, DumpLoadRoundTrip) {
   cfg.i2s.sck = Frequency::mhz(12.288);
   cfg.calibration.static_w = 60e-6;
 
-  std::stringstream ss{dump_config(cfg)};
-  const auto back = load_config(ss);
+  const auto back = load_interface(dump_scenario(scenario));
   EXPECT_EQ(back.clock.theta_div, 32u);
   EXPECT_EQ(back.clock.n_div, 6u);
   EXPECT_FALSE(back.clock.divide_enabled);
@@ -98,27 +100,26 @@ TEST(ConfigIo, DumpLoadRoundTrip) {
 }
 
 TEST(ConfigIo, MissingFileThrows) {
-  EXPECT_THROW(load_config_file("/nonexistent/aetr.conf"), std::runtime_error);
+  EXPECT_THROW(load_scenario_file("/nonexistent/aetr.conf"),
+               std::runtime_error);
 }
 
 TEST(ConfigIo, DrainTimeoutKey) {
-  std::stringstream ss{"drain_timeout_us = 5000\n"};
-  EXPECT_EQ(load_config(ss).drain_timeout, Time::ms(5.0));
-  InterfaceConfig cfg;
-  cfg.drain_timeout = Time::us(250.0);
-  std::stringstream rt{dump_config(cfg)};
-  EXPECT_EQ(load_config(rt).drain_timeout, Time::us(250.0));
+  EXPECT_EQ(load_interface("drain_timeout_us = 5000\n").drain_timeout,
+            Time::ms(5.0));
+  ScenarioConfig scenario;
+  scenario.interface.drain_timeout = Time::us(250.0);
+  EXPECT_EQ(load_interface(dump_scenario(scenario)).drain_timeout,
+            Time::us(250.0));
 }
 
 TEST(ConfigIo, PowerCalibrationKeys) {
-  std::stringstream ss{
+  const auto cfg = load_interface(
       "power.static_uw = 75\n"
-      "power.osc_domain_mw = 1.5\n"};
-  const auto cfg = load_config(ss);
+      "power.osc_domain_mw = 1.5\n");
   EXPECT_NEAR(cfg.calibration.static_w, 75e-6, 1e-12);
   EXPECT_NEAR(cfg.calibration.osc_domain_w, 1.5e-3, 1e-12);
 }
-
 
 // --- ScenarioConfig serialization -------------------------------------------
 
@@ -162,7 +163,7 @@ TEST(ScenarioIo, EveryFaultKindRoundTrips) {
   tel.metrics = true;
   tel.metrics_window = Time::ms(3.0);
   tel.trace_json_path = "/tmp/t.json";
-  scenario.telemetry = TelemetryChoice::owned(tel);
+  scenario.telemetry = tel;
 
   const std::string first = dump_scenario(scenario);
   std::stringstream ss{first};
@@ -189,17 +190,28 @@ TEST(ScenarioIo, EveryFaultKindRoundTrips) {
   EXPECT_EQ(back.faults.recovery.watchdog_timeout, Time::us(25.0));
   EXPECT_FALSE(back.faults.recovery.fifo_parity);
   EXPECT_FALSE(back.faults.recovery.crc_frames);
-  ASSERT_EQ(back.telemetry.mode(), TelemetryChoice::Mode::kOwned);
-  EXPECT_TRUE(back.telemetry.options().trace);
-  EXPECT_EQ(back.telemetry.options().metrics_window, Time::ms(3.0));
-  EXPECT_EQ(back.telemetry.options().trace_json_path, "/tmp/t.json");
+  EXPECT_TRUE(back.telemetry.trace);
+  EXPECT_EQ(back.telemetry.metrics_window, Time::ms(3.0));
+  EXPECT_EQ(back.telemetry.trace_json_path, "/tmp/t.json");
 }
 
 TEST(ScenarioIo, InterfaceFileIsValidScenarioFile) {
-  std::stringstream ss{dump_config(InterfaceConfig{})};
+  // A file holding only interface keys loads as a scenario whose other
+  // parts keep their defaults.
+  std::stringstream ss{
+      "# aetr interface configuration\n"
+      "clock.theta_div = 16\n"
+      "fifo.overflow_policy = drop_oldest\n"
+      "power.static_uw = 50\n"};
   const auto scenario = load_scenario(ss);
+  EXPECT_EQ(scenario.interface.clock.theta_div, 16u);
+  EXPECT_EQ(scenario.interface.fifo.overflow_policy,
+            buffer::OverflowPolicy::kDropOldest);
   EXPECT_FALSE(scenario.faults.any());
-  EXPECT_EQ(scenario.telemetry.mode(), TelemetryChoice::Mode::kOff);
+  EXPECT_FALSE(scenario.telemetry.any());
+  ScenarioConfig expected;
+  expected.interface = scenario.interface;
+  EXPECT_EQ(dump_scenario(scenario), dump_scenario(expected));
 }
 
 TEST(ScenarioIo, UnknownKeyThrows) {
@@ -280,15 +292,6 @@ TEST(ScenarioIo, ScenarioKeysCoverTheDumpFormat) {
     EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end())
         << "dumped key missing from scenario_keys(): " << key;
   }
-}
-
-TEST(ScenarioIo, BorrowedTelemetryDumpsAsOff) {
-  // A borrowed session is an in-process handle; it must serialise as
-  // telemetry off rather than leak a dangling reference into the file.
-  telemetry::TelemetrySession session{telemetry::SessionOptions{}};
-  ScenarioConfig scenario;
-  scenario.telemetry = TelemetryChoice::borrowed(&session);
-  EXPECT_EQ(dump_scenario(scenario), dump_scenario(ScenarioConfig{}));
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ TEST(FleetConfig, ValidateCatchesInconsistencies) {
     auto c = small_fleet();
     telemetry::SessionOptions tel;
     tel.metrics = true;
-    c.base.telemetry = core::TelemetryChoice::owned(tel);
+    c.base.telemetry = tel;
     EXPECT_THROW(c.validate(), std::invalid_argument);
   }
 }

@@ -6,6 +6,7 @@
 // test_telemetry.cpp pattern) so the no-allocation claims are provable.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -25,17 +26,18 @@
 #include "obs/report.hpp"
 
 namespace {
-std::uint64_t g_allocs = 0;  // test binary is single-threaded
+// Relaxed atomic: FleetHealth.* runs run_fleet on worker threads.
+std::atomic<std::uint64_t> g_allocs{0};
 }
 
 void* operator new(std::size_t n) {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
 void* operator new(std::size_t n, std::align_val_t al) {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   const auto a = static_cast<std::size_t>(al);
   const std::size_t rounded = (n + a - 1) & ~(a - 1);  // aligned_alloc contract
   if (void* p = std::aligned_alloc(a, rounded)) return p;
@@ -45,11 +47,11 @@ void* operator new[](std::size_t n, std::align_val_t al) {
   return ::operator new(n, al);
 }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_allocs;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n);
 }
 void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
@@ -171,7 +173,7 @@ TEST(Ledger, FromRunAllocatesNothing) {
   in.delivered = r.decoded.size();
   in.buffer_dropped = r.fifo_overflows;
   in.include_mcu = true;
-  const std::uint64_t before = g_allocs;
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
   const EnergyLedger led = EnergyLedger::from_run(in);
   EnergyLedger sum;
   accumulate(sum, led);
@@ -179,7 +181,8 @@ TEST(Ledger, FromRunAllocatesNothing) {
   sum.finalize_outcomes();
   (void)sum.interface_energy_j();
   (void)sum.energy_per_delivered_j();
-  EXPECT_EQ(g_allocs, before) << "ledger arithmetic allocated";
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), before)
+      << "ledger arithmetic allocated";
   EXPECT_TRUE(led.enabled);
 }
 

@@ -43,7 +43,7 @@ core::ScenarioConfig faulty_scenario() {
   scenario.faults = fault::scaled_plan(0.3, 42);
   telemetry::SessionOptions tel;
   tel.metrics = true;  // probes + snapshot grid; no artifact paths
-  scenario.telemetry = core::TelemetryChoice::owned(tel);
+  scenario.telemetry = tel;
   return scenario;
 }
 

@@ -17,6 +17,7 @@
 
 #include "aer/event.hpp"
 #include "core/scenario.hpp"
+#include "core/session.hpp"
 #include "fault/fault_plan.hpp"
 #include "gen/sources.hpp"
 #include "telemetry/telemetry.hpp"
@@ -497,7 +498,7 @@ core::ScenarioConfig traced_scenario(const std::string& tag) {
   so.metrics_csv_path = testing::TempDir() + "aetr_run_" + tag + "_metrics.csv";
   core::ScenarioConfig sc;
   sc.interface.fifo.batch_threshold = 32;  // several drains within the stream
-  sc.telemetry = core::TelemetryChoice::owned(so);
+  sc.telemetry = so;
   return sc;
 }
 
@@ -512,7 +513,7 @@ TEST(Integration, RunStreamTraceCoversEveryPipelineStage) {
   const auto r = core::run_scenario(sc, pipeline_stream());
   EXPECT_GT(r.events_in, 0u);
 
-  const std::string text = slurp(sc.telemetry.options().trace_json_path);
+  const std::string text = slurp(sc.telemetry.trace_json_path);
   ASSERT_FALSE(text.empty());
   EXPECT_TRUE(JsonParser{text}.valid()) << "trace JSON must parse";
   // One named Perfetto lane per pipeline block, plus the harness lane.
@@ -532,16 +533,16 @@ TEST(Integration, RunStreamTraceCoversEveryPipelineStage) {
   EXPECT_NE(text.find("\"name\":\"run_scenario\""), std::string::npos);
 
   // Metrics CSV: probes from every block on the snapshot grid.
-  const std::string metrics = slurp(sc.telemetry.options().metrics_csv_path);
+  const std::string metrics = slurp(sc.telemetry.metrics_csv_path);
   for (const char* col :
        {"frontend.events", "fifo.occupancy", "clockgen.captures",
         "i2s.words_sent", "mcu.words", "sched.events_dispatched",
         "power.avg_w"}) {
     EXPECT_NE(metrics.find(col), std::string::npos) << "missing " << col;
   }
-  std::remove(sc.telemetry.options().trace_json_path.c_str());
-  std::remove(sc.telemetry.options().trace_csv_path.c_str());
-  std::remove(sc.telemetry.options().metrics_csv_path.c_str());
+  std::remove(sc.telemetry.trace_json_path.c_str());
+  std::remove(sc.telemetry.trace_csv_path.c_str());
+  std::remove(sc.telemetry.metrics_csv_path.c_str());
 }
 
 TEST(Integration, IdenticalRunsProduceByteIdenticalArtifacts) {
@@ -551,28 +552,25 @@ TEST(Integration, IdenticalRunsProduceByteIdenticalArtifacts) {
   const auto sc_b = traced_scenario("det_b");
   (void)core::run_scenario(sc_a, events);
   (void)core::run_scenario(sc_b, events);
-  EXPECT_EQ(slurp(sc_a.telemetry.options().trace_json_path),
-            slurp(sc_b.telemetry.options().trace_json_path));
-  EXPECT_EQ(slurp(sc_a.telemetry.options().trace_csv_path),
-            slurp(sc_b.telemetry.options().trace_csv_path));
-  EXPECT_EQ(slurp(sc_a.telemetry.options().metrics_csv_path),
-            slurp(sc_b.telemetry.options().metrics_csv_path));
+  EXPECT_EQ(slurp(sc_a.telemetry.trace_json_path),
+            slurp(sc_b.telemetry.trace_json_path));
+  EXPECT_EQ(slurp(sc_a.telemetry.trace_csv_path),
+            slurp(sc_b.telemetry.trace_csv_path));
+  EXPECT_EQ(slurp(sc_a.telemetry.metrics_csv_path),
+            slurp(sc_b.telemetry.metrics_csv_path));
   for (const auto* o : {&sc_a, &sc_b}) {
-    std::remove(o->telemetry.options().trace_json_path.c_str());
-    std::remove(o->telemetry.options().trace_csv_path.c_str());
-    std::remove(o->telemetry.options().metrics_csv_path.c_str());
+    std::remove(o->telemetry.trace_json_path.c_str());
+    std::remove(o->telemetry.trace_csv_path.c_str());
+    std::remove(o->telemetry.metrics_csv_path.c_str());
   }
 }
 
 TEST(Integration, FaultProbesAgreeWithRunResultCounters) {
   if (!compiled_in()) GTEST_SKIP() << "built with AETR_TELEMETRY=0";
-  SessionOptions so;
-  so.metrics = true;
-  so.metrics_window = Time::ms(0.5);
-  TelemetrySession session{so};
   core::ScenarioConfig sc;
   sc.interface.fifo.batch_threshold = 32;
-  sc.telemetry = core::TelemetryChoice::borrowed(&session);
+  sc.telemetry.metrics = true;
+  sc.telemetry.metrics_window = Time::ms(0.5);
   // An active fault plan (like telemetry itself) forces the fast path to
   // fall back to the reference event-driven run; the fault.* probes and
   // RunResult::faults read the same injector counters, so whatever path
@@ -580,10 +578,14 @@ TEST(Integration, FaultProbesAgreeWithRunResultCounters) {
   sc.fast_forward = true;
   sc.faults = fault::scaled_plan(0.05, 99);  // the quick faults-figure level
   ASSERT_TRUE(sc.faults.any());
-  const auto r = core::run_scenario(sc, pipeline_stream());
+  core::Session run{sc};
+  run.feed_all(pipeline_stream());
+  const auto r = run.finish();
   ASSERT_GT(r.faults.injected_total(), 0u) << "fault plan injected nothing";
-  ASSERT_FALSE(session.metrics().snapshots().empty());
-  const auto& m = session.metrics();
+  TelemetrySession* session = run.telemetry_session();
+  ASSERT_NE(session, nullptr);
+  ASSERT_FALSE(session->metrics().snapshots().empty());
+  const auto& m = session->metrics();
   EXPECT_EQ(m.last("fault.injected"),
             static_cast<double>(r.faults.injected_total()));
   EXPECT_EQ(m.last("fault.recovered"),
@@ -609,9 +611,9 @@ TEST(Integration, TelemetryDoesNotChangeRunResults) {
   EXPECT_EQ(traced.handshakes, plain.handshakes);
   EXPECT_EQ(traced.average_power_w, plain.average_power_w);
   EXPECT_EQ(traced.error.weighted_rel_error(), plain.error.weighted_rel_error());
-  std::remove(sc.telemetry.options().trace_json_path.c_str());
-  std::remove(sc.telemetry.options().trace_csv_path.c_str());
-  std::remove(sc.telemetry.options().metrics_csv_path.c_str());
+  std::remove(sc.telemetry.trace_json_path.c_str());
+  std::remove(sc.telemetry.trace_csv_path.c_str());
+  std::remove(sc.telemetry.metrics_csv_path.c_str());
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 //              [--addr-range A]
 //       Generate a deterministic Poisson stream: AEDAT 2.0 when FILE ends
 //       in .aedat, the line-oriented aer trace format otherwise.
+//       `--out /dev/stdout` pipes the stream into `run --in -`.
 //
 //   aetr-serve run --in FILE|- [--config FILE] [--out-dir DIR]
 //              [--snapshot FILE] [--snapshot-interval-sec S] [--resume]
 //              [--no-history] [--pace-us N] [--pace-every N]
 //              [--stats-json FILE]
+//   aetr-serve run [--config FILE] --dump-config
 //       Ingest a stream — an .aedat file, a trace file, a FIFO, or stdin
 //       ('-') — through a core::Session: feed each event as it arrives,
 //       advance simulated time under backpressure, checkpoint the full
@@ -27,6 +29,11 @@
 //       wall-clock data), so `diff -r` across runs is meaningful.
 //       --stats-json lands wall-clock ingest/snapshot timings and peak RSS
 //       outside the out-dir, where they cannot perturb that diff.
+//
+//       --dump-config prints the effective scenario (defaults overlaid
+//       with --config) with every key and exits without reading --in; it
+//       is the way to list every config key. A --config file with an
+//       unknown key or bad value exits 2 with a did-you-mean hint.
 //
 //   aetr-serve listen (--uds PATH | --tcp [--port P]) [--config FILE]
 //              [--out-dir DIR] [--snapshot-dir DIR]
@@ -56,7 +63,8 @@
 //       node's summary under --out-dir.
 //
 // Exit codes: 0 = completed (including a graceful signal drain), 2 = usage
-// error, 3 = runtime failure.
+// error (for `run`, also a --config file that does not load), 3 = runtime
+// failure.
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -102,6 +110,7 @@ int usage(std::ostream& os) {
         " [--resume]\n"
         "             [--no-history] [--pace-us N] [--pace-every N]"
         " [--stats-json FILE]\n"
+        "  aetr-serve run [--config FILE] --dump-config\n"
         "  aetr-serve listen (--uds PATH | --tcp [--port P])"
         " [--config FILE]\n"
         "             [--out-dir DIR] [--snapshot-dir DIR]"
@@ -195,7 +204,8 @@ int cmd_gen(int argc, char** argv) {
   } else {
     aetr::aer::save_trace(out, stream);
   }
-  std::cout << "aetr-serve: wrote " << stream.size() << " events to " << out
+  // Status goes to stderr so `--out /dev/stdout` can pipe into `run --in -`.
+  std::cerr << "aetr-serve: wrote " << stream.size() << " events to " << out
             << '\n';
   return 0;
 }
@@ -206,6 +216,7 @@ int cmd_gen(int argc, char** argv) {
 struct RunArgs {
   std::string in;
   std::string config;
+  bool show_config = false;
   std::string out_dir;
   std::string snapshot;
   std::string stats_json;
@@ -253,11 +264,8 @@ long max_rss_kb() {
   return ru.ru_maxrss;
 }
 
-int cmd_run(const RunArgs& args) {
-  aetr::core::ScenarioConfig scenario;
-  if (!args.config.empty()) {
-    scenario = aetr::core::load_scenario_file(args.config);
-  }
+int cmd_run(const RunArgs& args,
+            const aetr::core::ScenarioConfig& scenario) {
   const double interval_sec = args.snapshot_interval_sec >= 0.0
                                   ? args.snapshot_interval_sec
                                   : scenario.session.snapshot_interval_sec;
@@ -680,6 +688,8 @@ int main(int argc, char** argv) {
           args.in = argv[++i];
         } else if (a == "--config" && has_next) {
           args.config = argv[++i];
+        } else if (a == "--dump-config") {
+          args.show_config = true;
         } else if (a == "--out-dir" && has_next) {
           args.out_dir = argv[++i];
         } else if (a == "--snapshot" && has_next) {
@@ -706,6 +716,19 @@ int main(int argc, char** argv) {
           return usage(std::cerr);
         }
       }
+      aetr::core::ScenarioConfig scenario;
+      if (!args.config.empty()) {
+        try {
+          scenario = aetr::core::load_scenario_file(args.config);
+        } catch (const std::exception& e) {
+          std::cerr << "aetr-serve run: " << e.what() << '\n';
+          return 2;
+        }
+      }
+      if (args.show_config) {
+        std::cout << aetr::core::dump_scenario(scenario);
+        return 0;
+      }
       if (args.in.empty()) {
         std::cerr << "aetr-serve run: --in is required\n";
         return usage(std::cerr);
@@ -714,7 +737,7 @@ int main(int argc, char** argv) {
         std::cerr << "aetr-serve run: --resume requires --snapshot\n";
         return usage(std::cerr);
       }
-      return cmd_run(args);
+      return cmd_run(args, scenario);
     }
   } catch (const std::exception& e) {
     std::cerr << "aetr-serve: " << e.what() << '\n';

@@ -3,7 +3,7 @@
 //
 //   aetr-sweep fig6|fig8|ablation-ndiv|ablation-agreement|faults|fleet|all
 //              [--jobs N] [--seed S] [--out DIR] [--quick] [--no-fast-forward]
-//              [--trace] [--metrics] [--ledger] [--report FILE] [--quiet]
+//              [--trace] [--metrics] [--ledger] [--quiet]
 //
 // `all` runs every figure in the sweeps::figures() registry — the fig/
 // ablation set plus the faults and fleet figures — so one command
@@ -26,10 +26,10 @@
 // 3 = a sweep job threw, 4 = optimizer interrupted (--interrupt-after).
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -46,13 +46,20 @@ namespace {
 struct CliOptions {
   std::vector<std::string> figures;
   aetr::sweeps::FigureOptions fig;
-  std::string report_path;
   bool quiet = false;
 };
 
 bool parse_u64(const char* s, std::uint64_t& out) {
   char* end = nullptr;
   const unsigned long long v = std::strtoull(s, &end, 0);
+  if (end == s || *end) return false;
+  out = v;
+  return true;
+}
+
+bool parse_f64(const char* s, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
   if (end == s || *end) return false;
   out = v;
   return true;
@@ -80,7 +87,6 @@ int usage(std::ostream& os) {
         "  --metrics      per-job sampled-metrics CSV (same figures)\n"
         "  --ledger       per-job energy-attribution ledger CSV + collapsed\n"
         "                 stack (fig8); fleet health roll-up (fleet)\n"
-        "  --report FILE  write sweep metrics as JSON\n"
         "  --quiet        suppress tables and progress\n"
         "\nopt options:\n"
         "  --strategy S          factorial | random | halving (default)\n"
@@ -89,8 +95,9 @@ int usage(std::ostream& os) {
         "  --space FILE          search-space file (default: built-in)\n"
         "  --events N            full workload length (default 4000;\n"
         "                        --quick drops it to 2000)\n"
-        "  --rate HZ             workload event rate (default 50e3)\n"
-        "  --fault-level X       robust mode: scaled_plan(X) per trial\n"
+        "  --rate HZ             workload event rate, > 0 (default 50e3)\n"
+        "  --fault-level X       robust mode: scaled_plan(X) per trial,\n"
+        "                        X in [0, 1]\n"
         "  --resume              continue from aetr_opt_checkpoint.csv\n"
         "  --interrupt-after N   stop (exit 4) after N evaluations\n"
         "\nreport options:\n"
@@ -106,7 +113,6 @@ int run_opt(int argc, char** argv, bool* usage_error) {
   bool quick = false;
   bool quiet = false;
   bool fast_forward = true;
-  double rate_hz = 0.0;
   std::size_t events = 0;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -162,12 +168,21 @@ int run_opt(int argc, char** argv, bool* usage_error) {
         events = static_cast<std::size_t>(v);
       } else if (arg == "--rate") {
         const char* s = next();
-        if (!s) { *usage_error = true; return 2; }
-        rate_hz = std::strtod(s, nullptr);
+        double& rate = opt.workload.rate_hz;
+        if (!s || !parse_f64(s, rate) || !(rate > 0.0) ||
+            !std::isfinite(rate)) {
+          std::cerr << "aetr-sweep: --rate needs a finite number > 0\n";
+          *usage_error = true;
+          return 2;
+        }
       } else if (arg == "--fault-level") {
         const char* s = next();
-        if (!s) { *usage_error = true; return 2; }
-        opt.workload.fault_level = std::strtod(s, nullptr);
+        double& level = opt.workload.fault_level;
+        if (!s || !parse_f64(s, level) || !(level >= 0.0 && level <= 1.0)) {
+          std::cerr << "aetr-sweep: --fault-level needs a number in [0, 1]\n";
+          *usage_error = true;
+          return 2;
+        }
       } else if (arg == "--resume") {
         opt.resume = true;
       } else if (arg == "--interrupt-after") {
@@ -200,7 +215,6 @@ int run_opt(int argc, char** argv, bool* usage_error) {
     if (opt.budget > 16) opt.budget = 16;
   }
   if (events != 0) opt.workload.n_events = events;
-  if (rate_hz > 0.0) opt.workload.rate_hz = rate_hz;
   if (!quiet) {
     opt.progress = [](const std::string& line) {
       std::fprintf(stderr, "opt: %s\n", line.c_str());
@@ -289,37 +303,6 @@ int run_report(int argc, char** argv, bool* usage_error) {
   }
 }
 
-void write_json_report(const std::string& path,
-                       const std::vector<std::pair<std::string,
-                                                   aetr::sweeps::FigureResult>>&
-                           results,
-                       std::size_t jobs) {
-  std::ofstream os{path};
-  if (!os) {
-    std::cerr << "aetr-sweep: cannot write report: " << path << "\n";
-    return;
-  }
-  os << "[\n";
-  for (std::size_t f = 0; f < results.size(); ++f) {
-    const auto& [name, r] = results[f];
-    const auto& rep = r.report;
-    os << " {\"figure\": \"" << name << "\", \"jobs_requested\": " << jobs
-       << ", \"threads\": " << rep.threads << ", \"n_jobs\": "
-       << rep.metrics.size() << ", \"wall_sec\": " << rep.wall_sec
-       << ", \"busy_sec\": " << rep.busy_sec() << ", \"jobs_per_sec\": "
-       << rep.jobs_per_sec() << ", \"steals\": " << rep.steals
-       << ", \"checks_ok\": " << (r.ok() ? "true" : "false")
-       << ", \"csv\": \"" << r.csv_path << "\",\n  \"per_job\": [";
-    for (std::size_t i = 0; i < rep.metrics.size(); ++i) {
-      const auto& m = rep.metrics[i];
-      os << (i ? ", " : "") << "{\"index\": " << m.index << ", \"tag\": \""
-         << m.tag << "\", \"wall_sec\": " << m.wall_sec << "}";
-    }
-    os << "]}" << (f + 1 < results.size() ? "," : "") << "\n";
-  }
-  os << "]\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -375,10 +358,6 @@ int main(int argc, char** argv) {
       const char* s = next();
       if (!s) return usage(std::cerr);
       cli.fig.out_dir = s;
-    } else if (arg == "--report") {
-      const char* s = next();
-      if (!s) return usage(std::cerr);
-      cli.report_path = s;
     } else if (arg == "--quick") {
       cli.fig.quick = true;
     } else if (arg == "--no-fast-forward") {
@@ -404,7 +383,6 @@ int main(int argc, char** argv) {
 
   const bool show_progress = !cli.quiet && isatty(fileno(stderr));
   int exit_code = 0;
-  std::vector<std::pair<std::string, aetr::sweeps::FigureResult>> results;
 
   for (const auto& name : cli.figures) {
     const auto* def = aetr::sweeps::find_figure(name);
@@ -416,7 +394,7 @@ int main(int argc, char** argv) {
       };
     }
     try {
-      auto result = def->run(opt);
+      const auto result = def->run(opt);
       if (!cli.quiet) {
         std::printf("== %s — %s ==\n", def->name, def->summary);
         const int rc = aetr::sweeps::report_figure(result, std::cout);
@@ -424,15 +402,10 @@ int main(int argc, char** argv) {
       } else if (!result.ok()) {
         exit_code = 1;
       }
-      results.emplace_back(name, std::move(result));
     } catch (const aetr::runtime::SweepError& e) {
       std::cerr << "aetr-sweep: " << e.what() << "\n";
       return 3;
     }
-  }
-
-  if (!cli.report_path.empty()) {
-    write_json_report(cli.report_path, results, cli.fig.jobs);
   }
   return exit_code;
 }
