@@ -148,6 +148,18 @@ void BM_LfsrGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_LfsrGeneration);
 
+// One leap-ahead word of the Fig. 8 registers: Arg 16 is the address
+// register, Arg 24 the interval register.
+void BM_LfsrStepWord(benchmark::State& state) {
+  const auto width = static_cast<std::uint32_t>(state.range(0));
+  Lfsr lfsr{width, width == 24 ? 0x87u : 0x100Bu, 0xACE1u};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lfsr.step_word());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LfsrStepWord)->Arg(16)->Arg(24);
+
 void BM_CochleaAudioSecond(benchmark::State& state) {
   cochlea::CochleaConfig ccfg;
   ccfg.channels = static_cast<std::size_t>(state.range(0));

@@ -54,6 +54,9 @@ LfsrRateSource::LfsrRateSource(double target_rate_hz, Frequency gen_clock,
   threshold_ = static_cast<std::uint32_t>(
       std::llround(p * static_cast<double>(interval_lfsr_.max_period() + 1)));
   threshold_ = std::max(threshold_, 1u);
+  const double p_fire = static_cast<double>(threshold_) /
+                        static_cast<double>(interval_lfsr_.max_period() + 1);
+  log1m_p_ = std::log1p(-p_fire);
 }
 
 double LfsrRateSource::effective_rate_hz() const {
@@ -66,12 +69,10 @@ std::optional<aer::Event> LfsrRateSource::next() {
   // generator cycles until the next sub-threshold word is
   // floor(ln u / ln(1-p)) + 1 with u uniform in (0,1] — drawn from the
   // interval LFSR so the stream stays fully deterministic per seed.
-  const double p = static_cast<double>(threshold_) /
-                   static_cast<double>(interval_lfsr_.max_period() + 1);
   const double u = (static_cast<double>(interval_lfsr_.step_word()) + 1.0) /
                    static_cast<double>(interval_lfsr_.max_period() + 1);
   const auto cycles = static_cast<Time::Rep>(
-      std::floor(std::log(u) / std::log1p(-p)) + 1.0);
+      std::floor(std::log(u) / log1m_p_) + 1.0);
   t_ += gen_period_ * std::max<Time::Rep>(cycles, 1);
   const auto addr =
       static_cast<std::uint16_t>(address_lfsr_.step_word() % address_range_);

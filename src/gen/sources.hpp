@@ -92,6 +92,7 @@ class LfsrRateSource final : public SpikeSource {
  private:
   Time gen_period_;
   std::uint32_t threshold_;
+  double log1m_p_;  ///< ln(1 - p) of the per-cycle firing probability p
   std::uint16_t address_range_;
   Lfsr interval_lfsr_;
   Lfsr address_lfsr_;

@@ -1,8 +1,11 @@
 #include "util/rng.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
+#include <string>
 
 namespace aetr {
 namespace {
@@ -93,28 +96,38 @@ Lfsr::Lfsr(std::uint32_t width, std::uint32_t taps, std::uint32_t seed)
       taps_{taps},
       state_{seed},
       mask_{width >= 32 ? 0xFFFFFFFFu : ((1u << width) - 1u)} {
-  assert(width_ >= 2 && width_ <= 32);
-  state_ &= mask_;
+  if (width_ < 2 || width_ > 32) {
+    throw std::invalid_argument("Lfsr: width must be in [2, 32], got " +
+                                std::to_string(width_));
+  }
+  // The width-clock map of each unit vector: the next state from the
+  // serial step(); the word bit, because stage i is clocked out i-th and
+  // the first bit out is the word's MSB, at width - 1 - i.
+  std::array<std::uint64_t, 32> basis{};
+  for (std::uint32_t i = 0; i < width_; ++i) {
+    state_ = 1u << i;
+    for (std::uint32_t c = 0; c < width_; ++c) step();
+    basis[i] = (std::uint64_t{1} << (32 + width_ - 1 - i)) | state_;
+  }
+  // Byte-sliced tables by linearity: each entry is its lowest set bit's
+  // basis vector XOR the entry with that bit cleared.
+  for (std::uint32_t k = 0; k < leap_.size(); ++k) {
+    for (std::uint32_t b = 1; b < 256; ++b) {
+      const auto bit = static_cast<std::uint32_t>(std::countr_zero(b));
+      leap_[k][b] = leap_[k][b & (b - 1)] ^ basis[8 * k + bit];
+    }
+  }
+  state_ = seed & mask_;
   if (state_ == 0) state_ = 1;  // all-zero is the LFSR lockup state
 }
 
 std::uint32_t Lfsr::step() {
   // XOR of all tapped stages feeds the MSB; output is the LSB.
   const std::uint32_t out = state_ & 1u;
-  std::uint32_t feedback = 0;
-  std::uint32_t tapped = state_ & taps_;
-  while (tapped != 0) {
-    feedback ^= tapped & 1u;
-    tapped >>= 1;
-  }
+  const auto feedback =
+      static_cast<std::uint32_t>(__builtin_parity(state_ & taps_));
   state_ = ((state_ >> 1) | (feedback << (width_ - 1))) & mask_;
   return out;
-}
-
-std::uint32_t Lfsr::step_word() {
-  std::uint32_t word = 0;
-  for (std::uint32_t i = 0; i < width_; ++i) word = (word << 1) | step();
-  return word;
 }
 
 }  // namespace aetr

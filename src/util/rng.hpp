@@ -75,11 +75,23 @@ class Lfsr {
   explicit Lfsr(std::uint32_t width = 16, std::uint32_t taps = 0x100Bu,
                 std::uint32_t seed = 0xACE1u);
 
-  /// Advance one clock; returns the output (feedback) bit.
+  /// Advance one clock; returns the output bit (the LSB shifted out).
   std::uint32_t step();
 
-  /// Advance `width` clocks and return the parallel word.
-  std::uint32_t step_word();
+  /// Advance `width` clocks at once and return the parallel word: the
+  /// first bit clocked out is the word's MSB, so the word is the register
+  /// before the call, bit-reversed. Both the word and the new state are
+  /// linear over GF(2) in the old state, so the constructor precomputes
+  /// the whole `width`-clock map as byte-sliced leap-ahead tables (from
+  /// `step()` on each unit vector) and this is four lookups and three XORs.
+  std::uint32_t step_word() {
+    const std::uint64_t v = leap_[0][state_ & 0xFFu] ^
+                            leap_[1][(state_ >> 8) & 0xFFu] ^
+                            leap_[2][(state_ >> 16) & 0xFFu] ^
+                            leap_[3][state_ >> 24];
+    state_ = static_cast<std::uint32_t>(v);
+    return static_cast<std::uint32_t>(v >> 32);
+  }
 
   [[nodiscard]] std::uint32_t state() const { return state_; }
   [[nodiscard]] std::uint32_t width() const { return width_; }
@@ -94,6 +106,9 @@ class Lfsr {
   std::uint32_t taps_;
   std::uint32_t state_;
   std::uint32_t mask_;
+  /// leap_[k][b]: `(word << 32) | next_state` of `width` clocks from the
+  /// state whose byte k is b and whose other bytes are zero.
+  std::array<std::array<std::uint64_t, 256>, 4> leap_{};
 };
 
 }  // namespace aetr

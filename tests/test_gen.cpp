@@ -1,8 +1,10 @@
 // Unit tests for the stimulus generators.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
+#include "gen/scenario.hpp"
 #include "gen/sources.hpp"
 #include "util/stats.hpp"
 
@@ -100,6 +102,66 @@ TEST(LfsrRate, IntervalsGeometricLike) {
   }
   // Geometric ~ exponential at low firing probability: cv ~ 1.
   EXPECT_NEAR(dt.stddev() / dt.mean(), 1.0, 0.08);
+}
+
+// FNV-1a 64 over each event's address and picosecond time.
+std::uint64_t stream_digest(const aer::EventStream& events) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const auto& ev : events) {
+    const std::int64_t t = ev.time.count_ps();
+    mix(&ev.address, sizeof ev.address);
+    mix(&t, sizeof t);
+  }
+  return h;
+}
+
+// The Fig. 8 stimulus pinned to digests recorded from the bit-serial LFSR:
+// same construction and event counts as sweeps::fig8. Any drift in the
+// register's bit order, stepping or the geometric sampling changes them.
+TEST(LfsrRate, GoldenFig8StimulusDigests) {
+  struct Golden {
+    double rate_hz;
+    std::uint64_t seed;
+    std::size_t events;
+    std::uint64_t digest;
+  };
+  const Golden golden[] = {
+      {10.0, 1, 300, 0x7e06c9e94aa9fac0ull},
+      {1e3, 1, 500, 0x588eebbbcfb5f9deull},
+      {100e3, 1, 20000, 0xf6dc14e9ade7b768ull},
+      {800e3, 1, 20000, 0x395756dc134c910full},
+      {10.0, 7, 300, 0xa7c4975341b1ab90ull},
+      {800e3, 7, 20000, 0x61ed9fbba2cfa74bull},
+      {1e3, 0x9E3779B97F4A7C15ull, 500, 0xc6ccb87e7ff6c7a3ull},
+      {100e3, 0x9E3779B97F4A7C15ull, 20000, 0xad6ce8c4f2630117ull},
+  };
+  for (const auto& g : golden) {
+    LfsrRateSource src{g.rate_hz, Frequency::mhz(30.0), 128,
+                       static_cast<std::uint32_t>(g.seed),
+                       static_cast<std::uint32_t>(g.seed >> 32)};
+    const auto events = take(src, g.events);
+    EXPECT_EQ(stream_digest(events), g.digest)
+        << "rate " << g.rate_hz << " seed " << g.seed << std::hex
+        << " got 0x" << stream_digest(events);
+  }
+}
+
+TEST(LfsrRate, GoldenScenarioDigest) {
+  ScenarioBuilder sb{128, 7};
+  sb.silence(1_ms)
+      .add("noise", PhaseKind::kLfsr, 300e3, 20_ms)
+      .poisson("speech", 50e3, 5_ms)
+      .add("tail", PhaseKind::kLfsr, 2e3, 100_ms);
+  const auto events = sb.build();
+  EXPECT_EQ(stream_digest(events), 0xb84e0324646f7075ull)
+      << std::hex << "got 0x" << stream_digest(events);
 }
 
 TEST(Burst, SilentDuringIdleWindows) {

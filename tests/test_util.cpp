@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
@@ -141,6 +143,99 @@ TEST(Lfsr, StepWordBitWidth) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_LT(lfsr.step_word(), 1u << 12);
   }
+}
+
+// Bit-serial reference Fibonacci LFSR: one clock per call, the tap parity
+// folded bit by bit, words assembled MSB first from successive clocks.
+class SerialLfsr {
+ public:
+  SerialLfsr(std::uint32_t width, std::uint32_t taps, std::uint32_t seed)
+      : width_{width},
+        taps_{taps},
+        mask_{width >= 32 ? 0xFFFFFFFFu : ((1u << width) - 1u)},
+        state_{seed & mask_} {
+    if (state_ == 0) state_ = 1;
+  }
+
+  std::uint32_t step() {
+    const std::uint32_t out = state_ & 1u;
+    std::uint32_t feedback = 0;
+    std::uint32_t tapped = state_ & taps_;
+    while (tapped != 0) {
+      feedback ^= tapped & 1u;
+      tapped >>= 1;
+    }
+    state_ = ((state_ >> 1) | (feedback << (width_ - 1))) & mask_;
+    return out;
+  }
+
+  std::uint32_t step_word() {
+    std::uint32_t word = 0;
+    for (std::uint32_t i = 0; i < width_; ++i) word = (word << 1) | step();
+    return word;
+  }
+
+  [[nodiscard]] std::uint32_t state() const { return state_; }
+
+ private:
+  std::uint32_t width_;
+  std::uint32_t taps_;
+  std::uint32_t mask_;
+  std::uint32_t state_;
+};
+
+// Runs `words` step_word() calls on both registers, with a single step()
+// between words every `interleave` words (0: never). Stops at the first
+// mismatch so a broken table reports once, not per word.
+void expect_matches_serial(std::uint32_t width, std::uint32_t taps,
+                           std::uint32_t seed, std::uint64_t words,
+                           std::uint64_t interleave = 0) {
+  Lfsr fast{width, taps, seed};
+  SerialLfsr ref{width, taps, seed};
+  ASSERT_EQ(fast.state(), ref.state());
+  for (std::uint64_t i = 0; i < words; ++i) {
+    const std::uint32_t want = ref.step_word();
+    const std::uint32_t got = fast.step_word();
+    if (got != want || fast.state() != ref.state()) {
+      FAIL() << "width " << width << " taps 0x" << std::hex << taps
+             << " seed 0x" << seed << std::dec << ": word " << i << " got 0x"
+             << std::hex << got << " want 0x" << want << ", state 0x"
+             << fast.state() << " want 0x" << ref.state();
+    }
+    if (interleave != 0 && i % interleave == 0) {
+      if (fast.step() != ref.step() || fast.state() != ref.state()) {
+        FAIL() << "width " << width << ": step() after word " << i;
+      }
+    }
+  }
+}
+
+TEST(Lfsr, StepWordMatchesBitSerial) {
+  // The Fig. 8 interval register over its full period, then two more seeds.
+  expect_matches_serial(24, 0x87u, 0xACE1u, std::uint64_t{1} << 24);
+  expect_matches_serial(24, 0x87u, 0x000001u, 200000);
+  expect_matches_serial(24, 0x87u, 0x9E3779u, 200000);
+  // The address register over two full periods, for several seeds.
+  for (const std::uint32_t seed : {0xACE1u, 0x0001u, 0x8000u, 0xFFFFu}) {
+    expect_matches_serial(16, 0x100Bu, seed, 2 * 65535 + 7);
+  }
+  expect_matches_serial(2, 0x3u, 0x1u, 100);
+  expect_matches_serial(8, 0x1Du, 0x5Au, 1000);
+  expect_matches_serial(12, 0x107u, 0x5A5u, 10000);
+  expect_matches_serial(32, 0x80200003u, 0xDEADBEEFu, 100000);
+  // step() between words must leave step_word() on the serial sequence.
+  expect_matches_serial(24, 0x87u, 0x123456u, 50000, 3);
+  expect_matches_serial(16, 0x100Bu, 0xBEEFu, 50000, 1);
+  expect_matches_serial(32, 0x80200003u, 0x1u, 50000, 5);
+}
+
+TEST(Lfsr, RejectsWidthOutsideTwoToThirtyTwo) {
+  EXPECT_THROW(Lfsr(0, 0x1u, 1u), std::invalid_argument);
+  EXPECT_THROW(Lfsr(1, 0x1u, 1u), std::invalid_argument);
+  EXPECT_THROW(Lfsr(33, 0x1u, 1u), std::invalid_argument);
+  EXPECT_THROW(Lfsr(64, 0x1u, 1u), std::invalid_argument);
+  EXPECT_NO_THROW(Lfsr(2, 0x3u, 1u));
+  EXPECT_NO_THROW(Lfsr(32, 0x80200003u, 1u));
 }
 
 TEST(RunningStats, BasicMoments) {
