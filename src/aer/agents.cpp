@@ -26,7 +26,12 @@ AerSender::AerSender(sim::Scheduler& sched, AerChannel& channel,
 }
 
 void AerSender::submit(const Event& ev) {
-  assert(queue_.empty() || queue_.back().time <= ev.time);
+  assert(backlog() == 0 || queue_.back().time <= ev.time);
+  if (head_ > 0 && head_ * 2 >= queue_.size()) {
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
   queue_.push_back(ev);
   maybe_launch();
 }
@@ -36,15 +41,18 @@ void AerSender::submit_stream(const EventStream& events) {
 }
 
 void AerSender::maybe_launch() {
-  if (busy_ || queue_.empty() || pending_launch_.valid()) return;
-  const Event ev = queue_.front();
+  if (busy_ || backlog() == 0 || pending_launch_.valid()) return;
+  const Event ev = queue_[head_];
   const Time launch_at =
       std::max({ev.time, earliest_next_launch_, sched_.now()});
   pending_launch_ = sched_.schedule_at(launch_at, [this] {
     pending_launch_ = sim::EventId{};
-    if (busy_ || queue_.empty()) return;
-    const Event ev2 = queue_.front();
-    queue_.pop_front();
+    if (busy_ || backlog() == 0) return;
+    const Event ev2 = queue_[head_];
+    if (++head_ == queue_.size()) {
+      queue_.clear();
+      head_ = 0;
+    }
     launch(ev2);
   });
 }
@@ -60,10 +68,10 @@ void AerSender::launch(const Event& ev) {
 }
 
 void AerSender::save_state(BlobWriter& w) const {
-  w.u64(queue_.size());
-  for (const auto& ev : queue_) {
-    w.u16(ev.address);
-    w.time(ev.time);
+  w.u64(backlog());
+  for (std::size_t i = head_; i < queue_.size(); ++i) {
+    w.u16(queue_[i].address);
+    w.time(queue_[i].time);
   }
   w.u64(sent_.size());
   for (const auto& ev : sent_) {
@@ -85,6 +93,7 @@ void AerSender::save_state(BlobWriter& w) const {
 
 void AerSender::restore_state(BlobReader& r) {
   queue_.clear();
+  head_ = 0;
   const auto nq = r.u64();
   for (std::uint64_t i = 0; i < nq; ++i) {
     const auto addr = r.u16();

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -46,7 +45,7 @@ class AerSender {
   [[nodiscard]] const EventStream& sent() const { return sent_; }
 
   /// Spikes queued but not yet launched (sensor-side backlog).
-  [[nodiscard]] std::size_t backlog() const { return queue_.size(); }
+  [[nodiscard]] std::size_t backlog() const { return queue_.size() - head_; }
 
   /// Statistics of handshake completion latency (REQ rise -> ACK fall).
   [[nodiscard]] const RunningStats& handshake_latency() const {
@@ -77,7 +76,11 @@ class AerSender {
   sim::Scheduler& sched_;
   AerChannel& channel_;
   SenderTiming timing_;
-  std::deque<Event> queue_;
+  // Queued spikes are queue_[head_..]. The launched prefix is dropped when
+  // the queue drains or the prefix outweighs the backlog, so a steady
+  // stream reuses the same storage.
+  std::vector<Event> queue_;
+  std::size_t head_{0};
   EventStream sent_;
   RunningStats latency_;
   Time req_rise_time_{Time::zero()};

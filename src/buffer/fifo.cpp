@@ -17,34 +17,52 @@ AetrFifo::AetrFifo(FifoConfig config) : cfg_{config} {
   }
 }
 
+void AetrFifo::push_back(aer::AetrWord word) {
+  if (!cells_) {
+    cells_ = std::make_unique_for_overwrite<std::uint32_t[]>(
+        cfg_.capacity_words);
+  }
+  std::size_t tail = head_ + size_;
+  if (tail >= cfg_.capacity_words) tail -= cfg_.capacity_words;
+  cells_[tail] = word.raw();
+  ++size_;
+}
+
+aer::AetrWord AetrFifo::pop_front() {
+  const aer::AetrWord word{cells_[head_]};
+  if (++head_ == cfg_.capacity_words) head_ = 0;
+  --size_;
+  return word;
+}
+
 bool AetrFifo::push(aer::AetrWord word, Time now) {
   // Per-word hot path: one tracing() test guards each emission cluster so
   // the disabled path never materialises the TraceArg lists.
-  if (data_.size() >= cfg_.capacity_words) {
+  if (size_ >= cfg_.capacity_words) {
     ++overflows_;
     if (tel_.tracing()) [[unlikely]] {
       tel_.instant("overflow", now,
-                   {{"occupancy", static_cast<double>(data_.size())}});
+                   {{"occupancy", static_cast<double>(size_)}});
     }
     if (cfg_.overflow_policy == OverflowPolicy::kDropNewest) return false;
     // kDropOldest: evict the stalest word to keep the freshest timing info
     // (the overflow above counts the evicted word as lost).
-    data_.pop_front();
+    (void)pop_front();
   }
-  data_.push_back(word);
+  push_back(word);
   ++pushes_;
-  max_occupancy_ = std::max(max_occupancy_, data_.size());
+  max_occupancy_ = std::max(max_occupancy_, size_);
   if (tel_.tracing()) [[unlikely]] {
-    tel_.counter("occupancy", now, static_cast<double>(data_.size()));
+    tel_.counter("occupancy", now, static_cast<double>(size_));
   }
   if (occ_hist_ != nullptr) [[unlikely]] {
-    occ_hist_->add(static_cast<double>(data_.size()));
+    occ_hist_->add(static_cast<double>(size_));
   }
-  if (armed_ && data_.size() >= cfg_.batch_threshold) {
+  if (armed_ && size_ >= cfg_.batch_threshold) {
     armed_ = false;
     if (tel_.tracing()) [[unlikely]] {
       tel_.instant("batch_ready", now,
-                   {{"occupancy", static_cast<double>(data_.size())},
+                   {{"occupancy", static_cast<double>(size_)},
                     {"threshold", static_cast<double>(cfg_.batch_threshold)}});
     }
     if (threshold_fn_) threshold_fn_(now);
@@ -54,13 +72,12 @@ bool AetrFifo::push(aer::AetrWord word, Time now) {
 
 aer::AetrWord AetrFifo::pop(Time now) {
   last_pop_parity_ok_ = true;
-  if (data_.empty()) {
+  if (size_ == 0) {
     // Saturating read: the SRAM read port returns the idle bus pattern.
     ++underflows_;
     return aer::AetrWord{};
   }
-  aer::AetrWord word = data_.front();
-  data_.pop_front();
+  aer::AetrWord word = pop_front();
   ++pops_;
   if (faults_ != nullptr &&
       faults_->roll(fault::Site::kFifoCell,
@@ -77,9 +94,9 @@ aer::AetrWord AetrFifo::pop(Time now) {
     }
   }
   if (tel_.tracing()) [[unlikely]] {
-    tel_.counter("occupancy", now, static_cast<double>(data_.size()));
+    tel_.counter("occupancy", now, static_cast<double>(size_));
   }
-  if (data_.size() < cfg_.batch_threshold) armed_ = true;
+  if (size_ < cfg_.batch_threshold) armed_ = true;
   return word;
 }
 
@@ -98,7 +115,7 @@ void AetrFifo::attach_telemetry(telemetry::TelemetrySession* session) {
   tel_ = telemetry::BlockTelemetry{session, "fifo"};
   if (auto* m = tel_.metrics()) {
     m->probe("fifo.occupancy", [this] {
-      return static_cast<double>(data_.size());
+      return static_cast<double>(size_);
     });
     m->probe("fifo.pushes", [this] {
       return static_cast<double>(pushes_);
@@ -121,8 +138,11 @@ void AetrFifo::attach_telemetry(telemetry::TelemetrySession* session) {
 
 void AetrFifo::save_state(BlobWriter& w) const {
   w.u64(cfg_.batch_threshold);
-  w.u64(data_.size());
-  for (const auto& word : data_) w.u32(word.raw());
+  w.u64(size_);
+  for (std::size_t i = 0, at = head_; i < size_; ++i) {
+    w.u32(cells_[at]);
+    if (++at == cfg_.capacity_words) at = 0;
+  }
   w.b(armed_);
   w.b(last_pop_parity_ok_);
   w.u64(pushes_);
@@ -134,11 +154,13 @@ void AetrFifo::save_state(BlobWriter& w) const {
 
 void AetrFifo::restore_state(BlobReader& r) {
   cfg_.batch_threshold = static_cast<std::size_t>(r.u64());
-  data_.clear();
+  head_ = 0;
+  size_ = 0;
   const auto n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    data_.push_back(aer::AetrWord{r.u32()});
+  if (n > cfg_.capacity_words) {
+    throw std::runtime_error("AetrFifo: restored occupancy exceeds capacity");
   }
+  for (std::uint64_t i = 0; i < n; ++i) push_back(aer::AetrWord{r.u32()});
   armed_ = r.b();
   last_pop_parity_ok_ = r.b();
   pushes_ = r.u64();

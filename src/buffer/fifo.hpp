@@ -8,8 +8,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 
 #include "aer/event.hpp"
 #include "fault/injector.hpp"
@@ -65,8 +65,8 @@ class AetrFifo {
   /// SRAM cell-upset lottery. Null is inert.
   void attach_faults(fault::FaultInjector* faults) { faults_ = faults; }
 
-  [[nodiscard]] bool empty() const { return data_.empty(); }
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t capacity() const { return cfg_.capacity_words; }
   [[nodiscard]] const FifoConfig& config() const { return cfg_; }
 
@@ -92,8 +92,18 @@ class AetrFifo {
   void restore_state(BlobReader& r);
 
  private:
+  void push_back(aer::AetrWord word);
+  aer::AetrWord pop_front();
+
   FifoConfig cfg_;
-  std::deque<aer::AetrWord> data_;
+  // The SRAM as a ring of capacity_words raw words, allocated once, at the
+  // first push (a FIFO that never buffers costs nothing), so the word path
+  // never touches the allocator after that. Words live in
+  // cells_[head_ .. head_ + size_), wrapping at the end. The cells start
+  // uninitialised: a cell is read only after a push wrote it.
+  std::unique_ptr<std::uint32_t[]> cells_;
+  std::size_t head_{0};
+  std::size_t size_{0};
   ThresholdFn threshold_fn_;
   fault::FaultInjector* faults_{nullptr};
   bool armed_{true};  // threshold edge-triggered re-arm

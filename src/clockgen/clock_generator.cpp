@@ -150,19 +150,24 @@ void ClockGenerator::capture_request(std::uint32_t sync_edges, CaptureFn done) {
         "(AER 4-phase handshake should serialise requests)");
   }
   capture_pending_ = true;
-  const Time delta = elapsed();
-  const bool was_asleep = schedule_.is_asleep_at(delta);
-  const Time wake = wake_latency_for(was_asleep);
-  const auto m = schedule_.measure(delta, sync_edges, wake);
-  const Time sample_abs = origin_ + m.sample_edge;
+  PendingCapture& p = pending_;
+  p.delta = elapsed();
+  p.was_asleep = schedule_.is_asleep_at(p.delta);
+  p.wake = wake_latency_for(p.was_asleep);
+  p.m = schedule_.measure(p.delta, sync_edges, p.wake);
+  p.done = std::move(done);
+  sched_.schedule_at(origin_ + p.m.sample_edge, [this] { complete_capture(); });
+}
 
-  sched_.schedule_at(
-      sample_abs, [this, m, delta, was_asleep, wake, done = std::move(done)] {
-        const std::uint64_t ticks =
-            settle_capture(m, delta, was_asleep, wake, sched_.now());
-        capture_pending_ = false;
-        done(sched_.now(), ticks, m.saturated);
-      });
+void ClockGenerator::complete_capture() {
+  const PendingCapture& p = pending_;
+  const std::uint64_t ticks =
+      settle_capture(p.m, p.delta, p.was_asleep, p.wake, sched_.now());
+  const bool saturated = p.m.saturated;
+  capture_pending_ = false;
+  // Moved out first: the callback may start the next capture.
+  CaptureFn done = std::move(pending_.done);
+  done(sched_.now(), ticks, saturated);
 }
 
 ClockGenerator::CaptureResult ClockGenerator::capture_now(

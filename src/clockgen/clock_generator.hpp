@@ -11,12 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "clockgen/schedule.hpp"
 #include "fault/injector.hpp"
 #include "sim/scheduler.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/inplace_function.hpp"
 #include "util/time.hpp"
 
 namespace aetr {
@@ -57,9 +57,10 @@ class ClockGenerator {
  public:
   /// Capture completion callback: absolute sampling-edge time, the latched
   /// timestamp-counter value (Tmin ticks since previous event), and whether
-  /// the value is the saturation marker.
+  /// the value is the saturation marker. Invoked once per spike on the
+  /// event-driven path, so it stores its capture inline (no allocation).
   using CaptureFn =
-      std::function<void(Time edge, std::uint64_t ticks, bool saturated)>;
+      util::InplaceFunction<void(Time edge, std::uint64_t ticks, bool saturated)>;
 
   ClockGenerator(sim::Scheduler& sched, ClockGeneratorConfig config = {});
 
@@ -121,6 +122,8 @@ class ClockGenerator {
   void rebuild_schedule();
   /// Wake latency for this capture, including the restart-jitter lottery.
   [[nodiscard]] Time wake_latency_for(bool was_asleep);
+  /// Sample-edge event of the capture in flight.
+  void complete_capture();
   /// Close the books on the interval ending at the sample edge: activity
   /// accounting, capture count, retroactive tracing, origin reset and the
   /// period-jitter lottery. Returns the (possibly jittered) latched ticks.
@@ -141,6 +144,18 @@ class ClockGenerator {
   fault::FaultInjector* faults_{nullptr};
   Time origin_{Time::zero()};  ///< absolute time of the last schedule reset
   bool capture_pending_{false};
+  // The capture in flight (one at a time — capture_pending_): measured at
+  // the request, completed by a sample-edge event that captures only
+  // `this`, so the per-spike closure stays inside the scheduler's inline
+  // buffer.
+  struct PendingCapture {
+    SamplingSchedule::Measurement m;
+    Time delta{Time::zero()};
+    bool was_asleep{false};
+    Time wake{Time::zero()};
+    CaptureFn done;
+  };
+  PendingCapture pending_;
 
   // Settled accumulators (exclude the open interval since origin_).
   Time awake_accum_{Time::zero()};

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -44,6 +45,10 @@ struct Session::Impl {
   std::optional<aer::CaviarChecker> caviar;
   std::optional<mcu::McuConsumer> mcu;
   std::optional<telemetry::BlockTelemetry> run_tel;
+  // The analytic run engine, present whenever the scenario is eligible
+  // (core/fast_path.hpp); the scheduler then only keeps the clock. Absent,
+  // the event-driven reference path (the DES oracle) runs the timeline.
+  std::optional<FastPathEngine> engine;
   // Timestamp-error fold over the front-end's capture log. With history
   // off the log is folded and dropped after every advance and snapshot,
   // so it never outgrows one advance; finish() folds whatever is left.
@@ -57,11 +62,15 @@ struct Session::Impl {
   std::size_t harvested{0};
   bool keep_history{true};
 
-  // Streaming input buffer: fed-but-not-yet-submitted events live in
-  // pending[pending_head..]. The head index avoids per-event pop-front;
-  // the buffer is compacted whenever it drains or the dead prefix grows.
+  // Streaming input buffer. pending[submitted..] are fed but not yet
+  // submitted. pending[pending_head, submitted) are submitted and wait for
+  // their launch in the engine, which reads them in place; on the DES path
+  // submission hands events to the sender, so that range stays empty. The
+  // head index avoids per-event pop-front; the buffer is compacted
+  // whenever it drains or the dead prefix grows.
   aer::EventStream pending;
   std::size_t pending_head{0};
+  std::size_t submitted{0};
   std::uint64_t fed_total{0};
   bool have_first_event{false};
   Time first_event_time{Time::zero()};
@@ -83,10 +92,6 @@ struct Session::Impl {
   int watchdog_suspect_ticks{0};
   std::uint64_t watchdog_suspect_handshakes{0};
 
-  /// True until the first advance_to()/restore(): the session's timeline
-  /// has never been driven incrementally, so finish() may still replay
-  /// the whole stream through the idle-skip fast path.
-  bool virgin{true};
   bool done{false};
 
   explicit Impl(const ScenarioConfig& s) : scenario{s} {
@@ -170,6 +175,10 @@ struct Session::Impl {
     watchdog_enabled = faults != nullptr && scenario.faults.aer.any() &&
                        scenario.faults.recovery.watchdog;
     watchdog_period = scenario.faults.recovery.watchdog_timeout;
+
+    if (fast_path_eligible(scenario, tel != nullptr)) {
+      engine.emplace(sched, *iface, scenario);
+    }
   }
 
   void harvest(Time now) {
@@ -190,7 +199,7 @@ struct Session::Impl {
   }
 
   [[nodiscard]] std::size_t buffered() const {
-    return pending.size() - pending_head;
+    return pending.size() - submitted;
   }
 
   void require_live(const char* op) const {
@@ -337,18 +346,32 @@ struct Session::Impl {
     return true;
   }
 
+  /// Submit every buffered event with time <= t (Time::max(): all).
   void submit_upto(Time t) {
-    while (pending_head < pending.size() && pending[pending_head].time <= t) {
+    while (submitted < pending.size() && pending[submitted].time <= t) {
+      ++submitted;
+    }
+    if (engine) return;  // the engine launches straight from the buffer
+    for (; pending_head < submitted; ++pending_head) {
       sender->submit(pending[pending_head]);
-      ++pending_head;
     }
     compact();
+    // A watchdog that wound down while the link was idle must come back
+    // before the newly submitted work runs, or a wedged handshake would
+    // stall the stream with nobody left to repair it.
+    if (watchdog_enabled && !watchdog_armed && sender->backlog() > 0) {
+      arm_watchdog_at(sched.now() + watchdog_period);
+    }
   }
 
-  void submit_all() {
-    for (; pending_head < pending.size(); ++pending_head) {
-      sender->submit(pending[pending_head]);
-    }
+  /// Submitted events the engine has not launched yet, in order.
+  [[nodiscard]] std::span<const aer::Event> queued() const {
+    return {pending.data() + pending_head, submitted - pending_head};
+  }
+
+  /// Drop the `n` queued events the engine just launched.
+  void launched(std::size_t n) {
+    pending_head += n;
     compact();
   }
 
@@ -356,10 +379,12 @@ struct Session::Impl {
     if (pending_head == pending.size()) {
       pending.clear();
       pending_head = 0;
+      submitted = 0;
     } else if (pending_head >= 4096 && pending_head * 2 >= pending.size()) {
       pending.erase(pending.begin(),
                     pending.begin() +
                         static_cast<std::ptrdiff_t>(pending_head));
+      submitted -= pending_head;
       pending_head = 0;
     }
   }
@@ -367,16 +392,13 @@ struct Session::Impl {
   void advance_to(Time t) {
     require_live("advance_to");
     ensure_started();
-    virgin = false;
     if (t < sched.now()) t = sched.now();
     submit_upto(t);
-    // A watchdog that wound down while the link was idle must come back
-    // before the newly submitted work runs, or a wedged handshake would
-    // stall the stream with nobody left to repair it.
-    if (watchdog_enabled && !watchdog_armed && sender->backlog() > 0) {
-      arm_watchdog_at(sched.now() + watchdog_period);
+    if (engine) {
+      launched(engine->run_to(t, queued()));
+    } else {
+      sched.run_until(t);
     }
-    sched.run_until(t);
     if (!keep_history) fold_records();
   }
 
@@ -402,6 +424,10 @@ struct Session::Impl {
   /// now() ends up at the quiescent point — events fed afterwards with
   /// earlier timestamps are late arrivals (see Session::snapshot docs).
   void settle() {
+    if (engine) {
+      launched(engine->settle(queued()));
+      return;
+    }
     for (int i = 0; i < kMaxSettleIterations; ++i) {
       if (quiescent()) return;
       if (sched.pending() <= standing_timers()) {
@@ -436,11 +462,12 @@ struct Session::Impl {
     w.b(have_first_event);
     w.time(first_event_time);
     w.time(last_event_time);
-    w.u64(buffered());
+    w.u64(pending.size() - pending_head);
     for (std::size_t i = pending_head; i < pending.size(); ++i) {
       w.u16(pending[i].address);
       w.time(pending[i].time);
     }
+    w.u64(submitted - pending_head);
 
     // Standing services.
     w.b(grid_armed);
@@ -466,6 +493,7 @@ struct Session::Impl {
     w.u64(clk.heap_dispatches);
     w.u64(clk.cascaded);
 
+    if (engine) engine->save_state(w);
     if (faults != nullptr) faults->save_state(w);
     iface->save_state(w);
     sender->save_state(w);
@@ -484,7 +512,7 @@ struct Session::Impl {
 
   void restore(const std::vector<std::uint8_t>& blob) {
     require_live("restore");
-    if (started || fed_total > 0 || !virgin) {
+    if (started || fed_total > 0) {
       throw std::logic_error(
           "Session::restore: requires a freshly constructed session");
     }
@@ -547,6 +575,11 @@ struct Session::Impl {
       const std::uint16_t addr = r.u16();
       pending.push_back(aer::Event{addr, r.time()});
     }
+    const std::uint64_t n_queued = r.u64();
+    if (n_queued > n_pending || (n_queued > 0 && !engine)) {
+      throw std::runtime_error("Session::restore: bad submitted-event count");
+    }
+    submitted = static_cast<std::size_t>(n_queued);
 
     const bool had_grid = r.b();
     const Time saved_grid_next = r.time();
@@ -568,6 +601,7 @@ struct Session::Impl {
     clk.heap_dispatches = r.u64();
     clk.cascaded = r.u64();
     sched.restore_clock_state(clk);
+    if (engine) engine->restore_state(r);
 
     // Re-arm standing timers in a canonical order (grid, watchdog, drain
     // deadlines, sender launch) so their sequence numbers — the
@@ -599,34 +633,31 @@ struct Session::Impl {
       throw std::runtime_error(
           "Session::restore: trailing bytes after snapshot payload");
     }
-    virgin = false;
   }
 
   // --- completion -----------------------------------------------------------
+
+  /// Run everything submitted to completion, then the final flush; the
+  /// clock ends on the last activity instant.
+  void run_out() {
+    if (engine) {
+      engine->run_out(queued());
+      launched(submitted - pending_head);
+      return;
+    }
+    sched.run();
+    if (scenario.final_flush && !iface->fifo().empty()) {
+      iface->i2s_master().request_drain(sched.now());
+      sched.run();
+    }
+  }
 
   [[nodiscard]] RunResult finish() {
     require_live("finish");
     ensure_started();
 
-    // Fault-free, unobserved, never-advanced runs replay analytically
-    // (bit-identical — see core/fast_path.hpp); everything else takes the
-    // reference DES path.
-    std::optional<FastPathOutcome> fast;
-    if (virgin && fast_path_eligible(scenario, tel != nullptr)) {
-      fast = run_fast_path(sched, *iface, scenario, pending);
-      pending_head = pending.size();
-      compact();
-    } else {
-      submit_all();
-      if (watchdog_enabled && !watchdog_armed && sender->backlog() > 0) {
-        arm_watchdog_at(sched.now() + watchdog_period);
-      }
-      sched.run();
-      if (scenario.final_flush && !iface->fifo().empty()) {
-        iface->i2s_master().request_drain(sched.now());
-        sched.run();
-      }
-    }
+    submit_upto(Time::max());
+    run_out();
     // Cooldown so the power window reflects the post-stream idle too.
     sched.run_until(sched.now() + scenario.cooldown);
     // Flush any CRC-gated batch still pending on the MCU side.
@@ -659,11 +690,11 @@ struct Session::Impl {
     r.words_out = iface->i2s_master().words_sent();
     r.fifo_overflows = iface->fifo().overflows();
     r.batches = mcu->batches();
-    // The fast path computes the wire-level outcomes arithmetically (the
+    // The engine computes the wire-level outcomes arithmetically (the
     // channel and its observers never see edges there).
-    r.handshakes = fast ? fast->handshakes : iface->aer_in().handshakes();
+    r.handshakes = engine ? engine->handshakes() : iface->aer_in().handshakes();
     r.caviar_violations =
-        fast ? fast->caviar_violations : caviar->violation_count();
+        engine ? engine->caviar_violations() : caviar->violation_count();
     r.protocol_violations = iface->aer_in().violations().size();
     if (faults != nullptr) r.faults = faults->counters();
     r.sim_end = sched.now();

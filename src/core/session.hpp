@@ -40,7 +40,7 @@ class Session {
  public:
   /// Snapshot blob format version (bumped on any layout change; restore
   /// rejects blobs whose version or config fingerprint does not match).
-  static constexpr std::uint32_t kSnapshotVersion = 2;
+  static constexpr std::uint32_t kSnapshotVersion = 3;
 
   /// Build the full system (scheduler, interface, sender, checker, MCU,
   /// telemetry, fault injector).
@@ -82,9 +82,12 @@ class Session {
   // --- simulated time -------------------------------------------------------
 
   /// Submit every buffered event with time <= t to the sender, then run
-  /// the scheduler up to exactly t (events beyond t stay buffered). A t in
+  /// the system up to exactly t (events beyond t stay buffered). A t in
   /// the past is clamped to position(). First call arms the session's
   /// standing services (metrics grid, handshake watchdog, runner span).
+  /// A session whose scenario is fast-path eligible runs the analytic
+  /// engine (core/fast_path.hpp) instead of the scheduler, with unchanged
+  /// semantics: the result is the event-driven run's, byte for byte.
   void advance_to(Time t);
 
   /// Current simulated time.
@@ -105,8 +108,9 @@ class Session {
   /// a late arrival and launches when the system next sees it. The run
   /// remains a deterministic function of (stream, snapshot schedule),
   /// and a restored session continues byte-identically to the run that
-  /// took the snapshot. Throws std::runtime_error if the system refuses
-  /// to settle (pathological configs only).
+  /// took the snapshot. An eligible session settles in the analytic
+  /// engine to the same quiescent point. Throws std::runtime_error if the
+  /// system refuses to settle (pathological configs only).
   [[nodiscard]] std::vector<std::uint8_t> snapshot();
 
   /// Restore a blob into this freshly constructed session (same
@@ -119,10 +123,10 @@ class Session {
 
   /// Submit all remaining buffered input, run the stream to completion
   /// (final flush, cooldown, MCU batch flush, telemetry artifacts) and
-  /// assemble the RunResult. A virgin session (only feeds, no advance/
-  /// restore) takes the idle-skip fast path when the scenario is eligible,
-  /// exactly like batch run_scenario. The session is finished afterwards:
-  /// further feed/advance/snapshot calls throw std::logic_error.
+  /// assemble the RunResult — in the analytic engine when the scenario is
+  /// eligible, as for every other call. The session is finished
+  /// afterwards: further feed/advance/snapshot calls throw
+  /// std::logic_error.
   [[nodiscard]] RunResult finish();
 
   [[nodiscard]] bool finished() const;
@@ -143,6 +147,11 @@ class Session {
   /// readable after finish(), for as long as the Session lives.
   [[nodiscard]] telemetry::TelemetrySession* telemetry_session();
 
+  /// Component access, for reading. The analytic engine runs each
+  /// handshake whole once it has launched, so after advance_to() its
+  /// components may already include a handshake that the event-driven
+  /// path is still in the middle of; at a snapshot's settle point and
+  /// after finish() both paths hold the same state.
   [[nodiscard]] AerToI2sInterface& interface();
   [[nodiscard]] sim::Scheduler& scheduler();
 

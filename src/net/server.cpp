@@ -39,6 +39,18 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
 
 }  // namespace
 
+std::uint16_t allocate_session_id(std::uint16_t& next,
+                                  std::span<const std::uint16_t> live) {
+  std::vector<bool> taken(0x10000);
+  for (const std::uint16_t id : live) taken[id] = true;
+  for (std::uint32_t tried = 0; tried < 0xFFFFu; ++tried) {
+    const std::uint16_t id = next == 0 ? 1 : next;
+    next = id == 0xFFFFu ? 1 : static_cast<std::uint16_t>(id + 1);
+    if (!taken[id]) return id;
+  }
+  return 0;
+}
+
 struct Server::Impl {
   ServerOptions options;
   int tcp_fd{-1};
@@ -116,14 +128,18 @@ struct Server::Impl {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) return;
       sys_fail("accept");
     }
-    if (conns.size() >= options.max_connections) {
+    std::vector<std::uint16_t> live;
+    live.reserve(conns.size());
+    for (const auto& cc : conns) live.push_back(cc.connection->session_id());
+    const std::uint16_t id = conns.size() < options.max_connections
+                                 ? allocate_session_id(next_session_id, live)
+                                 : 0;
+    if (id == 0) {
       ::close(fd);
       return;
     }
     Conn c;
     c.fd = fd;
-    const std::uint16_t id = next_session_id++;
-    if (next_session_id == 0) next_session_id = 1;
     // The send path writes synchronously from the single event-loop
     // thread. A stalled client could in principle block the loop; the
     // paced test clients here always drain their reads, and the replies

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "net/connection.hpp"
@@ -42,6 +43,13 @@ struct ServerOptions {
   /// run a server to a known finish line without signals.
   std::size_t exit_after_sessions = 0;
 };
+
+/// The session id for a new connection: the first id from `next` on that
+/// no live connection holds. Ids run 1..65535 and wrap back to 1 (0 means
+/// "unassigned" on the wire); `next` moves past the id handed out. Returns
+/// 0 when every id is live.
+[[nodiscard]] std::uint16_t allocate_session_id(
+    std::uint16_t& next, std::span<const std::uint16_t> live);
 
 class Server {
  public:

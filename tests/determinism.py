@@ -12,8 +12,9 @@ sweep as the traced and ledger rows, so a crash or a missing artifact fails
 those rows instead of passing unnoticed here.
 
 Scripted rows drive the multi-process scenarios a two-variant table cannot
-express: SIGKILL then --resume, SIGTERM drains, and an optimizer run that
-is interrupted (exit 4) and resumed. Two more pin CLI contracts: bad
+express: SIGKILL then --resume, the two run engines under snapshots,
+SIGTERM drains, and an optimizer run that is interrupted (exit 4) and
+resumed. Two more pin CLI contracts: bad
 `opt` numbers exit 2, and `aetr-serve run --dump-config` round-trips. They wait for a file
 the programs write (an atomic snapshot, the gateway's --port-file),
 giving up after TIMEOUT_S, instead of sleeping a fixed time.
@@ -185,6 +186,22 @@ def serve_kill_resume(sweep, serve, work):
                               "not under 64 KiB")
 
 
+def serve_engines(sweep, serve, work):
+    """A checkpointing file-ingest run ends with the same summary on the
+    analytic engine and on the event-driven oracle (session.fast_forward
+    on vs off): every snapshot settles both to the same point."""
+    stream = work / "stream.trace"
+    gen_stream(serve, stream)
+    des_conf = work / "des.conf"
+    des_conf.write_text("session.fast_forward = false\n")
+    for variant, config in (("a", []), ("b", ["--config", des_conf])):
+        run([serve, "run", "--in", stream, *config,
+             "--snapshot-interval-sec", "0.02",
+             "--snapshot", work / f"{variant}.snap",
+             "--out-dir", work / variant])
+    compare(work / "a", work / "b", ["summary.txt"])
+
+
 def feed_fifo(stream, fifo):
     try:
         with open(fifo, "wb") as f:
@@ -276,6 +293,7 @@ def serve_config_round_trip(sweep, serve, work):
 
 SCRIPTS = {
     "serve-kill-resume": serve_kill_resume,
+    "serve-engines": serve_engines,
     "serve-drain": serve_drain,
     "opt-resume": opt_interrupt_resume,
     "opt-bad-numbers": opt_bad_numbers,

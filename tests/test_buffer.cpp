@@ -2,6 +2,7 @@
 // overflow accounting, runtime reconfiguration.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <vector>
 
 #include "buffer/fifo.hpp"
@@ -21,6 +22,42 @@ TEST(Fifo, FifoOrderPreserved) {
     EXPECT_EQ(fifo.pop(Time::zero()).address(), i);
   }
   EXPECT_TRUE(fifo.empty());
+}
+
+// The SRAM is a ring: order and overflow handling must hold while it
+// wraps, fills and drains, under both overflow policies (checked against
+// a std::deque model).
+TEST(Fifo, RingMatchesDequeModelAcrossWrap) {
+  for (const OverflowPolicy policy :
+       {OverflowPolicy::kDropNewest, OverflowPolicy::kDropOldest}) {
+    AetrFifo fifo{{.capacity_words = 300,
+                   .batch_threshold = 300,
+                   .overflow_policy = policy}};
+    std::deque<std::uint32_t> model;
+    std::uint32_t next = 0;
+    std::uint64_t state = 0x9E3779B97F4A7C15u;
+    for (int step = 0; step < 20000; ++step) {
+      state = state * 6364136223846793005u + 1442695040888963407u;
+      // Phases of push-heavy and pop-heavy traffic fill, wrap and drain.
+      const bool push_heavy = (step / 700) % 2 == 0;
+      if (((state >> 33) % 4 != 0) == push_heavy) {
+        const AetrWord w = AetrWord::make(next % 1024, next);
+        ++next;
+        fifo.push(w, Time::zero());
+        if (model.size() < 300) {
+          model.push_back(w.raw());
+        } else if (policy == OverflowPolicy::kDropOldest) {
+          model.pop_front();
+          model.push_back(w.raw());
+        }
+      } else if (!model.empty()) {
+        ASSERT_EQ(fifo.pop(Time::zero()).raw(), model.front()) << step;
+        model.pop_front();
+      }
+      ASSERT_EQ(fifo.size(), model.size()) << step;
+    }
+    EXPECT_GT(fifo.overflows(), 0u);
+  }
 }
 
 TEST(Fifo, DefaultGeometryMatchesPaper) {

@@ -25,6 +25,31 @@ namespace {
 using namespace aetr;
 namespace fs = std::filesystem;
 
+// u16 session ids wrap after 65535 accepts; a connection that has been
+// live since before the wrap keeps its id, and the next accepts skip it.
+TEST(SessionIds, WrapSkipsLiveIds) {
+  std::uint16_t next = 65534;
+  const std::vector<std::uint16_t> live{65535, 1, 2, 4};
+  EXPECT_EQ(net::allocate_session_id(next, live), 65534);
+  EXPECT_EQ(net::allocate_session_id(next, live), 3);
+  EXPECT_EQ(net::allocate_session_id(next, live), 5);
+  EXPECT_EQ(next, 6);
+  std::uint16_t last = 65535;
+  EXPECT_EQ(net::allocate_session_id(last, {}), 65535);
+  EXPECT_EQ(last, 1);  // never 0, the wire's "unassigned"
+}
+
+TEST(SessionIds, NoFreeIdReturnsZero) {
+  std::vector<std::uint16_t> live;
+  for (std::uint32_t id = 1; id <= 0xFFFFu; ++id) {
+    live.push_back(static_cast<std::uint16_t>(id));
+  }
+  std::uint16_t next = 7;
+  EXPECT_EQ(net::allocate_session_id(next, live), 0);
+  live.erase(live.begin() + 9);  // id 10 frees up
+  EXPECT_EQ(net::allocate_session_id(next, live), 10);
+}
+
 struct TempDir {
   fs::path path;
   TempDir() {

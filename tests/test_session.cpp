@@ -3,6 +3,10 @@
 // The load-bearing properties:
 //   * streaming (feed / advance_to) without snapshots reproduces the batch
 //     run exactly, at every advance schedule;
+//   * the analytic engine and the event-driven oracle agree on every
+//     (stream, feed/advance/snapshot schedule): same positions, same
+//     refusals, and RunResults equal down to every record and latency bit.
+//     Each streaming property below holds on both engines;
 //   * a snapshot is a deterministic synchronization point: a fresh session
 //     restored from the blob continues byte-identically to the session that
 //     took it — including later snapshot blobs, byte for byte — at 25
@@ -17,13 +21,17 @@
 
 #include <algorithm>
 #include <bit>
+#include <initializer_list>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "analysis/error.hpp"
+#include "core/fast_path.hpp"
 #include "core/scenario.hpp"
 #include "core/session.hpp"
+#include "core/summary.hpp"
 #include "fault/fault_plan.hpp"
 #include "gen/sources.hpp"
 #include "telemetry/telemetry.hpp"
@@ -44,6 +52,17 @@ core::ScenarioConfig faulty_scenario() {
   telemetry::SessionOptions tel;
   tel.metrics = true;  // probes + snapshot grid; no artifact paths
   scenario.telemetry = tel;
+  return scenario;
+}
+
+/// The two run engines, named for failure messages: the analytic engine
+/// (session.fast_forward on) and the event-driven oracle (off).
+constexpr bool kEngines[] = {true, false};
+
+std::string engine_name(bool fast) { return fast ? "engine" : "DES"; }
+
+core::ScenarioConfig on_engine(core::ScenarioConfig scenario, bool fast) {
+  scenario.fast_forward = fast;
   return scenario;
 }
 
@@ -72,39 +91,42 @@ void expect_equal(const core::RunResult& a, const core::RunResult& b,
 // advance_to() at any mid-stream point is composition-transparent: the
 // final result matches feeding the whole stream and finishing in one go.
 TEST(Session, AdvanceScheduleIsTransparent) {
-  core::ScenarioConfig scenario;
-  scenario.fast_forward = false;  // force the event-driven path in batch
-  const aer::EventStream events = make_stream(3000, 7);
-  core::Session batch{scenario};
-  batch.feed_all(events);
-  const core::RunResult ref = batch.finish();
-  const Time end = events.back().time;
-  for (int k = 1; k <= 7; ++k) {
-    const Time at = Time::ps(end.count_ps() * k / 8);
-    core::Session s{scenario};
-    s.feed_all(events);
-    s.advance_to(at);
-    expect_equal(s.finish(), ref, "advance at k=" + std::to_string(k));
+  for (const bool fast : kEngines) {
+    const core::ScenarioConfig scenario = on_engine({}, fast);
+    const aer::EventStream events = make_stream(3000, 7);
+    core::Session batch{scenario};
+    batch.feed_all(events);
+    const core::RunResult ref = batch.finish();
+    const Time end = events.back().time;
+    for (int k = 1; k <= 7; ++k) {
+      const Time at = Time::ps(end.count_ps() * k / 8);
+      core::Session s{scenario};
+      s.feed_all(events);
+      s.advance_to(at);
+      expect_equal(s.finish(), ref,
+                   engine_name(fast) + ": advance at k=" + std::to_string(k));
+    }
   }
 }
 
 // Per-event feeding with interleaved advances (the service-mode pattern,
 // minus snapshots) also reproduces the batch run exactly.
 TEST(Session, StreamedFeedMatchesBatch) {
-  core::ScenarioConfig scenario;
-  scenario.fast_forward = false;
-  const aer::EventStream events = make_stream(3000, 7);
-  core::Session batch{scenario};
-  batch.feed_all(events);
-  const core::RunResult ref = batch.finish();
+  for (const bool fast : kEngines) {
+    const core::ScenarioConfig scenario = on_engine({}, fast);
+    const aer::EventStream events = make_stream(3000, 7);
+    core::Session batch{scenario};
+    batch.feed_all(events);
+    const core::RunResult ref = batch.finish();
 
-  core::Session s{scenario};
-  std::size_t i = 0;
-  for (const auto& ev : events) {
-    ASSERT_TRUE(s.feed(ev));
-    if (++i % 64 == 0) s.advance_to(ev.time);
+    core::Session s{scenario};
+    std::size_t i = 0;
+    for (const auto& ev : events) {
+      ASSERT_TRUE(s.feed(ev));
+      if (++i % 64 == 0) s.advance_to(ev.time);
+    }
+    expect_equal(s.finish(), ref, engine_name(fast) + ": streamed feed");
   }
-  expect_equal(s.finish(), ref, "streamed feed");
 }
 
 // --- snapshot / restore ------------------------------------------------------
@@ -171,9 +193,10 @@ void check_kill_resume(const core::ScenarioConfig& scenario, int points,
 }
 
 TEST(Session, KillResumeByteIdentical25Points) {
-  core::ScenarioConfig scenario;
-  scenario.fast_forward = false;
-  check_kill_resume(scenario, 25);
+  for (const bool fast : kEngines) {
+    SCOPED_TRACE(engine_name(fast));
+    check_kill_resume(on_engine({}, fast), 25);
+  }
 }
 
 TEST(Session, KillResumeByteIdenticalWithFaultsAndTelemetry) {
@@ -181,14 +204,185 @@ TEST(Session, KillResumeByteIdenticalWithFaultsAndTelemetry) {
 }
 
 TEST(Session, KillResumeByteIdenticalWithoutHistory) {
+  for (const bool fast : kEngines) {
+    SCOPED_TRACE(engine_name(fast));
+    check_kill_resume(on_engine({}, fast), 25, /*keep_history=*/false);
+  }
+}
+
+// --- engine equivalence ------------------------------------------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every observable RunResult field, bit for bit: the summary counters, the
+/// activity totals, and each capture record, decoded event and latency.
+void expect_identical(const core::RunResult& a, const core::RunResult& b,
+                      const std::string& what) {
+  expect_equal(a, b, what);
+  EXPECT_EQ(core::run_summary_text(a), core::run_summary_text(b)) << what;
+  EXPECT_EQ(a.activity.window, b.activity.window) << what;
+  EXPECT_EQ(a.activity.osc_awake, b.activity.osc_awake) << what;
+  EXPECT_EQ(a.activity.sampling_cycles, b.activity.sampling_cycles) << what;
+  EXPECT_EQ(a.activity.wakeups, b.activity.wakeups) << what;
+  EXPECT_EQ(a.activity.fifo_reads, b.activity.fifo_reads) << what;
+  EXPECT_EQ(a.activity.i2s_bits, b.activity.i2s_bits) << what;
+  EXPECT_EQ(bits(a.error.abs_err_sec), bits(b.error.abs_err_sec)) << what;
+  ASSERT_EQ(a.records.size(), b.records.size()) << what;
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    ASSERT_EQ(a.records[i].request.time, b.records[i].request.time)
+        << what << ", record " << i;
+    ASSERT_EQ(a.records[i].sample_edge, b.records[i].sample_edge)
+        << what << ", record " << i;
+    ASSERT_EQ(a.records[i].word.raw(), b.records[i].word.raw())
+        << what << ", record " << i;
+  }
+  ASSERT_EQ(a.decoded.size(), b.decoded.size()) << what;
+  for (std::size_t i = 0; i < a.decoded.size(); ++i) {
+    ASSERT_EQ(a.decoded[i].reconstructed_time, b.decoded[i].reconstructed_time)
+        << what << ", decoded " << i;
+    ASSERT_EQ(a.decoded[i].address, b.decoded[i].address)
+        << what << ", decoded " << i;
+  }
+  ASSERT_EQ(a.delivery_latency_sec.size(), b.delivery_latency_sec.size())
+      << what;
+  for (std::size_t i = 0; i < a.delivery_latency_sec.size(); ++i) {
+    ASSERT_EQ(bits(a.delivery_latency_sec[i]), bits(b.delivery_latency_sec[i]))
+        << what << ", latency " << i;
+  }
+}
+
+/// A fast-path-eligible scenario with randomised corners: tiny buffers and
+/// batch thresholds (so snapshots land inside drains), single-batch
+/// drains, a small overflowing FIFO, metastability, no MCU, no flush, and
+/// back-to-back launches with no post-handshake gap.
+core::ScenarioConfig random_scenario(std::mt19937_64& rng) {
+  const auto coin = [&rng] { return (rng() & 1u) != 0; };
+  const auto pick = [&rng](std::initializer_list<std::size_t> xs) {
+    return *(xs.begin() + static_cast<std::ptrdiff_t>(rng() % xs.size()));
+  };
+  core::ScenarioConfig sc;
+  sc.session.max_buffered_events = pick({3, 16, 64, 1024});
+  sc.interface.fifo.batch_threshold = pick({1, 4, 32, 1024});
+  if (coin()) {
+    sc.interface.fifo.capacity_words = 48;
+    sc.interface.fifo.batch_threshold =
+        std::min<std::size_t>(sc.interface.fifo.batch_threshold, 40);
+    if (coin()) {
+      sc.interface.fifo.overflow_policy = buffer::OverflowPolicy::kDropOldest;
+    }
+  }
+  if (coin()) sc.interface.i2s.drain_until_empty = false;
+  if (coin()) sc.interface.front_end.metastability_prob = 0.25;
+  if (coin()) sc.interface.clock.n_div = 2;
+  if ((rng() % 4) == 0) sc.final_flush = false;
+  if ((rng() % 4) == 0) sc.attach_mcu = false;
+  if ((rng() % 4) == 0) sc.sender.min_gap = Time::zero();
+  return sc;
+}
+
+/// One session per engine, driven through the same calls; every call must
+/// leave both at the same position with the same input buffered.
+struct Lockstep {
   core::ScenarioConfig scenario;
-  scenario.fast_forward = false;
-  check_kill_resume(scenario, 25, /*keep_history=*/false);
+  std::unique_ptr<core::Session> fast;
+  std::unique_ptr<core::Session> des;
+
+  explicit Lockstep(const core::ScenarioConfig& sc)
+      : scenario{sc},
+        fast{std::make_unique<core::Session>(on_engine(sc, true))},
+        des{std::make_unique<core::Session>(on_engine(sc, false))} {}
+
+  void check(const std::string& what) const {
+    ASSERT_EQ(fast->position(), des->position()) << what;
+    ASSERT_EQ(fast->buffered(), des->buffered()) << what;
+    ASSERT_EQ(fast->events_fed(), des->events_fed()) << what;
+  }
+  void advance_to(Time t) {
+    fast->advance_to(t);
+    des->advance_to(t);
+    check("advance_to(" + std::to_string(t.count_ps()) + " ps)");
+  }
+  /// Snapshot both; with `resume`, continue on fresh sessions restored
+  /// from the blobs, as a killed process would.
+  void snapshot(bool resume) {
+    const std::vector<std::uint8_t> fb = fast->snapshot();
+    const std::vector<std::uint8_t> db = des->snapshot();
+    check("snapshot");
+    if (!resume) return;
+    fast = std::make_unique<core::Session>(on_engine(scenario, true));
+    des = std::make_unique<core::Session>(on_engine(scenario, false));
+    fast->restore(fb);
+    des->restore(db);
+    check("restore");
+  }
+  bool feed(const aer::Event& ev) {
+    const bool f = fast->feed(ev);
+    const bool d = des->feed(ev);
+    EXPECT_EQ(f, d) << "feed at " << ev.time.count_ps() << " ps";
+    return f && d;
+  }
+};
+
+// The analytic engine reproduces the event-driven oracle under streaming,
+// not just in batch: a snapshot's settle point, a late arrival's launch
+// floor, and the final flush's instant all depend on the call schedule,
+// and each randomized schedule below mixes backpressure refusals,
+// advance_to() behind, inside and past position(), back-to-back
+// snapshots, a snapshot before the first feed, resumes from a blob, and
+// events fed after a settle whose timestamps fall inside the settled
+// window.
+TEST(Session, StreamingEnginesAgree) {
+  std::mt19937_64 rng{0x5E77u};
+  for (int schedule = 0; schedule < 30; ++schedule) {
+    const core::ScenarioConfig scenario = random_scenario(rng);
+    ASSERT_TRUE(core::fast_path_eligible(on_engine(scenario, true), false));
+    const double rate =
+        std::initializer_list<double>{2e3, 5e4, 3e5, 8e5}.begin()[rng() % 4];
+    gen::PoissonSource source{rate, 256, rng()};
+    const aer::EventStream events = gen::take(source, 1500);
+    const auto mean_gap_ps = static_cast<std::int64_t>(1e12 / rate);
+    const std::string what = "schedule " + std::to_string(schedule);
+    SCOPED_TRACE(what);
+
+    Lockstep run{scenario};
+    const bool history = (rng() % 4) != 0;
+    run.fast->set_keep_history(history);
+    run.des->set_keep_history(history);
+    if ((rng() & 1u) != 0) run.snapshot(false);  // before the first feed
+    for (const aer::Event& ev : events) {
+      const Time pos = run.fast->position();
+      const std::uint64_t op = rng() % 100;
+      if (op < 6) {  // behind position(): clamped, submits late arrivals
+        run.advance_to(Time::ps(pos.count_ps() -
+                                static_cast<std::int64_t>(rng() % 1000)));
+      } else if (op < 14 && ev.time > pos) {  // inside (position, ev.time]
+        run.advance_to(Time::ps(
+            pos.count_ps() + 1 +
+            static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(
+                                                  (ev.time - pos).count_ps()))));
+      } else if (op < 20) {  // past the next events: they arrive late
+        run.advance_to(ev.time +
+                       Time::ps(static_cast<std::int64_t>(rng() % 4) *
+                                mean_gap_ps));
+      } else if (op < 28) {
+        run.snapshot(/*resume=*/rng() % 4 == 0);
+        if (rng() % 3 == 0) run.snapshot(false);  // back to back
+      }
+      if (HasFatalFailure()) return;
+      while (!run.feed(ev)) {
+        if (rng() % 3 == 0) run.snapshot(false);
+        run.advance_to(ev.time);
+        if (HasFatalFailure()) return;
+      }
+    }
+    const core::RunResult a = run.fast->finish();
+    const core::RunResult b = run.des->finish();
+    expect_identical(a, b, what);
+    EXPECT_EQ(a.events_in, events.size()) << what;
+  }
 }
 
 // --- history off -------------------------------------------------------------
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// The service-mode pattern: bounded feeding with backpressure advances,
 /// plus a snapshot whenever the stream crosses a multiple of `every`.
@@ -214,9 +408,8 @@ core::RunResult run_streamed(const core::ScenarioConfig& scenario,
 // to the history-on run that scores the whole log at finish().
 TEST(Session, HistoryOffKeepsErrorStatsBitwise) {
   for (const core::ScenarioConfig& base :
-       {core::ScenarioConfig{}, faulty_scenario()}) {
+       {on_engine({}, true), on_engine({}, false), faulty_scenario()}) {
     core::ScenarioConfig scenario = base;
-    scenario.fast_forward = false;
     scenario.session.max_buffered_events = 256;
     const aer::EventStream events = make_stream(5000, 17);
     const Time every = Time::ms(3);
@@ -247,24 +440,23 @@ TEST(Session, HistoryOffKeepsErrorStatsBitwise) {
 }
 
 TEST(Session, HistoryOffDropsCaptureLogAfterAdvance) {
-  core::ScenarioConfig scenario;
-  scenario.fast_forward = false;
-  const aer::EventStream events = make_stream(500, 19);
-  core::Session s{scenario};
-  s.set_keep_history(false);
-  s.feed_all(events);
-  s.advance_to(events[events.size() / 2].time);
-  EXPECT_GT(s.interface().front_end().events(), 0u);
-  EXPECT_TRUE(s.interface().front_end().records().empty());
+  for (const bool fast : kEngines) {
+    const aer::EventStream events = make_stream(500, 19);
+    core::Session s{on_engine({}, fast)};
+    s.set_keep_history(false);
+    s.feed_all(events);
+    s.advance_to(events[events.size() / 2].time);
+    EXPECT_GT(s.interface().front_end().events(), 0u) << engine_name(fast);
+    EXPECT_TRUE(s.interface().front_end().records().empty())
+        << engine_name(fast);
+  }
 }
 
 // With history off a snapshot holds the buffered input plus constant-size
 // state: late in the stream it is no bigger than early on, give or take
 // what is buffered at each point — events the session has not submitted
 // yet (10 blob bytes apiece) and words waiting in the FIFO (4 apiece).
-TEST(Session, HistoryOffSnapshotSizeIsFlat) {
-  core::ScenarioConfig scenario;
-  scenario.fast_forward = false;
+void check_snapshot_size_is_flat(core::ScenarioConfig scenario) {
   scenario.session.max_buffered_events = 512;
   const aer::EventStream events = make_stream(20000, 23);
   const Time end = events.back().time;
@@ -302,12 +494,18 @@ TEST(Session, HistoryOffSnapshotSizeIsFlat) {
   (void)s.finish();
 }
 
+TEST(Session, HistoryOffSnapshotSizeIsFlat) {
+  for (const bool fast : kEngines) {
+    SCOPED_TRACE(engine_name(fast));
+    check_snapshot_size_is_flat(on_engine({}, fast));
+  }
+}
+
 // Every byte of a blob is covered: the magic and version by their own
 // checks, everything else by the CRC-32 trailer. No single corrupted byte
 // may crash restore() or slip through it.
-TEST(Session, RestoreRejectsEveryCorruptedByte) {
-  core::ScenarioConfig scenario;
-  scenario.fast_forward = false;
+void check_restore_rejects_every_corrupted_byte(
+    const core::ScenarioConfig& scenario) {
   const aer::EventStream events = make_stream(300, 29);
   core::Session s{scenario};
   s.set_keep_history(false);
@@ -326,12 +524,18 @@ TEST(Session, RestoreRejectsEveryCorruptedByte) {
   }
 }
 
+TEST(Session, RestoreRejectsEveryCorruptedByte) {
+  for (const bool fast : kEngines) {
+    SCOPED_TRACE(engine_name(fast));
+    check_restore_rejects_every_corrupted_byte(on_engine({}, fast));
+  }
+}
+
 // Two sessions driven through the identical feed/advance/snapshot schedule
 // produce identical blobs and results: the run is a deterministic function
 // of (stream, snapshot schedule).
-TEST(Session, SnapshotScheduleIsDeterministic) {
-  core::ScenarioConfig scenario;
-  scenario.fast_forward = false;
+void check_snapshot_schedule_is_deterministic(
+    const core::ScenarioConfig& scenario) {
   const aer::EventStream events = make_stream(1500, 3);
   const Time at = Time::ps(events.back().time.count_ps() / 2);
   auto run = [&](std::vector<std::uint8_t>& blob) {
@@ -350,6 +554,13 @@ TEST(Session, SnapshotScheduleIsDeterministic) {
   const core::RunResult r2 = run(blob2);
   EXPECT_EQ(blob1, blob2);
   expect_equal(r1, r2, "repeated schedule");
+}
+
+TEST(Session, SnapshotScheduleIsDeterministic) {
+  for (const bool fast : kEngines) {
+    SCOPED_TRACE(engine_name(fast));
+    check_snapshot_schedule_is_deterministic(on_engine({}, fast));
+  }
 }
 
 // --- backpressure / API contract --------------------------------------------

@@ -3,8 +3,11 @@
 // util::InplaceFunction instead of std::function: the captures the library
 // actually installs — a component `this` pointer, or the scenario runner's
 // two-reference MCU+harvest closure — must store inline, and assigning plus
-// dispatching them must never touch the global allocator. Global operator
-// new/delete are replaced in this binary with counting versions.
+// dispatching them must never touch the global allocator. Then the whole
+// run: a streaming session with history off reaches a steady state where
+// no spike allocates, on the event-driven reference path (the oracle every
+// ineligible config runs) and on the analytic engine alike. Global
+// operator new/delete are replaced in this binary with counting versions.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,7 +17,10 @@
 #include <utility>
 
 #include "aer/event.hpp"
+#include "core/scenario.hpp"
+#include "core/session.hpp"
 #include "frontend/aer_frontend.hpp"
+#include "gen/sources.hpp"
 #include "i2s/i2s.hpp"
 #include "util/time.hpp"
 
@@ -126,6 +132,38 @@ TEST(WordPathAlloc, MoveTransfersTheInlineCallable) {
   EXPECT_EQ(g_allocs, before) << "moving an inline WordFn allocated";
   EXPECT_EQ(sink.words, 1u);
   EXPECT_EQ(sink.last_addr, 7u);
+}
+
+/// Allocations of one streaming run over `n` periodic events (every FIFO
+/// batch alike), history off, fed through the backpressure pump.
+std::uint64_t run_allocations(bool fast_forward, std::size_t n) {
+  core::ScenarioConfig scenario;
+  scenario.fast_forward = fast_forward;
+  scenario.session.max_buffered_events = 256;
+  gen::RegularSource source{Time::us(5), 256};
+  const aer::EventStream events = gen::take(source, n);
+  const std::uint64_t before = g_allocs;
+  {
+    core::Session s{scenario};
+    s.set_keep_history(false);
+    for (const aer::Event& ev : events) {
+      while (!s.feed(ev)) s.advance_to(ev.time);
+    }
+    const core::RunResult r = s.finish();
+    EXPECT_EQ(r.words_out, n);
+  }
+  return g_allocs - before;
+}
+
+TEST(WordPathAlloc, WholeRunAllocatesNothingPerSpike) {
+  for (const bool fast_forward : {false, true}) {
+    const std::uint64_t once = run_allocations(fast_forward, 20000);
+    const std::uint64_t twice = run_allocations(fast_forward, 40000);
+    EXPECT_EQ(once, twice) << (fast_forward ? "analytic engine"
+                                            : "event-driven reference path")
+                           << ": 20000 events allocated " << once
+                           << " times, 40000 events " << twice;
+  }
 }
 
 }  // namespace
