@@ -7,7 +7,7 @@
 // standing for a full timestamp-range of elapsed time (the scheme jAER-
 // style tooling uses for its wrap events). The choice trades words per
 // event against how often long gaps cost extra words — quantified in
-// bench/ablation_timestamp_width.
+// `aetr-sweep ablation-width`.
 //
 // Wire format, W-bit timestamps (W + 10 <= 32):
 //   data word:     [addr:10 | delta:W]           delta in Tmin ticks

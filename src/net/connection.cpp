@@ -28,6 +28,29 @@ bool valid_session_name(const std::string& name) {
   return name.front() != '.';
 }
 
+/// Telemetry is gateway policy: its artifact paths name files the gateway
+/// writes, and its spans live in gateway memory. Returns the first
+/// telemetry.* key in which a HELLO config differs from the gateway's own
+/// settings, or nullptr when they agree.
+const char* telemetry_override(const telemetry::SessionOptions& hello,
+                               const telemetry::SessionOptions& gateway) {
+  if (hello.trace != gateway.trace) return "telemetry.trace";
+  if (hello.metrics != gateway.metrics) return "telemetry.metrics";
+  if (hello.metrics_window != gateway.metrics_window) {
+    return "telemetry.metrics_window_ms";
+  }
+  if (hello.trace_json_path != gateway.trace_json_path) {
+    return "telemetry.trace_json_path";
+  }
+  if (hello.trace_csv_path != gateway.trace_csv_path) {
+    return "telemetry.trace_csv_path";
+  }
+  if (hello.metrics_csv_path != gateway.metrics_csv_path) {
+    return "telemetry.metrics_csv_path";
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 void write_blob_atomic(const std::string& path,
@@ -164,6 +187,12 @@ void Connection::handle_hello(const Frame& f) {
       scenario = core::load_scenario(is);
     } catch (const std::exception& e) {
       protocol_error(std::string{"bad config: "} + e.what());
+      return;
+    }
+    if (const char* key = telemetry_override(
+            scenario.telemetry, config_.default_scenario.telemetry)) {
+      protocol_error(std::string{"bad config: "} + key +
+                     " is gateway policy; HELLO may not change it");
       return;
     }
   }

@@ -10,6 +10,7 @@
 // Lifecycle:  AwaitHello --HELLO--> Streaming --DRAIN--> Done
 // Any protocol violation (garbage before HELLO, DATA before HELLO, credit
 // overrun, non-monotonic DATA timestamps, config mismatch on resume,
+// a HELLO config that changes the gateway's telemetry.* settings,
 // malformed payload) sends NACK with a reason and closes; the session is
 // abandoned, never half-finished.
 //

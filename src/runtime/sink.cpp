@@ -3,22 +3,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/table.hpp"
+
 namespace aetr::runtime {
 
 namespace {
-
-// Minimal RFC-4180 escaping; the table cells are plain numbers today, but a
-// tag or unit cell with a comma must not shear the file.
-std::string csv_escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out{"\""};
-  for (const char c : cell) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
 
 std::string json_escape(const std::string& s) {
   std::string out;

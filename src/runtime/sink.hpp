@@ -31,7 +31,7 @@ class ResultSink {
   virtual void end() {}
 };
 
-/// Streams rows as CSV. Cells containing commas or quotes are quoted.
+/// Streams rows as CSV, each cell escaped by aetr::csv_escape (RFC 4180).
 class CsvSink final : public ResultSink {
  public:
   /// Write to an owned file (throws std::runtime_error if unopenable).

@@ -13,6 +13,7 @@
 #include "obs/ledger.hpp"
 #include "power/model.hpp"
 #include "runtime/sink.hpp"
+#include "sweeps/common.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/artifacts.hpp"
 
@@ -25,22 +26,8 @@ using runtime::JobContext;
 using runtime::JobOutput;
 using runtime::SweepGrid;
 
-std::string fmt(const char* f, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, f, v);
-  return buf;
-}
-
-runtime::SweepOptions sweep_options(const FigureOptions& opt,
-                                    std::uint64_t default_seed,
-                                    runtime::Row header) {
-  runtime::SweepOptions so;
-  so.jobs = opt.jobs;
-  so.seed = opt.seed ? opt.seed : default_seed;
-  so.header = std::move(header);
-  so.progress = opt.progress;
-  return so;
-}
+using detail::fmt;
+using detail::sweep_options;
 
 Check make_check(std::string name, bool ok, std::string detail) {
   return Check{std::move(name), ok, std::move(detail)};
@@ -677,8 +664,25 @@ const std::vector<FigureDef>& figures() {
       {"fig8", "Fig. 8 — average interface power vs. event rate", &run_fig8},
       {"ablation-ndiv", "A1 — N_div as the max-measurable-interval knob",
        &run_ablation_ndiv},
+      {"ablation-buffer",
+       "A2 — batch threshold and buffer size vs. MCU wakeups and overflow",
+       &run_ablation_buffer},
+      {"ablation-min-interspike",
+       "A3 — sampling frequency vs. min inter-spike, CAVIAR margin, error",
+       &run_ablation_min_interspike},
       {"ablation-agreement", "A4 — cycle-level DES vs. algorithmic model",
        &run_ablation_agreement},
+      {"ablation-mcu",
+       "A5 — system energy with the MCU, batch vs. always-on",
+       &run_ablation_mcu},
+      {"ablation-width", "A6 — AETR timestamp width vs. carrier bandwidth",
+       &run_ablation_width},
+      {"ablation-jitter",
+       "A7 — ring jitter and frequency drift vs. timestamp accuracy",
+       &run_ablation_jitter},
+      {"ablation-adaptive",
+       "A8 — closed-loop adaptive theta_div vs. static settings",
+       &run_ablation_adaptive},
       {"faults", "R1 — accuracy/power degradation vs. injected fault rate",
        &run_faults},
       {"fleet",

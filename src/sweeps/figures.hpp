@@ -31,7 +31,8 @@ struct FigureOptions {
   /// Output directory for CSV series; "" = results/ (or $AETR_OUT).
   std::string out_dir;
   /// Reduced grid + event counts for tests and smoke runs. Paper checks
-  /// are skipped: the thresholds are only meaningful on the full grid.
+  /// are skipped (their thresholds are only meaningful on the full grid);
+  /// consistency checks still run.
   bool quick = false;
   /// Per-job sim-time telemetry for the figures that run the DES pipeline
   /// (fig8, ablation-agreement). Each job writes deterministically named
@@ -85,6 +86,18 @@ FigureResult run_fig6(const FigureOptions& opt);
 FigureResult run_fig8(const FigureOptions& opt);
 FigureResult run_ablation_ndiv(const FigureOptions& opt);
 FigureResult run_ablation_agreement(const FigureOptions& opt);
+/// The design studies in sweeps/ablations.cpp: A2 batch threshold and
+/// buffer size, A3 minimum inter-spike interval and CAVIAR margin, A5
+/// system energy with the MCU, A6 timestamp width, A7 ring jitter and
+/// drift, A8 adaptive theta_div. Each fixes its own stimulus seeds as part
+/// of its definition, so FigureOptions::seed (`--seed`) does not reseed
+/// these six.
+FigureResult run_ablation_buffer(const FigureOptions& opt);
+FigureResult run_ablation_min_interspike(const FigureOptions& opt);
+FigureResult run_ablation_mcu(const FigureOptions& opt);
+FigureResult run_ablation_width(const FigureOptions& opt);
+FigureResult run_ablation_jitter(const FigureOptions& opt);
+FigureResult run_ablation_adaptive(const FigureOptions& opt);
 /// R1: scenario runs under a scaled FaultPlan — timestamp error, delivered
 /// fraction and power vs. the fault level, with the zero level checked
 /// bit-identical against a fault-free baseline.

@@ -21,6 +21,7 @@
 #include "fleet/fleet.hpp"
 #include "obs/ledger.hpp"
 #include "runtime/seed.hpp"
+#include "sweeps/common.hpp"
 #include "sweeps/figures.hpp"
 #include "util/artifacts.hpp"
 
@@ -28,11 +29,7 @@ namespace aetr::sweeps {
 
 namespace {
 
-std::string ffmt(const char* f, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, f, v);
-  return buf;
-}
+using detail::fmt;
 
 struct FleetCell {
   std::size_t nodes;
@@ -138,28 +135,28 @@ FigureResult fleet_impl(const FigureOptions& opt) {
                     static_cast<double>(res.dropped_dead_total)};
       runtime::Row row;
       row.reserve(out.values.size());
-      row.push_back(ffmt("%g", out.values[0]));
-      row.push_back(ffmt("%g", activity));
-      row.push_back(ffmt("%.6g", cfg.rate_hz));
-      row.push_back(ffmt("%g", out.values[3]));
-      row.push_back(ffmt("%g", out.values[4]));
-      row.push_back(ffmt("%g", out.values[5]));
-      row.push_back(ffmt("%.6g", out.values[6]));
-      row.push_back(ffmt("%.8g", out.values[7]));
-      row.push_back(ffmt("%.8g", out.values[8]));
-      row.push_back(ffmt("%.6g", out.values[9]));
-      row.push_back(ffmt("%.6g", out.values[10]));
-      row.push_back(ffmt("%.6g", out.values[11]));
-      row.push_back(ffmt("%.6g", out.values[12]));
-      row.push_back(ffmt("%g", out.values[13]));
-      row.push_back(ffmt("%g", out.values[14]));
+      row.push_back(fmt("%g", out.values[0]));
+      row.push_back(fmt("%g", activity));
+      row.push_back(fmt("%.6g", cfg.rate_hz));
+      row.push_back(fmt("%g", out.values[3]));
+      row.push_back(fmt("%g", out.values[4]));
+      row.push_back(fmt("%g", out.values[5]));
+      row.push_back(fmt("%.6g", out.values[6]));
+      row.push_back(fmt("%.8g", out.values[7]));
+      row.push_back(fmt("%.8g", out.values[8]));
+      row.push_back(fmt("%.6g", out.values[9]));
+      row.push_back(fmt("%.6g", out.values[10]));
+      row.push_back(fmt("%.6g", out.values[11]));
+      row.push_back(fmt("%.6g", out.values[12]));
+      row.push_back(fmt("%g", out.values[13]));
+      row.push_back(fmt("%g", out.values[14]));
       sink.row(row);
 
       runtime::JobMetrics jm;
       jm.index = cell_index;
       jm.seed = cell_seed;
-      jm.tag = "N=" + ffmt("%g", out.values[0]) +
-               " activity=" + ffmt("%g", activity);
+      jm.tag = "N=" + fmt("%g", out.values[0]) +
+               " activity=" + fmt("%g", activity);
       jm.wall_sec = std::chrono::duration<double>(t1 - t0).count();
       report.outputs.push_back(std::move(out));
       report.metrics.push_back(std::move(jm));
@@ -187,7 +184,7 @@ FigureResult fleet_impl(const FigureOptions& opt) {
                "p99 (ms)", "p999 (ms)", "uplink util"}};
   for (const auto& out : report.outputs) {
     const auto& v = out.values;
-    table.add_row({ffmt("%g", v[0]), ffmt("%g", v[1]), Table::num(v[8], 4),
+    table.add_row({fmt("%g", v[0]), fmt("%g", v[1]), Table::num(v[8], 4),
                    Table::num(v[6], 4), Table::num(v[9], 4),
                    Table::num(v[10], 4), Table::num(v[11], 4),
                    Table::num(v[12], 3)});
@@ -208,14 +205,14 @@ FigureResult fleet_impl(const FigureOptions& opt) {
     js << "  \"cells\": [\n";
     for (std::size_t i = 0; i < report.outputs.size(); ++i) {
       const auto& v = report.outputs[i].values;
-      js << "    {\"nodes\": " << ffmt("%g", v[0])
-         << ", \"activity\": " << ffmt("%g", v[1])
-         << ", \"delivered_fraction\": " << ffmt("%.6g", v[6])
-         << ", \"energy_per_delivered_uj\": " << ffmt("%.8g", v[8])
-         << ", \"p50_ms\": " << ffmt("%.6g", v[9])
-         << ", \"p99_ms\": " << ffmt("%.6g", v[10])
-         << ", \"p999_ms\": " << ffmt("%.6g", v[11])
-         << ", \"gateway_utilization\": " << ffmt("%.6g", v[12]) << "}"
+      js << "    {\"nodes\": " << fmt("%g", v[0])
+         << ", \"activity\": " << fmt("%g", v[1])
+         << ", \"delivered_fraction\": " << fmt("%.6g", v[6])
+         << ", \"energy_per_delivered_uj\": " << fmt("%.8g", v[8])
+         << ", \"p50_ms\": " << fmt("%.6g", v[9])
+         << ", \"p99_ms\": " << fmt("%.6g", v[10])
+         << ", \"p999_ms\": " << fmt("%.6g", v[11])
+         << ", \"gateway_utilization\": " << fmt("%.6g", v[12]) << "}"
          << (i + 1 < report.outputs.size() ? "," : "") << "\n";
     }
     js << "  ]\n}\n";
@@ -248,23 +245,23 @@ FigureResult fleet_impl(const FigureOptions& opt) {
           ",node_power_p99_w,delivered_frac_p50,delivered_frac_min\n";
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const fleet::FleetHealth& h = cells[i].result.health;
-      hs << cells[i].nodes << ',' << ffmt("%g", cells[i].activity);
+      hs << cells[i].nodes << ',' << fmt("%g", cells[i].activity);
       for (const double e : h.fleet.stage_energy_j) {
-        hs << ',' << ffmt("%.17g", e);
+        hs << ',' << fmt("%.17g", e);
       }
-      for (const double s : h.fleet.state_sec) hs << ',' << ffmt("%.17g", s);
+      for (const double s : h.fleet.state_sec) hs << ',' << fmt("%.17g", s);
       for (const std::uint64_t n_ev : h.fleet.outcome_events) {
         hs << ',' << n_ev;
       }
       for (const double e : h.fleet.outcome_energy_j) {
-        hs << ',' << ffmt("%.17g", e);
+        hs << ',' << fmt("%.17g", e);
       }
-      hs << ',' << ffmt("%.17g", h.node_energy_p50_j) << ','
-         << ffmt("%.17g", h.node_energy_p99_j) << ','
-         << ffmt("%.17g", h.node_power_p50_w) << ','
-         << ffmt("%.17g", h.node_power_p99_w) << ','
-         << ffmt("%.17g", h.delivered_frac_p50) << ','
-         << ffmt("%.17g", h.delivered_frac_min) << '\n';
+      hs << ',' << fmt("%.17g", h.node_energy_p50_j) << ','
+         << fmt("%.17g", h.node_energy_p99_j) << ','
+         << fmt("%.17g", h.node_power_p50_w) << ','
+         << fmt("%.17g", h.node_power_p99_w) << ','
+         << fmt("%.17g", h.delivered_frac_p50) << ','
+         << fmt("%.17g", h.delivered_frac_min) << '\n';
 
       char stem[96];
       std::snprintf(stem, sizeof stem, "aetr_fleet_c%03zu", i);
@@ -314,8 +311,8 @@ FigureResult fleet_impl(const FigureOptions& opt) {
           "N=1 node is bit-identical to a plain run_scenario() run",
           identical,
           identical ? ""
-                    : ffmt("%.17g", node.energy_j) + " J vs " +
-                          ffmt("%.17g", plain_energy) + " J"});
+                    : fmt("%.17g", node.energy_j) + " J vs " +
+                          fmt("%.17g", plain_energy) + " J"});
     }
 
     bool full_delivery = true;
@@ -326,7 +323,7 @@ FigureResult fleet_impl(const FigureOptions& opt) {
       if (frac < 0.99) {
         full_delivery = false;
         fd_worst = "N=" + std::to_string(c.nodes) + " activity=" +
-                   ffmt("%g", c.activity) + ": " + ffmt("%.4f", frac);
+                   fmt("%g", c.activity) + ": " + fmt("%.4f", frac);
       }
     }
     checks.push_back(Check{"uncontended fleets (N <= 64) deliver >= 99%",
@@ -336,7 +333,7 @@ FigureResult fleet_impl(const FigureOptions& opt) {
     checks.push_back(
         Check{"shared link saturates at N=1024 full activity (< 60% "
               "delivered)",
-              frac_big < 0.6, ffmt("%.3f", frac_big) + " delivered"});
+              frac_big < 0.6, fmt("%.3f", frac_big) + " delivered"});
 
     bool proportional = true;
     std::string prop_worst;
@@ -347,9 +344,9 @@ FigureResult fleet_impl(const FigureOptions& opt) {
         const double cur = cell_values(n, activities[a])[8];
         if (cur >= prev) {
           proportional = false;
-          prop_worst = "N=" + std::to_string(n) + ": " + ffmt("%.4g", cur) +
-                       " uJ at activity " + ffmt("%g", activities[a]) +
-                       " >= " + ffmt("%.4g", prev) + " uJ";
+          prop_worst = "N=" + std::to_string(n) + ": " + fmt("%.4g", cur) +
+                       " uJ at activity " + fmt("%g", activities[a]) +
+                       " >= " + fmt("%.4g", prev) + " uJ";
         }
       }
     }
@@ -365,8 +362,8 @@ FigureResult fleet_impl(const FigureOptions& opt) {
       if (e1 <= 0.0 || std::abs(per_node / e1 - 1.0) > 0.25) {
         linear = false;
         lin_worst = "N=" + std::to_string(n) + ": " +
-                    ffmt("%.4g", per_node * 1e6) + " uJ/node vs " +
-                    ffmt("%.4g", e1 * 1e6) + " uJ at N=1";
+                    fmt("%.4g", per_node * 1e6) + " uJ/node vs " +
+                    fmt("%.4g", e1 * 1e6) + " uJ at N=1";
       }
     }
     checks.push_back(Check{
@@ -378,7 +375,7 @@ FigureResult fleet_impl(const FigureOptions& opt) {
     checks.push_back(
         Check{"uplink contention stretches the latency tail at N=1024",
               p99_big > p99_small,
-              ffmt("%.3f", p99_big) + " ms vs " + ffmt("%.3f", p99_small) +
+              fmt("%.3f", p99_big) + " ms vs " + fmt("%.3f", p99_small) +
                   " ms at N=8"});
   }
 

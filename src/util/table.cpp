@@ -7,6 +7,17 @@
 
 namespace aetr {
 
+std::string csv_escape(const std::string& cell) {
+  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
+  std::string out{"\""};
+  for (const char c : cell) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+
 Table::Table(std::vector<std::string> header) : header_{std::move(header)} {}
 
 void Table::add_row(std::vector<std::string> cells) {
@@ -47,7 +58,7 @@ void Table::write_csv(const std::string& path) const {
   auto emit = [&](const std::vector<std::string>& row) {
     for (std::size_t c = 0; c < row.size(); ++c) {
       if (c != 0) f << ',';
-      f << row[c];
+      f << csv_escape(row[c]);
     }
     f << '\n';
   };

@@ -9,6 +9,11 @@
 
 namespace aetr {
 
+/// One RFC 4180 CSV field: a cell holding a comma, a double quote or a
+/// newline is wrapped in quotes with its quotes doubled; any other cell is
+/// written as is. Table::write_csv and runtime::CsvSink both escape here.
+[[nodiscard]] std::string csv_escape(const std::string& cell);
+
 /// Column-aligned text table with an optional CSV mirror.
 ///
 /// Usage:

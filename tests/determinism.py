@@ -44,6 +44,12 @@ V = object()  # placeholder in a step for the variant's args
 Row = collections.namedtuple("Row", "name steps a b artifacts will_fail",
                              defaults=(False,))
 J1, J4 = ["--jobs", "1"], ["--jobs", "4"]
+# The ablation studies folded into aetr-sweep, and the main CSV of each.
+ABLATIONS = ["adaptive", "buffer", "jitter", "mcu", "min-interspike", "width"]
+ABLATION_CSVS = ["aetr_ablation_adaptive.csv", "aetr_ablation_batching.csv",
+                 "aetr_ablation_buffer.csv", "aetr_ablation_jitter.csv",
+                 "aetr_ablation_mcu.csv", "aetr_ablation_min_interspike.csv",
+                 "aetr_ablation_width.csv"]
 
 ROWS = [
     # Chrome traces and sampled metrics do not depend on --jobs.
@@ -66,7 +72,10 @@ ROWS = [
         [], ["--no-fast-forward"],
         ["aetr_fig6.csv", "aetr_fig8.csv", "aetr_ablation_ndiv.csv",
          "aetr_ablation_agreement.csv", "aetr_faults.csv",
-         "aetr_fleet_summary.json"]),
+         "aetr_fleet_summary.json", *ABLATION_CSVS]),
+    # The ablation studies' full grids do not depend on --jobs.
+    Row("ablations", [[f"ablation-{name}", V] for name in ABLATIONS], J1, J4,
+        ABLATION_CSVS),
     Row("seed-differs", [["fig8", "--quick", "--jobs", "4", V]],
         ["--seed", "1"], ["--seed", "2"],
         ["aetr_fig8.csv", "aetr_fig8_points.csv"], will_fail=True),

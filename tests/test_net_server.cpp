@@ -17,6 +17,7 @@
 #include "fleet/fleet.hpp"
 #include "gen/sources.hpp"
 #include "net/client.hpp"
+#include "net/connection.hpp"
 #include "net/fleet_bridge.hpp"
 #include "net/server.hpp"
 
@@ -345,6 +346,48 @@ TEST(NetServer, RequestStopDrainsLiveSessions) {
 
   const auto drained = read_file(tmp.str("summary-alpha.txt"));
   EXPECT_EQ(drained, batch_summary(core::ScenarioConfig{}, stream));
+}
+
+TEST(NetServer, HelloMayNotSetGatewayTelemetry) {
+  // A peer's HELLO config must not name files for the gateway to write:
+  // telemetry is the gateway's, so the HELLO is NACKed and no session (and
+  // no trace file) ever exists.
+  TempDir tmp;
+  const std::string trace_path = tmp.str("peer_trace.json");
+  net::GatewayConfig gateway;
+  std::vector<net::Frame> replies;
+  net::Decoder replies_in;
+  net::Connection conn{gateway, 1, [&](const std::vector<std::uint8_t>& b) {
+                         replies_in.feed(b);
+                         while (auto f = replies_in.next()) {
+                           replies.push_back(*f);
+                         }
+                       }};
+  const auto push = [&](net::MsgType type,
+                        const std::vector<std::uint8_t>& payload) {
+    return conn.on_bytes(net::encode_frame(type, 0, payload));
+  };
+
+  core::ScenarioConfig peer = gateway.default_scenario;
+  peer.telemetry.trace = true;
+  peer.telemetry.trace_json_path = trace_path;
+  net::Hello hello;
+  hello.session_name = "alpha";
+  hello.config_text = core::dump_scenario(peer);
+  EXPECT_FALSE(push(net::MsgType::kHello, net::encode_hello(hello)));
+  // Whatever the peer sends next, nothing is ever written at its path.
+  const auto stream = poisson_stream(50, 5, 10e3);
+  (void)push(net::MsgType::kData, net::encode_data(stream, 0, stream.size()));
+  (void)push(net::MsgType::kDrain, {});
+  conn.drain();
+  EXPECT_FALSE(fs::exists(trace_path));
+
+  ASSERT_FALSE(replies.empty());
+  ASSERT_EQ(replies.front().type, net::MsgType::kNack);
+  EXPECT_NE(net::decode_nack(replies.front().payload)
+                .reason.find("telemetry.trace"),
+            std::string::npos);
+  EXPECT_EQ(conn.state(), net::Connection::State::kError);
 }
 
 }  // namespace

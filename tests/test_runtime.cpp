@@ -555,5 +555,10 @@ TEST(Figures, RegistryCoversCliSubcommands) {
   EXPECT_NE(sweeps::find_figure("fig8"), nullptr);
   EXPECT_NE(sweeps::find_figure("ablation-ndiv"), nullptr);
   EXPECT_NE(sweeps::find_figure("ablation-agreement"), nullptr);
+  for (const char* name :
+       {"ablation-adaptive", "ablation-buffer", "ablation-jitter",
+        "ablation-mcu", "ablation-min-interspike", "ablation-width"}) {
+    EXPECT_NE(sweeps::find_figure(name), nullptr) << name;
+  }
   EXPECT_EQ(sweeps::find_figure("fig99"), nullptr);
 }

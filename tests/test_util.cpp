@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -337,6 +339,24 @@ TEST(Table, AlignedPrintAndCsv) {
   EXPECT_EQ(t.row_count(), 2u);
   EXPECT_EQ(Table::num(0.05), "0.05");
   EXPECT_EQ(Table::num(4500.0, 2), "4.5e+03");
+}
+
+TEST(Table, CsvQuotesCellsThatHoldSeparators) {
+  Table t{{"configuration", "drop%"}};
+  t.add_row({"static theta=16, N=6", "0"});
+  t.add_row({"say \"hi\"", "1"});
+  t.add_row({"two\nlines", "2"});
+  const std::string path = ::testing::TempDir() + "aetr_table_quoting.csv";
+  t.write_csv(path);
+  std::ifstream f{path};
+  std::stringstream ss;
+  ss << f.rdbuf();
+  EXPECT_EQ(ss.str(),
+            "configuration,drop%\n"
+            "\"static theta=16, N=6\",0\n"
+            "\"say \"\"hi\"\"\",1\n"
+            "\"two\nlines\",2\n");
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
 // aetr-sweep — unified sweep driver for the figure/ablation reproductions
 // and the design-space optimizer.
 //
-//   aetr-sweep fig6|fig8|ablation-ndiv|ablation-agreement|faults|fleet|all
+//   aetr-sweep <figure>|all
 //              [--jobs N] [--seed S] [--out DIR] [--quick] [--no-fast-forward]
 //              [--trace] [--metrics] [--ledger] [--quiet]
 //
-// `all` runs every figure in the sweeps::figures() registry — the fig/
-// ablation set plus the faults and fleet figures — so one command
-// exercises each of them (the fast-path on vs off gate in
-// tests/determinism.py runs `all`).
+// <figure> is any entry of the sweeps::figures() registry; `aetr-sweep
+// list` prints them, and `all` runs every one, so one command exercises
+// each of them (the fast-path on vs off gate in tests/determinism.py runs
+// `all`).
 //   aetr-sweep opt [--strategy factorial|random|halving] [--budget N]
 //              [--objectives energy,error[,loss,latency]] [--space FILE]
 //              [--events N] [--rate HZ] [--fault-level X] [--resume]
@@ -79,7 +79,8 @@ int usage(std::ostream& os) {
         "  --jobs N       worker threads (default: hardware concurrency)\n"
         "  --seed S       root seed (default: per-figure)\n"
         "  --out DIR      output directory (default: results/ or $AETR_OUT)\n"
-        "  --quick        reduced grid, paper checks skipped\n"
+        "  --quick        reduced grid; paper checks skipped, consistency\n"
+        "                 checks still run\n"
         "  --no-fast-forward  force the reference event-driven path\n"
         "                 (outputs are bit-identical; see docs/SIMULATOR.md)\n"
         "  --trace        per-job Chrome trace JSON + CSV (DES figures:\n"
