@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the simulator substrates: scheduler
 // throughput, schedule quantisation, stimulus generation, cochlea filtering,
-// and the end-to-end interface pipeline.
+// and the end-to-end interface pipeline, with and without per-event history.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -203,6 +203,28 @@ void BM_EndToEndInterface(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2000);
 }
 BENCHMARK(BM_EndToEndInterface)->Arg(1000)->Arg(100000)->Arg(550000);
+
+// What per-event history costs on the Fig. 8 path: one 800 kevt/s grid
+// point (20,000 LFSR events) through run_scenario (history:1 keeps the
+// decoded log and latencies) and run_scenario_totals (history:0,
+// aggregates only).
+void BM_RunScenarioHistory(benchmark::State& state) {
+  const bool history = state.range(0) != 0;
+  constexpr std::size_t kEvents = 20000;
+  core::ScenarioConfig scn;  // default clock: theta_div = 64, n_div = 8
+  scn.interface.front_end.keep_records = false;
+  scn.interface.fifo.batch_threshold = 512;
+  scn.cooldown = Time::ms(0.1);
+  for (auto _ : state) {
+    gen::LfsrRateSource src{800e3, Frequency::mhz(30.0), 128, 7, 0};
+    const auto r = history ? core::run_scenario(scn, src, kEvents)
+                           : core::run_scenario_totals(scn, src, kEvents);
+    benchmark::DoNotOptimize(r.average_power_w);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kEvents));
+}
+BENCHMARK(BM_RunScenarioHistory)->ArgName("history")->Arg(1)->Arg(0);
 
 void BM_CodecEncodeDecode(benchmark::State& state) {
   aer::AetrCodec codec{static_cast<unsigned>(state.range(0))};

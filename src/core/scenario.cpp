@@ -1,5 +1,6 @@
 #include "core/scenario.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -14,6 +15,34 @@ void check_prob(double p, const char* what) {
     throw std::invalid_argument(std::string{"ScenarioConfig: "} + what +
                                 " must be a probability in [0, 1]");
   }
+}
+
+/// Events pulled from a source per feed_all() call.
+constexpr std::size_t kPullChunk = 4096;
+
+/// Both source entry points: pull the stimulus through one reused chunk
+/// buffer, exactly as gen::take would draw it (n_events calls to next(),
+/// stopping at the first exhausted one), then run it to completion.
+RunResult run_from_source(const ScenarioConfig& scenario,
+                          gen::SpikeSource& source, std::size_t n_events,
+                          bool keep_history) {
+  Session session{scenario};
+  session.set_keep_history(keep_history);
+  aer::EventStream chunk;
+  chunk.reserve(std::min(n_events, kPullChunk));
+  for (std::size_t left = n_events; left > 0;) {
+    const std::size_t want = std::min(left, kPullChunk);
+    chunk.clear();
+    while (chunk.size() < want) {
+      const auto ev = source.next();
+      if (!ev) break;
+      chunk.push_back(*ev);
+    }
+    session.feed_all(chunk);
+    if (chunk.size() < want) break;
+    left -= want;
+  }
+  return session.finish();
 }
 
 }  // namespace
@@ -79,7 +108,12 @@ RunResult run_scenario(const ScenarioConfig& scenario,
 
 RunResult run_scenario(const ScenarioConfig& scenario, gen::SpikeSource& source,
                        std::size_t n_events) {
-  return run_scenario(scenario, gen::take(source, n_events));
+  return run_from_source(scenario, source, n_events, /*keep_history=*/true);
+}
+
+RunResult run_scenario_totals(const ScenarioConfig& scenario,
+                              gen::SpikeSource& source, std::size_t n_events) {
+  return run_from_source(scenario, source, n_events, /*keep_history=*/false);
 }
 
 }  // namespace aetr::core

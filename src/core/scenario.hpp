@@ -1,7 +1,8 @@
 // The unified run API: one validated, config_io-round-trippable object
 // describing everything a run needs — per-block interface configs, the
 // sensor-side wire timing, the fault plan with its recovery knobs, and the
-// telemetry options — consumed by run_scenario() and core::Session.
+// telemetry options — consumed by run_scenario(), run_scenario_totals() and
+// core::Session.
 #pragma once
 
 #include <cstdint>
@@ -74,6 +75,9 @@ struct RunResult {
   std::vector<frontend::CaptureRecord> records;
   // Data path
   std::vector<aer::TimedEvent> decoded;  ///< MCU-side reconstructed events
+  /// Events the MCU decoded: decoded.size() with history on, and the same
+  /// count when a history-off run leaves `decoded` empty.
+  std::uint64_t delivered{0};
   /// Per decoded event: sim time between the event (its reconstructed
   /// instant) and the MCU accepting the batch carrying it — the delivery
   /// latency the FIFO batching trades against power. Same order as
@@ -104,9 +108,22 @@ struct RunResult {
 [[nodiscard]] RunResult run_scenario(const ScenarioConfig& scenario,
                                      const aer::EventStream& events);
 
-/// Convenience: draw `n_events` from a source, then run them.
+/// Draw `n_events` from a source (fewer if it runs dry) and run them. The
+/// stimulus streams into the session in fixed-size chunks, so the whole
+/// stream is never materialised first; the result equals run_scenario()
+/// over gen::take(source, n_events), field for field.
 [[nodiscard]] RunResult run_scenario(const ScenarioConfig& scenario,
                                      gen::SpikeSource& source,
                                      std::size_t n_events);
+
+/// The same run with per-event history off (Session::set_keep_history):
+/// every aggregate field (power, activity, breakdown, error, counters,
+/// delivered, ledger, sim_end, input_rate_hz) is bit-identical to
+/// run_scenario(scenario, source, n_events), while `records`, `decoded`
+/// and `delivery_latency_sec` come back empty. For callers that read
+/// aggregates only, such as the Fig. 8 power sweep.
+[[nodiscard]] RunResult run_scenario_totals(const ScenarioConfig& scenario,
+                                            gen::SpikeSource& source,
+                                            std::size_t n_events);
 
 }  // namespace aetr::core

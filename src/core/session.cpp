@@ -682,9 +682,10 @@ struct Session::Impl {
     // Fold what is left of the capture log: all of it with history on,
     // the tail since the last advance with history off.
     scorer->add(iface->front_end().records());
-    if (keep_history) r.records = iface->front_end().records();
+    if (keep_history) r.records = iface->front_end().take_records();
     r.error = scorer->stats();
-    r.decoded = mcu->events();
+    r.decoded = mcu->take_events();
+    r.delivered = mcu->decoder().decoded();
     r.delivery_latency_sec = std::move(latencies);
     r.events_in = fed_total;
     r.words_out = iface->i2s_master().words_sent();
@@ -716,7 +717,7 @@ struct Session::Impl {
       in.words = r.words_out;
       in.batches = r.batches;
       in.events_in = r.events_in;
-      in.delivered = scenario.attach_mcu ? r.decoded.size() : r.words_out;
+      in.delivered = scenario.attach_mcu ? r.delivered : r.words_out;
       in.buffer_dropped = r.fifo_overflows;
       in.include_mcu = scenario.attach_mcu;
       r.ledger = obs::EnergyLedger::from_run(in);

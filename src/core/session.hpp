@@ -5,8 +5,11 @@
 // binary blob at any quiescent point (snapshot/restore) such that a killed
 // and resumed run is byte-identical to the same run left uninterrupted.
 //
-// The batch entry point run_scenario() is a thin wrapper over this class:
-// construct, feed the whole stream, finish().
+// The batch entry points in core/scenario.hpp are thin wrappers over this
+// class: construct, feed the whole stream, finish(). run_scenario() keeps
+// per-event history; run_scenario_totals() turns it off first
+// (set_keep_history), so it returns the same aggregates with `records`,
+// `decoded` and `delivery_latency_sec` left empty.
 //
 // Lifecycle:
 //
@@ -64,10 +67,10 @@ class Session {
   /// were accepted (== events.size() unless backpressure hit).
   std::size_t feed(const aer::EventStream& events);
 
-  /// Batch replay: buffer the whole stream at once, ignoring the
-  /// backpressure cap. This is what run_scenario() uses — a batch caller
-  /// already holds the materialised stream, so bounding the session's
-  /// copy of it protects nothing.
+  /// Batch replay: buffer a whole chunk at once, ignoring the backpressure
+  /// cap. This is what the run_scenario() entry points use — a batch
+  /// caller already holds the stream, so bounding the session's copy of it
+  /// protects nothing.
   void feed_all(const aer::EventStream& events);
 
   /// Fed-but-not-yet-submitted events currently held.
@@ -140,7 +143,7 @@ class Session {
   /// log is folded into the timestamp-error stats after every advance and
   /// snapshot, so RunResult::error comes back exactly as with history on;
   /// RunResult::records, decoded and delivery_latency_sec come back empty.
-  /// Counters are unaffected.
+  /// Counters are unaffected, RunResult::delivered included.
   void set_keep_history(bool keep);
 
   /// The session's own telemetry (null when telemetry is off). Stays

@@ -21,7 +21,7 @@ void write_run_summary(std::ostream& os, const RunResult& r) {
   os << "handshakes = " << r.handshakes << '\n';
   os << "caviar_violations = " << r.caviar_violations << '\n';
   os << "protocol_violations = " << r.protocol_violations << '\n';
-  os << "decoded = " << r.decoded.size() << '\n';
+  os << "decoded = " << r.delivered << '\n';
   os << "error.events = " << r.error.events << '\n';
   os << "error.saturated = " << r.error.saturated << '\n';
   os << "error.mean_rel = " << f64(r.error.mean_rel_error()) << '\n';

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "aer/channel.hpp"
@@ -78,6 +79,11 @@ class AerFrontEnd {
   /// runs without history folds each chunk of the log into its error
   /// scorer and then clears it, so the log never outgrows one advance.
   void clear_records() { records_.clear(); }
+
+  /// Hand the capture log to the caller, leaving it empty (end of run).
+  [[nodiscard]] std::vector<CaptureRecord> take_records() {
+    return std::move(records_);
+  }
 
   /// Address-bus flip lottery + runt filtering. Null (default) is inert.
   void attach_faults(fault::FaultInjector* faults) { faults_ = faults; }

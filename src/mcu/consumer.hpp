@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "aer/event.hpp"
@@ -122,6 +123,10 @@ class McuConsumer {
 
   [[nodiscard]] const std::vector<aer::TimedEvent>& events() const {
     return events_;
+  }
+  /// Hand the decoded log to the caller, leaving it empty (end of run).
+  [[nodiscard]] std::vector<aer::TimedEvent> take_events() {
+    return std::move(events_);
   }
   [[nodiscard]] const AetrDecoder& decoder() const { return decoder_; }
 

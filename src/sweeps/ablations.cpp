@@ -141,8 +141,8 @@ FigureResult run_ablation_buffer(const FigureOptions& opt) {
     scn.interface.front_end.keep_records = false;
     scn.fast_forward = fast_forward;
     gen::PoissonSource src{rate, 128, 11};
-    const auto r =
-        core::run_scenario(scn, src, static_cast<std::size_t>(rate * 0.4));
+    const auto r = core::run_scenario_totals(
+        scn, src, static_cast<std::size_t>(rate * 0.4));
     const double drop = 100.0 * static_cast<double>(r.fifo_overflows) /
                         static_cast<double>(r.events_in);
     JobOutput out;
@@ -317,7 +317,7 @@ FigureResult run_ablation_mcu(const FigureOptions& opt) {
     gen::PoissonSource src{rate, 128, 31};
     const auto n =
         static_cast<std::size_t>(std::clamp(rate * 0.5, 500.0, 20000.0));
-    const auto r = core::run_scenario(scn, src, n);
+    const auto r = core::run_scenario_totals(scn, src, n);
 
     mcu::McuDuty duty;
     duty.window = r.sim_end;
@@ -331,7 +331,7 @@ FigureResult run_ablation_mcu(const FigureOptions& opt) {
     naive.interface.clock.divide_enabled = false;
     naive.interface.clock.shutdown_enabled = false;
     gen::PoissonSource src2{rate, 128, 31};
-    const auto rn = core::run_scenario(naive, src2, n);
+    const auto rn = core::run_scenario_totals(naive, src2, n);
     const auto on_mcu = mcu::always_on_mcu_energy(duty, cal);
     const double naive_system = rn.average_power_w + on_mcu.average_power_w;
 

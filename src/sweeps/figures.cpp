@@ -190,7 +190,7 @@ double fig8_measure_power(const core::InterfaceConfig& cfg, double rate_hz,
                             static_cast<std::uint32_t>(seed),
                             static_cast<std::uint32_t>(seed >> 32)};
     sc.cooldown = Time::ms(0.1);
-    r = core::run_scenario(sc, src, n_events);
+    r = core::run_scenario_totals(sc, src, n_events);
   }
   if (sc.energy_ledger) {
     obs::write_ledger_csv(r.ledger, ledger_stem + "_ledger.csv");
@@ -348,7 +348,7 @@ FigureResult ablation_ndiv_impl(const FigureOptions& opt) {
       gen::PoissonSource src{rate_hz, 128, seed};
       const auto n =
           static_cast<std::size_t>(std::clamp(rate_hz * 0.3, 200.0, 5000.0));
-      return core::run_scenario(sc, src, n).average_power_w;
+      return core::run_scenario_totals(sc, src, n).average_power_w;
     };
 
     analysis::SweepOptions so;

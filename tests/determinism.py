@@ -171,7 +171,9 @@ def gen_stream(serve, path):
 def serve_kill_resume(sweep, serve, work):
     """SIGKILL a paced file-ingest run once it has checkpointed; --resume
     must end with the summary of an uninterrupted run, with history on and
-    off. History-off snapshots stay under 64 KiB."""
+    off, and the two uninterrupted summaries are byte-identical (history
+    drops per-event logs, never a counter). History-off snapshots stay
+    under 64 KiB."""
     stream = work / "stream.trace"
     gen_stream(serve, stream)
     for history in ([], ["--no-history"]):
@@ -193,6 +195,11 @@ def serve_kill_resume(sweep, serve, work):
             if snap.stat().st_size >= 64 * 1024:
                 raise Failure(f"{snap.name} is {snap.stat().st_size} B, "
                               "not under 64 KiB")
+    hist, nohist = (work / f"ref-{tag}" / "summary.txt"
+                    for tag in ("hist", "nohist"))
+    if hist.read_bytes() != nohist.read_bytes():
+        raise Failure("summary.txt differs between history on and "
+                      "--no-history")
 
 
 def serve_engines(sweep, serve, work):

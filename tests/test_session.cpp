@@ -14,6 +14,10 @@
 //   * with history off the capture log is folded away as the run goes:
 //     snapshots stay the size of the input buffer and the error stats
 //     match the history-on run bitwise;
+//   * history off changes no aggregate: the ledger and the summary match
+//     the history-on run, and run_scenario_totals() matches run_scenario()
+//     in every aggregate field, which pulls its stimulus from the source
+//     exactly as gen::take() would;
 //   * backpressure, feed ordering, and restore rejection (including a
 //     corrupted byte anywhere in the blob) behave as documented in
 //     core/session.hpp.
@@ -21,6 +25,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <random>
@@ -34,6 +40,7 @@
 #include "core/summary.hpp"
 #include "fault/fault_plan.hpp"
 #include "gen/sources.hpp"
+#include "obs/ledger.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -75,7 +82,7 @@ void expect_equal(const core::RunResult& a, const core::RunResult& b,
   EXPECT_EQ(a.protocol_violations, b.protocol_violations) << what;
   EXPECT_EQ(a.fifo_overflows, b.fifo_overflows) << what;
   EXPECT_EQ(a.batches, b.batches) << what;
-  EXPECT_EQ(a.decoded.size(), b.decoded.size()) << what;
+  EXPECT_EQ(a.delivered, b.delivered) << what;
   EXPECT_EQ(a.sim_end.count_ps(), b.sim_end.count_ps()) << what;
   EXPECT_EQ(a.average_power_w, b.average_power_w) << what;
   EXPECT_EQ(a.error.events, b.error.events) << what;
@@ -214,19 +221,77 @@ TEST(Session, KillResumeByteIdenticalWithoutHistory) {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// Every observable RunResult field, bit for bit: the summary counters, the
-/// activity totals, and each capture record, decoded event and latency.
-void expect_identical(const core::RunResult& a, const core::RunResult& b,
-                      const std::string& what) {
+void expect_same_ledger(const obs::EnergyLedger& a, const obs::EnergyLedger& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.enabled, b.enabled) << what;
+  EXPECT_EQ(bits(a.window_sec), bits(b.window_sec)) << what;
+  for (std::size_t i = 0; i < a.stage_energy_j.size(); ++i) {
+    EXPECT_EQ(bits(a.stage_energy_j[i]), bits(b.stage_energy_j[i]))
+        << what << ", stage " << i;
+  }
+  for (std::size_t i = 0; i < a.state_sec.size(); ++i) {
+    EXPECT_EQ(bits(a.state_sec[i]), bits(b.state_sec[i]))
+        << what << ", state " << i;
+  }
+  for (std::size_t i = 0; i < a.outcome_events.size(); ++i) {
+    EXPECT_EQ(a.outcome_events[i], b.outcome_events[i])
+        << what << ", outcome " << i;
+    EXPECT_EQ(bits(a.outcome_energy_j[i]), bits(b.outcome_energy_j[i]))
+        << what << ", outcome " << i;
+  }
+}
+
+/// Every aggregate RunResult field, bit for bit: everything but the three
+/// per-event logs (records, decoded, delivery_latency_sec).
+void expect_same_totals(const core::RunResult& a, const core::RunResult& b,
+                        const std::string& what) {
   expect_equal(a, b, what);
   EXPECT_EQ(core::run_summary_text(a), core::run_summary_text(b)) << what;
   EXPECT_EQ(a.activity.window, b.activity.window) << what;
   EXPECT_EQ(a.activity.osc_awake, b.activity.osc_awake) << what;
   EXPECT_EQ(a.activity.sampling_cycles, b.activity.sampling_cycles) << what;
-  EXPECT_EQ(a.activity.wakeups, b.activity.wakeups) << what;
+  EXPECT_EQ(a.activity.events, b.activity.events) << what;
+  EXPECT_EQ(a.activity.fifo_writes, b.activity.fifo_writes) << what;
   EXPECT_EQ(a.activity.fifo_reads, b.activity.fifo_reads) << what;
   EXPECT_EQ(a.activity.i2s_bits, b.activity.i2s_bits) << what;
+  EXPECT_EQ(a.activity.spi_bits, b.activity.spi_bits) << what;
+  EXPECT_EQ(a.activity.wakeups, b.activity.wakeups) << what;
+  EXPECT_EQ(bits(a.average_power_w), bits(b.average_power_w)) << what;
+  for (const auto field :
+       {&power::PowerBreakdown::static_w, &power::PowerBreakdown::osc_domain_w,
+        &power::PowerBreakdown::sampling_w, &power::PowerBreakdown::events_w,
+        &power::PowerBreakdown::fifo_w, &power::PowerBreakdown::i2s_w,
+        &power::PowerBreakdown::spi_w, &power::PowerBreakdown::wakeup_w}) {
+    EXPECT_EQ(bits(a.breakdown.*field), bits(b.breakdown.*field)) << what;
+  }
+  const auto ra = a.error.rel_error.state();
+  const auto rb = b.error.rel_error.state();
+  EXPECT_EQ(ra.n, rb.n) << what;
+  EXPECT_EQ(bits(ra.mean), bits(rb.mean)) << what;
+  EXPECT_EQ(bits(ra.m2), bits(rb.m2)) << what;
+  EXPECT_EQ(bits(ra.min), bits(rb.min)) << what;
+  EXPECT_EQ(bits(ra.max), bits(rb.max)) << what;
+  EXPECT_EQ(a.error.saturated, b.error.saturated) << what;
+  EXPECT_EQ(a.error.sub_nyquist, b.error.sub_nyquist) << what;
   EXPECT_EQ(bits(a.error.abs_err_sec), bits(b.error.abs_err_sec)) << what;
+  EXPECT_EQ(bits(a.error.true_sec), bits(b.error.true_sec)) << what;
+  EXPECT_EQ(bits(a.error.abs_err_unsat_sec), bits(b.error.abs_err_unsat_sec))
+      << what;
+  EXPECT_EQ(bits(a.error.true_unsat_sec), bits(b.error.true_unsat_sec))
+      << what;
+  // FaultCounters is a plain block of u64 counters.
+  EXPECT_EQ(std::memcmp(&a.faults, &b.faults, sizeof a.faults), 0) << what;
+  expect_same_ledger(a.ledger, b.ledger, what);
+  EXPECT_EQ(bits(a.input_rate_hz), bits(b.input_rate_hz)) << what;
+  EXPECT_EQ(a.tick_unit, b.tick_unit) << what;
+  EXPECT_EQ(a.saturation_span, b.saturation_span) << what;
+}
+
+/// Every observable RunResult field, bit for bit: the aggregates, and each
+/// capture record, decoded event and latency.
+void expect_identical(const core::RunResult& a, const core::RunResult& b,
+                      const std::string& what) {
+  expect_same_totals(a, b, what);
   ASSERT_EQ(a.records.size(), b.records.size()) << what;
   for (std::size_t i = 0; i < a.records.size(); ++i) {
     ASSERT_EQ(a.records[i].request.time, b.records[i].request.time)
@@ -636,6 +701,118 @@ TEST(Session, WrapperEquivalence) {
     s.feed_all(events);
     expect_equal(s.finish(), a,
                  fast_forward ? "wrapper (fast path)" : "wrapper (DES)");
+  }
+}
+
+// --- aggregate-only runs -----------------------------------------------------
+
+// A history-off run books its deliveries from the decoder's count, not
+// from the (empty) decoded log: the ledger and the summary's `decoded =`
+// line equal the history-on run's.
+TEST(Session, HistoryOffReportsDeliveries) {
+  for (const bool fast : kEngines) {
+    core::ScenarioConfig scenario = on_engine({}, fast);
+    scenario.energy_ledger = true;
+    scenario.session.max_buffered_events = 256;
+    const aer::EventStream events = make_stream(5000, 23);
+    const Time every = Time::ms(3);
+    const core::RunResult on = run_streamed(scenario, events, true, every);
+    const core::RunResult off = run_streamed(scenario, events, false, every);
+    const std::string what = engine_name(fast);
+    EXPECT_TRUE(off.decoded.empty()) << what;
+    EXPECT_EQ(on.delivered, on.decoded.size()) << what;
+    EXPECT_EQ(off.delivered, on.decoded.size()) << what;
+    EXPECT_EQ(off.ledger.events(obs::Outcome::kDelivered), events.size())
+        << what;
+    EXPECT_EQ(off.ledger.events(obs::Outcome::kFaultLost), 0u) << what;
+    expect_same_ledger(on.ledger, off.ledger, what);
+    EXPECT_EQ(core::run_summary_text(on), core::run_summary_text(off)) << what;
+  }
+}
+
+/// A named scenario plus a factory for a fresh stimulus source, so two
+/// runs can draw the identical stream.
+struct SourceCase {
+  std::string name;
+  core::ScenarioConfig scenario;
+  std::function<std::unique_ptr<gen::SpikeSource>()> source;
+  std::size_t n_events;
+};
+
+std::vector<SourceCase> source_cases() {
+  const auto poisson = [] {
+    return std::make_unique<gen::PoissonSource>(100e3, 256, 29);
+  };
+  std::vector<SourceCase> cases;
+  for (const bool fast : kEngines) {
+    core::ScenarioConfig ledger = on_engine({}, fast);
+    ledger.energy_ledger = true;
+    cases.push_back({engine_name(fast) + " + ledger", ledger, poisson, 9000});
+  }
+  // The fig8 stimulus at 800 kevt/s on the figure's interface.
+  core::ScenarioConfig fig8;
+  fig8.interface.front_end.keep_records = false;
+  fig8.interface.fifo.batch_threshold = 512;
+  fig8.cooldown = Time::ms(0.1);
+  cases.push_back({"fig8 lfsr", fig8,
+                   [] {
+                     return std::make_unique<gen::LfsrRateSource>(
+                         800e3, Frequency::mhz(30.0), 128, 7u, 0u);
+                   },
+                   20000});
+  // CRC batch framing: the MCU defers decoding and rejects bad batches.
+  core::ScenarioConfig crc;
+  crc.interface.fifo.batch_threshold = 64;
+  crc.faults.i2s.bit_error_rate = 2e-4;
+  crc.energy_ledger = true;
+  cases.push_back({"crc framing", crc, poisson, 5000});
+  // More events asked for than the source holds: both stop where it ends.
+  const aer::EventStream finite = make_stream(5000, 31);
+  for (const bool fast : kEngines) {
+    cases.push_back({engine_name(fast) + " + finite source",
+                     on_engine({}, fast),
+                     [finite] { return std::make_unique<gen::TraceSource>(
+                                    finite); },
+                     9000});
+  }
+  return cases;
+}
+
+// run_scenario_totals() is run_scenario() with history off: every
+// aggregate field and the summary are bit-identical; only the per-event
+// logs come back empty.
+TEST(Session, TotalsMatchFullRun) {
+  for (const SourceCase& c : source_cases()) {
+    const auto full_src = c.source();
+    const core::RunResult full =
+        core::run_scenario(c.scenario, *full_src, c.n_events);
+    const auto totals_src = c.source();
+    const core::RunResult totals =
+        core::run_scenario_totals(c.scenario, *totals_src, c.n_events);
+    expect_same_totals(full, totals, c.name);
+    EXPECT_FALSE(full.decoded.empty()) << c.name;
+    EXPECT_TRUE(totals.records.empty()) << c.name;
+    EXPECT_TRUE(totals.decoded.empty()) << c.name;
+    EXPECT_TRUE(totals.delivery_latency_sec.empty()) << c.name;
+    if (c.scenario.faults.any()) {
+      EXPECT_GT(full.faults.crc_rejected_batches, 0u) << c.name;
+    }
+  }
+}
+
+// The source overload streams its stimulus in chunks instead of
+// materialising it, and still equals the run over gen::take() field for
+// field, per-event logs included.
+TEST(Session, SourceOverloadMatchesMaterialized) {
+  for (const SourceCase& c : source_cases()) {
+    const auto src = c.source();
+    const core::RunResult pulled =
+        core::run_scenario(c.scenario, *src, c.n_events);
+    const auto src2 = c.source();
+    const core::RunResult taken =
+        core::run_scenario(c.scenario, gen::take(*src2, c.n_events));
+    expect_identical(pulled, taken, c.name);
+    EXPECT_EQ(pulled.delivered, pulled.decoded.size()) << c.name;
   }
 }
 
