@@ -104,19 +104,20 @@ Time ClockGenerator::wake_latency_for(bool was_asleep) {
 std::uint64_t ClockGenerator::settle_capture(
     const SamplingSchedule::Measurement& m, Time delta, bool was_asleep,
     Time wake, Time sample_abs) {
-  // Close the books on the interval [origin_, sample edge].
+  // Close the books on the interval [origin_, sample edge]. m.cycles is
+  // cycles_until(sample_edge): for a sleeper, the full schedule's edges.
   if (was_asleep) {
     // Ring ran for the full schedule, paused, and restarted at the
     // request; it has been running again since the request instant.
     awake_accum_ += schedule_.awake_span() + (m.sample_edge - delta);
     sampling_cycles_accum_ +=
-        schedule_.cycles_until(schedule_.awake_span()) +
+        m.cycles +
         static_cast<std::uint64_t>((m.sample_edge - delta - wake) / tmin()) +
         1;
     ++wakeups_;
   } else {
     awake_accum_ += std::min(m.sample_edge, schedule_.awake_span());
-    sampling_cycles_accum_ += schedule_.cycles_until(m.sample_edge);
+    sampling_cycles_accum_ += m.cycles;
   }
   ++captures_;
   if (tel_.tracing()) {

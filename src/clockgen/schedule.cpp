@@ -41,6 +41,15 @@ SamplingSchedule::SamplingSchedule(const ScheduleConfig& config)
   } else {
     level_starts_.push_back(Time::max());
   }
+  saturation_ticks_ =
+      awake_span() == Time::max()
+          ? ~std::uint64_t{0}  // clock never stops; counter never freezes
+          : static_cast<std::uint64_t>(awake_span() / cfg_.tmin);
+  // Every level contributed theta_div edges except that the would-be edge
+  // at the shutdown instant never happens.
+  asleep_cycles_ = static_cast<std::uint64_t>(cfg_.theta_div) *
+                       (top_level_ + 1) -
+                   1;
 }
 
 Time SamplingSchedule::period_of_level(std::uint32_t k) const {
@@ -57,16 +66,12 @@ Time SamplingSchedule::awake_span() const {
   return level_starts_[top_level_ + 1];
 }
 
-std::uint64_t SamplingSchedule::saturation_ticks() const {
-  if (awake_span() == Time::max()) {
-    return ~std::uint64_t{0};  // clock never stops; counter never freezes
-  }
-  return static_cast<std::uint64_t>(awake_span() / cfg_.tmin);
-}
-
 std::uint32_t SamplingSchedule::level_at(Time elapsed) const {
-  std::uint32_t k = top_level_;
-  while (k > 0 && elapsed < level_starts_[k]) --k;
+  // Level starts strictly increase, so scanning up from level 0 finds the
+  // same level as scanning down from the top, in as many steps as the
+  // level is deep: short intervals, the common case, stop at once.
+  std::uint32_t k = 0;
+  while (k < top_level_ && elapsed >= level_starts_[k + 1]) ++k;
   return k;
 }
 
@@ -106,11 +111,7 @@ std::uint64_t SamplingSchedule::counter_at_edge(Time edge) const {
 
 std::uint64_t SamplingSchedule::cycles_until(Time elapsed) const {
   if (elapsed <= Time::zero()) return 0;
-  if (is_asleep_at(elapsed)) {
-    // Every level contributed theta_div edges except that the would-be edge
-    // at the shutdown instant never happens.
-    return static_cast<std::uint64_t>(cfg_.theta_div) * (top_level_ + 1) - 1;
-  }
+  if (is_asleep_at(elapsed)) return asleep_cycles_;
   const std::uint32_t k = level_at(elapsed);
   const Time s = level_starts_[k];
   const Time p = period_of_level(k);
@@ -128,72 +129,87 @@ SamplingSchedule::Measurement SamplingSchedule::measure(
     // the clock stopped.
     m.sample_edge = delta + wake_latency +
                     cfg_.tmin * static_cast<Time::Rep>(sync_edges + 1);
-    m.ticks = saturation_ticks();
+    m.ticks = saturation_ticks_;
     m.saturated = true;
+    m.cycles = asleep_cycles_;
     return m;
   }
-  // Hot path (one call per captured spike): find the first edge once, then
-  // step edge-to-edge carrying the level along, instead of re-deriving the
-  // level from scratch per synchroniser edge the way chained
-  // first_edge_at_or_after calls would. Identical boundary rules: an edge
-  // landing on (or past) a level boundary becomes the boundary instant —
-  // the next level's first edge — and stepping off the top level means
-  // shutdown would interrupt the synchroniser.
-  std::uint32_t k;
-  Time edge;
-  if (delta <= Time::zero()) {
-    edge = Time::zero();
-    k = 0;
-  } else {
+  // Hot path (one call per captured spike): find the first edge with one
+  // division, then place the sample edge sync_edges periods on, carrying
+  // the level and the edge's index within it, instead of re-deriving both
+  // per synchroniser edge the way chained first_edge_at_or_after and
+  // counter_at_edge calls would. Identical boundary rules: an edge landing
+  // on (or past) a level boundary becomes the boundary instant — the next
+  // level's first edge — and stepping off the top level means shutdown
+  // would interrupt the synchroniser. Every saturated outcome closes at or
+  // past awake_span(), where cycles_until() reads asleep_cycles_.
+  std::uint32_t k = 0;
+  Time edge = Time::zero();
+  std::uint64_t idx = 0;  // edge == level_starts_[k] + idx * P_k
+  if (delta > Time::zero()) {
     k = level_at(delta);
     const Time s = level_starts_[k];
     const Time p = period_of_level(k);
-    edge = s + p * ceil_div((delta - s).count_ps(), p.count_ps());
+    idx = static_cast<std::uint64_t>(
+        ceil_div((delta - s).count_ps(), p.count_ps()));
+    edge = s + p * static_cast<Time::Rep>(idx);
     if (edge >= level_starts_[k + 1]) {
       if (k < top_level_) {
         edge = level_starts_[k + 1];
         ++k;
+        idx = 0;
       } else {
         // Request landed inside the final sampling period before shutdown;
         // the pending request keeps the clock alive at the slowest period.
         m.sample_edge = awake_span() + period_of_level(top_level_) *
                                            static_cast<Time::Rep>(sync_edges);
-        m.ticks = saturation_ticks();
+        m.ticks = saturation_ticks_;
         m.saturated = true;
+        m.cycles = asleep_cycles_;
         return m;
       }
     }
   }
-  for (std::uint32_t i = 0; i < sync_edges; ++i) {
-    Time next = edge + period_of_level(k);
-    if (next >= level_starts_[k + 1]) {
-      if (k < top_level_) {
-        next = level_starts_[k + 1];
-        ++k;
+  const Time in_level = edge + period_of_level(k) *
+                                   static_cast<Time::Rep>(sync_edges);
+  if (in_level < level_starts_[k + 1]) {
+    // Common case: every synchroniser edge stays inside the level.
+    edge = in_level;
+    idx += sync_edges;
+  } else {
+    for (std::uint32_t i = 0; i < sync_edges; ++i) {
+      Time next = edge + period_of_level(k);
+      if (next >= level_starts_[k + 1]) {
+        if (k < top_level_) {
+          next = level_starts_[k + 1];
+          ++k;
+          idx = 0;
+        } else {
+          // Shutdown would occur while the request is being synchronised;
+          // the FSM checks request() before shutting down, so the clock
+          // keeps ticking at the slowest period until the sample completes.
+          m.sample_edge = awake_span() +
+                          period_of_level(top_level_) *
+                              static_cast<Time::Rep>(sync_edges - i - 1);
+          m.ticks = saturation_ticks_;
+          m.saturated = true;
+          m.cycles = asleep_cycles_;
+          return m;
+        }
       } else {
-        // Shutdown would occur while the request is being synchronised; the
-        // FSM checks request() before shutting down, so the clock keeps
-        // ticking at the slowest period until the sample completes.
-        edge = awake_span() +
-               period_of_level(top_level_) *
-                   static_cast<Time::Rep>(sync_edges - i - 1);
-        m.ticks = saturation_ticks();
-        m.sample_edge = edge;
-        m.saturated = true;
-        return m;
+        ++idx;
       }
+      edge = next;
     }
-    edge = next;
   }
   m.sample_edge = edge;
-  // counter_at_edge with the level already in hand (edge ∈ [S_k, S_k+1)).
-  const std::uint64_t sat = saturation_ticks();
+  // counter_at_edge and cycles_until with the level and index in hand
+  // (edge ∈ [S_k, S_k+1)).
   const std::uint64_t base =
       static_cast<std::uint64_t>(cfg_.theta_div) * ((std::uint64_t{1} << k) - 1);
-  const auto idx = static_cast<std::uint64_t>(
-      (edge - level_starts_[k]) / period_of_level(k));
-  m.ticks = std::min(base + idx * (std::uint64_t{1} << k), sat);
-  m.saturated = m.ticks >= sat;
+  m.ticks = std::min(base + idx * (std::uint64_t{1} << k), saturation_ticks_);
+  m.saturated = m.ticks >= saturation_ticks_;
+  m.cycles = static_cast<std::uint64_t>(cfg_.theta_div) * k + idx;
   return m;
 }
 

@@ -51,7 +51,9 @@ class SamplingSchedule {
   /// Counter value the timestamp register freezes at when the clock stops
   /// (the elapsed awake time in Tmin units). Events waiting longer than
   /// awake_span() are tagged saturated.
-  [[nodiscard]] std::uint64_t saturation_ticks() const;
+  [[nodiscard]] std::uint64_t saturation_ticks() const {
+    return saturation_ticks_;
+  }
 
   /// Division level active at `elapsed` (clamped to n_div; meaningless when
   /// asleep — check is_asleep_at first).
@@ -81,6 +83,10 @@ class SamplingSchedule {
     std::uint64_t ticks{0};
     Time sample_edge{Time::zero()};
     bool saturated{false};
+    /// cycles_until(sample_edge): the sampling edges the closed interval
+    /// clocked, so the capture's activity accounting needs no second
+    /// level search or division.
+    std::uint64_t cycles{0};
   };
   [[nodiscard]] Measurement measure(Time delta, std::uint32_t sync_edges = 0,
                                     Time wake_latency = Time::zero()) const;
@@ -98,6 +104,8 @@ class SamplingSchedule {
   ScheduleConfig cfg_;
   std::uint32_t top_level_;           // n_div if dividing, else 0
   std::vector<Time> level_starts_;    // S_0..S_(top+1)
+  std::uint64_t saturation_ticks_;    // saturation_ticks(), cached
+  std::uint64_t asleep_cycles_;       // cycles_until() once asleep, cached
 };
 
 }  // namespace aetr::clockgen

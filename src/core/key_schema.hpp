@@ -55,6 +55,11 @@ inline double parse_double(const std::string& v, const std::string& key) {
   if (pos != v.size()) {
     throw std::runtime_error("config: trailing junk for " + key + ": " + v);
   }
+  // std::stod reads "nan" and "inf"; no key means either.
+  if (!std::isfinite(d)) {
+    throw std::runtime_error("config: non-finite number for " + key + ": " +
+                             v);
+  }
   return d;
 }
 
@@ -63,6 +68,11 @@ inline std::uint64_t parse_uint(const std::string& v, const std::string& key) {
   if (d < 0.0 || d != std::floor(d)) {
     throw std::runtime_error("config: expected non-negative integer for " +
                              key + ": " + v);
+  }
+  // 2^64 is the first double the cast below cannot represent.
+  if (d >= 18446744073709551616.0) {
+    throw std::runtime_error("config: integer out of range for " + key +
+                             ": " + v);
   }
   return static_cast<std::uint64_t>(d);
 }

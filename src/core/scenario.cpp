@@ -1,6 +1,7 @@
 #include "core/scenario.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -17,32 +18,50 @@ void check_prob(double p, const char* what) {
   }
 }
 
-/// Events pulled from a source per feed_all() call.
-constexpr std::size_t kPullChunk = 4096;
+/// Events per feed_all() + advance_to() step of a batch run.
+constexpr std::size_t kChunk = 4096;
+
+/// The one chunk loop behind every batch entry point. `next_chunk()`
+/// returns the next span of at most kChunk events, empty at the end of
+/// the stimulus. Each chunk is fed and the timeline run to its last event,
+/// so the session buffers about one chunk instead of the whole stream;
+/// advance_to() is transparent, so the result is the one-shot run's. A
+/// telemetry run feeds everything before the first advance instead: the
+/// runner span records the events fed when the timeline starts.
+template <typename NextChunk>
+RunResult run_chunked(const ScenarioConfig& scenario, bool keep_history,
+                      NextChunk next_chunk) {
+  Session session{scenario};
+  session.set_keep_history(keep_history);
+  const bool advance = session.telemetry_session() == nullptr;
+  for (std::span<const aer::Event> chunk = next_chunk(); !chunk.empty();
+       chunk = next_chunk()) {
+    session.feed_all(chunk);
+    if (advance) session.advance_to(chunk.back().time);
+  }
+  return session.finish();
+}
 
 /// Both source entry points: pull the stimulus through one reused chunk
 /// buffer, exactly as gen::take would draw it (n_events calls to next(),
-/// stopping at the first exhausted one), then run it to completion.
+/// stopping at the first exhausted one).
 RunResult run_from_source(const ScenarioConfig& scenario,
                           gen::SpikeSource& source, std::size_t n_events,
                           bool keep_history) {
-  Session session{scenario};
-  session.set_keep_history(keep_history);
   aer::EventStream chunk;
-  chunk.reserve(std::min(n_events, kPullChunk));
-  for (std::size_t left = n_events; left > 0;) {
-    const std::size_t want = std::min(left, kPullChunk);
+  chunk.reserve(std::min(n_events, kChunk));
+  std::size_t left = n_events;
+  return run_chunked(scenario, keep_history, [&] {
     chunk.clear();
+    const std::size_t want = std::min(left, kChunk);
     while (chunk.size() < want) {
       const auto ev = source.next();
       if (!ev) break;
       chunk.push_back(*ev);
     }
-    session.feed_all(chunk);
-    if (chunk.size() < want) break;
-    left -= want;
-  }
-  return session.finish();
+    left = chunk.size() < want ? 0 : left - want;
+    return std::span<const aer::Event>{chunk};
+  });
 }
 
 }  // namespace
@@ -99,11 +118,14 @@ void ScenarioConfig::validate() const {
 
 RunResult run_scenario(const ScenarioConfig& scenario,
                        const aer::EventStream& events) {
-  // Thin wrapper over the incremental API (core/session.hpp): buffer the
-  // whole stream, then run it to completion.
-  Session session{scenario};
-  session.feed_all(events);
-  return session.finish();
+  const std::span<const aer::Event> all{events};
+  std::size_t at = 0;
+  return run_chunked(scenario, /*keep_history=*/true, [&] {
+    const std::span<const aer::Event> chunk =
+        all.subspan(at, std::min(all.size() - at, kChunk));
+    at += chunk.size();
+    return chunk;
+  });
 }
 
 RunResult run_scenario(const ScenarioConfig& scenario, gen::SpikeSource& source,

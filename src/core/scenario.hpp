@@ -104,7 +104,9 @@ struct RunResult {
   Time saturation_span{Time::zero()};  ///< max measurable interval
 };
 
-/// Run a pre-materialised stream through a freshly built system.
+/// Run a pre-materialised stream through a freshly built system. Every
+/// batch entry point feeds and advances its session one 4096-event chunk
+/// at a time (core/session.hpp); the result is the one-shot run's.
 [[nodiscard]] RunResult run_scenario(const ScenarioConfig& scenario,
                                      const aer::EventStream& events);
 

@@ -326,13 +326,13 @@ struct Session::Impl {
 
   // --- input ----------------------------------------------------------------
 
-  bool feed(const aer::Event& ev, bool unbounded) {
+  bool feed(const aer::Event& ev) {
     require_live("feed");
     if (have_first_event && ev.time < last_event_time) {
       throw std::invalid_argument(
           "Session::feed: events must arrive in non-decreasing time order");
     }
-    if (!unbounded && buffered() >= scenario.session.max_buffered_events) {
+    if (buffered() >= scenario.session.max_buffered_events) {
       return false;
     }
     pending.push_back(ev);
@@ -344,6 +344,36 @@ struct Session::Impl {
     ++fed_total;
     revive_services();
     return true;
+  }
+
+  /// Append the longest non-decreasing prefix of `events` (continuing
+  /// from the last event fed) in one go, then throw if that was not all.
+  /// Per-event feed() with the cap off, minus the per-event upkeep:
+  /// revive_services() depends only on the clock and the last event time.
+  void feed_all(std::span<const aer::Event> events) {
+    require_live("feed_all");
+    if (events.empty()) return;
+    Time last = have_first_event ? last_event_time : events.front().time;
+    std::size_t n = 0;
+    for (; n < events.size() && events[n].time >= last; ++n) {
+      last = events[n].time;
+    }
+    if (n > 0) {
+      pending.insert(pending.end(), events.begin(),
+                     events.begin() + static_cast<std::ptrdiff_t>(n));
+      if (!have_first_event) {
+        have_first_event = true;
+        first_event_time = events.front().time;
+      }
+      last_event_time = last;
+      fed_total += n;
+      revive_services();
+    }
+    if (n < events.size()) {
+      throw std::invalid_argument(
+          "Session::feed_all: events must arrive in non-decreasing time "
+          "order");
+    }
   }
 
   /// Submit every buffered event with time <= t (Time::max(): all).
@@ -733,20 +763,20 @@ Session::Session(const ScenarioConfig& scenario)
 Session::~Session() = default;
 
 bool Session::feed(const aer::Event& ev) {
-  return impl_->feed(ev, /*unbounded=*/false);
+  return impl_->feed(ev);
 }
 
 std::size_t Session::feed(const aer::EventStream& events) {
   std::size_t accepted = 0;
   for (const auto& ev : events) {
-    if (!impl_->feed(ev, /*unbounded=*/false)) break;
+    if (!impl_->feed(ev)) break;
     ++accepted;
   }
   return accepted;
 }
 
-void Session::feed_all(const aer::EventStream& events) {
-  for (const auto& ev : events) impl_->feed(ev, /*unbounded=*/true);
+void Session::feed_all(std::span<const aer::Event> events) {
+  impl_->feed_all(events);
 }
 
 std::size_t Session::buffered() const { return impl_->buffered(); }

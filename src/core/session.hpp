@@ -6,10 +6,15 @@
 // and resumed run is byte-identical to the same run left uninterrupted.
 //
 // The batch entry points in core/scenario.hpp are thin wrappers over this
-// class: construct, feed the whole stream, finish(). run_scenario() keeps
-// per-event history; run_scenario_totals() turns it off first
-// (set_keep_history), so it returns the same aggregates with `records`,
-// `decoded` and `delivery_latency_sec` left empty.
+// class: construct, then feed the stream in chunks of at most 4096 events
+// (feed_all), advancing to each chunk's last event so the input buffer
+// never holds much more than one chunk, then finish(). A telemetry run
+// feeds every chunk before the first advance instead, because the runner
+// span records the events fed when the timeline starts. Advancing is
+// transparent, so both orders give the result of feeding the whole stream
+// at once. run_scenario() keeps per-event history; run_scenario_totals()
+// turns it off first (set_keep_history), so it returns the same aggregates
+// with `records`, `decoded` and `delivery_latency_sec` left empty.
 //
 // Lifecycle:
 //
@@ -33,6 +38,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -68,10 +74,13 @@ class Session {
   std::size_t feed(const aer::EventStream& events);
 
   /// Batch replay: buffer a whole chunk at once, ignoring the backpressure
-  /// cap. This is what the run_scenario() entry points use — a batch
-  /// caller already holds the stream, so bounding the session's copy of it
-  /// protects nothing.
-  void feed_all(const aer::EventStream& events);
+  /// cap, in one append (one ordering pass, one copy, one counter update).
+  /// This is what the run_scenario() entry points use — a batch caller
+  /// already holds the stream, so bounding the session's copy of it
+  /// protects nothing. Same ordering contract as feed(): the events before
+  /// the first one that goes back in time are accepted (events_fed()
+  /// counts them), then it throws std::invalid_argument.
+  void feed_all(std::span<const aer::Event> events);
 
   /// Fed-but-not-yet-submitted events currently held.
   [[nodiscard]] std::size_t buffered() const;

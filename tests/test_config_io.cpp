@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/config_io.hpp"
 
@@ -291,6 +294,73 @@ TEST(ScenarioIo, ScenarioKeysCoverTheDumpFormat) {
     while (!key.empty() && key.back() == ' ') key.pop_back();
     EXPECT_NE(std::find(keys.begin(), keys.end(), key), keys.end())
         << "dumped key missing from scenario_keys(): " << key;
+  }
+}
+
+/// Every (key, default value) line dump_scenario() emits for the defaults.
+std::vector<std::pair<std::string, std::string>> default_assignments() {
+  std::vector<std::pair<std::string, std::string>> out;
+  std::istringstream dump{dump_scenario(ScenarioConfig{})};
+  std::string line;
+  while (std::getline(dump, line)) {
+    const auto eq = line.find(" = ");
+    if (eq == std::string::npos || line[0] == '#') continue;
+    out.emplace_back(line.substr(0, eq), line.substr(eq + 3));
+  }
+  return out;
+}
+
+bool is_number(const std::string& v) {
+  if (v.empty()) return false;
+  std::size_t pos = 0;
+  try {
+    (void)std::stod(v, &pos);
+  } catch (const std::exception&) {
+    return false;
+  }
+  return pos == v.size();
+}
+
+// Hostile numbers in config text are refused by name, never cast: NaN
+// and infinities on every numeric key, 1e30 on every integer key (its
+// cast to uint64 would be undefined). An integer key is one whose
+// default is a whole number that no longer loads with a half added.
+TEST(ScenarioIo, NonFiniteAndHugeNumbersThrow) {
+  const std::string defaults = dump_scenario(ScenarioConfig{});
+  std::vector<std::string> integer_keys;
+  std::size_t numeric = 0;
+  for (const auto& [key, value] : default_assignments()) {
+    if (!is_number(value)) continue;
+    ++numeric;
+    // Each refusal names the key and leaves the config untouched.
+    const auto expect_refused = [&, &key = key](const std::string& bad) {
+      ScenarioConfig scenario;
+      try {
+        apply_scenario_key(scenario, key, bad);
+        ADD_FAILURE() << key << " = " << bad << " was accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string{e.what()}.find(key), std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(dump_scenario(scenario), defaults) << key << " = " << bad;
+    };
+    for (const char* bad : {"nan", "inf", "-inf"}) expect_refused(bad);
+    if (value.find_first_not_of("0123456789") != std::string::npos) continue;
+    ScenarioConfig probe;
+    try {
+      apply_scenario_key(probe, key, value + ".5");
+    } catch (const std::runtime_error&) {
+      integer_keys.push_back(key);
+      expect_refused("1e30");
+    }
+  }
+  EXPECT_GE(numeric, 30u);
+  for (const char* key :
+       {"clock.theta_div", "clock.n_div", "fifo.capacity_words",
+        "session.max_buffered_events", "fault.seed"}) {
+    EXPECT_NE(std::find(integer_keys.begin(), integer_keys.end(), key),
+              integer_keys.end())
+        << key << " not classified as an integer key";
   }
 }
 

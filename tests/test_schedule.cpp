@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "clockgen/schedule.hpp"
 #include "util/rng.hpp"
@@ -250,6 +253,109 @@ TEST_P(ScheduleProperty, CounterMonotoneAlongEdges) {
 
 INSTANTIATE_TEST_SUITE_P(ThetaSweep, ScheduleProperty,
                          ::testing::Values(8u, 16u, 32u, 64u, 128u));
+
+// ---------------------------------------------------------------------------
+// The capture kernel against its definition.
+
+/// measure() spelt out edge by edge from the public closed forms: the
+/// first edge at or after the request, then one more per synchroniser
+/// stage (first_edge_at_or_after just past the previous one), latched
+/// through counter_at_edge. Running out of edges is the shutdown race,
+/// which keeps the clock alive at the slowest period.
+SamplingSchedule::Measurement reference_measure(const SamplingSchedule& s,
+                                                Time delta,
+                                                std::uint32_t sync_edges,
+                                                Time wake) {
+  const ScheduleConfig& cfg = s.config();
+  const Time slowest =
+      s.period_of_level(cfg.divide_enabled ? cfg.n_div : 0);
+  SamplingSchedule::Measurement m;
+  if (s.is_asleep_at(delta)) {
+    m.sample_edge =
+        delta + wake + cfg.tmin * static_cast<Time::Rep>(sync_edges + 1);
+    m.ticks = s.saturation_ticks();
+    m.saturated = true;
+    return m;
+  }
+  Time edge = s.first_edge_at_or_after(delta);
+  for (std::uint32_t i = 0; i <= sync_edges; ++i) {
+    if (i > 0) edge = s.first_edge_at_or_after(edge + Time::ps(1));
+    if (edge == Time::max()) {
+      m.sample_edge =
+          s.awake_span() + slowest * static_cast<Time::Rep>(sync_edges - i);
+      m.ticks = s.saturation_ticks();
+      m.saturated = true;
+      return m;
+    }
+  }
+  m.sample_edge = edge;
+  m.ticks = s.counter_at_edge(edge);
+  m.saturated = m.ticks >= s.saturation_ticks();
+  return m;
+}
+
+TEST(Schedule, MeasureMatchesEdgeByEdgeReference) {
+  Xoshiro256StarStar rng{0xCA97u};
+  const Time wake = 100_ns;
+  std::size_t cases = 0;
+  for (const bool divide : {true, false}) {
+    for (const bool shutdown : {true, false}) {
+      for (const std::uint32_t theta : {1u, 16u, 64u}) {
+        for (const std::uint32_t n_div : {0u, 8u}) {
+          ScheduleConfig cfg;
+          cfg.tmin = Time::ps(66'667);  // 15 MHz, an odd picosecond count
+          cfg.theta_div = theta;
+          cfg.n_div = n_div;
+          cfg.divide_enabled = divide;
+          cfg.shutdown_enabled = shutdown;
+          const SamplingSchedule s{cfg};
+          const std::uint32_t top = divide ? n_div : 0;
+          // Every level boundary and the shutdown instant, +-1 ps, then
+          // random deltas up to 20 % past the awake span (or past the
+          // top level's start plus a few dozen slow periods).
+          std::vector<Time> deltas{Time::zero(), Time::ps(1)};
+          for (std::uint32_t k = 1; k <= top + 1; ++k) {
+            const Time b = s.level_start(k);
+            if (b == Time::max()) continue;
+            for (const std::int64_t d : {-1, 0, 1}) {
+              deltas.push_back(b + Time::ps(d));
+            }
+          }
+          const Time horizon =
+              s.awake_span() != Time::max()
+                  ? s.awake_span() + s.awake_span() / 5
+                  : s.level_start(top) +
+                        s.period_of_level(top) *
+                            static_cast<Time::Rep>(theta * 4 + 40);
+          for (int i = 0; i < 400; ++i) {
+            deltas.push_back(Time::ps(static_cast<Time::Rep>(
+                rng.uniform_int(static_cast<std::uint64_t>(
+                    horizon.count_ps())))));
+          }
+          for (const Time delta : deltas) {
+            for (std::uint32_t sync = 0; sync <= 3; ++sync) {
+              const auto m = s.measure(delta, sync, wake);
+              const auto ref = reference_measure(s, delta, sync, wake);
+              const std::string what =
+                  "divide=" + std::to_string(divide) +
+                  " shutdown=" + std::to_string(shutdown) +
+                  " theta=" + std::to_string(theta) +
+                  " n_div=" + std::to_string(n_div) +
+                  " sync=" + std::to_string(sync) +
+                  " delta=" + std::to_string(delta.count_ps()) + "ps";
+              ASSERT_EQ(m.cycles, s.cycles_until(m.sample_edge)) << what;
+              ASSERT_EQ(m.sample_edge, ref.sample_edge) << what;
+              ASSERT_EQ(m.ticks, ref.ticks) << what;
+              ASSERT_EQ(m.saturated, ref.saturated) << what;
+              ++cases;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 24u * 400u * 4u);
+}
 
 }  // namespace
 }  // namespace aetr::clockgen

@@ -14,6 +14,9 @@
 //   * with history off the capture log is folded away as the run goes:
 //     snapshots stay the size of the input buffer and the error stats
 //     match the history-on run bitwise;
+//   * the batch entry point's chunk loop (feed 4096 events, advance to the
+//     last one, repeat) equals feeding the whole stream at once, traces and
+//     metrics included;
 //   * history off changes no aggregate: the ledger and the summary match
 //     the history-on run, and run_scenario_totals() matches run_scenario()
 //     in every aggregate field, which pulls its stimulus from the source
@@ -26,10 +29,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -655,6 +661,28 @@ TEST(Session, FeedRejectsTimeRegression) {
                std::invalid_argument);
 }
 
+// feed_all() keeps feed()'s ordering contract: the in-order prefix is
+// accepted, then the call throws.
+TEST(Session, FeedAllKeepsPrefixOnDisorder) {
+  core::Session s{core::ScenarioConfig{}};
+  ASSERT_TRUE(s.feed(aer::Event{1, Time::us(5)}));
+  const aer::EventStream chunk{{2, Time::us(5)},
+                               {3, Time::us(7)},
+                               {4, Time::us(7)},
+                               {5, Time::us(6)},
+                               {6, Time::us(8)}};
+  EXPECT_THROW(s.feed_all(chunk), std::invalid_argument);
+  EXPECT_EQ(s.events_fed(), 4u);
+  EXPECT_EQ(s.buffered(), 4u);
+  // Going back before the last event fed is refused outright.
+  EXPECT_THROW(s.feed_all(aer::EventStream{{7, Time::us(6)}}),
+               std::invalid_argument);
+  EXPECT_EQ(s.events_fed(), 4u);
+  s.feed_all(aer::EventStream{{8, Time::us(7)}, {9, Time::us(9)}});
+  EXPECT_EQ(s.events_fed(), 6u);
+  EXPECT_EQ(s.finish().events_in, 6u);
+}
+
 TEST(Session, RestoreRejectsMismatchedScenario) {
   core::ScenarioConfig a;
   a.fast_forward = false;
@@ -702,6 +730,107 @@ TEST(Session, WrapperEquivalence) {
     expect_equal(s.finish(), a,
                  fast_forward ? "wrapper (fast path)" : "wrapper (DES)");
   }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream f{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>{f}, std::istreambuf_iterator<char>{}};
+}
+
+/// Byte equality of two artifact files, reporting the first differing
+/// line (gtest's own string diff is quadratic in the line count).
+void expect_same_file(const std::string& a_path, const std::string& b_path,
+                      const std::string& what) {
+  const std::string a = read_file(a_path);
+  const std::string b = read_file(b_path);
+  EXPECT_FALSE(a.empty()) << what << ": " << a_path;
+  if (a == b) return;
+  std::size_t at = 0;
+  while (at < a.size() && at < b.size() && a[at] == b[at]) ++at;
+  const std::size_t line = a.rfind('\n', at) + 1;  // npos + 1 == 0
+  ADD_FAILURE() << what << ": " << a_path << " and " << b_path
+                << " differ from byte " << at << ":\n  "
+                << a.substr(line, a.find('\n', at) - line) << "\n  "
+                << b.substr(line, b.find('\n', at) - line);
+}
+
+/// The batch entry point feeds and advances in 4096-event chunks (plain
+/// feeding when telemetry is on); the whole-stream Session run is the
+/// definition it must equal, on both engines.
+TEST(Session, ChunkedBatchMatchesWholeStream) {
+  struct Case {
+    std::string name;
+    core::ScenarioConfig scenario;
+    aer::EventStream events;
+  };
+  std::vector<Case> cases;
+  for (const std::size_t n : {4095u, 4096u, 4097u}) {
+    cases.push_back({std::to_string(n) + " events", {}, make_stream(n, 41)});
+  }
+  // Twelve events share one timestamp across the first chunk boundary.
+  aer::EventStream tied = make_stream(8200, 43);
+  for (std::size_t i = 4090; i < 4102; ++i) tied[i].time = tied[4090].time;
+  cases.push_back({"ties across the boundary", {}, tied});
+  // 1 ns apart: each handshake takes far longer, so launches queue well
+  // past every chunk's last timestamp (and the FIFO overflows).
+  aer::EventStream burst = make_stream(9000, 47);
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    burst[i].time = Time::ns(static_cast<double>(i));
+  }
+  cases.push_back({"dense burst", {}, burst});
+  core::ScenarioConfig ledger;
+  ledger.energy_ledger = true;
+  cases.push_back({"ledger", ledger, make_stream(9000, 53)});
+  core::ScenarioConfig crc;
+  crc.interface.fifo.batch_threshold = 64;
+  crc.faults.i2s.bit_error_rate = 2e-4;
+  crc.energy_ledger = true;
+  cases.push_back({"crc framing", crc, make_stream(9000, 59)});
+  core::ScenarioConfig traced;
+  traced.telemetry.trace = true;
+  traced.telemetry.metrics = true;
+  traced.telemetry.metrics_window = Time::ms(0.5);
+  cases.push_back({"telemetry", traced, make_stream(9000, 61)});
+
+  for (const bool fast : kEngines) {
+    for (const Case& c : cases) {
+      const std::string what = engine_name(fast) + ", " + c.name;
+      core::ScenarioConfig batch_sc = on_engine(c.scenario, fast);
+      core::ScenarioConfig whole_sc = batch_sc;
+      const bool telemetry = c.scenario.telemetry.any();
+      if (telemetry) {
+        // The artifacts must match too: the runner span counts every
+        // event fed before the timeline starts.
+        const std::string dir = testing::TempDir() + "aetr_chunked_";
+        batch_sc.telemetry.trace_csv_path = dir + "batch_trace.csv";
+        batch_sc.telemetry.metrics_csv_path = dir + "batch_metrics.csv";
+        whole_sc.telemetry.trace_csv_path = dir + "whole_trace.csv";
+        whole_sc.telemetry.metrics_csv_path = dir + "whole_metrics.csv";
+      }
+      const core::RunResult batch = core::run_scenario(batch_sc, c.events);
+      core::Session s{whole_sc};
+      s.feed_all(c.events);
+      const core::RunResult whole = s.finish();
+      expect_identical(batch, whole, what);
+      EXPECT_EQ(batch.events_in, c.events.size()) << what;
+      if (c.scenario.faults.any()) {
+        EXPECT_GT(whole.faults.crc_rejected_batches, 0u) << what;
+      }
+      if (telemetry && telemetry::compiled_in()) {
+        expect_same_file(batch_sc.telemetry.trace_csv_path,
+                         whole_sc.telemetry.trace_csv_path, what);
+        expect_same_file(batch_sc.telemetry.metrics_csv_path,
+                         whole_sc.telemetry.metrics_csv_path, what);
+      }
+    }
+  }
+  // The burst really leaves launches queued at a chunk boundary.
+  core::Session s{core::ScenarioConfig{}};
+  const std::span<const aer::Event> first{burst.data(), 4096};
+  s.feed_all(first);
+  s.advance_to(first.back().time);
+  EXPECT_LT(s.interface().front_end().events(), 4096u / 2);
+  (void)s.finish();
 }
 
 // --- aggregate-only runs -----------------------------------------------------
