@@ -63,13 +63,13 @@ void BM_SchedulerDensePeriodic(benchmark::State& state) {
     sched.run();
     benchmark::DoNotOptimize(sched.processed());
   }
-  state.SetItemsProcessed(state.iterations() * 8 * kFires);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(8 * kFires));
 }
 BENCHMARK(BM_SchedulerDensePeriodic);
 
 // Sparse Poisson: one source with exponential inter-arrival (10 ms mean) —
-// far-future wakeups that walk every wheel level and occasionally overflow
-// into the heap, the sparse-AER-stream shape.
+// a single far-ahead wakeup pending at a time, the sparse-AER-stream shape.
 void BM_SchedulerSparsePoisson(benchmark::State& state) {
   Xoshiro256StarStar rng{11};
   std::vector<Time> deltas;

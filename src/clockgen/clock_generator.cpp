@@ -29,8 +29,8 @@ ClockGenerator::ClockGenerator(sim::Scheduler& sched,
     : sched_{sched},
       cfg_{config},
       schedule_{to_schedule_config(config)},
-      tel_{sched.telemetry(), "clockgen"},
-      origin_{sched.now()} {
+      origin_{sched.now()},
+      tel_{sched.telemetry(), "clockgen"} {
   if (auto* m = tel_.metrics()) {
     m->probe("clockgen.captures", [this] {
       return static_cast<double>(captures_);

@@ -136,15 +136,6 @@ struct Session::Impl {
       m->probe("sched.scheduled", [this] {
         return static_cast<double>(sched.stats().scheduled);
       });
-      m->probe("sched.wheel_dispatches", [this] {
-        return static_cast<double>(sched.stats().wheel_dispatches);
-      });
-      m->probe("sched.heap_dispatches", [this] {
-        return static_cast<double>(sched.stats().heap_dispatches);
-      });
-      m->probe("sched.cascaded", [this] {
-        return static_cast<double>(sched.stats().cascaded);
-      });
       m->probe("sched.pending",
                [this] { return static_cast<double>(sched.pending()); });
       m->probe("power.avg_w", [this] { return iface->average_power_w(); });
@@ -520,8 +511,6 @@ struct Session::Impl {
     w.u64(clk.next_seq);
     w.u64(clk.processed);
     w.u64(clk.cancelled);
-    w.u64(clk.heap_dispatches);
-    w.u64(clk.cascaded);
 
     if (engine) engine->save_state(w);
     if (faults != nullptr) faults->save_state(w);
@@ -628,8 +617,6 @@ struct Session::Impl {
     clk.next_seq = r.u64() - rearm_count;
     clk.processed = r.u64();
     clk.cancelled = r.u64();
-    clk.heap_dispatches = r.u64();
-    clk.cascaded = r.u64();
     sched.restore_clock_state(clk);
     if (engine) engine->restore_state(r);
 

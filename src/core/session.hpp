@@ -49,7 +49,7 @@ class Session {
  public:
   /// Snapshot blob format version (bumped on any layout change; restore
   /// rejects blobs whose version or config fingerprint does not match).
-  static constexpr std::uint32_t kSnapshotVersion = 3;
+  static constexpr std::uint32_t kSnapshotVersion = 4;
 
   /// Build the full system (scheduler, interface, sender, checker, MCU,
   /// telemetry, fault injector).

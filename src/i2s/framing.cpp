@@ -1,36 +1,18 @@
 #include "i2s/framing.hpp"
 
-#include <array>
 #include <stdexcept>
 
+#include "util/crc32.hpp"
+
 namespace aetr::i2s {
-namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const auto table = make_crc_table();
-  return table;
-}
-
-}  // namespace
-
+// A word is its four little-endian bytes, folded through the shared kernel.
 std::uint32_t crc32_update(std::uint32_t state, std::uint32_t word) {
-  for (int byte = 0; byte < 4; ++byte) {
-    const auto b = static_cast<std::uint8_t>((word >> (8 * byte)) & 0xFFu);
-    state = crc_table()[(state ^ b) & 0xFFu] ^ (state >> 8);
-  }
-  return state;
+  const std::uint8_t bytes[4] = {
+      static_cast<std::uint8_t>(word), static_cast<std::uint8_t>(word >> 8),
+      static_cast<std::uint8_t>(word >> 16),
+      static_cast<std::uint8_t>(word >> 24)};
+  return util::crc32_update(state, bytes, sizeof bytes);
 }
 
 std::uint32_t crc32_words(const std::vector<std::uint32_t>& words) {

@@ -1,23 +1,10 @@
 #include "sim/scheduler.hpp"
 
-#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
 
 namespace aetr::sim {
-
-namespace {
-
-/// Wheel level for an event at tick `t` seen from tick `now`: the highest
-/// 8-bit digit in which the two times differ. Same-digit placement is
-/// impossible by construction, so a bucket never collides with the cursor.
-unsigned placement_level(std::uint64_t diff) {
-  if (diff == 0) return 0;
-  return (static_cast<unsigned>(std::bit_width(diff)) - 1u) >> 3u;
-}
-
-}  // namespace
 
 std::uint32_t Scheduler::acquire_slot() {
   if (!free_.empty()) {
@@ -26,11 +13,14 @@ std::uint32_t Scheduler::acquire_slot() {
     return idx;
   }
   if (meta_.size() == meta_.capacity()) {
-    // Grow in large steps: metadata copies trivially, but reallocating the
-    // cell array relocates every callback, so keep reallocations rare.
+    // Grow in large steps: reallocating the cell array relocates every
+    // callback, so keep reallocations rare. The heap never holds more
+    // entries than the pool has slots, so reserving it here too keeps the
+    // steady state allocation-free.
     const std::size_t cap = meta_.empty() ? 1024 : meta_.capacity() * 2;
     meta_.reserve(cap);
     cells_.reserve(cap);
+    heap_.reserve(cap);
   }
   meta_.emplace_back();
   cells_.emplace_back();
@@ -40,55 +30,51 @@ std::uint32_t Scheduler::acquire_slot() {
 void Scheduler::release_slot(std::uint32_t idx) {
   SlotMeta& m = meta_[idx];
   ++m.gen;  // stale EventIds (ran / cancelled / recycled) now never match
-  m.where = Where::kFree;
-  // prev/next were already detached by whichever unlink/pop got us here
-  // (heap slots are never linked in the first place).
+  m.pos = kNotQueued;
   free_.push_back(idx);
 }
 
-void Scheduler::bucket_push(std::uint16_t bucket, std::uint32_t idx) {
-  SlotMeta& m = meta_[idx];
-  Bucket& b = buckets_[bucket];
-  m.bucket = bucket;
-  m.next = -1;
-  m.prev = b.tail;
-  if (b.tail >= 0) {
-    meta_[static_cast<std::size_t>(b.tail)].next = static_cast<std::int32_t>(idx);
-  } else {
-    b.head = static_cast<std::int32_t>(idx);
-    occ_set(bucket / kSlotsPerLevel, bucket % kSlotsPerLevel);
-  }
-  b.tail = static_cast<std::int32_t>(idx);
+void Scheduler::place(std::size_t pos, const HeapEntry& e) {
+  heap_[pos] = e;
+  meta_[e.slot].pos = static_cast<std::uint32_t>(pos);
 }
 
-void Scheduler::bucket_unlink(std::uint32_t idx) {
-  SlotMeta& m = meta_[idx];
-  Bucket& b = buckets_[m.bucket];
-  if (m.prev >= 0) {
-    meta_[static_cast<std::size_t>(m.prev)].next = m.next;
-  } else {
-    b.head = m.next;
+// Both sifts move a hole instead of swapping: each level costs one entry
+// copy and one position update.
+void Scheduler::sift_up(std::size_t pos, HeapEntry e) {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!e.before(heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
   }
-  if (m.next >= 0) {
-    meta_[static_cast<std::size_t>(m.next)].prev = m.prev;
-  } else {
-    b.tail = m.prev;
-  }
-  m.prev = m.next = -1;
-  if (b.head < 0) {
-    occ_clear(m.bucket / kSlotsPerLevel, m.bucket % kSlotsPerLevel);
-  }
+  place(pos, e);
 }
 
-void Scheduler::wheel_insert(std::uint32_t idx) {
-  SlotMeta& m = meta_[idx];
-  const std::uint64_t tt = ticks(m.t);
-  const unsigned level = placement_level(tt ^ ticks(now_));
-  assert(level < kLevels);
-  const auto index =
-      static_cast<unsigned>((tt >> (kGroupBits * level)) & kIndexMask);
-  m.where = Where::kWheel;
-  bucket_push(static_cast<std::uint16_t>(level * kSlotsPerLevel + index), idx);
+void Scheduler::sift_down(std::size_t pos, HeapEntry e) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1].before(heap_[child])) ++child;
+    if (!heap_[child].before(e)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, e);
+}
+
+// Remove the entry at `pos`: the last entry fills the hole and sifts
+// whichever way restores the heap order.
+void Scheduler::erase_at(std::size_t pos) {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;
+  if (pos > 0 && last.before(heap_[(pos - 1) / 2])) {
+    sift_up(pos, last);
+  } else {
+    sift_down(pos, last);
+  }
 }
 
 std::uint32_t Scheduler::schedule_slot(Time t) {
@@ -97,16 +83,8 @@ std::uint32_t Scheduler::schedule_slot(Time t) {
                            t.to_string() + " < " + now_.to_string() + ")");
   }
   const std::uint32_t idx = acquire_slot();
-  SlotMeta& m = meta_[idx];
-  m.t = t;
-  m.seq = next_seq_++;
-  if ((ticks(t) ^ ticks(now_)) >> kHorizonBits) {
-    m.where = Where::kHeap;
-    heap_.push(HeapEntry{t, m.seq, idx, m.gen});
-  } else {
-    wheel_insert(idx);
-  }
-  ++live_;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, HeapEntry{t, next_seq_++, idx});
   return idx;
 }
 
@@ -121,161 +99,33 @@ bool Scheduler::cancel(EventId id) {
   const auto biased = static_cast<std::uint32_t>(id.id & 0xFFFFFFFFu);
   if (biased == 0 || biased > meta_.size()) return false;
   const std::uint32_t idx = biased - 1;
-  SlotMeta& m = meta_[idx];
+  const SlotMeta& m = meta_[idx];
+  // A matching generation means the event is still queued: dispatch and
+  // cancel both release the slot, which bumps it.
   if (m.gen != static_cast<std::uint32_t>(id.id >> 32)) return false;
-  switch (m.where) {
-    case Where::kWheel:
-      bucket_unlink(idx);
-      cells_[idx].reset();
-      release_slot(idx);
-      --live_;
-      ++stats_.cancelled;
-      return true;
-    case Where::kHeap:
-      // The heap entry still references the slot; park it as a zombie and
-      // let prune_heap() reclaim it when the entry surfaces.
-      cells_[idx].reset();
-      m.where = Where::kZombie;
-      --live_;
-      ++stats_.cancelled;
-      return true;
-    default:
-      return false;  // already ran, already cancelled, or recycled
-  }
-}
-
-void Scheduler::prune_heap() {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.top();
-    SlotMeta& m = meta_[top.slot];
-    if (m.where == Where::kHeap && m.gen == top.gen) return;  // live
-    assert(m.where == Where::kZombie);
-    release_slot(top.slot);
-    heap_.pop();
-  }
-}
-
-void Scheduler::advance_now_to(Time t) {
-  assert(t >= now_);
-  const std::uint64_t old_ticks = ticks(now_);
-  const std::uint64_t new_ticks = ticks(t);
-  now_ = t;
-  const std::uint64_t diff = old_ticks ^ new_ticks;
-  if (diff == 0) return;
-  unsigned level = placement_level(diff);
-  if (level >= kLevels) level = kLevels - 1;
-  // Cascade, coarsest first, every bucket the cursor just landed in: its
-  // events re-place at a strictly finer level (possibly into a bucket a
-  // later, finer iteration of this same loop then cascades again).
-  for (; level >= 1; --level) {
-    const auto index =
-        static_cast<unsigned>((new_ticks >> (kGroupBits * level)) & kIndexMask);
-    Bucket& b = buckets_[level * kSlotsPerLevel + index];
-    std::int32_t cur = b.head;
-    if (cur < 0) continue;
-    b.head = b.tail = -1;
-    occ_clear(level, index);
-    while (cur >= 0) {  // relink in list order: preserves same-time FIFO
-      const auto idx = static_cast<std::uint32_t>(cur);
-      cur = meta_[idx].next;
-      meta_[idx].prev = meta_[idx].next = -1;
-      wheel_insert(idx);
-      ++stats_.cascaded;
-    }
-  }
-}
-
-// Locate, position on, pop and invoke the earliest live event with
-// timestamp <= horizon. This is the single dispatch path shared by run(),
-// run_until() and run_next(); it fuses peeking and dispatching so the
-// common case costs one pass over the occupancy bitmaps.
-bool Scheduler::step(Time horizon) {
-  for (;;) {
-    prune_heap();
-    const bool have_heap = !heap_.empty();
-
-    if (levels_ == 0) {
-      if (!have_heap || heap_.top().t > horizon) return false;
-      return dispatch_heap();
-    }
-    const auto level = static_cast<unsigned>(std::countr_zero(levels_));
-    const unsigned index = min_index(level);
-    const auto bucket =
-        static_cast<std::uint16_t>(level * kSlotsPerLevel + index);
-    Bucket& b = buckets_[bucket];
-
-    if (level == 0 || b.head == b.tail) {
-      // Exact-dispatch fast path. A level-0 bucket's head is the wheel
-      // minimum by construction (one shared tick, FIFO list). A *single*
-      // node in the earliest bucket of the lowest occupied level is
-      // likewise the wheel minimum: every finer level is empty and every
-      // other same-level bucket holds a strictly later digit. Either way
-      // the node dispatches straight from here — no cascade, no rescan.
-      const auto idx = static_cast<std::uint32_t>(b.head);
-      SlotMeta& m = meta_[idx];
-      const Time t = m.t;
-      if (have_heap) {
-        const HeapEntry& top = heap_.top();
-        if (top.t < t || (top.t == t && top.seq < m.seq)) {
-          if (top.t > horizon) return false;
-          return dispatch_heap();
-        }
-      }
-      if (t > horizon) return false;
-      assert(t >= now_);
-      // Pop the head, then jump the cursor straight to t: all finer levels
-      // are empty and no other node shares this bucket's digit, so there is
-      // nothing for the cursor to cascade on the way.
-      b.head = m.next;
-      if (m.next >= 0) {
-        meta_[static_cast<std::size_t>(m.next)].prev = -1;
-      } else {
-        b.tail = -1;
-        occ_clear(level, index);
-      }
-      m.prev = m.next = -1;
-      now_ = t;
-      finish_dispatch(idx);
-      return true;
-    }
-
-    // Multi-node coarse bucket: its start time lower-bounds every event
-    // inside it. If the heap's front comes first, dispatch that; if even
-    // the lower bound lies beyond the horizon, nothing qualifies; otherwise
-    // hop the cursor to the bucket start (safe: nothing lives before it)
-    // which cascades the bucket one level finer, and retry.
-    const unsigned parent_shift = kGroupBits * (level + 1);
-    const std::uint64_t bucket_start =
-        ((ticks(now_) >> parent_shift) << parent_shift) |
-        (std::uint64_t{index} << (kGroupBits * level));
-    const Time bucket_t = Time::ps(static_cast<Time::Rep>(bucket_start));
-    assert(bucket_t > now_);
-    if (have_heap && heap_.top().t < bucket_t) {
-      if (heap_.top().t > horizon) return false;
-      return dispatch_heap();
-    }
-    if (bucket_t > horizon) return false;
-    advance_now_to(bucket_t);
-  }
-}
-
-bool Scheduler::dispatch_heap() {
-  const std::uint32_t idx = heap_.top().slot;
-  const Time t = heap_.top().t;
-  heap_.pop();
-  assert(t >= now_);
-  advance_now_to(t);
-  ++stats_.heap_dispatches;
-  finish_dispatch(idx);
+  assert(m.pos != kNotQueued);
+  erase_at(m.pos);
+  cells_[idx].reset();
+  release_slot(idx);
+  ++cancelled_;
   return true;
 }
 
-void Scheduler::finish_dispatch(std::uint32_t idx) {
-  Callback cb = std::move(cells_[idx]);
-  release_slot(idx);
-  --live_;
+// Pop and invoke the earliest event if its timestamp is <= horizon. This is
+// the single dispatch path shared by run(), run_until() and run_next().
+bool Scheduler::step(Time horizon) {
+  if (heap_.empty() || heap_.front().t > horizon) return false;
+  const HeapEntry top = heap_.front();
+  assert(top.t >= now_);
+  erase_at(0);
+  now_ = top.t;
+  // The slot is free again before the callback runs, so a callback may
+  // reuse it for the next event it schedules.
+  Callback cb = std::move(cells_[top.slot]);
+  release_slot(top.slot);
   ++processed_;
   cb();
+  return true;
 }
 
 void Scheduler::run(std::uint64_t limit) {
@@ -287,32 +137,10 @@ void Scheduler::run(std::uint64_t limit) {
 void Scheduler::run_until(Time t) {
   while (step(t)) {
   }
-  if (t > now_) advance_now_to(t);
+  if (t > now_) now_ = t;
 }
 
 bool Scheduler::run_next() { return step(Time::max()); }
-
-Time Scheduler::next_event_time() {
-  prune_heap();
-  Time best = heap_.empty() ? Time::max() : heap_.top().t;
-  if (levels_ != 0) {
-    // The earliest occupied bucket of the lowest occupied level contains the
-    // wheel minimum: finer levels are empty, same-level buckets with larger
-    // digits start strictly later, and any coarser event differs from now()
-    // in a higher digit (upwards — events are never in the past), so it lies
-    // beyond every event that shares those digits. A multi-node bucket is
-    // scanned in place — no cursor movement, no cascade, no side effects.
-    const auto level = static_cast<unsigned>(std::countr_zero(levels_));
-    const unsigned index = min_index(level);
-    const Bucket& b = buckets_[level * kSlotsPerLevel + index];
-    for (std::int32_t cur = b.head; cur >= 0;
-         cur = meta_[static_cast<std::size_t>(cur)].next) {
-      const Time t = meta_[static_cast<std::size_t>(cur)].t;
-      if (t < best) best = t;
-    }
-  }
-  return best;
-}
 
 void Scheduler::fast_forward_to(Time t) {
   if (t < now_) {
@@ -325,23 +153,21 @@ void Scheduler::fast_forward_to(Time t) {
         ") would jump over a pending event at " +
         next_event_time().to_string());
   }
-  advance_now_to(t);
+  now_ = t;
 }
 
 void Scheduler::restore_clock_state(const ClockState& s) {
-  if (live_ != 0) {
+  if (!heap_.empty()) {
     throw std::logic_error(
         "Scheduler: restore_clock_state with pending events");
   }
   if (s.now < now_) {
     throw std::logic_error("Scheduler: restore_clock_state into the past");
   }
-  advance_now_to(s.now);
+  now_ = s.now;
   next_seq_ = s.next_seq;
   processed_ = s.processed;
-  stats_.cancelled = s.cancelled;
-  stats_.heap_dispatches = s.heap_dispatches;
-  stats_.cascaded = s.cascaded;
+  cancelled_ = s.cancelled;
 }
 
 }  // namespace aetr::sim

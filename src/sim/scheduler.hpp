@@ -7,24 +7,18 @@
 // wall-clock frequency — the same energy-proportionality trick the paper
 // plays in hardware, applied to simulator throughput.
 //
-// The event store is a two-tier kernel (docs/SIMULATOR.md#the-event-kernel):
-//
-//  * a hierarchical timer wheel (kLevels levels of 256 buckets, picosecond
-//    ticks) holds every event within ~1.1 s of now(). Schedule and cancel
-//    are O(1); an event cascades to a finer level at most kLevels-1 times
-//    before it is dispatched at its exact tick, and the earliest bucket
-//    dispatches directly — no cascade — whenever it holds a single event.
-//  * a comparison heap catches the rare far-future event (idle timeouts,
-//    "never" sentinels) whose timestamp lies beyond the wheel horizon.
+// The event store is one indexed binary heap of (time, seq, slot) entries
+// (docs/SIMULATOR.md#the-event-kernel): schedule, cancel and dispatch are
+// O(log n) in the pending count, and (time, schedule order) is a total
+// order, so same-time events dispatch FIFO. Each slot records its heap
+// position, so cancel erases its entry at once.
 //
 // Callbacks live in a generation-tagged slot pool of InplaceFunction cells,
 // so the common capture (component pointer + small ints) never touches the
 // allocator and a stale EventId can never cancel a recycled slot.
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <queue>
 #include <type_traits>
 #include <vector>
 
@@ -41,9 +35,10 @@ namespace aetr::sim {
 ///
 /// Encodes a slot-pool index (low 32 bits, biased by 1 so 0 stays "invalid")
 /// and the slot's generation at scheduling time (high 32 bits). Cancelling
-/// is an O(1) pool lookup; a handle whose generation no longer matches the
-/// slot (the event ran, was cancelled, or the slot was recycled) is simply
-/// stale and cancel() returns false.
+/// finds the slot in O(1) and erases its heap entry in O(log n); a handle
+/// whose generation no longer matches the slot (the event ran, was
+/// cancelled, or the slot was recycled) is simply stale and cancel()
+/// returns false.
 struct EventId {
   std::uint64_t id{0};
   [[nodiscard]] bool valid() const { return id != 0; }
@@ -113,12 +108,12 @@ class Scheduler {
 
   // --- gap query / fast-forward -------------------------------------------
   /// Timestamp of the earliest pending event, or Time::max() when the queue
-  /// is empty. Non-destructive: nothing is dispatched, now() does not move
-  /// and no bucket cascades (a multi-node coarse bucket is scanned in
-  /// place). This is the gap-query half of the fast-forward contract: a
+  /// is empty. This is the gap-query half of the fast-forward contract: a
   /// caller that knows its own next action time can test
   /// `next_event_time() >= t` and skip the idle stretch.
-  [[nodiscard]] Time next_event_time();
+  [[nodiscard]] Time next_event_time() const {
+    return heap_.empty() ? Time::max() : heap_.front().t;
+  }
 
   /// Advance now() straight to `t` across a verified gap. Throws
   /// std::logic_error if an event is pending strictly before `t` — the
@@ -128,26 +123,22 @@ class Scheduler {
   /// of a callback that runs at `t` itself).
   void fast_forward_to(Time t);
 
-  [[nodiscard]] std::size_t pending() const { return live_; }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t processed() const { return processed_; }
 
-  /// Event-kernel self-metrics: how events were stored and dispatched.
-  /// Free to keep always-on: the per-event numbers (scheduled, wheel
-  /// dispatches) are derived from counters the kernel maintains anyway, so
-  /// only the rare paths (heap dispatch, cascade, cancel) carry an
-  /// increment. Telemetry registers them as sampled probes.
+  /// Event-kernel self-metrics, derived from counters the kernel keeps
+  /// anyway, so they are free to keep always-on. Every event lives in the
+  /// one heap: `heap_dispatches` counts every dispatch (== processed()) and
+  /// `cascaded` is always 0. Both stay so existing Stats readers keep
+  /// compiling.
   struct Stats {
     std::uint64_t scheduled{0};        ///< schedule_at/after calls accepted
-    std::uint64_t wheel_dispatches{0};  ///< exact-dispatch fast-path hits
-    std::uint64_t heap_dispatches{0};   ///< overflow-heap (far-future) hits
-    std::uint64_t cascaded{0};          ///< events re-placed by a cascade
-    std::uint64_t cancelled{0};         ///< successful cancel() calls
+    std::uint64_t heap_dispatches{0};  ///< every dispatch
+    std::uint64_t cascaded{0};         ///< always 0: nothing cascades
+    std::uint64_t cancelled{0};        ///< successful cancel() calls
   };
   [[nodiscard]] Stats stats() const {
-    Stats s = stats_;
-    s.scheduled = processed_ + live_ + stats_.cancelled;
-    s.wheel_dispatches = processed_ - stats_.heap_dispatches;
-    return s;
+    return {processed_ + heap_.size() + cancelled_, processed_, 0, cancelled_};
   }
 
   /// Telemetry session for this run, or nullptr (the default). The
@@ -161,12 +152,6 @@ class Scheduler {
     return telemetry_;
   }
 
-  /// Events within this distance of now() live in the timer wheel; farther
-  /// ones overflow into the comparison heap.
-  static constexpr Time wheel_horizon() {
-    return Time::ps(Time::Rep{1} << kHorizonBits);
-  }
-
   // --- snapshot/restore ----------------------------------------------------
   /// Clock-and-counter state for session snapshots. Callbacks cannot be
   /// serialized, so a snapshot is only taken at a quiescent point where the
@@ -177,13 +162,9 @@ class Scheduler {
     std::uint64_t next_seq;
     std::uint64_t processed;
     std::uint64_t cancelled;
-    std::uint64_t heap_dispatches;
-    std::uint64_t cascaded;
   };
   [[nodiscard]] ClockState clock_state() const {
-    return {now_,           next_seq_,
-            processed_,     stats_.cancelled,
-            stats_.heap_dispatches, stats_.cascaded};
+    return {now_, next_seq_, processed_, cancelled_};
   }
   /// Restore the clock/counter state. Only valid on a scheduler with no
   /// pending events (the restorer re-arms standing timers afterwards, which
@@ -192,104 +173,41 @@ class Scheduler {
   void restore_clock_state(const ClockState& s);
 
  private:
-  static constexpr unsigned kGroupBits = 8;                // 256 buckets/level
-  static constexpr unsigned kSlotsPerLevel = 1u << kGroupBits;
-  static constexpr unsigned kLevels = 5;                   // 256^5 ps ≈ 1.1 s
-  static constexpr unsigned kHorizonBits = kGroupBits * kLevels;
-  static constexpr std::uint64_t kIndexMask = kSlotsPerLevel - 1;
-  static constexpr unsigned kWordsPerLevel = kSlotsPerLevel / 64;
+  static constexpr std::uint32_t kNotQueued = UINT32_MAX;
 
-  enum class Where : std::uint8_t {
-    kFree,    // on the free list
-    kWheel,   // linked into a wheel bucket
-    kHeap,    // referenced by a live heap entry
-    kZombie,  // cancelled while in the heap; freed when its entry pops
-  };
-
-  /// Hot slot bookkeeping, split from the (larger, colder) callback cell so
-  /// that cascades, cancels and peeks walk dense 32-byte records — two per
-  /// cache line — and pool growth is a trivial copy.
-  struct SlotMeta {
-    Time t{Time::zero()};
-    std::uint64_t seq{0};        // FIFO order among same-time events
-    std::int32_t prev{-1};       // intrusive doubly-linked bucket list
-    std::int32_t next{-1};
-    std::uint32_t gen{1};        // bumped on every release; 0 never matches
-    std::uint16_t bucket{0};     // level * kSlotsPerLevel + index
-    Where where{Where::kFree};
-  };
-  static_assert(sizeof(SlotMeta) <= 32, "keep slot metadata cache-dense");
-
-  struct Bucket {
-    std::int32_t head{-1};
-    std::int32_t tail{-1};
-  };
-
-  /// Heap entries are plain values; the callback stays in the slot pool.
+  /// Heap entries carry the (time, seq) key by value so sifting never
+  /// touches the pool; the callback stays in its slot's cell.
   struct HeapEntry {
     Time t;
-    std::uint64_t seq;
+    std::uint64_t seq;  // FIFO order among same-time events
     std::uint32_t slot;
-    std::uint32_t gen;
-    bool operator>(const HeapEntry& other) const {
-      if (t != other.t) return t > other.t;
-      return seq > other.seq;
+    [[nodiscard]] bool before(const HeapEntry& o) const {
+      return t < o.t || (t == o.t && seq < o.seq);
     }
   };
 
-  static std::uint64_t ticks(Time t) {
-    return static_cast<std::uint64_t>(t.count_ps());
-  }
-
-  void occ_set(unsigned level, unsigned index) {
-    occupancy_[level][index >> 6] |= std::uint64_t{1} << (index & 63u);
-    words_[level] |= static_cast<std::uint8_t>(1u << (index >> 6));
-    levels_ |= 1u << level;
-  }
-  void occ_clear(unsigned level, unsigned index) {
-    std::uint64_t& w = occupancy_[level][index >> 6];
-    w &= ~(std::uint64_t{1} << (index & 63u));
-    if (w == 0) {
-      words_[level] &= static_cast<std::uint8_t>(~(1u << (index >> 6)));
-      if (words_[level] == 0) levels_ &= ~(1u << level);
-    }
-  }
-  /// Index of the earliest non-empty bucket of a non-empty level.
-  [[nodiscard]] unsigned min_index(unsigned level) const {
-    const auto w = static_cast<unsigned>(
-        std::countr_zero(static_cast<unsigned>(words_[level])));
-    return (w << 6) +
-           static_cast<unsigned>(std::countr_zero(occupancy_[level][w]));
-  }
+  struct SlotMeta {
+    std::uint32_t gen{1};           // bumped on every release; 0 never matches
+    std::uint32_t pos{kNotQueued};  // index of this slot's heap entry
+  };
 
   std::uint32_t acquire_slot();
   std::uint32_t schedule_slot(Time t);  // validate + acquire + enqueue
   void release_slot(std::uint32_t idx);
-  void wheel_insert(std::uint32_t idx);
-  void bucket_push(std::uint16_t bucket, std::uint32_t idx);
-  void bucket_unlink(std::uint32_t idx);
-  void advance_now_to(Time t);
-  void prune_heap();
+  void place(std::size_t pos, const HeapEntry& e);
+  void sift_up(std::size_t pos, HeapEntry e);
+  void sift_down(std::size_t pos, HeapEntry e);
+  void erase_at(std::size_t pos);
   bool step(Time horizon);
-  bool dispatch_heap();
-  void finish_dispatch(std::uint32_t idx);
 
   std::vector<SlotMeta> meta_;
   std::vector<Callback> cells_;  // cells_[i] is slot i's callback
   std::vector<std::uint32_t> free_;
-  Bucket buckets_[kLevels * kSlotsPerLevel]{};
-  // Three-deep occupancy hierarchy, finest to coarsest: bit b of
-  // occupancy_[l][w] <=> bucket (l, 64w+b) non-empty; bit w of words_[l]
-  // <=> occupancy_[l][w] != 0; bit l of levels_ <=> level l non-empty.
-  std::uint64_t occupancy_[kLevels][kWordsPerLevel]{};
-  std::uint8_t words_[kLevels]{};
-  std::uint32_t levels_{0};
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
+  std::vector<HeapEntry> heap_;  // binary min-heap on (t, seq)
   Time now_{Time::zero()};
   std::uint64_t next_seq_{0};
-  std::size_t live_{0};
   std::uint64_t processed_{0};
-  Stats stats_;
+  std::uint64_t cancelled_{0};
   telemetry::TelemetrySession* telemetry_{nullptr};
 };
 

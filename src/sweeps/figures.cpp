@@ -340,15 +340,15 @@ FigureResult ablation_ndiv_impl(const FigureOptions& opt) {
     const double flex = 1.0 / t_max;
 
     const auto power_at = [&](double rate_hz, std::uint64_t seed) {
-      core::ScenarioConfig sc;
-      sc.interface.clock.theta_div = 64;
-      sc.interface.clock.n_div = n_div;
-      sc.interface.front_end.keep_records = false;
-      sc.fast_forward = opt.fast_forward;
+      core::ScenarioConfig scenario;
+      scenario.interface.clock.theta_div = 64;
+      scenario.interface.clock.n_div = n_div;
+      scenario.interface.front_end.keep_records = false;
+      scenario.fast_forward = opt.fast_forward;
       gen::PoissonSource src{rate_hz, 128, seed};
       const auto n =
           static_cast<std::size_t>(std::clamp(rate_hz * 0.3, 200.0, 5000.0));
-      return core::run_scenario_totals(sc, src, n).average_power_w;
+      return core::run_scenario_totals(scenario, src, n).average_power_w;
     };
 
     analysis::SweepOptions so;

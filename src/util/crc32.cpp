@@ -24,13 +24,17 @@ const std::array<std::uint32_t, 256>& crc_table() {
 
 }  // namespace
 
-std::uint32_t crc32_bytes(const std::uint8_t* data, std::size_t size) {
+std::uint32_t crc32_update(std::uint32_t state, const std::uint8_t* data,
+                           std::size_t size) {
   const auto& table = crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
   for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
+    state = table[(state ^ data[i]) & 0xffu] ^ (state >> 8);
   }
-  return crc ^ 0xFFFFFFFFu;
+  return state;
+}
+
+std::uint32_t crc32_bytes(const std::uint8_t* data, std::size_t size) {
+  return crc32_update(0xFFFFFFFFu, data, size) ^ 0xFFFFFFFFu;
 }
 
 std::uint32_t crc32_bytes(const std::vector<std::uint8_t>& b) {

@@ -1,10 +1,10 @@
 // CRC-32 (byte-wise IEEE reflected, poly 0xEDB88320).
 //
-// The I2S carrier's crc32_words (i2s/framing.hpp) runs over u32 words; the
-// socket transport's frames and the session snapshot trailer cover
-// arbitrary byte buffers, so they need the byte-wise form. Same polynomial,
-// same init/final inversion — crc32_bytes of a whole-word buffer equals
-// crc32_words of those words.
+// The one CRC-32 kernel in the library. The socket transport's frames and
+// the session snapshot trailer cover byte buffers (crc32_bytes); the I2S
+// carrier's crc32_words (i2s/framing.hpp) feeds each u32 word as its four
+// little-endian bytes through crc32_update, so crc32_bytes of a whole-word
+// buffer equals crc32_words of those words.
 #pragma once
 
 #include <cstddef>
@@ -12,6 +12,13 @@
 #include <vector>
 
 namespace aetr::util {
+
+/// Fold `size` bytes into a raw CRC register: no init or final inversion,
+/// so a stream can be hashed in pieces. crc32_bytes(d, n) equals
+/// ~crc32_update(0xFFFFFFFF, d, n).
+[[nodiscard]] std::uint32_t crc32_update(std::uint32_t state,
+                                         const std::uint8_t* data,
+                                         std::size_t size);
 
 [[nodiscard]] std::uint32_t crc32_bytes(const std::uint8_t* data,
                                         std::size_t size);

@@ -225,10 +225,25 @@ TEST(ThreadPool, IdleWorkersStealFromALoadedDeque) {
   runtime::ThreadPool pool{2};
   // Both tasks go to worker 0. The owner pops LIFO, so it runs the waiter
   // first and blocks; only a steal by worker 1 (FIFO from the same deque)
-  // can run the setter and release it.
+  // can run the setter and release it. A gate task keeps whichever worker
+  // runs it busy until both tasks are queued: without it, worker 0 could
+  // pop the setter before the waiter is submitted, and nothing would be
+  // stolen.
   std::mutex m;
   std::condition_variable cv;
+  bool gate_running = false;
+  bool queued = false;
   bool flag = false;
+  pool.submit_to(0, [&] {
+    std::unique_lock lock{m};
+    gate_running = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return queued; });
+  });
+  {
+    std::unique_lock lock{m};
+    cv.wait(lock, [&] { return gate_running; });
+  }
   pool.submit_to(0, [&] {
     std::lock_guard lock{m};
     flag = true;
@@ -238,6 +253,11 @@ TEST(ThreadPool, IdleWorkersStealFromALoadedDeque) {
     std::unique_lock lock{m};
     cv.wait_for(lock, std::chrono::seconds(30), [&] { return flag; });
   });
+  {
+    std::lock_guard lock{m};
+    queued = true;
+  }
+  cv.notify_all();
   pool.wait_idle();
   EXPECT_TRUE(flag);
   EXPECT_GE(pool.steal_count(), 1u);

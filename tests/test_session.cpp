@@ -602,6 +602,29 @@ TEST(Session, RestoreRejectsEveryCorruptedByte) {
   }
 }
 
+// A blob of the previous layout names both versions instead of failing
+// somewhere inside a section parser.
+TEST(Session, PreviousSnapshotVersionGetsVersionError) {
+  core::Session s{core::ScenarioConfig{}};
+  std::vector<std::uint8_t> blob = s.snapshot();
+  constexpr std::uint32_t kOld = core::Session::kSnapshotVersion - 1;
+  for (std::size_t i = 0; i < 4; ++i) {  // u32 LE right after the magic
+    blob[8 + i] = static_cast<std::uint8_t>(kOld >> (8 * i));
+  }
+  core::Session fresh{core::ScenarioConfig{}};
+  try {
+    fresh.restore(blob);
+    FAIL() << "restore accepted a version " << kOld << " blob";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find(
+                  "snapshot version " + std::to_string(kOld) +
+                  " != supported " +
+                  std::to_string(core::Session::kSnapshotVersion)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // Two sessions driven through the identical feed/advance/snapshot schedule
 // produce identical blobs and results: the run is a deterministic function
 // of (stream, snapshot schedule).
