@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the simulator substrates: scheduler
 // throughput, schedule quantisation, stimulus generation, cochlea filtering,
-// and the end-to-end interface pipeline, with and without per-event history.
+// the end-to-end interface pipeline, with and without per-event history,
+// and the gateway's ingest kernels (byte CRC-32, DATA decode).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -16,7 +17,9 @@
 #include "core/scenario.hpp"
 #include "gen/sources.hpp"
 #include "i2s/framing.hpp"
+#include "net/wire.hpp"
 #include "sim/scheduler.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 #include "vision/dvs.hpp"
 
@@ -257,6 +260,37 @@ void BM_FrameEncodeDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_FrameEncodeDecode);
+
+// The byte CRC-32 behind every wire frame and snapshot trailer. Args: one
+// event record (10 B), one 512-event DATA frame's CRC span (5124 B) and
+// the largest stream_snapshot blob (6442 B).
+void BM_Crc32Bytes(benchmark::State& state) {
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(state.range(0)));
+  Xoshiro256StarStar rng{7};
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::crc32_bytes(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32Bytes)->Arg(10)->Arg(5124)->Arg(6442);
+
+// One 512-event DATA payload through the span decoder into a reused
+// buffer, as the gateway decodes every frame.
+void BM_DecodeData(benchmark::State& state) {
+  gen::PoissonSource source{100e3, 256, 1};
+  const auto events = gen::take(source, 512);
+  const auto payload = net::encode_data(events, 0, events.size());
+  aer::EventStream out;
+  for (auto _ : state) {
+    net::decode_data_into(payload.data(), payload.size(), out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 512);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_DecodeData);
 
 void BM_DvsFrameDiff(benchmark::State& state) {
   vision::DvsConfig cfg;

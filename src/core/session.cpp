@@ -304,15 +304,21 @@ struct Session::Impl {
 
   /// Streaming upkeep after new input: a standing service that wound
   /// down while the stream was idle comes back when more work arrives.
-  void revive_services() {
+  /// `first` is the earliest of the events just fed. Fed one at a time,
+  /// they would revive the grid only once an event reached its next
+  /// point — after the watchdog unless that was the first event — and the
+  /// scheduler's same-time tie-break must see that order either way.
+  void revive_services(Time first) {
     if (!started) return;
-    if (grid_enabled && !grid_armed) {
-      const Time at = grid_point(sched.now(), /*strictly_after=*/true);
-      if (at <= last_event_time) arm_grid_at(at);
-    }
+    const bool grid_due = grid_enabled && !grid_armed;
+    const Time at = grid_due ? grid_point(sched.now(), /*strictly_after=*/true)
+                             : Time::zero();
+    const bool grid_first = grid_due && at <= first;
+    if (grid_first) arm_grid_at(at);
     if (watchdog_enabled && !watchdog_armed) {
       arm_watchdog_at(sched.now() + watchdog_period);
     }
+    if (grid_due && !grid_first && at <= last_event_time) arm_grid_at(at);
   }
 
   // --- input ----------------------------------------------------------------
@@ -333,14 +339,15 @@ struct Session::Impl {
     }
     last_event_time = ev.time;
     ++fed_total;
-    revive_services();
+    revive_services(ev.time);
     return true;
   }
 
   /// Append the longest non-decreasing prefix of `events` (continuing
   /// from the last event fed) in one go, then throw if that was not all.
   /// Per-event feed() with the cap off, minus the per-event upkeep:
-  /// revive_services() depends only on the clock and the last event time.
+  /// revive_services() depends only on the clock and the first and last
+  /// event times.
   void feed_all(std::span<const aer::Event> events) {
     require_live("feed_all");
     if (events.empty()) return;
@@ -358,7 +365,7 @@ struct Session::Impl {
       }
       last_event_time = last;
       fed_total += n;
-      revive_services();
+      revive_services(events.front().time);
     }
     if (n < events.size()) {
       throw std::invalid_argument(
@@ -768,8 +775,17 @@ void Session::feed_all(std::span<const aer::Event> events) {
 
 std::size_t Session::buffered() const { return impl_->buffered(); }
 
-bool Session::backpressure() const {
-  return impl_->buffered() >= impl_->scenario.session.max_buffered_events;
+bool Session::backpressure() const { return room() == 0; }
+
+std::size_t Session::room() const {
+  const std::size_t cap = impl_->scenario.session.max_buffered_events;
+  const std::size_t held = impl_->buffered();
+  return held >= cap ? 0 : cap - held;
+}
+
+std::optional<Time> Session::last_event_time() const {
+  if (!impl_->have_first_event) return std::nullopt;
+  return impl_->last_event_time;
 }
 
 std::uint64_t Session::events_fed() const { return impl_->fed_total; }

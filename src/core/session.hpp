@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -79,7 +80,9 @@ class Session {
   /// already holds the stream, so bounding the session's copy of it
   /// protects nothing. Same ordering contract as feed(): the events before
   /// the first one that goes back in time are accepted (events_fed()
-  /// counts them), then it throws std::invalid_argument.
+  /// counts them), then it throws std::invalid_argument. Within the cap
+  /// (events.size() <= room()) it leaves the session exactly as a loop of
+  /// feed() calls would, which lets the gateway feed a DATA frame in runs.
   void feed_all(std::span<const aer::Event> events);
 
   /// Fed-but-not-yet-submitted events currently held.
@@ -87,6 +90,14 @@ class Session {
 
   /// True when feed() would refuse input right now.
   [[nodiscard]] bool backpressure() const;
+
+  /// Events feed() would accept right now before refusing: the buffer's
+  /// free room under session.max_buffered_events (0 under backpressure).
+  [[nodiscard]] std::size_t room() const;
+
+  /// Time of the last event accepted, restored ones included (nullopt
+  /// before the first). The next event fed must not be earlier.
+  [[nodiscard]] std::optional<Time> last_event_time() const;
 
   /// Total events accepted over the session's lifetime.
   [[nodiscard]] std::uint64_t events_fed() const;

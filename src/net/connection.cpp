@@ -1,8 +1,10 @@
 #include "net/connection.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -85,11 +87,7 @@ bool Connection::on_bytes(const std::uint8_t* data, std::size_t size) {
   if (closed()) return false;
   decoder_.feed(data, size);
   while (!closed()) {
-    if (decoder_.failed()) {
-      protocol_error("framing: " + decoder_.error());
-      break;
-    }
-    const auto frame = decoder_.next();
+    const auto frame = decoder_.next_view();
     if (!frame) {
       if (decoder_.failed()) protocol_error("framing: " + decoder_.error());
       break;
@@ -115,7 +113,7 @@ void Connection::protocol_error(const std::string& reason) {
   state_ = State::kError;
 }
 
-void Connection::handle_frame(const Frame& f) {
+void Connection::handle_frame(const FrameView& f) {
   // Clients address the gateway, not a session, until HELLO_ACK hands out
   // an id; after that both spellings are accepted.
   if (f.session_id != 0 && f.session_id != session_id_) {
@@ -156,14 +154,14 @@ void Connection::handle_frame(const Frame& f) {
   protocol_error("unhandled frame type");
 }
 
-void Connection::handle_hello(const Frame& f) {
+void Connection::handle_hello(const FrameView& f) {
   if (state_ != State::kAwaitHello) {
     protocol_error("duplicate HELLO");
     return;
   }
   Hello hello;
   try {
-    hello = decode_hello(f.payload);
+    hello = decode_hello({f.payload, f.payload + f.payload_size});
   } catch (const std::exception& e) {
     protocol_error(std::string{"malformed HELLO: "} + e.what());
     return;
@@ -243,40 +241,68 @@ void Connection::handle_hello(const Frame& f) {
   send_frame(MsgType::kHelloAck, encode_hello_ack(ack));
 }
 
-void Connection::handle_data(const Frame& f) {
+void Connection::handle_data(const FrameView& f) {
   if (state_ != State::kStreaming) {
     protocol_error("DATA before HELLO");
     return;
   }
-  aer::EventStream events;
   try {
-    events = decode_data(f.payload);
+    decode_data_into(f.payload, f.payload_size, events_);
   } catch (const std::exception& e) {
     protocol_error(std::string{"malformed DATA: "} + e.what());
     return;
   }
+  const std::span<const aer::Event> events{events_};
   if (events.size() > credit_) {
     protocol_error("credit overrun: " + std::to_string(events.size()) +
                    " events against " + std::to_string(credit_) + " credit");
     return;
   }
   credit_ -= events.size();
-  for (const aer::Event& ev : events) {
-    if (have_last_time_ && ev.time < last_time_) {
-      protocol_error("non-monotonic DATA timestamp");
-      return;
+  // The frame's non-decreasing prefix, continuing from the last event the
+  // session took (restored ones included) — all of it is ingested before
+  // the NACK for the first event that goes back in time.
+  Time last = session_->last_event_time().value_or(
+      events.empty() ? Time::zero() : events.front().time);
+  std::size_t valid = 0;
+  for (; valid < events.size() && events[valid].time >= last; ++valid) {
+    last = events[valid].time;
+  }
+  // aetr-serve's per-event pump (feed; on backpressure advance_to the
+  // event's time and retry; snapshot once an event reaches the next grid
+  // instant), one run at a time: a run is at most the buffer's free room
+  // and ends with the first event at or past the next snapshot instant, so
+  // the session sees the same advance_to calls and snapshot instants.
+  for (std::size_t i = 0; i < valid;) {
+    const std::size_t room = session_->room();
+    if (room == 0) {
+      // The buffer is full of events at or before this one, so advancing
+      // to its time drains it.
+      session_->advance_to(events[i].time);
+      continue;
     }
-    last_time_ = ev.time;
-    have_last_time_ = true;
-    // aetr-serve's pump: backpressure means the buffer is full of events
-    // at or before ev.time, so advancing to the stream position drains it.
-    while (!session_->feed(ev)) session_->advance_to(ev.time);
-    ++ingested_;
-    if (snapshotting_ && ev.time >= next_snapshot_) {
+    std::size_t end = std::min(valid, i + room);
+    if (snapshotting_) {
+      for (std::size_t j = i; j < end; ++j) {
+        if (events[j].time >= next_snapshot_) {
+          end = j + 1;
+          break;
+        }
+      }
+    }
+    session_->feed_all(events.subspan(i, end - i));
+    ingested_ += end - i;
+    i = end;
+    const Time t = events[end - 1].time;
+    if (snapshotting_ && t >= next_snapshot_) {
       session_->advance_to(next_snapshot_);
-      take_snapshot();
-      while (next_snapshot_ <= ev.time) next_snapshot_ += snapshot_interval_;
+      if (!take_snapshot()) return;
+      while (next_snapshot_ <= t) next_snapshot_ += snapshot_interval_;
     }
+  }
+  if (valid < events.size()) {
+    protocol_error("non-monotonic DATA timestamp");
+    return;
   }
   // Replenish: the window re-opens as soon as the chunk is in the session.
   credit_ += events.size();
@@ -293,17 +319,23 @@ void Connection::handle_snapshot_req() {
     protocol_error("SNAPSHOT_REQ but the gateway has no snapshot dir");
     return;
   }
-  take_snapshot();
+  if (!take_snapshot()) return;
   SnapshotAck ack;
   ack.position_ps = session_->position().count_ps();
   ack.blob_bytes = last_snapshot_bytes_;
   send_frame(MsgType::kSnapshotAck, encode_snapshot_ack(ack));
 }
 
-void Connection::take_snapshot() {
-  const std::vector<std::uint8_t> blob = session_->snapshot();
-  last_snapshot_bytes_ = blob.size();
-  write_blob_atomic(snapshot_path_, blob);
+bool Connection::take_snapshot() {
+  try {
+    const std::vector<std::uint8_t> blob = session_->snapshot();
+    last_snapshot_bytes_ = blob.size();
+    write_blob_atomic(snapshot_path_, blob);
+  } catch (const std::exception& e) {
+    protocol_error(std::string{"snapshot failed: "} + e.what());
+    return false;
+  }
+  return true;
 }
 
 void Connection::finish_session() {
@@ -314,11 +346,16 @@ void Connection::finish_session() {
     protocol_error(std::string{"finish failed: "} + e.what());
     return;
   }
-  summary_ = core::run_summary_text(result);
   if (!config_.out_dir.empty()) {
-    core::write_run_summary_file(
-        config_.out_dir + "/summary-" + name_ + ".txt", result);
+    try {
+      core::write_run_summary_file(
+          config_.out_dir + "/summary-" + name_ + ".txt", result);
+    } catch (const std::exception& e) {
+      protocol_error(std::string{"summary write failed: "} + e.what());
+      return;
+    }
   }
+  summary_ = core::run_summary_text(result);
   send_frame(MsgType::kSummary, encode_summary(Summary{summary_}));
   send_frame(MsgType::kBye, {});
   state_ = State::kDone;

@@ -17,16 +17,30 @@
 // Credit/backpressure: the server grants `credit_window` events at
 // HELLO_ACK and re-grants after processing each DATA chunk, so a
 // well-behaved client can keep at most one window in flight. Session
-// backpressure (feed() returning false) is absorbed server-side by
-// advancing simulated time — exactly aetr-serve's pump — so the wire-level
-// credit never deadlocks against the session's bounded buffer.
+// backpressure (a full buffer) is absorbed server-side by advancing
+// simulated time — exactly aetr-serve's pump — so the wire-level credit
+// never deadlocks against the session's bounded buffer.
+//
+// Ingest: a DATA frame is decoded in place (Decoder::next_view) into a
+// reused event buffer and fed in runs (Session::feed_all), each at most
+// the buffer's free room and ending at the first event at or past the
+// next snapshot instant — the per-event pump's advance_to calls and
+// snapshot instants exactly, so blobs and summaries are byte-identical.
+// The monotonic-timestamp check continues from the session's last event,
+// so after a resume it covers the restored events too: an older event is
+// NACKed ("non-monotonic DATA timestamp") after the frame's valid prefix
+// is ingested.
 //
 // Snapshots: with snapshot_dir set and interval > 0, the connection
 // checkpoints its session to <snapshot_dir>/<name>.snap at absolute
 // simulated-time grid multiples of the interval (atomic tmp+rename), the
 // same schedule-as-pure-function-of-the-stream rule as aetr-serve, so a
 // killed and resumed gateway continues byte-identically. A client can also
-// force one with SNAPSHOT_REQ at a point of its choosing.
+// force one with SNAPSHOT_REQ at a point of its choosing. A snapshot that
+// cannot be taken or written (snapshot_dir missing or unwritable) NACKs
+// the session with "snapshot failed: <why>", a summary file that cannot
+// be written with "summary write failed: <why>"; no exception leaves
+// on_bytes() or drain().
 #pragma once
 
 #include <cstdint>
@@ -99,12 +113,14 @@ class Connection {
   [[nodiscard]] std::uint64_t events_ingested() const { return ingested_; }
 
  private:
-  void handle_frame(const Frame& f);
-  void handle_hello(const Frame& f);
-  void handle_data(const Frame& f);
+  void handle_frame(const FrameView& f);
+  void handle_hello(const FrameView& f);
+  void handle_data(const FrameView& f);
   void handle_snapshot_req();
   void finish_session();
-  void take_snapshot();
+  /// Snapshot to snapshot_path_; false (after a NACK) when the session
+  /// cannot settle or the blob cannot be written.
+  bool take_snapshot();
   void protocol_error(const std::string& reason);
   void send_frame(MsgType type, const std::vector<std::uint8_t>& payload);
 
@@ -119,8 +135,8 @@ class Connection {
   std::unique_ptr<core::Session> session_;
   std::uint64_t credit_{0};
   std::uint64_t ingested_{0};
-  Time last_time_{Time::zero()};
-  bool have_last_time_{false};
+  /// The current DATA frame's events; keeps its capacity across frames.
+  aer::EventStream events_;
   bool snapshotting_{false};
   Time snapshot_interval_{Time::zero()};
   Time next_snapshot_{Time::zero()};

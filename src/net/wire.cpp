@@ -1,5 +1,6 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -29,6 +30,18 @@ std::uint32_t get_u32(const std::uint8_t* p) {
 std::uint16_t get_u16(const std::uint8_t* p) {
   return static_cast<std::uint16_t>(static_cast<std::uint16_t>(p[0]) |
                                     static_cast<std::uint16_t>(p[1]) << 8);
+}
+
+std::uint64_t get_u64(const std::uint8_t* p) {
+  return static_cast<std::uint64_t>(get_u32(p)) |
+         static_cast<std::uint64_t>(get_u32(p + 4)) << 32;
+}
+
+/// BlobReader's truncation error, for the decoders that check bounds once
+/// per payload instead of once per field.
+std::runtime_error truncated(std::size_t need, std::size_t have) {
+  return std::runtime_error("blob: truncated (need " + std::to_string(need) +
+                            " bytes, have " + std::to_string(have) + ")");
 }
 
 /// Wraps BlobReader with the shared "no trailing bytes" check every typed
@@ -101,16 +114,21 @@ void Decoder::fail(const std::string& why) {
 
 void Decoder::compact() {
   // Reclaim consumed prefix once it dominates the buffer, so a long-lived
-  // connection does not grow its receive buffer without bound.
-  if (consumed_ > 4096 && consumed_ * 2 > buffer_.size()) {
+  // connection does not grow its receive buffer without bound. Runs before
+  // the next frame is parsed, never under a live FrameView.
+  if (consumed_ == buffer_.size()) {
+    buffer_.clear();
+    consumed_ = 0;
+  } else if (consumed_ > 4096 && consumed_ * 2 > buffer_.size()) {
     buffer_.erase(buffer_.begin(),
                   buffer_.begin() + static_cast<std::ptrdiff_t>(consumed_));
     consumed_ = 0;
   }
 }
 
-std::optional<Frame> Decoder::next() {
+std::optional<FrameView> Decoder::next_view() {
   if (failed()) return std::nullopt;
+  compact();
   const std::size_t avail = buffer_.size() - consumed_;
   if (avail < kHeaderSize) return std::nullopt;
   const std::uint8_t* head = buffer_.data() + consumed_;
@@ -140,13 +158,16 @@ std::optional<Frame> Decoder::next() {
     fail("frame CRC mismatch");
     return std::nullopt;
   }
-  Frame f;
-  f.type = static_cast<MsgType>(raw_type);
-  f.session_id = get_u16(head + 6);
-  f.payload.assign(head + kHeaderSize, head + kHeaderSize + len);
   consumed_ += total;
-  compact();
-  return f;
+  return FrameView{static_cast<MsgType>(raw_type), get_u16(head + 6),
+                   head + kHeaderSize, len};
+}
+
+std::optional<Frame> Decoder::next() {
+  const auto view = next_view();
+  if (!view) return std::nullopt;
+  return Frame{view->type, view->session_id,
+               {view->payload, view->payload + view->payload_size}};
 }
 
 // --- typed messages ---------------------------------------------------------
@@ -207,23 +228,43 @@ std::vector<std::uint8_t> encode_data(const aer::EventStream& events,
   return std::move(w).take();
 }
 
-aer::EventStream decode_data(const std::vector<std::uint8_t>& payload) {
-  BlobReader r{payload};
-  const std::uint32_t count = r.u32();
+void decode_data_into(const std::uint8_t* payload, std::size_t size,
+                      aer::EventStream& out) {
+  constexpr std::size_t kRecord = 10;  // u16 address + i64 time_ps
+  if (size < 4) throw truncated(4, size);
+  const std::uint32_t count = get_u32(payload);
   if (count > kMaxEventsPerFrame) {
     throw std::runtime_error("net: DATA count exceeds kMaxEventsPerFrame");
   }
-  aer::EventStream events;
-  events.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint16_t address = r.u16();
-    const std::int64_t t_ps = r.i64();
-    if (address > aer::kAddressMask) {
-      throw std::runtime_error("net: DATA address out of range");
-    }
-    events.push_back(aer::Event{address, Time::ps(t_ps)});
+  // Records wholly present; a short payload is still checked record by
+  // record up to the cut, so errors come in BlobReader's order: a bad
+  // address before the truncation, both before trailing bytes.
+  const std::size_t body = size - 4;
+  const std::size_t whole = std::min<std::size_t>(count, body / kRecord);
+  out.resize(whole);
+  std::uint16_t worst = 0;
+  const std::uint8_t* p = payload + 4;
+  for (std::size_t i = 0; i < whole; ++i, p += kRecord) {
+    const std::uint16_t address = get_u16(p);
+    worst = std::max(worst, address);
+    out[i] = aer::Event{address, Time::ps(static_cast<std::int64_t>(
+                                     get_u64(p + 2)))};
   }
-  expect_done(r, "DATA");
+  if (worst > aer::kAddressMask) {
+    throw std::runtime_error("net: DATA address out of range");
+  }
+  if (whole < count) {
+    const std::size_t left = body - whole * kRecord;
+    throw left < 2 ? truncated(2, left) : truncated(8, left - 2);
+  }
+  if (body > whole * kRecord) {
+    throw std::runtime_error("net: trailing bytes after DATA");
+  }
+}
+
+aer::EventStream decode_data(const std::vector<std::uint8_t>& payload) {
+  aer::EventStream events;
+  decode_data_into(payload.data(), payload.size(), events);
   return events;
 }
 

@@ -84,9 +84,18 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
+/// A decoded frame whose payload still lies in the Decoder's buffer:
+/// valid until the next feed() / next() / next_view() on that Decoder.
+struct FrameView {
+  MsgType type{MsgType::kBye};
+  std::uint16_t session_id{0};
+  const std::uint8_t* payload{nullptr};
+  std::size_t payload_size{0};
+};
+
 // --- CRC-32 ------------------------------------------------------------------
-// Frames are checked with the byte-wise IEEE CRC-32 shared with the session
-// snapshot trailer (util/crc32.hpp).
+// Frames are checked with the slice-by-8 IEEE CRC-32 shared with the
+// session snapshot trailer and the I2S carrier (util/crc32.hpp).
 
 using util::crc32_bytes;
 
@@ -110,8 +119,12 @@ class Decoder {
   bool feed(const std::uint8_t* data, std::size_t size);
   bool feed(const std::vector<std::uint8_t>& bytes);
 
-  /// The next completed frame, if any.
+  /// The next completed frame, if any (its payload copied out).
   [[nodiscard]] std::optional<Frame> next();
+
+  /// The next completed frame without copying its payload; the view points
+  /// into this decoder's buffer and dies at the next feed()/next() call.
+  [[nodiscard]] std::optional<FrameView> next_view();
 
   /// Non-empty once a framing violation was seen; terminal.
   [[nodiscard]] const std::string& error() const { return error_; }
@@ -183,6 +196,12 @@ struct Summary {
     const std::vector<std::uint8_t>& payload);
 [[nodiscard]] aer::EventStream decode_data(
     const std::vector<std::uint8_t>& payload);
+/// decode_data into a caller-owned stream that keeps its capacity across
+/// frames: one bounds check per frame, then the 10-byte records are read
+/// in place. Same rejections and messages as decode_data (which wraps
+/// it); `out` holds unspecified events after a throw.
+void decode_data_into(const std::uint8_t* payload, std::size_t size,
+                      aer::EventStream& out);
 [[nodiscard]] Credit decode_credit(const std::vector<std::uint8_t>& payload);
 [[nodiscard]] Nack decode_nack(const std::vector<std::uint8_t>& payload);
 [[nodiscard]] SnapshotAck decode_snapshot_ack(

@@ -39,8 +39,10 @@ class BlobWriter {
     bytes_.insert(bytes_.end(), s.begin(), s.end());
   }
   void raw(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    bytes_.insert(bytes_.end(), p, p + n);
+    if (n == 0) return;
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    std::memcpy(bytes_.data() + at, data, n);
   }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {

@@ -1,10 +1,13 @@
-// CRC-32 (byte-wise IEEE reflected, poly 0xEDB88320).
+// CRC-32 (IEEE reflected, poly 0xEDB88320), slice-by-8.
 //
-// The one CRC-32 kernel in the library. The socket transport's frames and
-// the session snapshot trailer cover byte buffers (crc32_bytes); the I2S
-// carrier's crc32_words (i2s/framing.hpp) feeds each u32 word as its four
-// little-endian bytes through crc32_update, so crc32_bytes of a whole-word
-// buffer equals crc32_words of those words.
+// The one CRC-32 kernel in the library. It folds eight bytes per step
+// through eight 256-entry constexpr tables (read-only data, no static-init
+// guard), then one four-byte step and a byte-at-a-time tail; the values
+// are those of the classic byte-wise table walk, bit for bit. The socket
+// transport's frames and the session snapshot trailer cover byte buffers
+// (crc32_bytes); the I2S carrier's crc32_words (i2s/framing.hpp) feeds each
+// u32 word as its four little-endian bytes through crc32_update, so
+// crc32_bytes of a whole-word buffer equals crc32_words of those words.
 #pragma once
 
 #include <cstddef>

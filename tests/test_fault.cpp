@@ -158,8 +158,9 @@ TEST(FaultInjection, AddrFlipsKeepTimingButChangeAddresses) {
   scenario.interface.fifo.batch_threshold = 64;
   scenario.faults.aer.addr_bit_flip_prob = 0.5;
 
-  const auto clean = core::run_scenario(
-      core::ScenarioConfig{scenario.interface}, events);
+  core::ScenarioConfig clean_scenario;
+  clean_scenario.interface = scenario.interface;
+  const auto clean = core::run_scenario(clean_scenario, events);
   const auto r = core::run_scenario(scenario, events);
   EXPECT_GT(r.faults.addr_flips, 0u);
   // Address corruption is undetectable: same word count, same timestamps,
@@ -180,8 +181,9 @@ TEST(FaultInjection, ClockJitterDegradesAccuracyOnly) {
   scenario.interface.fifo.batch_threshold = 64;
   scenario.faults.clock.period_jitter_rel = 0.3;
 
-  const auto clean = core::run_scenario(
-      core::ScenarioConfig{scenario.interface}, events);
+  core::ScenarioConfig clean_scenario;
+  clean_scenario.interface = scenario.interface;
+  const auto clean = core::run_scenario(clean_scenario, events);
   const auto r = core::run_scenario(scenario, events);
   EXPECT_GT(r.faults.tick_jitter_events, 0u);
   EXPECT_EQ(r.decoded.size(), clean.decoded.size());  // nothing lost

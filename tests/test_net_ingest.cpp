@@ -1,0 +1,238 @@
+// The gateway's DATA ingest path pinned against the per-event pump it
+// replaced. Connection::handle_data decodes a frame in place and hands the
+// session runs of events (Session::feed_all) cut at the buffer's free room
+// and at the next snapshot instant. The reference below is the per-event
+// loop it replaced — feed; on backpressure advance_to the event's time and
+// retry; once an event reaches the next grid instant advance to it and
+// snapshot — driven on a bare Session. Every snapshot file the Connection
+// leaves after a frame, every CREDIT grant, events_ingested() and the
+// final SUMMARY must equal the reference byte for byte.
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "core/session.hpp"
+#include "core/summary.hpp"
+#include "gen/sources.hpp"
+#include "net/connection.hpp"
+#include "net/wire.hpp"
+
+namespace {
+
+using namespace aetr;
+namespace fs = std::filesystem;
+using Bytes = std::vector<std::uint8_t>;
+
+constexpr double kIntervalSec = 0.001;
+
+struct TempDir {
+  fs::path path;
+  TempDir() {
+    std::string tmpl = (fs::temp_directory_path() / "aetringXXXXXX").string();
+    char* made = ::mkdtemp(tmpl.data());
+    if (made == nullptr) throw std::runtime_error{"mkdtemp failed"};
+    path = made;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    fs::remove_all(path, ec);
+  }
+};
+
+/// The per-event DATA pump, as the gateway ran it before runs.
+struct ReferencePump {
+  core::Session session;
+  Time interval;
+  Time next_snapshot;
+  std::vector<Bytes> blobs;
+  std::uint64_t ingested{0};
+  Time last_time{Time::zero()};
+  bool have_last_time{false};
+
+  ReferencePump(const core::ScenarioConfig& scenario, bool keep_history)
+      : session{scenario},
+        interval{Time::sec(kIntervalSec)},
+        next_snapshot{interval} {
+    if (!keep_history) session.set_keep_history(false);
+  }
+
+  /// False where the gateway NACKs a non-monotonic timestamp.
+  bool frame(const aer::EventStream& events) {
+    for (const aer::Event& ev : events) {
+      if (have_last_time && ev.time < last_time) return false;
+      last_time = ev.time;
+      have_last_time = true;
+      while (!session.feed(ev)) session.advance_to(ev.time);
+      ++ingested;
+      if (ev.time >= next_snapshot) {
+        session.advance_to(next_snapshot);
+        blobs.push_back(session.snapshot());
+        while (next_snapshot <= ev.time) next_snapshot += interval;
+      }
+    }
+    return true;
+  }
+};
+
+/// A Connection with periodic snapshots, its replies decoded.
+struct Gateway {
+  TempDir dir;
+  net::GatewayConfig config;
+  std::vector<net::Frame> replies;
+  std::unique_ptr<net::Connection> conn;
+
+  Gateway(const core::ScenarioConfig& scenario, bool keep_history) {
+    config.default_scenario = scenario;
+    config.snapshot_dir = dir.path.string();
+    config.snapshot_interval_sec = kIntervalSec;
+    config.keep_history = keep_history;
+    config.credit_window = 1u << 20;
+    conn = std::make_unique<net::Connection>(
+        config, 1, [this](const Bytes& b) {
+          net::Decoder d;
+          d.feed(b);
+          while (auto f = d.next()) replies.push_back(*f);
+        });
+    net::Hello hello;
+    hello.session_name = "ingest";
+    push(net::MsgType::kHello, net::encode_hello(hello));
+  }
+
+  bool push(net::MsgType type, const Bytes& payload) {
+    return conn->on_bytes(net::encode_frame(type, 0, payload));
+  }
+
+  [[nodiscard]] Bytes snapshot_file() const {
+    return net::read_blob((dir.path / "ingest.snap").string());
+  }
+};
+
+aer::EventStream poisson(std::size_t n, std::uint64_t seed, double rate_hz) {
+  gen::PoissonSource source{rate_hz, 256, seed};
+  return gen::take(source, n);
+}
+
+/// Stream `events` in `chunk`-event DATA frames (plus one zero-event frame
+/// after the third) through both paths; compare after every frame and at
+/// the end. `disorder_at` (< events.size()) moves that event back in time,
+/// so its frame must be NACKed identically.
+void expect_same_ingest(const core::ScenarioConfig& scenario,
+                        aer::EventStream events, std::size_t chunk,
+                        bool keep_history,
+                        std::size_t disorder_at = SIZE_MAX) {
+  if (disorder_at < events.size()) {
+    events[disorder_at].time = events[disorder_at - 1].time - Time::ns(1);
+  }
+  ReferencePump ref{scenario, keep_history};
+  Gateway gw{scenario, keep_history};
+  ASSERT_EQ(gw.replies.size(), 1u);
+  ASSERT_EQ(gw.replies[0].type, net::MsgType::kHelloAck);
+
+  std::size_t frames = 0;
+  for (std::size_t pos = 0; pos < events.size(); pos += chunk, ++frames) {
+    if (frames == 3) {
+      ASSERT_TRUE(gw.push(net::MsgType::kData,
+                          net::encode_data(events, pos, 0)));
+      ASSERT_EQ(gw.replies.back().type, net::MsgType::kCredit);
+      EXPECT_EQ(net::decode_credit(gw.replies.back().payload).grant, 0u);
+    }
+    const std::size_t n = std::min(chunk, events.size() - pos);
+    const aer::EventStream frame(
+        events.begin() + static_cast<std::ptrdiff_t>(pos),
+        events.begin() + static_cast<std::ptrdiff_t>(pos + n));
+    const std::size_t blobs_before = ref.blobs.size();
+    const bool ref_ok = ref.frame(frame);
+    const bool open =
+        gw.push(net::MsgType::kData, net::encode_data(events, pos, n));
+    ASSERT_EQ(open, ref_ok) << "frame " << frames;
+    EXPECT_EQ(gw.conn->events_ingested(), ref.ingested) << "frame " << frames;
+    if (ref.blobs.size() > blobs_before) {
+      ASSERT_EQ(gw.snapshot_file(), ref.blobs.back()) << "frame " << frames;
+    }
+    if (!ref_ok) {
+      ASSERT_EQ(gw.replies.back().type, net::MsgType::kNack);
+      EXPECT_EQ(net::decode_nack(gw.replies.back().payload).reason,
+                "non-monotonic DATA timestamp");
+      ASSERT_FALSE(ref.blobs.empty());
+      EXPECT_EQ(gw.snapshot_file(), ref.blobs.back());
+      return;
+    }
+    ASSERT_EQ(gw.replies.back().type, net::MsgType::kCredit);
+    EXPECT_EQ(net::decode_credit(gw.replies.back().payload).grant, n);
+  }
+  ASSERT_GE(disorder_at, events.size()) << "the disordered frame was accepted";
+  EXPECT_GT(ref.blobs.size(), frames) << "want several snapshots per frame";
+
+  EXPECT_FALSE(gw.push(net::MsgType::kDrain, {}));
+  ASSERT_EQ(gw.conn->state(), net::Connection::State::kDone);
+  EXPECT_EQ(gw.conn->summary_text(),
+            core::run_summary_text(ref.session.finish()));
+}
+
+core::ScenarioConfig with_cap(std::size_t cap) {
+  core::ScenarioConfig scenario;
+  scenario.session.max_buffered_events = cap;
+  return scenario;
+}
+
+TEST(NetIngest, RunFeedMatchesPerEventPumpAtEveryBufferCap) {
+  // 512-event frames at 100 kevt/s span ~5 ms: each crosses about five
+  // 1 ms snapshot instants, and a 64-event cap backpressures mid-run.
+  const auto events = poisson(6000, 3, 100e3);
+  for (const std::size_t cap : {std::size_t{64}, std::size_t{4096},
+                                std::size_t{1} << 20}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    expect_same_ingest(with_cap(cap), events, 512, /*keep_history=*/false);
+  }
+  expect_same_ingest(with_cap(64), events, 512, /*keep_history=*/true);
+}
+
+TEST(NetIngest, EventsTiedAtSnapshotInstants) {
+  // Bursts of equal timestamps sitting exactly on the snapshot grid, just
+  // before it and just after it; a 4-event cap makes the buffer fill in
+  // the middle of a tie.
+  const Time grid = Time::sec(kIntervalSec);
+  aer::EventStream events;
+  std::uint16_t address = 0;
+  for (std::int64_t k = 1; k <= 40; ++k) {
+    const Time at = grid * k;
+    for (const Time t : {at - Time::us(3), at, at, at, at + Time::us(2),
+                         at + Time::us(2)}) {
+      events.push_back(aer::Event{address, t});
+      address = static_cast<std::uint16_t>((address + 37) % 1024);
+    }
+  }
+  for (const std::size_t cap : {std::size_t{4}, std::size_t{4096}}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    expect_same_ingest(with_cap(cap), events, 32, /*keep_history=*/false);
+  }
+}
+
+TEST(NetIngest, NonMonotonicEventMidFrameIsNackedAfterTheSamePrefix) {
+  const auto events = poisson(3000, 5, 100e3);
+  for (const std::size_t cap : {std::size_t{64}, std::size_t{4096}}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    expect_same_ingest(with_cap(cap), events, 512, /*keep_history=*/false,
+                       /*disorder_at=*/4 * 512 + 300);
+  }
+}
+
+TEST(NetIngest, RunFeedMatchesWithFaultsAndMetricsGrid) {
+  // Metrics grid and handshake watchdog both wind down in the idle gaps of
+  // a sparse stream and are revived by the next frame's events: a run
+  // must revive them in the order per-event feeding does.
+  core::ScenarioConfig scenario = with_cap(64);
+  scenario.faults.aer.drop_req_prob = 0.02;
+  scenario.telemetry.metrics = true;
+  scenario.telemetry.metrics_window = Time::us(500);
+  const auto events = poisson(2500, 9, 20e3);
+  expect_same_ingest(scenario, events, 512, /*keep_history=*/false);
+}
+
+}  // namespace

@@ -28,7 +28,9 @@
 #include "core/summary.hpp"
 #include "gen/sources.hpp"
 #include "net/client.hpp"
+#include "net/connection.hpp"
 #include "net/server.hpp"
+#include "net/wire.hpp"
 
 namespace {
 
@@ -189,6 +191,117 @@ TEST(NetResume, ResumeRejectsConfigMismatch) {
                  std::runtime_error);
   }
   ASSERT_EQ(::waitpid(second, &status, 0), second);
+}
+
+// --- in-process: failures that must NACK, never throw out of on_bytes ------
+
+/// One Connection driven in-process, its replies decoded.
+struct InProcess {
+  std::vector<net::Frame> replies;
+  net::Connection conn;
+
+  explicit InProcess(const net::GatewayConfig& gw)
+      : conn{gw, 1, [this](const std::vector<std::uint8_t>& b) {
+               net::Decoder d;
+               d.feed(b);
+               while (auto f = d.next()) replies.push_back(*f);
+             }} {}
+
+  bool push(net::MsgType type, const std::vector<std::uint8_t>& payload) {
+    return conn.on_bytes(net::encode_frame(type, 0, payload));
+  }
+  bool hello() {
+    net::Hello h;
+    h.session_name = "alpha";
+    return push(net::MsgType::kHello, net::encode_hello(h));
+  }
+  [[nodiscard]] std::string nack() const {
+    return replies.back().type == net::MsgType::kNack
+               ? net::decode_nack(replies.back().payload).reason
+               : std::string{};
+  }
+};
+
+TEST(NetResume, ResumedSessionNacksAnEventOlderThanItsLast) {
+  // The restored session remembers its last event; DATA going back before
+  // it gets the ordinary non-monotonic NACK, not an exception out of the
+  // session's own ordering check.
+  const auto stream = poisson_stream(400, 11, 50e3);
+  TempDir tmp;
+  net::GatewayConfig gw;
+  gw.snapshot_dir = tmp.path.string();
+  {
+    InProcess first{gw};
+    ASSERT_TRUE(first.hello());
+    ASSERT_TRUE(first.push(net::MsgType::kData,
+                           net::encode_data(stream, 0, stream.size())));
+    ASSERT_TRUE(first.push(net::MsgType::kSnapshotReq, {}));
+    ASSERT_EQ(first.replies.back().type, net::MsgType::kSnapshotAck);
+  }
+  gw.resume = true;
+  InProcess second{gw};
+  ASSERT_TRUE(second.hello());
+  EXPECT_EQ(net::decode_hello_ack(second.replies.back().payload).events_fed,
+            stream.size());
+  const aer::EventStream older{
+      {aer::Event{1, stream.back().time - Time::ps(1)}}};
+  bool open = true;
+  EXPECT_NO_THROW(open = second.push(net::MsgType::kData,
+                                     net::encode_data(older, 0, 1)));
+  EXPECT_FALSE(open);
+  EXPECT_EQ(second.nack(), "non-monotonic DATA timestamp");
+  EXPECT_EQ(second.conn.events_ingested(), 0u);
+}
+
+TEST(NetResume, UnwritableSnapshotIsNacked) {
+  // A snapshot the gateway cannot write NACKs the session that asked for
+  // it, whether by SNAPSHOT_REQ or on the periodic schedule.
+  const auto stream = poisson_stream(200, 11, 50e3);
+  TempDir tmp;
+  net::GatewayConfig gw;
+  gw.snapshot_dir = tmp.str("missing");
+  {
+    InProcess req{gw};
+    ASSERT_TRUE(req.hello());
+    bool open = true;
+    EXPECT_NO_THROW(open = req.push(net::MsgType::kSnapshotReq, {}));
+    EXPECT_FALSE(open);
+    EXPECT_EQ(req.conn.state(), net::Connection::State::kError);
+    EXPECT_NE(req.nack().find("snapshot failed: net: cannot open"),
+              std::string::npos)
+        << req.nack();
+  }
+  gw.snapshot_interval_sec = 0.001;
+  InProcess periodic{gw};
+  ASSERT_TRUE(periodic.hello());
+  bool open = true;
+  EXPECT_NO_THROW(open = periodic.push(
+                      net::MsgType::kData,
+                      net::encode_data(stream, 0, stream.size())));
+  EXPECT_FALSE(open);
+  EXPECT_NE(periodic.nack().find("snapshot failed: net: cannot open"),
+            std::string::npos)
+      << periodic.nack();
+}
+
+TEST(NetResume, UnwritableSummaryIsNacked) {
+  // DRAIN finishes the session; a summary file the gateway cannot write
+  // NACKs it instead of throwing out of on_bytes.
+  const auto stream = poisson_stream(200, 11, 50e3);
+  TempDir tmp;
+  net::GatewayConfig gw;
+  gw.out_dir = tmp.str("missing");
+  InProcess c{gw};
+  ASSERT_TRUE(c.hello());
+  ASSERT_TRUE(c.push(net::MsgType::kData,
+                     net::encode_data(stream, 0, stream.size())));
+  bool open = true;
+  EXPECT_NO_THROW(open = c.push(net::MsgType::kDrain, {}));
+  EXPECT_FALSE(open);
+  EXPECT_EQ(c.conn.state(), net::Connection::State::kError);
+  EXPECT_NE(c.nack().find("summary write failed: summary: cannot open"),
+            std::string::npos)
+      << c.nack();
 }
 
 }  // namespace

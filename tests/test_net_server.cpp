@@ -180,7 +180,8 @@ TEST(NetServer, ConcurrentEqualsSerial) {
   // at a time on a fresh server; every summary must match byte-for-byte.
   std::vector<aer::EventStream> streams;
   for (std::uint64_t i = 0; i < 3; ++i) {
-    streams.push_back(poisson_stream(700 + 100 * i, 100 + i, 40e3 + 1e4 * i));
+    streams.push_back(poisson_stream(700 + 100 * i, 100 + i,
+                                     40e3 + 1e4 * static_cast<double>(i)));
   }
   TempDir tmp;
 

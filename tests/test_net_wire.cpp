@@ -8,6 +8,7 @@
 // of the suite (cmake --preset sanitize).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <random>
@@ -18,6 +19,7 @@
 #include "i2s/framing.hpp"
 #include "net/connection.hpp"
 #include "net/wire.hpp"
+#include "util/blob.hpp"
 
 namespace {
 
@@ -271,11 +273,11 @@ TEST(NetFrame, UnknownTypeAndReservedByteAreTerminal) {
 TEST(NetFrame, TypedDecodersRejectTrailingBytes) {
   auto payload = encode_credit(Credit{5});
   payload.push_back(0);
-  EXPECT_THROW(decode_credit(payload), std::runtime_error);
+  EXPECT_THROW((void)decode_credit(payload), std::runtime_error);
 
   auto hello = encode_hello(Hello{kProtocolVersion, "a", ""});
   hello.push_back(1);
-  EXPECT_THROW(decode_hello(hello), std::runtime_error);
+  EXPECT_THROW((void)decode_hello(hello), std::runtime_error);
 }
 
 TEST(NetFrame, TypedDecodersRejectTruncation) {
@@ -297,6 +299,119 @@ TEST(NetFrame, DataDecodeRejectsOutOfRangeAddress) {
   payload[4] = 0xFF;
   payload[5] = 0xFF;
   EXPECT_THROW((void)decode_data(payload), std::runtime_error);
+}
+
+/// The per-field BlobReader DATA decoder the span decoder replaced: the
+/// reference for which payloads are rejected, and with what message.
+aer::EventStream reference_decode_data(const std::vector<std::uint8_t>& p) {
+  BlobReader r{p};
+  const std::uint32_t count = r.u32();
+  if (count > kMaxEventsPerFrame) {
+    throw std::runtime_error("net: DATA count exceeds kMaxEventsPerFrame");
+  }
+  aer::EventStream events;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint16_t address = r.u16();
+    const std::int64_t t_ps = r.i64();
+    if (address > aer::kAddressMask) {
+      throw std::runtime_error("net: DATA address out of range");
+    }
+    events.push_back(aer::Event{address, Time::ps(t_ps)});
+  }
+  if (!r.done()) throw std::runtime_error("net: trailing bytes after DATA");
+  return events;
+}
+
+/// "" when the payload decodes, else the exception message.
+template <typename Decode>
+std::string outcome(Decode&& decode, aer::EventStream& out) {
+  try {
+    decode(out);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Hostile DATA payloads: truncated at every byte, trailing bytes, lying
+/// counts, out-of-range addresses (alone and before a cut), random damage.
+std::vector<std::vector<std::uint8_t>> hostile_data_corpus() {
+  const auto stream = test_stream(20);
+  const auto good = encode_data(stream, 0, stream.size());
+  std::vector<std::vector<std::uint8_t>> corpus{
+      {}, encode_data(stream, 0, 0), encode_data(stream, 0, 1), good};
+  for (std::size_t cut = 0; cut < good.size(); ++cut) {
+    corpus.emplace_back(good.begin(),
+                        good.begin() + static_cast<std::ptrdiff_t>(cut));
+  }
+  for (std::size_t extra = 1; extra <= 12; ++extra) {
+    auto p = good;
+    p.resize(p.size() + extra, 0xA5);
+    corpus.push_back(p);
+  }
+  for (const std::uint32_t count :
+       {0u, 19u, 21u, static_cast<std::uint32_t>(kMaxEventsPerFrame),
+        static_cast<std::uint32_t>(kMaxEventsPerFrame + 1), 0xFFFFFFFFu}) {
+    auto p = good;
+    for (int i = 0; i < 4; ++i) {
+      p[static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(count >> (8 * i));
+    }
+    corpus.push_back(p);
+  }
+  for (const std::size_t event : {0u, 9u, 19u}) {
+    auto p = good;
+    p[4 + 10 * event] = 0x00;
+    p[5 + 10 * event] = 0x04;  // address 1024: one past the 10-bit bus
+    corpus.push_back(p);
+    for (const std::size_t cut : {p.size() - 1, 4 + 10 * event + 1,
+                                  4 + 10 * event + 10, 4 + 10 * event + 12}) {
+      corpus.emplace_back(p.begin(),
+                          p.begin() + static_cast<std::ptrdiff_t>(
+                                          std::min(cut, p.size())));
+    }
+  }
+  std::mt19937 rng{31};
+  std::uniform_int_distribution<std::size_t> pos{0, good.size() - 1};
+  std::uniform_int_distribution<int> byte{0, 255};
+  for (int iter = 0; iter < 500; ++iter) {
+    auto p = good;
+    for (int hits = 0; hits < 2; ++hits) {
+      p[pos(rng)] = static_cast<std::uint8_t>(byte(rng));
+    }
+    corpus.push_back(p);
+  }
+  return corpus;
+}
+
+TEST(NetFrame, SpanDecoderMatchesThePerFieldDecoderOnHostilePayloads) {
+  // decode_data_into (one bounds check per payload, reused buffer) and its
+  // decode_data wrapper accept exactly what the per-field decoder accepts,
+  // with the same events, and reject the rest with the same message.
+  aer::EventStream reused(7, aer::Event{3, Time::us(1)});  // stale contents
+  std::size_t rejected = 0;
+  for (const auto& p : hostile_data_corpus()) {
+    aer::EventStream want;
+    const std::string want_error = outcome(
+        [&p](aer::EventStream& out) { out = reference_decode_data(p); }, want);
+    aer::EventStream wrapped;
+    const std::string wrapped_error = outcome(
+        [&p](aer::EventStream& out) { out = decode_data(p); }, wrapped);
+    const std::string span_error = outcome(
+        [&p](aer::EventStream& out) {
+          decode_data_into(p.data(), p.size(), out);
+        },
+        reused);
+    ASSERT_EQ(wrapped_error, want_error) << "payload size " << p.size();
+    ASSERT_EQ(span_error, want_error) << "payload size " << p.size();
+    if (want_error.empty()) {
+      EXPECT_EQ(wrapped, want);
+      EXPECT_EQ(reused, want);
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 100u);
 }
 
 TEST(NetFrame, RandomGarbageNeverCrashesTheDecoder) {

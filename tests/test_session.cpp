@@ -706,6 +706,34 @@ TEST(Session, FeedAllKeepsPrefixOnDisorder) {
   EXPECT_EQ(s.finish().events_in, 6u);
 }
 
+// Fed in one call, a chunk must revive the standing services in the order
+// a feed() per event would. At 1.99 ms the metrics grid and the handshake
+// watchdog have both wound down; the watchdog's next check (now + 10 us)
+// and the grid's next point both fall at 2 ms. Fed one at a time, the
+// 1.995 ms event re-arms the watchdog and only the 2.5 ms event the grid,
+// so the watchdog wins the same-time tie — visible in the 2 ms grid row's
+// sched.events_dispatched sample, which the snapshot blob carries.
+TEST(Session, FeedAllRevivesServicesInPerEventOrder) {
+  core::ScenarioConfig sc;
+  sc.faults.aer.drop_req_prob = 1e-9;  // arms the watchdog, drops nothing
+  sc.telemetry.metrics = true;
+  sc.telemetry.metrics_window = Time::ms(1.0);
+  const auto run = [&sc](bool one_call) {
+    core::Session s{sc};
+    EXPECT_TRUE(s.feed(aer::Event{1, Time::us(100)}));
+    s.advance_to(Time::us(1990));
+    const aer::EventStream more{{2, Time::us(1995)}, {3, Time::us(2500)}};
+    if (one_call) {
+      s.feed_all(more);
+    } else {
+      for (const auto& ev : more) EXPECT_TRUE(s.feed(ev));
+    }
+    s.advance_to(Time::ms(3.0));
+    return s.snapshot();
+  };
+  EXPECT_EQ(run(true), run(false));
+}
+
 TEST(Session, RestoreRejectsMismatchedScenario) {
   core::ScenarioConfig a;
   a.fast_forward = false;

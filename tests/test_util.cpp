@@ -2,14 +2,19 @@
 // tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "util/crc32.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -357,6 +362,77 @@ TEST(Table, CsvQuotesCellsThatHoldSeparators) {
             "\"say \"\"hi\"\"\",1\n"
             "\"two\nlines\",2\n");
   std::remove(path.c_str());
+}
+
+// --- CRC-32 ----------------------------------------------------------------
+
+/// The classic byte-at-a-time table walk the sliced kernel must equal.
+std::uint32_t reference_crc32_update(std::uint32_t state,
+                                     const std::uint8_t* data,
+                                     std::size_t size) {
+  for (std::size_t i = 0; i < size; ++i) {
+    state ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      state = (state & 1u) != 0u ? 0xEDB88320u ^ (state >> 1) : state >> 1;
+    }
+  }
+  return state;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint32_t seed) {
+  std::mt19937 rng{seed};
+  std::uniform_int_distribution<int> byte{0, 255};
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(byte(rng));
+  return out;
+}
+
+TEST(Crc32, KnownVectors) {
+  const std::string check = "123456789";
+  EXPECT_EQ(util::crc32_bytes(
+                reinterpret_cast<const std::uint8_t*>(check.data()),
+                check.size()),
+            0xCBF43926u);
+  const std::vector<std::uint8_t> one_word{1, 0, 0, 0};
+  EXPECT_EQ(util::crc32_bytes(one_word), 0x99F8B879u);
+  EXPECT_EQ(util::crc32_bytes(nullptr, 0), 0u);
+}
+
+TEST(Crc32, SlicedKernelEqualsByteWiseAtEveryLengthAndOffset) {
+  // Every length 0..4096 from each of the eight start offsets, so every
+  // split between the 8-byte steps, the 4-byte step and the byte tail and
+  // every alignment of the 8-byte loads is covered.
+  const auto data = random_bytes(4096 + 8, 20261018);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const std::uint8_t* p = data.data() + offset;
+      ASSERT_EQ(util::crc32_update(0xFFFFFFFFu, p, len),
+                reference_crc32_update(0xFFFFFFFFu, p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, IncrementalUpdatesAtRandomSplitsEqualOneShot) {
+  std::mt19937 rng{7};
+  for (int iter = 0; iter < 500; ++iter) {
+    const auto data = random_bytes(
+        std::uniform_int_distribution<std::size_t>{0, 6442}(rng),
+        static_cast<std::uint32_t>(iter));
+    const std::uint32_t one_shot = util::crc32_bytes(data);
+    ASSERT_EQ(one_shot, ~reference_crc32_update(0xFFFFFFFFu, data.data(),
+                                                 data.size()));
+    std::uint32_t state = 0xFFFFFFFFu;
+    std::size_t pos = 0;
+    while (pos < data.size()) {
+      const std::size_t piece = std::min(
+          data.size() - pos,
+          std::uniform_int_distribution<std::size_t>{0, 40}(rng));
+      state = util::crc32_update(state, data.data() + pos, piece);
+      pos += piece;
+    }
+    ASSERT_EQ(~state, one_shot) << "iteration " << iter;
+  }
 }
 
 }  // namespace
