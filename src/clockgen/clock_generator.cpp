@@ -12,9 +12,16 @@ namespace {
 
 ScheduleConfig to_schedule_config(const ClockGeneratorConfig& cfg) {
   ScheduleConfig sc;
-  const auto divide_ratio = static_cast<Time::Rep>(
-      std::uint64_t{1} << (cfg.ref_divider_stages + cfg.sampling_divider_stages));
-  sc.tmin = cfg.ring_frequency.period() * divide_ratio;
+  const std::uint64_t stages = std::uint64_t{cfg.ref_divider_stages} +
+                               cfg.sampling_divider_stages;
+  const Time ring_period = cfg.ring_frequency.period();
+  if (stages > 62 ||
+      ring_period.count_ps() > (Time::max().count_ps() >> stages)) {
+    throw std::invalid_argument(
+        "ClockGenerator: ring period * 2^(divider stages) exceeds the time "
+        "range");
+  }
+  sc.tmin = ring_period * (Time::Rep{1} << stages);
   sc.theta_div = cfg.theta_div;
   sc.n_div = cfg.n_div;
   sc.divide_enabled = cfg.divide_enabled;

@@ -24,6 +24,17 @@ SamplingSchedule::SamplingSchedule(const ScheduleConfig& config)
     throw std::invalid_argument("SamplingSchedule: n_div too large (max 30)");
   }
   top_level_ = cfg_.divide_enabled ? cfg_.n_div : 0;
+  // The latest instant below, tmin * theta_div * (2^(top + 1) - 1), must be
+  // a Time; the factor itself is below 2^63 (theta_div < 2^32, top <= 30).
+  const std::uint64_t last_factor =
+      static_cast<std::uint64_t>(cfg_.theta_div) *
+      ((std::uint64_t{1} << (top_level_ + 1)) - 1);
+  if (static_cast<std::uint64_t>(cfg_.tmin.count_ps()) >
+      static_cast<std::uint64_t>(Time::max().count_ps()) / last_factor) {
+    throw std::invalid_argument(
+        "SamplingSchedule: tmin * theta_div * 2^(n_div + 1) exceeds the time "
+        "range");
+  }
   // S_k = theta_div * Tmin * (2^k - 1); one extra entry marks the end of the
   // top level (the shutdown instant, or "never").
   level_starts_.reserve(top_level_ + 2);

@@ -10,8 +10,27 @@
 //   fault.aer.drop_req_prob = 0.01
 //
 // Unknown keys are an error (catching typos beats silently ignoring them);
-// omitted keys keep their defaults. dump_scenario() emits every key, so
-// dump -> load round-trips exactly.
+// omitted keys keep their defaults. dump_scenario() emits every key.
+//
+// Round trip: every number is written as the shortest %g text (precision
+// 6 up to 17) that loads back to the stored value, so load(dump(s)) equals
+// s field for field and dump -> load -> dump is byte-identical. A value
+// that round-trips at six digits prints exactly as a default-formatted
+// stream prints it. Scaled keys (power.static_uw, power.osc_domain_mw)
+// load by dividing by the exact power of ten; a time key loads to the
+// nearest picosecond, so every count below 2^52 ps round-trips.
+//
+// Range: numbers must be finite. Time keys (_ns, _us, _ms) refuse
+// negatives and values whose picosecond count does not fit in int64;
+// frequency keys (_mhz) refuse values not above zero and values whose
+// period in picoseconds does not fit in int64; an integer key
+// refuses negatives, fractions and values above its field type's maximum
+// (never narrowing) or outside its own bounds (clock.theta_div 1..4096,
+// clock.n_div 0..30, session.max_buffered_events >= 1);
+// session.snapshot_interval_sec refuses negatives. Each refusal throws
+// std::runtime_error naming the key and leaves the config untouched;
+// cross-key rules (probabilities in [0, 1], batch threshold <= capacity)
+// are ScenarioConfig::validate()'s.
 #pragma once
 
 #include <iosfwd>
@@ -40,8 +59,8 @@ ScenarioConfig load_scenario(std::istream& is);
 /// Load a scenario file; throws std::runtime_error on failure.
 ScenarioConfig load_scenario_file(const std::string& path);
 
-/// Render every tunable of `scenario` in load_scenario() syntax. Emits every
-/// key, so dump -> load -> dump is byte-identical.
+/// Render every tunable of `scenario` in load_scenario() syntax: every key,
+/// every number exact (see the round-trip rule above).
 std::string dump_scenario(const ScenarioConfig& scenario);
 
 /// Apply one `key = value` assignment — any key load_scenario() accepts —
@@ -59,13 +78,5 @@ void apply_scenario_key(ScenarioConfig& scenario, const std::string& key,
 /// The known scenario key nearest to `key` by edit distance, or "" when
 /// nothing is close enough to be a plausible typo.
 [[nodiscard]] std::string suggest_scenario_key(const std::string& key);
-
-/// The candidate nearest to `key` by edit distance, or "" when nothing is
-/// within the typo threshold. The generic engine behind
-/// suggest_scenario_key(), exposed so layered config formats (fleet files
-/// accept fleet.* keys *plus* every scenario key) can suggest across their
-/// combined key set instead of re-implementing the distance metric.
-[[nodiscard]] std::string suggest_key(const std::string& key,
-                                      const std::vector<std::string>& candidates);
 
 }  // namespace aetr::core

@@ -208,17 +208,6 @@ double quantile_sorted(const std::vector<double>& sorted, double q) {
 
 }  // namespace
 
-const char* to_string(Arbitration a) {
-  return a == Arbitration::kFifo ? "fifo" : "round_robin";
-}
-
-Arbitration parse_arbitration(const std::string& s) {
-  if (s == "fifo") return Arbitration::kFifo;
-  if (s == "round_robin") return Arbitration::kRoundRobin;
-  throw std::runtime_error("fleet: unknown arbitration '" + s +
-                           "' (expected fifo or round_robin)");
-}
-
 void FleetConfig::validate() const {
   const auto fail = [](const std::string& what) {
     throw std::invalid_argument("fleet: " + what);

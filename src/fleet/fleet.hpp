@@ -51,10 +51,6 @@ enum class Arbitration {
   kRoundRobin,  ///< one word per node per turn, ring entry in arrival order
 };
 
-[[nodiscard]] const char* to_string(Arbitration a);
-/// Parses "fifo" / "round_robin"; throws std::runtime_error otherwise.
-[[nodiscard]] Arbitration parse_arbitration(const std::string& s);
-
 /// The shared node->gateway uplink.
 struct LinkConfig {
   /// Uplink drain rate; one decoded event = one uplink word.

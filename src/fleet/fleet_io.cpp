@@ -1,8 +1,6 @@
 #include "fleet/fleet_io.hpp"
 
-#include <cstdint>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/config_io.hpp"
@@ -13,106 +11,34 @@ namespace aetr::fleet {
 namespace {
 
 using core::KeySchema;
-using core::keyio::parse_bool;
-using core::keyio::parse_double;
-using core::keyio::parse_uint;
 
 KeySchema<FleetConfig> make_fleet_schema() {
   KeySchema<FleetConfig> s{"fleet config"};
   s.comment("aetr fleet configuration");
-  s.add(
-      "fleet.nodes",
-      [](FleetConfig& c, const std::string& v) {
-        c.nodes = static_cast<std::size_t>(parse_uint(v, "fleet.nodes"));
-      },
-      [](std::ostream& os, const FleetConfig& c) { os << c.nodes; });
-  s.add(
-      "fleet.gateways",
-      [](FleetConfig& c, const std::string& v) {
-        c.gateways = static_cast<std::size_t>(parse_uint(v, "fleet.gateways"));
-      },
-      [](std::ostream& os, const FleetConfig& c) { os << c.gateways; });
-  s.add(
-      "fleet.rate_hz",
-      [](FleetConfig& c, const std::string& v) {
-        c.rate_hz = parse_double(v, "fleet.rate_hz");
-      },
-      [](std::ostream& os, const FleetConfig& c) { os << c.rate_hz; });
-  s.add(
-      "fleet.events_per_node",
-      [](FleetConfig& c, const std::string& v) {
-        c.events_per_node =
-            static_cast<std::size_t>(parse_uint(v, "fleet.events_per_node"));
-      },
-      [](std::ostream& os, const FleetConfig& c) { os << c.events_per_node; });
-  s.add(
-      "fleet.rate_spread",
-      [](FleetConfig& c, const std::string& v) {
-        c.rate_spread = parse_double(v, "fleet.rate_spread");
-      },
-      [](std::ostream& os, const FleetConfig& c) { os << c.rate_spread; });
-  s.add(
-      "fleet.fault_level",
-      [](FleetConfig& c, const std::string& v) {
-        c.fault_level = parse_double(v, "fleet.fault_level");
-      },
-      [](std::ostream& os, const FleetConfig& c) { os << c.fault_level; });
-  s.add(
-      "fleet.node_energy_budget_j",
-      [](FleetConfig& c, const std::string& v) {
-        c.node_energy_budget_j = parse_double(v, "fleet.node_energy_budget_j");
-      },
-      [](std::ostream& os, const FleetConfig& c) {
-        os << c.node_energy_budget_j;
-      });
-  s.add(
-      "fleet.health",
-      [](FleetConfig& c, const std::string& v) {
-        c.health = parse_bool(v, "fleet.health");
-      },
-      [](std::ostream& os, const FleetConfig& c) {
-        os << (c.health ? "true" : "false");
-      });
-  s.add(
-      "fleet.seed",
-      [](FleetConfig& c, const std::string& v) {
-        c.seed = parse_uint(v, "fleet.seed");
-      },
-      [](std::ostream& os, const FleetConfig& c) { os << c.seed; });
-  s.add(
-      "link.bandwidth_words_per_sec",
-      [](FleetConfig& c, const std::string& v) {
-        c.link.bandwidth_words_per_sec =
-            parse_double(v, "link.bandwidth_words_per_sec");
-      },
-      [](std::ostream& os, const FleetConfig& c) {
-        os << c.link.bandwidth_words_per_sec;
-      });
-  s.add(
-      "link.queue_words",
-      [](FleetConfig& c, const std::string& v) {
-        c.link.queue_words =
-            static_cast<std::size_t>(parse_uint(v, "link.queue_words"));
-      },
-      [](std::ostream& os, const FleetConfig& c) { os << c.link.queue_words; });
-  s.add(
-      "link.arbitration",
-      [](FleetConfig& c, const std::string& v) {
-        c.link.arbitration = parse_arbitration(v);
-      },
-      [](std::ostream& os, const FleetConfig& c) {
-        os << to_string(c.link.arbitration);
-      });
+  s.integer("fleet.nodes", [](auto& c) -> auto& { return c.nodes; });
+  s.integer("fleet.gateways", [](auto& c) -> auto& { return c.gateways; });
+  s.real("fleet.rate_hz", [](auto& c) -> auto& { return c.rate_hz; });
+  s.integer("fleet.events_per_node",
+            [](auto& c) -> auto& { return c.events_per_node; });
+  s.real("fleet.rate_spread", [](auto& c) -> auto& { return c.rate_spread; });
+  s.real("fleet.fault_level", [](auto& c) -> auto& { return c.fault_level; });
+  s.real("fleet.node_energy_budget_j",
+         [](auto& c) -> auto& { return c.node_energy_budget_j; });
+  s.flag("fleet.health", [](auto& c) -> auto& { return c.health; });
+  s.integer("fleet.seed", [](auto& c) -> auto& { return c.seed; });
+  s.real("link.bandwidth_words_per_sec",
+         [](auto& c) -> auto& { return c.link.bandwidth_words_per_sec; });
+  s.integer("link.queue_words",
+            [](auto& c) -> auto& { return c.link.queue_words; });
+  s.choice("link.arbitration",
+           [](auto& c) -> auto& { return c.link.arbitration; },
+           {{"fifo", Arbitration::kFifo},
+            {"round_robin", Arbitration::kRoundRobin}});
   // Every scenario key (which itself embeds every interface key) applies
   // to the per-node base scenario — one shared table instead of the old
   // three-way fall-through.
   s.comment("per-node base scenario");
-  s.extend<core::ScenarioConfig>(
-      core::scenario_schema(),
-      [](FleetConfig& c) -> core::ScenarioConfig& { return c.base; },
-      [](const FleetConfig& c) -> const core::ScenarioConfig& {
-        return c.base;
-      });
+  s.extend(core::scenario_schema(), [](auto& c) -> auto& { return c.base; });
   return s;
 }
 
@@ -149,9 +75,7 @@ FleetConfig load_fleet_file(const std::string& path) {
 }
 
 std::string dump_fleet(const FleetConfig& c) {
-  std::ostringstream os;
-  fleet_schema().dump(os, c);
-  return os.str();
+  return fleet_schema().dump(c);
 }
 
 }  // namespace aetr::fleet

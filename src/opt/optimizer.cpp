@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "core/config_io.hpp"
+#include "core/key_schema.hpp"
 #include "runtime/seed.hpp"
 #include "runtime/sweep.hpp"
 #include "util/artifacts.hpp"
@@ -19,14 +20,7 @@ namespace {
 
 // --- formatting -------------------------------------------------------------
 
-std::string fmt_double(double v) {
-  char buf[64];
-  for (int prec = 6; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
+using core::keyio::format_double;
 
 std::string fmt_u64(std::uint64_t v) { return std::to_string(v); }
 
@@ -64,20 +58,9 @@ std::vector<double> default_params(const SearchSpace& space,
                                    const core::ScenarioConfig& base) {
   std::map<std::string, std::string> kv;
   std::istringstream dump(core::dump_scenario(base));
-  std::string line;
-  while (std::getline(dump, line)) {
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    const auto trim = [](std::string s) {
-      const auto b = s.find_first_not_of(" \t\r");
-      if (b == std::string::npos) return std::string{};
-      const auto e = s.find_last_not_of(" \t\r");
-      return s.substr(b, e - b + 1);
-    };
-    kv[trim(line.substr(0, eq))] = trim(line.substr(eq + 1));
-  }
+  core::keyio::parse_stream(
+      dump, "opt", [&](const std::string& key, const std::string& value,
+                       std::size_t) { kv[key] = value; });
   std::vector<double> params;
   params.reserve(space.size());
   for (const auto& axis : space.axes()) {
@@ -173,13 +156,13 @@ runtime::Row checkpoint_row(const Trial& t, const SearchSpace& space) {
   runtime::Row r{std::to_string(t.rung), fmt_u64(t.id),
                  std::to_string(t.n_events)};
   for (std::size_t i = 0; i < space.size(); ++i) {
-    r.push_back(fmt_double(t.params[i]));
+    r.push_back(format_double(t.params[i]));
   }
-  r.push_back(fmt_double(t.eval.energy_per_event_j));
-  r.push_back(fmt_double(t.eval.err_rms));
-  r.push_back(fmt_double(t.eval.delivered));
-  r.push_back(fmt_double(t.eval.p99_latency_s));
-  r.push_back(fmt_double(t.eval.average_power_w));
+  r.push_back(format_double(t.eval.energy_per_event_j));
+  r.push_back(format_double(t.eval.err_rms));
+  r.push_back(format_double(t.eval.delivered));
+  r.push_back(format_double(t.eval.p99_latency_s));
+  r.push_back(format_double(t.eval.average_power_w));
   r.push_back(fmt_u64(t.eval.events_in));
   r.push_back(fmt_u64(t.eval.words_out));
   return r;
@@ -406,9 +389,9 @@ void write_summary_json(const std::string& path, const SearchSpace& space,
     os << (i ? ", " : "") << '"' << to_string(opt.objectives[i]) << '"';
   }
   os << "],\n";
-  os << "  \"workload\": {\"rate_hz\": " << fmt_double(opt.workload.rate_hz)
+  os << "  \"workload\": {\"rate_hz\": " << format_double(opt.workload.rate_hz)
      << ", \"n_events\": " << opt.workload.n_events
-     << ", \"fault_level\": " << fmt_double(opt.workload.fault_level)
+     << ", \"fault_level\": " << format_double(opt.workload.fault_level)
      << "},\n";
   os << "  \"axes\": [";
   for (std::size_t i = 0; i < space.size(); ++i) {
@@ -420,10 +403,10 @@ void write_summary_json(const std::string& path, const SearchSpace& space,
   // resumed run ends with the same bytes as an uninterrupted one.
   os << "  \"trials\": " << result.trials.size() << ",\n";
   os << "  \"baseline\": {\"energy_per_event_j\": "
-     << fmt_double(result.baseline.energy_per_event_j)
-     << ", \"err_rms\": " << fmt_double(result.baseline.err_rms)
-     << ", \"delivered\": " << fmt_double(result.baseline.delivered)
-     << ", \"p99_latency_s\": " << fmt_double(result.baseline.p99_latency_s)
+     << format_double(result.baseline.energy_per_event_j)
+     << ", \"err_rms\": " << format_double(result.baseline.err_rms)
+     << ", \"delivered\": " << format_double(result.baseline.delivered)
+     << ", \"p99_latency_s\": " << format_double(result.baseline.p99_latency_s)
      << "},\n";
   double best_energy = result.baseline.energy_per_event_j;
   for (const auto& t : result.trials) {
@@ -432,21 +415,21 @@ void write_summary_json(const std::string& path, const SearchSpace& space,
       best_energy = t.eval.energy_per_event_j;
     }
   }
-  os << "  \"best_energy_per_event_j\": " << fmt_double(best_energy)
+  os << "  \"best_energy_per_event_j\": " << format_double(best_energy)
      << ",\n";
   os << "  \"dominated_baseline\": "
      << (result.dominated_baseline ? "true" : "false") << ",\n";
-  os << "  \"hypervolume\": " << fmt_double(result.hypervolume) << ",\n";
+  os << "  \"hypervolume\": " << format_double(result.hypervolume) << ",\n";
   os << "  \"front\": [\n";
   for (std::size_t i = 0; i < result.front.points().size(); ++i) {
     const auto& p = result.front.points()[i];
     os << "    {\"id\": " << p.id << ", \"params\": [";
     for (std::size_t j = 0; j < p.params.size(); ++j) {
-      os << (j ? ", " : "") << fmt_double(p.params[j]);
+      os << (j ? ", " : "") << format_double(p.params[j]);
     }
     os << "], \"objectives\": [";
     for (std::size_t j = 0; j < p.objectives.size(); ++j) {
-      os << (j ? ", " : "") << fmt_double(p.objectives[j]);
+      os << (j ? ", " : "") << format_double(p.objectives[j]);
     }
     os << "]}" << (i + 1 < result.front.points().size() ? "," : "") << "\n";
   }
@@ -716,13 +699,13 @@ OptResult optimize(const SearchSpace& space, const core::ScenarioConfig& base,
     for (const auto& t : result.trials) {
       runtime::Row row{std::to_string(t.rung), fmt_u64(t.id),
                        std::to_string(t.n_events)};
-      for (double v : t.params) row.push_back(fmt_double(v));
-      for (double v : t.eval.objectives) row.push_back(fmt_double(v));
-      row.push_back(fmt_double(t.eval.energy_per_event_j));
-      row.push_back(fmt_double(t.eval.err_rms));
-      row.push_back(fmt_double(t.eval.delivered));
-      row.push_back(fmt_double(t.eval.p99_latency_s));
-      row.push_back(fmt_double(t.eval.average_power_w));
+      for (double v : t.params) row.push_back(format_double(v));
+      for (double v : t.eval.objectives) row.push_back(format_double(v));
+      row.push_back(format_double(t.eval.energy_per_event_j));
+      row.push_back(format_double(t.eval.err_rms));
+      row.push_back(format_double(t.eval.delivered));
+      row.push_back(format_double(t.eval.p99_latency_s));
+      row.push_back(format_double(t.eval.average_power_w));
       os << join_csv(row) << "\n";
     }
   }
@@ -743,8 +726,8 @@ OptResult optimize(const SearchSpace& space, const core::ScenarioConfig& base,
     os << join_csv(header) << "\n";
     for (const auto& p : result.front.points()) {
       runtime::Row row{fmt_u64(p.id)};
-      for (double v : p.params) row.push_back(fmt_double(v));
-      for (double v : p.objectives) row.push_back(fmt_double(v));
+      for (double v : p.params) row.push_back(format_double(v));
+      for (double v : p.objectives) row.push_back(format_double(v));
       os << join_csv(row) << "\n";
     }
   }

@@ -24,16 +24,6 @@ bool is_integer_kind(AxisKind k) {
   return k == AxisKind::kLogInt || k == AxisKind::kInteger;
 }
 
-std::string format_double(double v) {
-  // Shortest form that round-trips: try %g precisions, fall back to %.17g.
-  char buf[64];
-  for (int prec = 6; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
 }  // namespace
 
 const char* to_string(AxisKind k) {
@@ -98,7 +88,7 @@ std::string ParamAxis::format(double value) const {
                   static_cast<long long>(std::llround(value)));
     return buf;
   }
-  return format_double(value);
+  return core::keyio::format_double(value);
 }
 
 SearchSpace& SearchSpace::add(ParamAxis axis) {

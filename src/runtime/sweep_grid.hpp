@@ -45,7 +45,9 @@ class GridPoint {
   /// Position of this point along the named axis (0-based).
   [[nodiscard]] std::size_t ordinal(std::string_view axis) const;
 
-  /// "theta=16,rate=100" — stable, shortest-round-trip %g formatting.
+  /// "theta=16,rate=100" — stable plain %g formatting (six significant
+  /// digits, not a round trip: the tag names a CSV row, the value is in
+  /// at()).
   [[nodiscard]] std::string tag() const;
 
   [[nodiscard]] const std::vector<GridAxis>* axes() const { return axes_; }

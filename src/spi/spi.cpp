@@ -56,7 +56,8 @@ void SpiSlave::sck_rise(bool mosi) {
     }
   }
   ++bits_clocked_;
-  shift_in_ = static_cast<std::uint16_t>((shift_in_ << 1) | (mosi ? 1u : 0u));
+  shift_in_ = static_cast<std::uint16_t>(
+      (static_cast<unsigned>(shift_in_) << 1) | (mosi ? 1u : 0u));
   ++bit_count_;
   if (bit_count_ == 8) {
     // Command byte complete: decode R/W + address; preload read data.
@@ -76,7 +77,7 @@ void SpiSlave::sck_fall() {
   // During the data phase of a read, shift the register out MSB first.
   if (bit_count_ >= 8 && !is_write_) {
     const unsigned idx = 7 - (bit_count_ - 8);
-    miso_ = (shift_out_ >> idx) & 1u;
+    miso_ = (static_cast<unsigned>(shift_out_) >> idx) & 1u;
   } else {
     miso_ = false;
   }
@@ -117,7 +118,7 @@ SpiMaster::SpiMaster(sim::Scheduler& sched, SpiSlave& slave, Frequency sck)
 
 void SpiMaster::write(Reg reg, std::uint8_t value) {
   const auto frame = static_cast<std::uint16_t>(
-      0x8000u | (static_cast<std::uint16_t>(reg) << 8) | value);
+      0x8000u | (static_cast<unsigned>(reg) << 8) | value);
   queue_.push_back(Txn{frame, nullptr});
   if (!busy_) start_next();
 }
@@ -150,10 +151,10 @@ void SpiMaster::clock_bit(Txn txn, unsigned bit, std::uint16_t miso_accum) {
   }
   // Mode 0: master drives MOSI, then raises SCK (slave samples), then
   // lowers it (slave updates MISO); master samples MISO on the rise.
-  const bool mosi = (txn.frame >> (15 - bit)) & 1u;
+  const bool mosi = (static_cast<unsigned>(txn.frame) >> (15 - bit)) & 1u;
   auto rise = [this, txn = std::move(txn), bit, miso_accum, mosi]() mutable {
     const auto accum = static_cast<std::uint16_t>(
-        (miso_accum << 1) | (slave_.miso() ? 1u : 0u));
+        (static_cast<unsigned>(miso_accum) << 1) | (slave_.miso() ? 1u : 0u));
     slave_.sck_rise(mosi);
     sched_.schedule_after(
         half_period_, [this, txn = std::move(txn), bit, accum]() mutable {

@@ -186,6 +186,19 @@ TEST(ClockGenerator, TminFromRingAndDividers) {
   EXPECT_NEAR(cg.tmin().to_ns(), 66.67, 0.05);
 }
 
+TEST(ClockGenerator, TminOutsideTheTimeRangeThrows) {
+  // Tmin = ring period * 2^(divider stages): a shift past 62 stages or a
+  // product past int64 picoseconds is refused, not computed.
+  sim::Scheduler sched;
+  ClockGeneratorConfig cfg;
+  cfg.ref_divider_stages = 70;
+  EXPECT_THROW((ClockGenerator{sched, cfg}), std::invalid_argument);
+  cfg = ClockGeneratorConfig{};
+  cfg.ring_frequency = Frequency::hz(1e-6);  // a 1e18 ps period, * 2^4
+  cfg.ref_divider_stages = 3;
+  EXPECT_THROW((ClockGenerator{sched, cfg}), std::invalid_argument);
+}
+
 TEST(ClockGenerator, CaptureQuantisesToSamplingEdge) {
   sim::Scheduler sched;
   ClockGenerator cg{sched, small_cfg()};

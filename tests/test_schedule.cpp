@@ -181,6 +181,15 @@ TEST(Schedule, InvalidConfigThrows) {
   cfg = ScheduleConfig{};
   cfg.n_div = 31;
   EXPECT_THROW(SamplingSchedule{cfg}, std::invalid_argument);
+  // The shutdown instant tmin * theta_div * (2^(n_div + 1) - 1) must fit in
+  // a Time: 1 ms * 4096 * (2^31 - 1) does not.
+  cfg = ScheduleConfig{};
+  cfg.tmin = Time::ms(1.0);
+  cfg.theta_div = 4096;
+  cfg.n_div = 30;
+  EXPECT_THROW(SamplingSchedule{cfg}, std::invalid_argument);
+  cfg.n_div = 8;
+  EXPECT_NO_THROW(SamplingSchedule{cfg});
 }
 
 // ---------------------------------------------------------------------------

@@ -747,6 +747,24 @@ TEST(Session, RestoreRejectsMismatchedScenario) {
   EXPECT_THROW(other.restore(blob), std::runtime_error);
 }
 
+TEST(Session, RestoreRejectsScenarioDifferingPastTheSixthDigit) {
+  // The fingerprint is the exact dump, so a ring 0.0000321 MHz apart (the
+  // same at six significant digits) is another interface.
+  core::ScenarioConfig a;
+  a.fast_forward = false;
+  a.interface.clock.ring_frequency = Frequency::mhz(118.7654321);
+  core::Session s{a};
+  s.advance_to(Time::us(50));
+  const auto blob = s.snapshot();
+
+  core::ScenarioConfig b = a;
+  b.interface.clock.ring_frequency = Frequency::mhz(118.765);
+  core::Session other{b};
+  EXPECT_THROW(other.restore(blob), std::runtime_error);
+  core::Session same{a};
+  EXPECT_NO_THROW(same.restore(blob));
+}
+
 TEST(Session, RestoreRejectsTruncatedBlob) {
   core::ScenarioConfig scenario;
   scenario.fast_forward = false;

@@ -40,9 +40,9 @@ std::uint8_t shift_frame(SpiSlave& slave, std::uint16_t frame) {
   std::uint16_t miso = 0;
   slave.set_csn(false);
   for (int bit = 15; bit >= 0; --bit) {
-    miso = static_cast<std::uint16_t>((miso << 1) |
+    miso = static_cast<std::uint16_t>((static_cast<unsigned>(miso) << 1) |
                                       (slave.miso() ? 1u : 0u));
-    slave.sck_rise((frame >> bit) & 1u);
+    slave.sck_rise((static_cast<unsigned>(frame) >> bit) & 1u);
     slave.sck_fall();
   }
   slave.set_csn(true);
@@ -115,7 +115,7 @@ TEST(SpiSlave, BackToBackTransactionsInOneSelect) {
   slave.set_csn(false);
   auto clock16 = [&](std::uint16_t frame) {
     for (int bit = 15; bit >= 0; --bit) {
-      slave.sck_rise((frame >> bit) & 1u);
+      slave.sck_rise((static_cast<unsigned>(frame) >> bit) & 1u);
       slave.sck_fall();
     }
   };

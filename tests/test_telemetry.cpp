@@ -63,7 +63,12 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined into a new-expression's cleanup, GCC sees free()
+// applied to operator new's result and flags a mismatch
+// (-Wmismatched-new-delete), though this file's operator new is malloc.
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
