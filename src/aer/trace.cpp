@@ -20,28 +20,33 @@ void save_trace(const std::string& path, const EventStream& events) {
   if (!f) throw std::runtime_error("save_trace: write failed for " + path);
 }
 
-EventStream read_trace(std::istream& is) {
-  EventStream events;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto first = line.find_first_not_of(" \t");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream ls{line};
+std::optional<Event> TraceReader::next() {
+  while (std::getline(is_, line_)) {
+    ++line_no_;
+    const auto first = line_.find_first_not_of(" \t\r");
+    if (first == std::string::npos || line_[first] == '#') continue;
+    std::istringstream ls{line_};
     Time::Rep t_ps = 0;
     unsigned address = 0;
     if (!(ls >> t_ps >> address) || address > kAddressMask) {
       throw std::runtime_error("read_trace: malformed line " +
-                               std::to_string(line_no) + ": " + line);
+                               std::to_string(line_no_) + ": " + line_);
     }
     const Event ev{static_cast<std::uint16_t>(address), Time::ps(t_ps)};
-    if (!events.empty() && ev.time < events.back().time) {
+    if (last_ && ev.time < *last_) {
       throw std::runtime_error("read_trace: events out of order at line " +
-                               std::to_string(line_no));
+                               std::to_string(line_no_));
     }
-    events.push_back(ev);
+    last_ = ev.time;
+    return ev;
   }
+  return std::nullopt;
+}
+
+EventStream read_trace(std::istream& is) {
+  EventStream events;
+  TraceReader reader{is};
+  while (const auto ev = reader.next()) events.push_back(*ev);
   return events;
 }
 

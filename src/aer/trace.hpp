@@ -6,12 +6,30 @@
 // logs produced by jAER-style tooling, without the binary framing.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
+#include <optional>
 #include <string>
 
 #include "aer/event.hpp"
 
 namespace aetr::aer {
+
+/// Incremental parser behind read_trace(), one event per next() (nullopt
+/// at the end), so a pipe is consumed as it arrives. Skips blank lines (a
+/// CR line end included) and '#' comments; throws std::runtime_error
+/// naming the line on a malformed or out-of-order one.
+class TraceReader {
+ public:
+  explicit TraceReader(std::istream& is) : is_{is} {}
+  std::optional<Event> next();
+
+ private:
+  std::istream& is_;
+  std::string line_;
+  std::size_t line_no_{0};
+  std::optional<Time> last_;
+};
 
 /// Write a stream to `os` in trace format.
 void write_trace(std::ostream& os, const EventStream& events);

@@ -30,7 +30,8 @@
 // session.snapshot_interval_sec refuses negatives. Each refusal throws
 // std::runtime_error naming the key and leaves the config untouched;
 // cross-key rules (probabilities in [0, 1], batch threshold <= capacity)
-// are ScenarioConfig::validate()'s.
+// and a nonzero snapshot interval that rounds below 1 ps or past int64 ps
+// (core::snapshot_interval()) are ScenarioConfig::validate()'s.
 #pragma once
 
 #include <iosfwd>

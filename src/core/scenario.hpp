@@ -28,8 +28,8 @@ struct SessionLimits {
   /// Fed-but-not-yet-submitted events the session holds before feed()
   /// starts refusing input (the backpressure signal).
   std::size_t max_buffered_events = std::size_t{1} << 20;
-  /// Periodic snapshot pitch for service mode; zero disables (snapshots
-  /// only on demand). Consumed by aetr-serve, not by the session itself.
+  /// `aetr-serve run`'s periodic snapshot pitch, 0 (off) or 1e-12 to
+  /// 9.22e6 s; the gateway ignores it. Not used by the session itself.
   double snapshot_interval_sec = 0.0;
 };
 

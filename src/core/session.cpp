@@ -760,15 +760,6 @@ bool Session::feed(const aer::Event& ev) {
   return impl_->feed(ev);
 }
 
-std::size_t Session::feed(const aer::EventStream& events) {
-  std::size_t accepted = 0;
-  for (const auto& ev : events) {
-    if (!impl_->feed(ev)) break;
-    ++accepted;
-  }
-  return accepted;
-}
-
 void Session::feed_all(std::span<const aer::Event> events) {
   impl_->feed_all(events);
 }

@@ -16,22 +16,10 @@
 // turns it off first (set_keep_history), so it returns the same aggregates
 // with `records`, `decoded` and `delivery_latency_sec` left empty.
 //
-// Lifecycle:
-//
-//   ScenarioConfig cfg = ...;
-//   Session s{cfg};
-//   while (events_arrive) {
-//     if (!s.feed(ev)) { /* backpressure: advance or drop */ }
-//     s.advance_to(ev.time);          // simulate up to the stream position
-//     if (checkpoint_due) blob = s.snapshot();
-//   }
-//   RunResult r = s.finish();          // flush, cooldown, harvest, report
-//
-// Resume after a crash:
-//
-//   Session s{cfg};                    // same config (fingerprint-checked)
-//   s.restore(blob);                   // byte-identical continuation point
-//   ... keep feeding from the stream position in the blob ...
+// Service harnesses stream into a session through core::IngestPump
+// (core/ingest.hpp): feed, advance_to under backpressure, snapshot on the
+// simulated clock, finish(). A resumed session restore()s the last blob
+// (same config, fingerprint-checked) and is fed from events_fed() on.
 //
 // See docs/SERVICE.md for the snapshot format and backpressure contract.
 #pragma once
@@ -70,10 +58,6 @@ class Session {
   /// advance_to() to drain the buffer, then retry.
   bool feed(const aer::Event& ev);
 
-  /// Feed a chunk; stops at the first refusal. Returns how many events
-  /// were accepted (== events.size() unless backpressure hit).
-  std::size_t feed(const aer::EventStream& events);
-
   /// Batch replay: buffer a whole chunk at once, ignoring the backpressure
   /// cap, in one append (one ordering pass, one copy, one counter update).
   /// This is what the run_scenario() entry points use — a batch caller
@@ -82,7 +66,7 @@ class Session {
   /// the first one that goes back in time are accepted (events_fed()
   /// counts them), then it throws std::invalid_argument. Within the cap
   /// (events.size() <= room()) it leaves the session exactly as a loop of
-  /// feed() calls would, which lets the gateway feed a DATA frame in runs.
+  /// feed() calls would, which lets core::IngestPump feed in runs.
   void feed_all(std::span<const aer::Event> events);
 
   /// Fed-but-not-yet-submitted events currently held.

@@ -1,6 +1,5 @@
 #include "net/connection.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -217,26 +216,20 @@ void Connection::handle_hello(const FrameView& f) {
     }
   }
 
-  // Periodic snapshot cadence on the simulated clock, anchored at absolute
-  // multiples of the interval so the schedule is a pure function of the
-  // stream — a resumed gateway checkpoints at the same instants the killed
-  // one would have (same rule as aetr-serve run).
-  snapshotting_ =
-      !snapshot_path_.empty() && config_.snapshot_interval_sec > 0.0;
-  if (snapshotting_) {
-    snapshot_interval_ = Time::sec(config_.snapshot_interval_sec);
-    next_snapshot_ = Time::zero();
-    while (next_snapshot_ <= session_->position()) {
-      next_snapshot_ += snapshot_interval_;
-    }
+  try {
+    pump_.emplace(*session_,
+                  snapshot_path_.empty() ? 0.0 : config_.snapshot_interval_sec,
+                  [this] { return take_snapshot(); });
+  } catch (const std::exception& e) {
+    protocol_error(std::string{"bad snapshot interval: "} + e.what());
+    return;
   }
 
-  credit_ = config_.credit_window;
   HelloAck ack;
   ack.config_fingerprint = config_fingerprint(canonical);
   ack.events_fed = session_->events_fed();
   ack.position_ps = session_->position().count_ps();
-  ack.credit = credit_;
+  ack.credit = config_.credit_window;
   state_ = State::kStreaming;
   send_frame(MsgType::kHelloAck, encode_hello_ack(ack));
 }
@@ -253,59 +246,22 @@ void Connection::handle_data(const FrameView& f) {
     return;
   }
   const std::span<const aer::Event> events{events_};
-  if (events.size() > credit_) {
+  // Each frame is ingested, and its credit re-granted, before the next is
+  // read, so every frame may spend the whole window.
+  if (events.size() > config_.credit_window) {
     protocol_error("credit overrun: " + std::to_string(events.size()) +
-                   " events against " + std::to_string(credit_) + " credit");
+                   " events against " + std::to_string(config_.credit_window) +
+                   " credit");
     return;
   }
-  credit_ -= events.size();
-  // The frame's non-decreasing prefix, continuing from the last event the
-  // session took (restored ones included) — all of it is ingested before
-  // the NACK for the first event that goes back in time.
-  Time last = session_->last_event_time().value_or(
-      events.empty() ? Time::zero() : events.front().time);
-  std::size_t valid = 0;
-  for (; valid < events.size() && events[valid].time >= last; ++valid) {
-    last = events[valid].time;
-  }
-  // aetr-serve's per-event pump (feed; on backpressure advance_to the
-  // event's time and retry; snapshot once an event reaches the next grid
-  // instant), one run at a time: a run is at most the buffer's free room
-  // and ends with the first event at or past the next snapshot instant, so
-  // the session sees the same advance_to calls and snapshot instants.
-  for (std::size_t i = 0; i < valid;) {
-    const std::size_t room = session_->room();
-    if (room == 0) {
-      // The buffer is full of events at or before this one, so advancing
-      // to its time drains it.
-      session_->advance_to(events[i].time);
-      continue;
-    }
-    std::size_t end = std::min(valid, i + room);
-    if (snapshotting_) {
-      for (std::size_t j = i; j < end; ++j) {
-        if (events[j].time >= next_snapshot_) {
-          end = j + 1;
-          break;
-        }
-      }
-    }
-    session_->feed_all(events.subspan(i, end - i));
-    ingested_ += end - i;
-    i = end;
-    const Time t = events[end - 1].time;
-    if (snapshotting_ && t >= next_snapshot_) {
-      session_->advance_to(next_snapshot_);
-      if (!take_snapshot()) return;
-      while (next_snapshot_ <= t) next_snapshot_ += snapshot_interval_;
-    }
-  }
-  if (valid < events.size()) {
+  // The prefix before an event that goes back in time is ingested before
+  // the NACK; a failed snapshot has NACKed already.
+  const std::size_t pushed = pump_->push(events);
+  ingested_ += pushed;
+  if (pushed < events.size()) {
     protocol_error("non-monotonic DATA timestamp");
     return;
   }
-  // Replenish: the window re-opens as soon as the chunk is in the session.
-  credit_ += events.size();
   send_frame(MsgType::kCredit,
              encode_credit(Credit{static_cast<std::uint64_t>(events.size())}));
 }

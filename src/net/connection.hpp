@@ -18,37 +18,33 @@
 // HELLO_ACK and re-grants after processing each DATA chunk, so a
 // well-behaved client can keep at most one window in flight. Session
 // backpressure (a full buffer) is absorbed server-side by advancing
-// simulated time — exactly aetr-serve's pump — so the wire-level credit
-// never deadlocks against the session's bounded buffer.
+// simulated time, so the wire-level credit never deadlocks against the
+// session's bounded buffer.
 //
 // Ingest: a DATA frame is decoded in place (Decoder::next_view) into a
-// reused event buffer and fed in runs (Session::feed_all), each at most
-// the buffer's free room and ending at the first event at or past the
-// next snapshot instant — the per-event pump's advance_to calls and
-// snapshot instants exactly, so blobs and summaries are byte-identical.
-// The monotonic-timestamp check continues from the session's last event,
-// so after a resume it covers the restored events too: an older event is
-// NACKed ("non-monotonic DATA timestamp") after the frame's valid prefix
-// is ingested.
+// reused event buffer and pushed through the session's core::IngestPump
+// (core/ingest.hpp), as `aetr-serve run` pushes its input. The pump's
+// monotonic check continues from the session's last event, restored ones
+// included: an older event is NACKed ("non-monotonic DATA timestamp")
+// after the frame's valid prefix is ingested.
 //
-// Snapshots: with snapshot_dir set and interval > 0, the connection
-// checkpoints its session to <snapshot_dir>/<name>.snap at absolute
-// simulated-time grid multiples of the interval (atomic tmp+rename), the
-// same schedule-as-pure-function-of-the-stream rule as aetr-serve, so a
-// killed and resumed gateway continues byte-identically. A client can also
-// force one with SNAPSHOT_REQ at a point of its choosing. A snapshot that
-// cannot be taken or written (snapshot_dir missing or unwritable) NACKs
-// the session with "snapshot failed: <why>", a summary file that cannot
-// be written with "summary write failed: <why>"; no exception leaves
-// on_bytes() or drain().
+// Snapshots: with snapshot_dir set and interval > 0, the pump checkpoints
+// to <snapshot_dir>/<name>.snap (atomic tmp+rename) on the simulated-time
+// grid, so a killed and resumed gateway continues byte-identically. A
+// client can also force one with SNAPSHOT_REQ. A snapshot that cannot be
+// taken or written NACKs the session with "snapshot failed: <why>", a
+// summary file that cannot be written with "summary write failed:
+// <why>"; no exception leaves on_bytes() or drain().
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/ingest.hpp"
 #include "core/scenario.hpp"
 #include "core/session.hpp"
 #include "net/wire.hpp"
@@ -64,8 +60,9 @@ struct GatewayConfig {
   std::string out_dir;
   /// Per-session snapshots at <snapshot_dir>/<name>.snap ("" = none).
   std::string snapshot_dir;
-  /// Periodic snapshot cadence on the simulated clock; <= 0 disables the
-  /// periodic schedule (SNAPSHOT_REQ still works when snapshot_dir is set).
+  /// Periodic snapshot cadence on the simulated clock (a HELLO config's
+  /// session.snapshot_interval_sec is ignored); 0 disables it, SNAPSHOT_REQ
+  /// still works. A value core::snapshot_interval() refuses NACKs the HELLO.
   double snapshot_interval_sec = 0.0;
   /// Restore <snapshot_dir>/<name>.snap at HELLO when it exists.
   bool resume = false;
@@ -133,13 +130,11 @@ class Connection {
   std::string error_;
   std::string summary_;
   std::unique_ptr<core::Session> session_;
-  std::uint64_t credit_{0};
   std::uint64_t ingested_{0};
   /// The current DATA frame's events; keeps its capacity across frames.
   aer::EventStream events_;
-  bool snapshotting_{false};
-  Time snapshot_interval_{Time::zero()};
-  Time next_snapshot_{Time::zero()};
+  /// Feeds session_ and takes its periodic snapshots; built at HELLO.
+  std::optional<core::IngestPump> pump_;
   std::string snapshot_path_;
   std::uint64_t last_snapshot_bytes_{0};
 };

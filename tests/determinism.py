@@ -170,14 +170,16 @@ def gen_stream(serve, path):
 
 def serve_kill_resume(sweep, serve, work):
     """SIGKILL a paced file-ingest run once it has checkpointed; --resume
-    must end with the summary of an uninterrupted run, with history on and
-    off, and the two uninterrupted summaries are byte-identical (history
-    drops per-event logs, never a counter). History-off snapshots stay
-    under 64 KiB."""
-    stream = work / "stream.trace"
-    gen_stream(serve, stream)
-    for history in ([], ["--no-history"]):
-        tag = "nohist" if history else "hist"
+    must end with the summary of an uninterrupted run, for a trace stream
+    with history on and off and for an .aedat stream, and the two trace
+    summaries are byte-identical (history drops per-event logs, never a
+    counter). History-off snapshots stay under 64 KiB."""
+    trace, aedat = work / "stream.trace", work / "stream.aedat"
+    gen_stream(serve, trace)
+    gen_stream(serve, aedat)
+    for stream, history, tag in ((trace, [], "hist"),
+                                 (trace, ["--no-history"], "nohist"),
+                                 (aedat, [], "aedat")):
         ref, resumed = work / f"ref-{tag}", work / f"resumed-{tag}"
         ref_snap, live = work / f"ref-{tag}.snap", work / f"live-{tag}.snap"
         base = [serve, "run", "--in", stream, *history,
@@ -288,8 +290,9 @@ def opt_bad_numbers(sweep, serve, work):
 
 
 def serve_config_round_trip(sweep, serve, work):
-    """`run --dump-config` round-trips through --config byte for byte, and
-    a misspelt key in --config exits 2 with a did-you-mean hint."""
+    """`run --dump-config` round-trips through --config byte for byte, a
+    misspelt key in --config exits 2 with a did-you-mean hint, and a
+    snapshot interval below 1 ps exits 2 as a key and as either flag."""
     a_conf, b_conf = work / "a.conf", work / "b.conf"
     a_conf.write_text(run([serve, "run", "--dump-config"]))
     b_conf.write_text(run([serve, "run", "--config", a_conf, "--dump-config"]))
@@ -305,6 +308,13 @@ def serve_config_round_trip(sweep, serve, work):
         raise Failure(f"misspelt key exited {proc.returncode}, expected 2")
     if "did you mean 'fifo.overflow_policy'" not in proc.stderr:
         raise Failure(f"no did-you-mean hint:\n{proc.stderr[-2000:]}")
+    # A snapshot interval that rounds to 0 ps would never advance the
+    # snapshot grid; the config key and both flags refuse it.
+    tiny = work / "tiny.conf"
+    tiny.write_text("session.snapshot_interval_sec = 1e-13\n")
+    run([serve, "run", "--config", tiny, "--dump-config"], expect=2)
+    for cmd in (["run", "--in", "-"], ["listen", "--uds", work / "gw.sock"]):
+        run([serve, *cmd, "--snapshot-interval-sec", "1e-13"], expect=2)
 
 
 SCRIPTS = {

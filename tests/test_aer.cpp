@@ -2,6 +2,7 @@
 // protocol checking, sender/receiver agents, CAVIAR compliance, trace I/O.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 #include "aer/agents.hpp"
@@ -245,6 +246,32 @@ TEST(Trace, FileRoundTrip) {
   save_trace(path, events);
   EXPECT_EQ(load_trace(path), events);
   std::remove(path.c_str());
+}
+
+TEST(Trace, CrlfTraceWithBlankAndCommentLinesLoads) {
+  // A trace saved with CRLF line ends: its blank lines hold a lone CR.
+  const std::string path = testing::TempDir() + "aetr_trace_crlf.txt";
+  {
+    std::ofstream f{path, std::ios::binary};
+    f << "# aetr trace v1: <time_ps> <address>\r\n\r\n100 5\r\n"
+         " \t\r\n  # mid comment\r\n200 6\r\n\r\n";
+  }
+  const EventStream expected{{5, 100_ps}, {6, 200_ps}};
+  EXPECT_EQ(load_trace(path), expected);
+  std::remove(path.c_str());
+}
+
+TEST(Trace, ReaderYieldsEventsOneAtATimeAndNamesTheLine) {
+  std::stringstream ss{"# c\n100 5\n\n200 6\n150 7\n"};
+  TraceReader reader{ss};
+  EXPECT_EQ(reader.next(), (Event{5, 100_ps}));
+  EXPECT_EQ(reader.next(), (Event{6, 200_ps}));
+  try {
+    (void)reader.next();
+    FAIL() << "an out-of-order event was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "read_trace: events out of order at line 5");
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The gateway's DATA ingest path pinned against the per-event pump it
-// replaced. Connection::handle_data decodes a frame in place and hands the
-// session runs of events (Session::feed_all) cut at the buffer's free room
-// and at the next snapshot instant. The reference below is the per-event
+// replaced. Connection::handle_data decodes a frame in place and pushes it
+// through core::IngestPump, which hands the session runs of events
+// (Session::feed_all) cut at the buffer's free room and at the next
+// snapshot instant. The reference below is the per-event
 // loop it replaced — feed; on backpressure advance_to the event's time and
 // retry; once an event reaches the next grid instant advance to it and
 // snapshot — driven on a bare Session. Every snapshot file the Connection
@@ -15,6 +16,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/session.hpp"
@@ -87,12 +89,19 @@ struct Gateway {
   std::vector<net::Frame> replies;
   std::unique_ptr<net::Connection> conn;
 
-  Gateway(const core::ScenarioConfig& scenario, bool keep_history) {
+  /// With `resume_from`, the session restores that blob at HELLO.
+  Gateway(const core::ScenarioConfig& scenario, bool keep_history,
+          const Bytes* resume_from = nullptr) {
     config.default_scenario = scenario;
     config.snapshot_dir = dir.path.string();
     config.snapshot_interval_sec = kIntervalSec;
     config.keep_history = keep_history;
     config.credit_window = 1u << 20;
+    if (resume_from != nullptr) {
+      net::write_blob_atomic((dir.path / "ingest.snap").string(),
+                             *resume_from);
+      config.resume = true;
+    }
     conn = std::make_unique<net::Connection>(
         config, 1, [this](const Bytes& b) {
           net::Decoder d;
@@ -233,6 +242,54 @@ TEST(NetIngest, RunFeedMatchesWithFaultsAndMetricsGrid) {
   scenario.telemetry.metrics_window = Time::us(500);
   const auto events = poisson(2500, 9, 20e3);
   expect_same_ingest(scenario, events, 512, /*keep_history=*/false);
+}
+
+TEST(NetIngest, ResumedSessionMatchesTheUninterruptedPump) {
+  // A session restored from a snapshot taken between two grid instants
+  // picks the cadence up at the next instant after its position. Frames
+  // of 32 events (~0.3 ms) cross at most one 1 ms instant, so the
+  // snapshot file after every frame pins each instant the resumed pump
+  // takes, or skips, against the uninterrupted reference; the SUMMARY
+  // must match too.
+  const auto events = poisson(6000, 3, 100e3);
+  const std::size_t split = 2550;
+  const std::size_t frame = 32;
+  const Time interval = Time::sec(kIntervalSec);
+  for (const auto& [cap, keep_history] : {std::pair{std::size_t{64}, false},
+                                         std::pair{std::size_t{4096}, true}}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    ReferencePump ref{with_cap(cap), keep_history};
+    ASSERT_TRUE(ref.frame(aer::EventStream(
+        events.begin(), events.begin() + static_cast<std::ptrdiff_t>(split))));
+    const Bytes resume_blob = ref.session.snapshot();
+    ASSERT_NE(ref.session.position() % interval, Time::zero());
+    ASSERT_LT(ref.session.position(), ref.next_snapshot);
+    ASSERT_GT(ref.session.position(), ref.next_snapshot - interval);
+
+    Gateway gw{with_cap(cap), keep_history, &resume_blob};
+    ASSERT_EQ(gw.replies.size(), 1u);
+    ASSERT_EQ(gw.replies[0].type, net::MsgType::kHelloAck);
+    ASSERT_EQ(net::decode_hello_ack(gw.replies[0].payload).events_fed, split);
+    const std::size_t blobs_at_resume = ref.blobs.size();
+    Bytes expected = resume_blob;
+    for (std::size_t pos = split; pos < events.size(); pos += frame) {
+      const std::size_t n = std::min(frame, events.size() - pos);
+      const std::size_t blobs_before = ref.blobs.size();
+      ASSERT_TRUE(ref.frame(aer::EventStream(
+          events.begin() + static_cast<std::ptrdiff_t>(pos),
+          events.begin() + static_cast<std::ptrdiff_t>(pos + n))));
+      ASSERT_TRUE(
+          gw.push(net::MsgType::kData, net::encode_data(events, pos, n)));
+      ASSERT_EQ(gw.replies.back().type, net::MsgType::kCredit);
+      if (ref.blobs.size() > blobs_before) expected = ref.blobs.back();
+      ASSERT_EQ(gw.snapshot_file(), expected) << "event " << pos;
+    }
+    EXPECT_GT(ref.blobs.size(), blobs_at_resume + 10);
+    EXPECT_FALSE(gw.push(net::MsgType::kDrain, {}));
+    ASSERT_EQ(gw.conn->state(), net::Connection::State::kDone);
+    EXPECT_EQ(gw.conn->summary_text(),
+              core::run_summary_text(ref.session.finish()));
+  }
 }
 
 }  // namespace

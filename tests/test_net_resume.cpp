@@ -284,6 +284,27 @@ TEST(NetResume, UnwritableSnapshotIsNacked) {
       << periodic.nack();
 }
 
+TEST(NetResume, SnapshotIntervalOutOfRangeIsNackedAtHello) {
+  // A programmatic interval that rounds to 0 ps (or overflows the
+  // picosecond clock) is refused by the ingest pump at HELLO instead of
+  // spinning on the first snapshot instant.
+  TempDir tmp;
+  net::GatewayConfig gw;
+  gw.snapshot_dir = tmp.path.string();
+  for (const double sec : {1e-13, -1.0, 1e7}) {
+    SCOPED_TRACE(sec);
+    gw.snapshot_interval_sec = sec;
+    InProcess c{gw};
+    EXPECT_FALSE(c.hello());
+    EXPECT_EQ(c.conn.state(), net::Connection::State::kError);
+    EXPECT_NE(c.nack().find("bad snapshot interval: "), std::string::npos)
+        << c.nack();
+  }
+  gw.snapshot_interval_sec = 1e-12;
+  InProcess c{gw};
+  EXPECT_TRUE(c.hello());
+}
+
 TEST(NetResume, UnwritableSummaryIsNacked) {
   // DRAIN finishes the session; a summary file the gateway cannot write
   // NACKs it instead of throwing out of on_bytes.

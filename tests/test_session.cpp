@@ -33,6 +33,7 @@
 #include <functional>
 #include <initializer_list>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <random>
 #include <span>
@@ -41,6 +42,7 @@
 
 #include "analysis/error.hpp"
 #include "core/fast_path.hpp"
+#include "core/ingest.hpp"
 #include "core/scenario.hpp"
 #include "core/session.hpp"
 #include "core/summary.hpp"
@@ -1012,6 +1014,61 @@ TEST(Session, SourceOverloadMatchesMaterialized) {
     expect_identical(pulled, taken, c.name);
     EXPECT_EQ(pulled.delivered, pulled.decoded.size()) << c.name;
   }
+}
+
+// --- the ingest pump's snapshot cadence ------------------------------------
+
+TEST(IngestPump, RefusesIntervalsOutsideThePicosecondRange) {
+  EXPECT_EQ(core::snapshot_interval(0.0), Time::zero());
+  EXPECT_EQ(core::snapshot_interval(0.6e-12), Time::ps(1));
+  EXPECT_EQ(core::snapshot_interval(0.02), Time::ms(20));
+  EXPECT_EQ(core::snapshot_interval(9.2e6), Time::sec(9.2e6));
+  core::Session s{core::ScenarioConfig{}};
+  const auto keep_going = [] { return true; };
+  for (const double sec : {1e-13, 0.4e-12, -1e-3, 9.23e6, 1e300,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(sec);
+    EXPECT_FALSE(core::snapshot_interval(sec));
+    EXPECT_THROW((void)core::IngestPump(s, sec, keep_going),
+                 std::invalid_argument);
+    core::ScenarioConfig scenario;
+    scenario.session.snapshot_interval_sec = sec;
+    EXPECT_THROW(scenario.validate(), std::invalid_argument);
+  }
+}
+
+TEST(IngestPump, NextInstantIsTheNextMultipleAndSaturates) {
+  const Time five = Time::ps(5);
+  EXPECT_EQ(core::next_snapshot_instant(Time::zero(), five), five);
+  EXPECT_EQ(core::next_snapshot_instant(Time::ps(4), five), five);
+  EXPECT_EQ(core::next_snapshot_instant(five, five), Time::ps(10));
+  // A 5e6 s interval past an event at 5e18 ps would be 1e19 ps.
+  const Time big = Time::sec(5e6);
+  EXPECT_EQ(core::next_snapshot_instant(Time::ps(4'999'999'999'999'999'999),
+                                        big),
+            big);
+  EXPECT_EQ(core::next_snapshot_instant(big, big), Time::max());
+  EXPECT_EQ(core::next_snapshot_instant(Time::max(), Time::ps(1)),
+            Time::max());
+}
+
+TEST(IngestPump, OnePicosecondIntervalFinishes) {
+  // Every event lies past the next 1 ps instant, so each run is one event
+  // long and ends in a snapshot instant.
+  const aer::EventStream events = make_stream(200, 3);
+  core::Session s{core::ScenarioConfig{}};
+  std::size_t instants = 0;
+  core::IngestPump pump{s, 1e-12, [&] {
+                          ++instants;
+                          return true;
+                        }};
+  EXPECT_EQ(pump.push(events), events.size());
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    distinct += i == 0 || events[i].time != events[i - 1].time;
+  }
+  EXPECT_EQ(instants, distinct);
+  EXPECT_EQ(s.finish().events_in, events.size());
 }
 
 }  // namespace

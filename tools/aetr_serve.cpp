@@ -12,12 +12,13 @@
 //              [--stats-json FILE]
 //   aetr-serve run [--config FILE] --dump-config
 //       Ingest a stream — an .aedat file, a trace file, a FIFO, or stdin
-//       ('-') — through a core::Session: feed each event as it arrives,
+//       ('-') — through the gateway's core::IngestPump into a Session:
 //       advance simulated time under backpressure, checkpoint the full
 //       simulator state to --snapshot every session.snapshot_interval_sec
-//       of *simulated* time (atomically: tmp + rename, so a kill never
-//       leaves a torn blob), and on end-of-stream or SIGTERM/SIGINT drain
-//       gracefully: finish() the session and write the run summary.
+//       (0 or 1e-12 .. 9.22e6 s) of *simulated* time (atomically: tmp +
+//       rename, so a kill never leaves a torn blob), and on end-of-stream
+//       or SIGTERM/SIGINT drain gracefully: finish() the session and
+//       write the run summary.
 //
 //       With --resume the session first restores the last snapshot and
 //       skips the events it already consumed, continuing byte-identically
@@ -44,7 +45,8 @@
 //       hosts one core::Session per connection over the framed wire
 //       protocol, each with its own periodic snapshots under
 //       --snapshot-dir and a per-session summary-<name>.txt under
-//       --out-dir. SIGTERM/SIGINT drains every live session before exit;
+//       --out-dir, fed through `run`'s pump (a HELLO's snapshot interval
+//       is ignored). SIGTERM/SIGINT drains every live session before exit;
 //       --resume restores <name>.snap at HELLO so a SIGKILLed gateway
 //       continues byte-identically.
 //
@@ -78,7 +80,6 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,7 @@
 #include "aer/event.hpp"
 #include "aer/trace.hpp"
 #include "core/config_io.hpp"
+#include "core/ingest.hpp"
 #include "core/session.hpp"
 #include "core/summary.hpp"
 #include "fleet/fleet_io.hpp"
@@ -213,6 +215,9 @@ int cmd_gen(int argc, char** argv) {
 // ---------------------------------------------------------------------------
 // run
 
+constexpr const char* kIntervalRange =
+    "--snapshot-interval-sec must be 0 (off) or from 1e-12 to 9.22e6 s";
+
 struct RunArgs {
   std::string in;
   std::string config;
@@ -227,37 +232,6 @@ struct RunArgs {
   std::uint64_t pace_every = 1000;
 };
 
-/// Incremental reader over the aer trace line format, so a FIFO or stdin
-/// pipe is consumed event-by-event instead of being materialised first.
-/// (.aedat input is a binary file format and is loaded whole.)
-class TraceFeed {
- public:
-  explicit TraceFeed(std::istream& is) : is_{is} {}
-
-  std::optional<aetr::aer::Event> next() {
-    std::string line;
-    while (std::getline(is_, line)) {
-      ++line_no_;
-      const auto first = line.find_first_not_of(" \t\r");
-      if (first == std::string::npos || line[first] == '#') continue;
-      std::istringstream ls{line};
-      aetr::Time::Rep t_ps = 0;
-      unsigned address = 0;
-      if (!(ls >> t_ps >> address) || address > aetr::aer::kAddressMask) {
-        throw std::runtime_error("aetr-serve: malformed trace line " +
-                                 std::to_string(line_no_) + ": " + line);
-      }
-      return aetr::aer::Event{static_cast<std::uint16_t>(address),
-                              aetr::Time::ps(t_ps)};
-    }
-    return std::nullopt;
-  }
-
- private:
-  std::istream& is_;
-  std::size_t line_no_{0};
-};
-
 long max_rss_kb() {
   struct rusage ru {};
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
@@ -269,9 +243,6 @@ int cmd_run(const RunArgs& args,
   const double interval_sec = args.snapshot_interval_sec >= 0.0
                                   ? args.snapshot_interval_sec
                                   : scenario.session.snapshot_interval_sec;
-  const bool snapshotting = !args.snapshot.empty() && interval_sec > 0.0;
-  const aetr::Time interval =
-      snapshotting ? aetr::Time::sec(interval_sec) : aetr::Time::zero();
 
   aetr::core::Session session{scenario};
   if (!args.keep_history) session.set_keep_history(false);
@@ -291,72 +262,55 @@ int cmd_run(const RunArgs& args,
               << " ps, skipping " << to_skip << " already-fed events\n";
   }
 
-  // Snapshot cadence on the *simulated* clock, anchored at multiples of
-  // the interval from zero so the schedule is a pure function of the
-  // stream, not of wall time or of where a previous run was killed.
-  aetr::Time next_snapshot = aetr::Time::zero();
-  if (snapshotting) {
-    while (next_snapshot <= session.position()) next_snapshot += interval;
-  }
-
-  std::uint64_t ingested = 0;
   std::uint64_t snapshots = 0;
   double snapshot_sec = 0.0;
-  bool drained_by_signal = false;
+  const auto write_snapshot = [&] {
+    const auto s0 = std::chrono::steady_clock::now();
+    aetr::net::write_blob_atomic(args.snapshot, session.snapshot());
+    snapshot_sec += wall_sec(s0);
+    ++snapshots;
+    return true;
+  };
+  aetr::core::IngestPump pump{
+      session, args.snapshot.empty() ? 0.0 : interval_sec, write_snapshot};
 
-  const auto pump = [&](const aetr::aer::Event& ev) -> bool {
+  // A trace file, FIFO or stdin is parsed a line at a time and each event
+  // pushed once parsed, never held over a further blocking read; an .aedat
+  // file (a binary format) is loaded whole.
+  std::ifstream file;
+  std::optional<aetr::aer::TraceReader> trace;
+  aetr::aer::EventStream loaded;
+  if (ends_with(args.in, ".aedat")) {
+    loaded = aetr::aer::load_aedat(args.in);
+  } else {
+    if (args.in != "-") file.open(args.in);
+    if (args.in != "-" && !file) {
+      throw std::runtime_error("aetr-serve: cannot open " + args.in);
+    }
+    trace.emplace(args.in == "-" ? std::cin : file);
+  }
+  std::size_t at = 0;
+  std::uint64_t ingested = 0;
+  while (g_stop == 0) {
+    const std::optional<aetr::aer::Event> ev =
+        trace ? trace->next()
+              : at < loaded.size() ? std::optional{loaded[at++]} : std::nullopt;
+    if (!ev) break;
     if (to_skip > 0) {
       --to_skip;
-      return g_stop == 0;
+      continue;
     }
-    while (!session.feed(ev)) {
-      // Backpressure: the buffer is full of events at or before ev.time,
-      // so advancing to the stream position drains all of it.
-      session.advance_to(ev.time);
+    if (pump.push({&*ev, 1}) == 0) {
+      throw std::runtime_error("aetr-serve: input event " +
+                               std::to_string(session.events_fed() + 1) +
+                               " is earlier than the one before it");
     }
-    ++ingested;
-    if (snapshotting && ev.time >= next_snapshot) {
-      session.advance_to(next_snapshot);
-      const auto s0 = std::chrono::steady_clock::now();
-      aetr::net::write_blob_atomic(args.snapshot, session.snapshot());
-      snapshot_sec += wall_sec(s0);
-      ++snapshots;
-      while (next_snapshot <= ev.time) next_snapshot += interval;
-    }
-    if (args.pace_us > 0 && ingested % args.pace_every == 0) {
+    if (++ingested % args.pace_every == 0 && args.pace_us > 0) {
       usleep(static_cast<useconds_t>(args.pace_us));
-    }
-    return g_stop == 0;
-  };
-
-  if (args.in != "-" && ends_with(args.in, ".aedat")) {
-    const aetr::aer::EventStream stream = aetr::aer::load_aedat(args.in);
-    for (const auto& ev : stream) {
-      if (!pump(ev)) {
-        drained_by_signal = true;
-        break;
-      }
-    }
-  } else if (args.in == "-") {
-    TraceFeed feed{std::cin};
-    while (auto ev = feed.next()) {
-      if (!pump(*ev)) {
-        drained_by_signal = true;
-        break;
-      }
-    }
-  } else {
-    std::ifstream f{args.in};
-    if (!f) throw std::runtime_error("aetr-serve: cannot open " + args.in);
-    TraceFeed feed{f};
-    while (auto ev = feed.next()) {
-      if (!pump(*ev)) {
-        drained_by_signal = true;
-        break;
-      }
     }
   }
   const double ingest_sec = wall_sec(t0);
+  const bool drained_by_signal = g_stop != 0;
 
   // Graceful drain: end-of-stream and SIGTERM land in the same place —
   // run the buffered remainder to completion and write the summary.
@@ -436,7 +390,9 @@ int cmd_listen(int argc, char** argv) {
       options.gateway.snapshot_dir = argv[++i];
     } else if (a == "--snapshot-interval-sec" && has_next) {
       if (!parse_f64(argv[++i], options.gateway.snapshot_interval_sec) ||
-          options.gateway.snapshot_interval_sec < 0.0) {
+          !aetr::core::snapshot_interval(
+              options.gateway.snapshot_interval_sec)) {
+        std::cerr << "aetr-serve listen: " << kIntervalRange << '\n';
         return usage(std::cerr);
       }
     } else if (a == "--resume") {
@@ -696,7 +652,8 @@ int main(int argc, char** argv) {
           args.snapshot = argv[++i];
         } else if (a == "--snapshot-interval-sec" && has_next) {
           if (!parse_f64(argv[++i], args.snapshot_interval_sec) ||
-              args.snapshot_interval_sec < 0.0) {
+              !aetr::core::snapshot_interval(args.snapshot_interval_sec)) {
+            std::cerr << "aetr-serve run: " << kIntervalRange << '\n';
             return usage(std::cerr);
           }
         } else if (a == "--stats-json" && has_next) {
