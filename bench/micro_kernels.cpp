@@ -151,6 +151,22 @@ void BM_LfsrGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_LfsrGeneration);
 
+// The Fig. 8 stimulus as run_scenario pulls it: 4096-event fill() chunks,
+// at the grid's top rate (Arg 800000) and its lowest non-zero one (Arg 10).
+void BM_LfsrFill(benchmark::State& state) {
+  gen::LfsrRateSource src{static_cast<double>(state.range(0)),
+                          Frequency::mhz(30.0), 128, 0xACE1, 0x1234};
+  std::vector<aer::Event> chunk(4096);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(src.fill(chunk));
+    benchmark::DoNotOptimize(chunk.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(chunk.size()));
+}
+BENCHMARK(BM_LfsrFill)->Arg(800000)->Arg(10);
+
 // One leap-ahead word of the Fig. 8 registers: Arg 16 is the address
 // register, Arg 24 the interval register.
 void BM_LfsrStepWord(benchmark::State& state) {

@@ -44,22 +44,17 @@ RunResult run_chunked(const ScenarioConfig& scenario, bool keep_history,
 }
 
 /// Both source entry points: pull the stimulus through one reused chunk
-/// buffer, exactly as gen::take would draw it (n_events calls to next(),
-/// stopping at the first exhausted one).
+/// buffer, one SpikeSource::fill per chunk, exactly as gen::take would
+/// draw it (n_events events, fewer when the source runs dry).
 RunResult run_from_source(const ScenarioConfig& scenario,
                           gen::SpikeSource& source, std::size_t n_events,
                           bool keep_history) {
   aer::EventStream chunk;
-  chunk.reserve(std::min(n_events, kChunk));
   std::size_t left = n_events;
   return run_chunked(scenario, keep_history, [&] {
-    chunk.clear();
     const std::size_t want = std::min(left, kChunk);
-    while (chunk.size() < want) {
-      const auto ev = source.next();
-      if (!ev) break;
-      chunk.push_back(*ev);
-    }
+    chunk.resize(want);
+    chunk.resize(source.fill(chunk));
     left = chunk.size() < want ? 0 : left - want;
     return std::span<const aer::Event>{chunk};
   });

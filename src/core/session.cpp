@@ -376,8 +376,13 @@ struct Session::Impl {
 
   /// Submit every buffered event with time <= t (Time::max(): all).
   void submit_upto(Time t) {
-    while (submitted < pending.size() && pending[submitted].time <= t) {
-      ++submitted;
+    // Every buffered event is at or before last_event_time.
+    if (t >= last_event_time) {
+      submitted = pending.size();
+    } else {
+      while (submitted < pending.size() && pending[submitted].time <= t) {
+        ++submitted;
+      }
     }
     if (engine) return;  // the engine launches straight from the buffer
     for (; pending_head < submitted; ++pending_head) {
@@ -599,7 +604,15 @@ struct Session::Impl {
     pending.reserve(n_pending);
     for (std::uint64_t i = 0; i < n_pending; ++i) {
       const std::uint16_t addr = r.u16();
-      pending.push_back(aer::Event{addr, r.time()});
+      const Time t = r.time();
+      // submit_upto() relies on the buffer being ordered up to the last
+      // event time.
+      if (t > last_event_time ||
+          (!pending.empty() && t < pending.back().time)) {
+        throw std::runtime_error(
+            "Session::restore: buffered events out of order");
+      }
+      pending.push_back(aer::Event{addr, t});
     }
     const std::uint64_t n_queued = r.u64();
     if (n_queued > n_pending || (n_queued > 0 && !engine)) {

@@ -11,13 +11,15 @@
 //  * TraceSource        — replay of recorded streams (incl. cochlea output);
 //  * MergeSource        — combine sources (multi-sensor scenarios).
 //
-// Sources are pull-based iterators over an unbounded event sequence; use
+// Sources are pull-based iterators over an unbounded event sequence: next()
+// yields one event, fill() a chunk of the same sequence. Use
 // take()/take_until() to materialise finite streams.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "aer/event.hpp"
@@ -34,6 +36,13 @@ class SpikeSource {
 
   /// The next spike, or nullopt when the source is exhausted.
   virtual std::optional<aer::Event> next() = 0;
+
+  /// Write the next events of the same sequence into `out`, front to back,
+  /// and return the count written: short of out.size() only when the
+  /// source runs dry. next() and fill() may be interleaved freely. The
+  /// default loops over next(); a source with a cheap draw overrides it
+  /// with one non-virtual loop.
+  virtual std::size_t fill(std::span<aer::Event> out);
 };
 
 /// Poisson process with a fixed mean rate; addresses drawn uniformly from
@@ -76,6 +85,12 @@ class RegularSource final : public SpikeSource {
 /// realised by exact geometric sampling (one LFSR word per event) so that
 /// low-rate streams do not cost one iteration per generator cycle; event
 /// times stay aligned to the generator clock grid.
+///
+/// The draw is one kernel: fill() runs it in a non-virtual loop and next()
+/// once. Its floor(ln u / ln(1-p)) comes from a table log with a proven
+/// error bound (cycles()); when the bound cannot rule out a different
+/// floor it falls back to the std::log expression (cycles_std_log()), so
+/// the stream is the std::log one bit for bit.
 class LfsrRateSource final : public SpikeSource {
  public:
   /// Configure for a target mean rate. The generator clock must be well
@@ -85,19 +100,37 @@ class LfsrRateSource final : public SpikeSource {
                  std::uint32_t address_seed);
 
   std::optional<aer::Event> next() override;
+  std::size_t fill(std::span<aer::Event> out) override;
 
   /// Effective mean rate given threshold quantisation.
   [[nodiscard]] double effective_rate_hz() const;
 
+  /// Generator cycles from one spike to the next when the interval
+  /// register yields `word`: floor(ln u / ln(1-p)) + 1 with
+  /// u = (word + 1) / 2^24. The table log, std::log where it cannot decide.
+  [[nodiscard]] Time::Rep cycles(std::uint32_t word) const;
+  /// The same through std::log alone: the fallback and the test oracle.
+  [[nodiscard]] Time::Rep cycles_std_log(std::uint32_t word) const;
+
  private:
+  struct LogCell;
+  static const LogCell* log_table();
+  /// The body of cycles(), defined inline where draw() can use it.
+  Time::Rep table_cycles(std::uint32_t word) const;
+  /// One event: advance `t` by the drawn interval, draw the address.
+  aer::Event draw(Time& t);
+
   Time gen_period_;
   std::uint32_t threshold_;
   double log1m_p_;  ///< ln(1 - p) of the per-cycle firing probability p
+  double inv_neg_log1m_p_;  ///< 1 / -ln(1 - p)
+  double abs_slack_;  ///< the quotient error bound a ln error bound makes
   std::uint16_t address_range_;
   Lfsr interval_lfsr_;
   Lfsr address_lfsr_;
   Time t_{Time::zero()};
   double gen_hz_;
+  const LogCell* log_table_;
 };
 
 /// Duty-cycled bursts: `active_rate` Poisson spikes for `active_len`, then

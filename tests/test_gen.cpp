@@ -1,8 +1,16 @@
 // Unit tests for the stimulus generators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "gen/scenario.hpp"
 #include "gen/sources.hpp"
@@ -153,6 +161,40 @@ TEST(LfsrRate, GoldenFig8StimulusDigests) {
   }
 }
 
+// The table log against the std::log expression on every word the 24-bit
+// interval register can yield, at each non-zero Fig. 8 rate, the
+// ScenarioBuilder LFSR phases' rates (300 kevt/s is also a Fig. 8 rate),
+// and both ends of the threshold range: threshold 1 and p = 1/2.
+TEST(LfsrRate, CheapLogMatchesStdLogOnEveryWord) {
+  const double rates[] = {10,    30,    100,   300,   1e3,   3e3, 10e3,
+                          30e3,  100e3, 300e3, 550e3, 800e3, 2e3, 1.0,
+                          15e6};
+  constexpr std::uint32_t kWords = 1u << 24;
+  for (const double rate : rates) {
+    const LfsrRateSource src{rate, Frequency::mhz(30.0), 128, 1, 0};
+    std::uint64_t mismatches = 0;
+    std::uint32_t first = 0;
+    for (std::uint32_t w = 0; w < kWords; ++w) {
+      if (src.cycles(w) != src.cycles_std_log(w)) {
+        if (mismatches++ == 0) first = w;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "rate " << rate << ": first at word " << first
+                              << ", " << src.cycles(first) << " vs "
+                              << src.cycles_std_log(first);
+  }
+}
+
+TEST(LfsrRate, RejectsRatesOutsideTheGeneratorClock) {
+  const Frequency clock = Frequency::mhz(30.0);
+  for (const double rate : {0.0, -5.0, 30e6, 45e6, std::nan("")}) {
+    EXPECT_THROW((LfsrRateSource{rate, clock, 128, 1, 0}),
+                 std::invalid_argument)
+        << "rate " << rate;
+  }
+  EXPECT_NO_THROW((LfsrRateSource{29.9e6, clock, 128, 1, 0}));
+}
+
 TEST(LfsrRate, GoldenScenarioDigest) {
   ScenarioBuilder sb{128, 7};
   sb.silence(1_ms)
@@ -212,6 +254,92 @@ TEST(Merge, ExhaustsFiniteSources) {
   EXPECT_EQ(events[0].address, 1);
   EXPECT_EQ(events[1].address, 2);
   EXPECT_EQ(events[2].address, 1);
+}
+
+using MakeSource = std::function<std::unique_ptr<SpikeSource>()>;
+
+aer::EventStream draw_by_next(SpikeSource& source, std::size_t n) {
+  aer::EventStream out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto ev = source.next();
+    if (!ev) break;
+    out.push_back(*ev);
+  }
+  return out;
+}
+
+/// Up to `n` events through fill() in `chunk`-event calls.
+aer::EventStream draw_by_fill(SpikeSource& source, std::size_t n,
+                              std::size_t chunk) {
+  aer::EventStream out;
+  std::vector<aer::Event> buf(chunk);
+  while (out.size() < n) {
+    const std::size_t want = std::min(chunk, n - out.size());
+    const std::size_t got = source.fill(std::span{buf}.first(want));
+    EXPECT_LE(got, want);
+    out.insert(out.end(), buf.begin(),
+               buf.begin() + static_cast<std::ptrdiff_t>(got));
+    if (got < want) break;
+  }
+  return out;
+}
+
+aer::EventStream poisson_trace(std::size_t n, std::uint64_t seed) {
+  PoissonSource src{20e3, 64, seed};
+  return take(src, n);
+}
+
+TEST(Gen, FillMatchesNext) {
+  const std::pair<const char*, MakeSource> sources[] = {
+      {"poisson", [] { return std::make_unique<PoissonSource>(50e3, 64, 11); }},
+      {"regular",
+       [] { return std::make_unique<RegularSource>(7_us, 5, 3_us); }},
+      {"lfsr",
+       [] {
+         return std::make_unique<LfsrRateSource>(300e3, Frequency::mhz(30.0),
+                                                 128, 0xACE1u, 0x1234u);
+       }},
+      {"burst",
+       [] {
+         return std::make_unique<BurstSource>(100e3, 1_ms, 4_ms, 64, 3);
+       }},
+      {"trace",
+       [] { return std::make_unique<TraceSource>(poisson_trace(5000, 4)); }},
+      {"merge",
+       [] {
+         std::vector<std::unique_ptr<SpikeSource>> parts;
+         parts.push_back(std::make_unique<TraceSource>(poisson_trace(3000, 5)));
+         parts.push_back(std::make_unique<TraceSource>(poisson_trace(2500, 6)));
+         return std::make_unique<MergeSource>(std::move(parts));
+       }},
+  };
+  constexpr std::size_t kDraw = 10000;  // more than trace and merge hold
+  for (const auto& [name, make] : sources) {
+    SCOPED_TRACE(name);
+    auto ref_source = make();
+    const aer::EventStream ref = draw_by_next(*ref_source, kDraw);
+    const bool finite = ref.size() < kDraw;
+    for (const std::size_t chunk : {1u, 7u, 4096u}) {
+      SCOPED_TRACE("chunk " + std::to_string(chunk));
+      auto source = make();
+      EXPECT_EQ(draw_by_fill(*source, kDraw, chunk), ref);
+      if (finite) {
+        std::vector<aer::Event> buf(chunk);
+        EXPECT_EQ(source->fill(buf), 0u);
+        EXPECT_FALSE(source->next().has_value());
+      }
+    }
+    // next() continues the sequence a fill() left off, and back again.
+    auto source = make();
+    aer::EventStream mixed = draw_by_fill(*source, 5, 7);
+    for (int i = 0; i < 3; ++i) mixed.push_back(*source->next());
+    const aer::EventStream rest = draw_by_fill(*source, kDraw - 8, 4096);
+    mixed.insert(mixed.end(), rest.begin(), rest.end());
+    EXPECT_EQ(mixed, ref);
+    // take() goes through fill() and returns the short count too.
+    auto taken = make();
+    EXPECT_EQ(take(*taken, kDraw), ref);
+  }
 }
 
 TEST(TakeUntil, StopsBeforeEnd) {

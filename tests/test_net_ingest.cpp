@@ -5,12 +5,14 @@
 // snapshot instant. The reference below is the per-event
 // loop it replaced — feed; on backpressure advance_to the event's time and
 // retry; once an event reaches the next grid instant advance to it and
-// snapshot — driven on a bare Session. Every snapshot file the Connection
-// leaves after a frame, every CREDIT grant, events_ingested() and the
-// final SUMMARY must equal the reference byte for byte.
+// snapshot — driven on a bare Session. The snapshot file the Connection
+// leaves after every frame (none before the reference's first blob), every
+// CREDIT grant, events_ingested() and the final SUMMARY must equal the
+// reference byte for byte.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -117,8 +119,24 @@ struct Gateway {
     return conn->on_bytes(net::encode_frame(type, 0, payload));
   }
 
+  [[nodiscard]] bool has_snapshot_file() const {
+    return fs::exists(dir.path / "ingest.snap");
+  }
+
   [[nodiscard]] Bytes snapshot_file() const {
     return net::read_blob((dir.path / "ingest.snap").string());
+  }
+
+  /// The file must hold the reference's latest blob, and be absent before
+  /// its first one.
+  void expect_snapshot(const std::vector<Bytes>& ref_blobs,
+                       std::size_t frame) const {
+    if (ref_blobs.empty()) {
+      EXPECT_FALSE(has_snapshot_file()) << "frame " << frame;
+    } else {
+      ASSERT_TRUE(has_snapshot_file()) << "frame " << frame;
+      EXPECT_EQ(snapshot_file(), ref_blobs.back()) << "frame " << frame;
+    }
   }
 };
 
@@ -127,13 +145,20 @@ aer::EventStream poisson(std::size_t n, std::uint64_t seed, double rate_hz) {
   return gen::take(source, n);
 }
 
+/// Snapshot instants the reference crossed: in all, and in the frame that
+/// crossed the most.
+struct Crossed {
+  std::size_t total{0};
+  std::size_t most_in_a_frame{0};
+};
+
 /// Stream `events` in `chunk`-event DATA frames (plus one zero-event frame
 /// after the third) through both paths; compare after every frame and at
 /// the end. `disorder_at` (< events.size()) moves that event back in time,
 /// so its frame must be NACKed identically.
 void expect_same_ingest(const core::ScenarioConfig& scenario,
                         aer::EventStream events, std::size_t chunk,
-                        bool keep_history,
+                        bool keep_history, Crossed& crossed,
                         std::size_t disorder_at = SIZE_MAX) {
   if (disorder_at < events.size()) {
     events[disorder_at].time = events[disorder_at - 1].time - Time::ns(1);
@@ -161,22 +186,21 @@ void expect_same_ingest(const core::ScenarioConfig& scenario,
         gw.push(net::MsgType::kData, net::encode_data(events, pos, n));
     ASSERT_EQ(open, ref_ok) << "frame " << frames;
     EXPECT_EQ(gw.conn->events_ingested(), ref.ingested) << "frame " << frames;
-    if (ref.blobs.size() > blobs_before) {
-      ASSERT_EQ(gw.snapshot_file(), ref.blobs.back()) << "frame " << frames;
-    }
+    crossed.total = ref.blobs.size();
+    crossed.most_in_a_frame =
+        std::max(crossed.most_in_a_frame, ref.blobs.size() - blobs_before);
+    gw.expect_snapshot(ref.blobs, frames);
     if (!ref_ok) {
       ASSERT_EQ(gw.replies.back().type, net::MsgType::kNack);
       EXPECT_EQ(net::decode_nack(gw.replies.back().payload).reason,
                 "non-monotonic DATA timestamp");
       ASSERT_FALSE(ref.blobs.empty());
-      EXPECT_EQ(gw.snapshot_file(), ref.blobs.back());
       return;
     }
     ASSERT_EQ(gw.replies.back().type, net::MsgType::kCredit);
     EXPECT_EQ(net::decode_credit(gw.replies.back().payload).grant, n);
   }
   ASSERT_GE(disorder_at, events.size()) << "the disordered frame was accepted";
-  EXPECT_GT(ref.blobs.size(), frames) << "want several snapshots per frame";
 
   EXPECT_FALSE(gw.push(net::MsgType::kDrain, {}));
   ASSERT_EQ(gw.conn->state(), net::Connection::State::kDone);
@@ -197,9 +221,31 @@ TEST(NetIngest, RunFeedMatchesPerEventPumpAtEveryBufferCap) {
   for (const std::size_t cap : {std::size_t{64}, std::size_t{4096},
                                 std::size_t{1} << 20}) {
     SCOPED_TRACE("cap " + std::to_string(cap));
-    expect_same_ingest(with_cap(cap), events, 512, /*keep_history=*/false);
+    Crossed crossed;
+    expect_same_ingest(with_cap(cap), events, 512, /*keep_history=*/false,
+                       crossed);
+    EXPECT_GE(crossed.most_in_a_frame, 4u);
   }
-  expect_same_ingest(with_cap(64), events, 512, /*keep_history=*/true);
+  Crossed crossed;
+  expect_same_ingest(with_cap(64), events, 512, /*keep_history=*/true,
+                     crossed);
+  EXPECT_GE(crossed.most_in_a_frame, 4u);
+}
+
+TEST(NetIngest, FramesShorterThanTheIntervalPinEveryInstant) {
+  // 24-event frames at 100 kevt/s span ~0.24 ms: each crosses at most one
+  // 1 ms instant, so the file after every frame pins each instant the
+  // pump takes, and a pump that adds or skips one reads a different blob
+  // (or a file where none may be yet) at that frame.
+  const auto events = poisson(3000, 7, 100e3);
+  for (const std::size_t cap : {std::size_t{16}, std::size_t{4096}}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    Crossed crossed;
+    expect_same_ingest(with_cap(cap), events, 24, /*keep_history=*/false,
+                       crossed);
+    EXPECT_EQ(crossed.most_in_a_frame, 1u);
+    EXPECT_GE(crossed.total, 25u);
+  }
 }
 
 TEST(NetIngest, EventsTiedAtSnapshotInstants) {
@@ -219,7 +265,10 @@ TEST(NetIngest, EventsTiedAtSnapshotInstants) {
   }
   for (const std::size_t cap : {std::size_t{4}, std::size_t{4096}}) {
     SCOPED_TRACE("cap " + std::to_string(cap));
-    expect_same_ingest(with_cap(cap), events, 32, /*keep_history=*/false);
+    Crossed crossed;
+    expect_same_ingest(with_cap(cap), events, 32, /*keep_history=*/false,
+                       crossed);
+    EXPECT_GE(crossed.most_in_a_frame, 4u);
   }
 }
 
@@ -227,8 +276,9 @@ TEST(NetIngest, NonMonotonicEventMidFrameIsNackedAfterTheSamePrefix) {
   const auto events = poisson(3000, 5, 100e3);
   for (const std::size_t cap : {std::size_t{64}, std::size_t{4096}}) {
     SCOPED_TRACE("cap " + std::to_string(cap));
+    Crossed crossed;
     expect_same_ingest(with_cap(cap), events, 512, /*keep_history=*/false,
-                       /*disorder_at=*/4 * 512 + 300);
+                       crossed, /*disorder_at=*/4 * 512 + 300);
   }
 }
 
@@ -241,7 +291,9 @@ TEST(NetIngest, RunFeedMatchesWithFaultsAndMetricsGrid) {
   scenario.telemetry.metrics = true;
   scenario.telemetry.metrics_window = Time::us(500);
   const auto events = poisson(2500, 9, 20e3);
-  expect_same_ingest(scenario, events, 512, /*keep_history=*/false);
+  Crossed crossed;
+  expect_same_ingest(scenario, events, 512, /*keep_history=*/false, crossed);
+  EXPECT_GE(crossed.most_in_a_frame, 4u);
 }
 
 TEST(NetIngest, ResumedSessionMatchesTheUninterruptedPump) {

@@ -50,6 +50,7 @@
 #include "gen/sources.hpp"
 #include "obs/ledger.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/crc32.hpp"
 
 namespace {
 
@@ -765,6 +766,54 @@ TEST(Session, RestoreRejectsScenarioDifferingPastTheSixthDigit) {
   EXPECT_THROW(other.restore(blob), std::runtime_error);
   core::Session same{a};
   EXPECT_NO_THROW(same.restore(blob));
+}
+
+// A blob whose buffered events are out of order, or later than its last
+// event time, is refused even under a valid checksum: submission takes
+// every buffered event once the timeline reaches the last event time.
+TEST(Session, RestoreRejectsBufferedEventsOutOfOrder) {
+  for (const bool fast : kEngines) {
+    SCOPED_TRACE(engine_name(fast));
+    const core::ScenarioConfig scenario = on_engine({}, fast);
+    const aer::EventStream events = make_stream(300, 29);
+    core::Session s{scenario};
+    s.feed_all(events);
+    s.advance_to(events[events.size() / 2].time);
+    const std::vector<std::uint8_t> blob = s.snapshot();
+    // The last buffered event, as the blob stores it: u16 address, then
+    // i64 picoseconds, both little-endian.
+    const auto encode = [](const aer::Event& ev) {
+      std::vector<std::uint8_t> bytes;
+      for (int i = 0; i < 2; ++i) {
+        bytes.push_back(static_cast<std::uint8_t>(ev.address >> (8 * i)));
+      }
+      const auto ps = static_cast<std::uint64_t>(ev.time.count_ps());
+      for (int i = 0; i < 8; ++i) {
+        bytes.push_back(static_cast<std::uint8_t>(ps >> (8 * i)));
+      }
+      return bytes;
+    };
+    const std::vector<std::uint8_t> last = encode(events.back());
+    const auto at = std::search(blob.begin(), blob.end(), last.begin(),
+                                last.end());
+    ASSERT_NE(at, blob.end());
+    for (const Time moved_to : {events[events.size() - 3].time,
+                                events.back().time + Time::ps(1)}) {
+      std::vector<std::uint8_t> bad = blob;
+      const auto moved = encode(aer::Event{events.back().address, moved_to});
+      std::copy(moved.begin(), moved.end(),
+                bad.begin() + (at - blob.begin()));
+      const std::size_t body = bad.size() - 4;
+      const std::uint32_t crc = util::crc32_bytes(bad.data(), body);
+      for (int i = 0; i < 4; ++i) {
+        bad[body + static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(crc >> (8 * i));
+      }
+      core::Session fresh{scenario};
+      EXPECT_THROW(fresh.restore(bad), std::runtime_error)
+          << "moved to " << moved_to.count_ps() << " ps";
+    }
+  }
 }
 
 TEST(Session, RestoreRejectsTruncatedBlob) {
