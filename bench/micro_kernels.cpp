@@ -1,11 +1,13 @@
 // Google-benchmark microbenchmarks for the simulator substrates: scheduler
 // throughput, schedule quantisation, stimulus generation, cochlea filtering,
 // the end-to-end interface pipeline, with and without per-event history,
-// and the gateway's ingest kernels (byte CRC-32, DATA decode).
+// the gateway's ingest kernels (byte CRC-32, DATA decode) and its session
+// opening (config text load and dump, HELLO -> HELLO_ACK).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "aer/codec.hpp"
@@ -14,9 +16,11 @@
 #include "clockgen/schedule.hpp"
 #include "cochlea/audio.hpp"
 #include "cochlea/cochlea.hpp"
+#include "core/config_io.hpp"
 #include "core/scenario.hpp"
 #include "gen/sources.hpp"
 #include "i2s/framing.hpp"
+#include "net/connection.hpp"
 #include "net/wire.hpp"
 #include "sim/scheduler.hpp"
 #include "util/crc32.hpp"
@@ -307,6 +311,88 @@ void BM_DecodeData(benchmark::State& state) {
                           static_cast<std::int64_t>(payload.size()));
 }
 BENCHMARK(BM_DecodeData);
+
+// Arg 0: the default scenario, whose numbers all print in six digits or
+// fewer. Arg 1: every real, time, frequency and scaled key needs more
+// digits than that.
+core::ScenarioConfig config_with_digits(std::int64_t every_digit) {
+  core::ScenarioConfig sc;
+  if (every_digit == 0) return sc;
+  for (const auto& [key, value] :
+       {std::pair{"clock.ring_mhz", "118.7654321"},
+        {"clock.wake_latency_ns", "1234.567"},
+        {"frontend.metastability_prob", "0.123456789"},
+        {"i2s.sck_mhz", "24.5761234"},
+        {"drain_timeout_us", "12.345678"},
+        {"power.static_uw", "47.123456789"},
+        {"power.osc_domain_mw", "2.123456789"},
+        {"sender.addr_setup_ns", "5123.456"},
+        {"sender.req_release_ns", "5654.321"},
+        {"sender.min_gap_ns", "10123.456"},
+        {"session.cooldown_us", "1000.1234567"},
+        {"session.snapshot_interval_sec", "0.0123456789"},
+        {"fault.aer.drop_req_prob", "0.0123456789"},
+        {"fault.aer.stuck_ack_prob", "0.00123456789"},
+        {"fault.aer.addr_bit_flip_prob", "0.000123456789"},
+        {"fault.aer.runt_req_prob", "0.0234567891"},
+        {"fault.aer.runt_width_ns", "1234.567"},
+        {"fault.clock.period_jitter_rel", "0.0345678912"},
+        {"fault.clock.wake_jitter_rel", "0.0456789123"},
+        {"fault.fifo.cell_bit_flip_prob", "0.0567891234"},
+        {"fault.spi.word_bit_flip_prob", "0.0678912345"},
+        {"fault.i2s.bit_error_rate", "0.0789123456"},
+        {"fault.recovery.watchdog_timeout_us", "100.1234567"},
+        {"telemetry.metrics_window_ms", "1.123456789"}}) {
+    core::apply_scenario_key(sc, key, value);
+  }
+  return sc;
+}
+
+// load_scenario_text over a whole dump, as the gateway loads a HELLO.
+void BM_ConfigLoad(benchmark::State& state) {
+  const std::string text =
+      core::dump_scenario(config_with_digits(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::load_scenario_text(text));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ConfigLoad)->ArgName("every_digit")->Arg(0)->Arg(1);
+
+// dump_scenario, the session's config fingerprint.
+void BM_ConfigDump(benchmark::State& state) {
+  const core::ScenarioConfig sc = config_with_digits(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::dump_scenario(sc));
+  }
+}
+BENCHMARK(BM_ConfigDump)->ArgName("every_digit")->Arg(0)->Arg(1);
+
+// A fresh in-process Connection taking a HELLO with the default dump
+// (buffer cap 4096) to its HELLO_ACK: load, session build, fingerprint.
+void BM_HelloHandshake(benchmark::State& state) {
+  core::ScenarioConfig sc;
+  sc.session.max_buffered_events = 4096;
+  net::Hello hello;
+  hello.session_name = "bench";
+  hello.config_text = core::dump_scenario(sc);
+  const auto frame =
+      net::encode_frame(net::MsgType::kHello, 0, net::encode_hello(hello));
+  net::GatewayConfig gw;
+  gw.default_scenario = sc;
+  for (auto _ : state) {
+    net::Connection c{gw, 1, [](const std::vector<std::uint8_t>& reply) {
+                        benchmark::DoNotOptimize(reply.data());
+                      }};
+    c.on_bytes(frame);
+    if (c.state() != net::Connection::State::kStreaming) {
+      state.SkipWithError("HELLO was not acknowledged");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_HelloHandshake);
 
 void BM_DvsFrameDiff(benchmark::State& state) {
   vision::DvsConfig cfg;

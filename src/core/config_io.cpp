@@ -1,6 +1,7 @@
 #include "core/config_io.hpp"
 
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 
 #include "core/key_schema.hpp"
@@ -165,15 +166,16 @@ void apply_scenario_key(ScenarioConfig& scenario, const std::string& key,
   scenario_schema().apply(scenario, key, value);
 }
 
-ScenarioConfig load_scenario(std::istream& is) {
+ScenarioConfig load_scenario_text(std::string_view text) {
   ScenarioConfig scenario;
-  keyio::parse_stream(is, "config",
-                      [&](const std::string& key, const std::string& value,
-                          std::size_t line_no) {
-                        scenario_schema().apply(scenario, key, value, line_no);
-                      });
+  scenario_schema().load(scenario, text);
   scenario.validate();
   return scenario;
+}
+
+ScenarioConfig load_scenario(std::istream& is) {
+  const std::string text{std::istreambuf_iterator<char>{is}, {}};
+  return load_scenario_text(text);
 }
 
 ScenarioConfig load_scenario_file(const std::string& path) {

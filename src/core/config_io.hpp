@@ -36,6 +36,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/key_schema.hpp"
@@ -51,10 +52,13 @@ namespace aetr::core {
 /// config extends it onto FleetConfig::base.
 [[nodiscard]] const KeySchema<ScenarioConfig>& scenario_schema();
 
-/// Parse a full scenario (interface keys plus sender.*, session.*, fault.*
+/// Parse a full scenario text (interface keys plus sender.*, session.*, fault.*
 /// and telemetry.*) on top of default values. Throws std::runtime_error on
 /// syntax errors, unknown keys or bad values, and std::invalid_argument
 /// when the result fails ScenarioConfig::validate().
+ScenarioConfig load_scenario_text(std::string_view text);
+
+/// load_scenario_text() on the rest of the stream.
 ScenarioConfig load_scenario(std::istream& is);
 
 /// Load a scenario file; throws std::runtime_error on failure.

@@ -12,11 +12,20 @@
 // once here:
 //   - number format: a number dumps as the shortest %g text (precision 6
 //     up to 17) that loads back to the stored value (keyio::shortest_text),
-//     so load(dump(c)) == c and dump -> load -> dump is byte-identical;
+//     so load(dump(c)) == c and dump -> load -> dump is byte-identical.
+//     A value whose round-trip digits (std::to_chars) number six or fewer
+//     and that the key loads back as itself prints as %.6g at once: %.6g
+//     then prints exactly those digits, so the text parses back to the
+//     value and the search over precisions and neighbours is skipped;
 //   - unit scale: time keys hold integral picoseconds, frequency keys
 //     hertz, scaled keys a power-of-ten multiple of the text;
 //   - range: every refusal throws std::runtime_error naming the key and
 //     leaves the config untouched.
+//
+// Text is parsed in place (keyio::parse_text over a std::string_view, key
+// lookup through a transparent std::less<>), and a number goes through
+// std::from_chars before std::strtod, which reads only what from_chars
+// refuses, so a well-formed number, flag or choice line allocates nothing.
 //
 // Layered formats compose instead of re-implementing fall-through:
 // extend() grafts a complete inner schema through an accessor, so the
@@ -32,12 +41,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
-#include <istream>
 #include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -50,39 +59,56 @@ namespace aetr::core {
 /// KeySchema tables.
 namespace keyio {
 
-inline std::string trim(const std::string& s) {
-  const auto first = s.find_first_not_of(" \t\r\n");
-  if (first == std::string::npos) return "";
-  const auto last = s.find_last_not_of(" \t\r\n");
-  return s.substr(first, last - first + 1);
+/// `s` without leading and trailing spaces, tabs, '\r' and '\n'.
+inline std::string_view trim(std::string_view s) {
+  const auto blank = [](char c) {
+    return c == ' ' || c == '\t' || c == '\r' || c == '\n';
+  };
+  while (!s.empty() && blank(s.front())) s.remove_prefix(1);
+  while (!s.empty() && blank(s.back())) s.remove_suffix(1);
+  return s;
 }
 
 [[noreturn]] inline void out_of_range(const std::string& key,
-                                      const std::string& v) {
-  throw std::runtime_error("config: " + key + " out of range: " + v);
+                                      std::string_view v) {
+  throw std::runtime_error("config: " + key + " out of range: " +
+                           std::string{v});
 }
 
-inline bool parse_bool(const std::string& v, const std::string& key) {
+inline bool parse_bool(std::string_view v, const std::string& key) {
   if (v == "true" || v == "1" || v == "on") return true;
   if (v == "false" || v == "0" || v == "off") return false;
-  throw std::runtime_error("config: bad boolean for " + key + ": " + v);
+  throw std::runtime_error("config: bad boolean for " + key + ": " +
+                           std::string{v});
 }
 
-inline double parse_double(const std::string& v, const std::string& key) {
+/// A finite double, as std::strtod reads the whole of `v`. std::from_chars
+/// reads every plain decimal spelling and gives strtod's correctly rounded
+/// value; whatever it refuses (hex, a leading '+', overflow, underflow,
+/// NaN, inf, junk) goes through strtod itself, which keeps every
+/// acceptance, value and refusal message.
+inline double parse_double(std::string_view v, const std::string& key) {
+  double d = 0.0;
+  const char* end = v.data() + v.size();
+  if (const auto r = std::from_chars(v.data(), end, d);
+      r.ec == std::errc{} && r.ptr == end && std::isfinite(d)) {
+    return d;
+  }
   // std::strtod, not std::stod: stod refuses subnormals, which a dump
   // prints like any other double.
-  char* end = nullptr;
-  const double d = std::strtod(v.c_str(), &end);
-  if (end == v.c_str()) {
-    throw std::runtime_error("config: bad number for " + key + ": " + v);
+  const std::string text{v};
+  char* stop = nullptr;
+  d = std::strtod(text.c_str(), &stop);
+  if (stop == text.c_str()) {
+    throw std::runtime_error("config: bad number for " + key + ": " + text);
   }
-  if (end != v.c_str() + v.size()) {
-    throw std::runtime_error("config: trailing junk for " + key + ": " + v);
+  if (stop != text.c_str() + text.size()) {
+    throw std::runtime_error("config: trailing junk for " + key + ": " + text);
   }
   // strtod reads "nan" and "inf" and overflows to inf; no key means either.
   if (!std::isfinite(d)) {
     throw std::runtime_error("config: non-finite number for " + key + ": " +
-                             v);
+                             text);
   }
   return d;
 }
@@ -90,7 +116,7 @@ inline double parse_double(const std::string& v, const std::string& key) {
 /// A non-negative integer. Plain digits parse exactly at any width up to
 /// 2^64 - 1; other spellings ("1e3", "64.0") go through a double and must
 /// be whole and below 2^64.
-inline std::uint64_t parse_uint(const std::string& v, const std::string& key) {
+inline std::uint64_t parse_uint(std::string_view v, const std::string& key) {
   std::uint64_t n = 0;
   const char* end = v.data() + v.size();
   if (const auto r = std::from_chars(v.data(), end, n);
@@ -100,7 +126,7 @@ inline std::uint64_t parse_uint(const std::string& v, const std::string& key) {
   const double d = parse_double(v, key);
   if (d < 0.0 || d != std::floor(d)) {
     throw std::runtime_error("config: expected non-negative integer for " +
-                             key + ": " + v);
+                             key + ": " + std::string{v});
   }
   // 2^64 is the first double the cast below cannot represent.
   if (d >= 0x1p64) out_of_range(key, v);
@@ -115,6 +141,19 @@ inline std::string format_g(double v, int precision) {
   return {buf, r.ptr};
 }
 
+/// Significant digits in the shortest text that std::strtod reads back
+/// to exactly `v` (std::to_chars' round-trip digits).
+inline int shortest_digits(double v) {
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                               std::chars_format::scientific);
+  int digits = 0;
+  for (const char* p = buf; p != r.ptr && *p != 'e'; ++p) {
+    digits += (*p >= '0' && *p <= '9') ? 1 : 0;
+  }
+  return digits;
+}
+
 /// The shortest %g text, precision 6 up to 17, of `v` or of a double
 /// within four ulps of it, whose parse satisfies `loads_back`; `v` at
 /// precision 17 when none does. Precision 6 comes first, so a value that
@@ -122,8 +161,18 @@ inline std::string format_g(double v, int precision) {
 /// it. The neighbours serve scaled loads: `v` is the stored value
 /// converted to the key's unit, and converting it back can miss by an
 /// ulp where a neighbour's text lands.
+///
+/// Most values take a shortcut to the loop's first answer, format_g(v, 6):
+/// when `v` itself satisfies `loads_back` and its round-trip digits number
+/// six or fewer, %.6g parses back to exactly `v`. Those digits are a
+/// 6-digit decimal within half an ulp of `v`, and %.6g prints the 6-digit
+/// decimal nearest `v`; for a normal double two 6-digit decimals lie at
+/// least 1e-6 of `v` apart, far more than an ulp, so both are the same
+/// text. A subnormal's ulp is the same on both sides of it, so the nearer
+/// text parses back wherever the farther one does.
 template <typename LoadsBack>
 std::string shortest_text(double v, LoadsBack&& loads_back) {
+  if (shortest_digits(v) <= 6 && loads_back(v)) return format_g(v, 6);
   double near[9] = {v};
   double up = v;
   double down = v;
@@ -187,20 +236,26 @@ inline std::string nearest_key(const std::string& key,
 }
 
 /// Drive the shared line syntax (comments, blank lines, `key = value`)
-/// over a stream, calling fn(key, value, line_no) per assignment. Throws
-/// "<context>: line N is not 'key = value'" on malformed lines.
+/// over an in-memory text, calling fn(key, value, line_no) per assignment
+/// with views into `text`. Lines end at '\n' (a final line needs none) and
+/// are trimmed of spaces, tabs and '\r'. Throws "<context>: line N is not
+/// 'key = value'" on malformed lines.
 template <typename Fn>
-void parse_stream(std::istream& is, const std::string& context, Fn&& fn) {
-  std::string line;
+void parse_text(std::string_view text, std::string_view context, Fn&& fn) {
   std::size_t line_no = 0;
-  while (std::getline(is, line)) {
+  while (!text.empty()) {
+    const auto nl = text.find('\n');
+    const std::string_view line = text.substr(0, nl);
+    text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
     ++line_no;
-    const std::string stripped = trim(line);
+    const std::string_view stripped = trim(line);
     if (stripped.empty() || stripped[0] == '#') continue;
     const auto eq = stripped.find('=');
-    if (eq == std::string::npos) {
-      throw std::runtime_error(context + ": line " + std::to_string(line_no) +
-                               " is not 'key = value': " + stripped);
+    if (eq == std::string_view::npos) {
+      throw std::runtime_error(std::string{context} + ": line " +
+                               std::to_string(line_no) +
+                               " is not 'key = value': " +
+                               std::string{stripped});
     }
     fn(trim(stripped.substr(0, eq)), trim(stripped.substr(eq + 1)), line_no);
   }
@@ -211,7 +266,7 @@ void parse_stream(std::istream& is, const std::string& context, Fn&& fn) {
 template <typename Config>
 class KeySchema {
  public:
-  using Apply = std::function<void(Config&, const std::string&)>;
+  using Apply = std::function<void(Config&, std::string_view)>;
   using Dump = std::function<void(std::string&, const Config&)>;
 
   struct Entry {
@@ -238,7 +293,7 @@ class KeySchema {
   KeySchema& flag(std::string key, Get get) {
     return add(
         key,
-        [get, key](Config& c, const std::string& v) {
+        [get, key](Config& c, std::string_view v) {
           get(c) = keyio::parse_bool(v, key);
         },
         [get](std::string& out, const Config& c) {
@@ -256,7 +311,7 @@ class KeySchema {
     hi = std::min<std::uint64_t>(hi, std::numeric_limits<T>::max());
     return add(
         key,
-        [get, key, lo, hi](Config& c, const std::string& v) {
+        [get, key, lo, hi](Config& c, std::string_view v) {
           const std::uint64_t n = keyio::parse_uint(v, key);
           if (n < lo || n > hi) keyio::out_of_range(key, v);
           get(c) = static_cast<T>(n);
@@ -331,7 +386,7 @@ class KeySchema {
   template <typename Get>
   KeySchema& text(std::string key, Get get) {
     return add(
-        key, [get](Config& c, const std::string& v) { get(c) = v; },
+        key, [get](Config& c, std::string_view v) { get(c) = v; },
         [get](std::string& out, const Config& c) { out += get(c); });
   }
 
@@ -346,7 +401,7 @@ class KeySchema {
     }
     return add(
         key,
-        [get, key, names, expected](Config& c, const std::string& v) {
+        [get, key, names, expected](Config& c, std::string_view v) {
           for (const auto& [name, value] : names) {
             if (v == name) {
               get(c) = value;
@@ -354,7 +409,7 @@ class KeySchema {
             }
           }
           throw std::runtime_error("config: " + key + " must be " + expected +
-                                   ": " + v);
+                                   ": " + std::string{v});
         },
         [get, names](std::string& out, const Config& c) {
           for (const auto& [name, value] : names) {
@@ -365,6 +420,7 @@ class KeySchema {
 
   /// Register a dump-only comment row ("# <text>") at this position.
   KeySchema& comment(std::string text) {
+    dump_reserve_ += text.size() + 3;
     entries_.push_back(Entry{{}, {}, {}, std::move(text)});
     return *this;
   }
@@ -382,7 +438,7 @@ class KeySchema {
       }
       add(
           e.key,
-          [get, apply = e.apply](Config& c, const std::string& v) {
+          [get, apply = e.apply](Config& c, std::string_view v) {
             apply(get(c), v);
           },
           [get, dump = e.dump](std::string& out, const Config& c) {
@@ -393,17 +449,36 @@ class KeySchema {
   }
 
   /// True when `key` is a registered key.
-  [[nodiscard]] bool known(const std::string& key) const {
-    return index_.count(key) != 0;
+  [[nodiscard]] bool known(std::string_view key) const {
+    return index_.find(key) != index_.end();
   }
 
   /// Apply one assignment; throws "<context>: unknown key [at line N]:
   /// <key>" with a did-you-mean hint when the key is unknown.
-  void apply(Config& config, const std::string& key, const std::string& value,
+  void apply(Config& config, std::string_view key, std::string_view value,
              std::size_t line_no = 0) const {
-    const auto it = index_.find(key);
-    if (it == index_.end()) throw_unknown(key, line_no);
-    entries_[it->second].apply(config, value);
+    entries_[find(key, line_no)].apply(config, value);
+  }
+
+  /// Apply every assignment of `text` (keyio::parse_text syntax) in line
+  /// order, as apply() would. A dump lists its keys in entry order, so
+  /// each key is first compared with the entry after the previous one.
+  void load(Config& config, std::string_view text) const {
+    std::size_t next = 0;
+    keyio::parse_text(text, context_,
+                      [&](std::string_view key, std::string_view value,
+                          std::size_t line_no) {
+                        while (next < entries_.size() &&
+                               entries_[next].key.empty()) {
+                          ++next;  // comment rows
+                        }
+                        const std::size_t i =
+                            next < entries_.size() && entries_[next].key == key
+                                ? next
+                                : find(key, line_no);
+                        entries_[i].apply(config, value);
+                        next = i + 1;
+                      });
   }
 
   /// Every registered key, sorted.
@@ -425,14 +500,17 @@ class KeySchema {
   /// as "key = <value>", one per line.
   [[nodiscard]] std::string dump(const Config& config) const {
     std::string out;
+    out.reserve(dump_reserve_);
     for (const auto& e : entries_) {
       if (e.key.empty()) {
-        out += "# " + e.comment + '\n';
+        out += "# ";
+        out += e.comment;
       } else {
-        out += e.key + " = ";
+        out += e.key;
+        out += " = ";
         e.dump(out, config);
-        out += '\n';
       }
+      out += '\n';
     }
     return out;
   }
@@ -440,19 +518,33 @@ class KeySchema {
   [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
 
  private:
-  [[noreturn]] void throw_unknown(const std::string& key,
+  /// The entry index of `key`; throws as apply() documents when unknown.
+  [[nodiscard]] std::size_t find(std::string_view key,
+                                 std::size_t line_no) const {
+    const auto it = index_.find(key);
+    if (it == index_.end()) throw_unknown(key, line_no);
+    return it->second;
+  }
+
+  [[noreturn]] void throw_unknown(std::string_view key,
                                   std::size_t line_no) const {
     std::string msg = context_ + ": unknown key";
     if (line_no != 0) msg += " at line " + std::to_string(line_no);
-    msg += ": " + key;
-    if (const std::string hint = suggest(key); !hint.empty()) {
+    msg += ": ";
+    msg += key;
+    if (const std::string hint = suggest(std::string{key}); !hint.empty()) {
       msg += " (did you mean '" + hint + "'?)";
     }
     throw std::runtime_error(msg);
   }
 
   KeySchema& add(std::string key, Apply apply, Dump dump) {
-    index_.emplace(key, entries_.size());
+    dump_reserve_ += key.size() + 4 + kValueReserve;
+    // load() takes a key equal to the next entry's for that entry, so
+    // every key names exactly one.
+    if (!index_.emplace(key, entries_.size()).second) {
+      throw std::logic_error(context_ + ": duplicate key " + key);
+    }
     entries_.push_back(
         Entry{std::move(key), std::move(apply), std::move(dump), {}});
     return *this;
@@ -466,7 +558,7 @@ class KeySchema {
   KeySchema& number(std::string key, Get get, Decode decode, Unit unit) {
     return add(
         key,
-        [get, key, decode](Config& c, const std::string& v) {
+        [get, key, decode](Config& c, std::string_view v) {
           const auto value = decode(keyio::parse_double(v, key));
           if (!value) keyio::out_of_range(key, v);
           get(c) = *value;
@@ -480,9 +572,14 @@ class KeySchema {
         });
   }
 
+  /// Room dump() reserves per value: a six-digit number and its sign,
+  /// point and exponent fit, so a default dump never reallocates.
+  static constexpr std::size_t kValueReserve = 12;
+
   std::string context_;
   std::vector<Entry> entries_;
-  std::map<std::string, std::size_t> index_;
+  std::map<std::string, std::size_t, std::less<>> index_;
+  std::size_t dump_reserve_{0};  ///< a dump's size at kValueReserve a value
 };
 
 }  // namespace aetr::core

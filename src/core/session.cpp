@@ -94,6 +94,15 @@ struct Session::Impl {
 
   bool done{false};
 
+  // dump_scenario(scenario), the snapshot's config fingerprint: dumped on
+  // first use, then shared by every snapshot and restore.
+  std::string config_text;
+
+  const std::string& fingerprint() {
+    if (config_text.empty()) config_text = dump_scenario(scenario);
+    return config_text;
+  }
+
   explicit Impl(const ScenarioConfig& s) : scenario{s} {
     scenario.validate();
 
@@ -483,7 +492,7 @@ struct Session::Impl {
     BlobWriter w;
     w.raw(kSnapshotMagic, sizeof kSnapshotMagic);
     w.u32(kSnapshotVersion);
-    w.str(dump_scenario(scenario));
+    w.str(fingerprint());
     w.b(tel != nullptr);
     w.b(faults != nullptr);
 
@@ -572,8 +581,7 @@ struct Session::Impl {
       throw std::runtime_error(
           "Session::restore: snapshot checksum mismatch (corrupted blob)");
     }
-    const std::string fingerprint = r.str();
-    if (fingerprint != dump_scenario(scenario)) {
+    if (r.str() != fingerprint()) {
       throw std::runtime_error(
           "Session::restore: scenario config does not match the snapshot's "
           "(diff the dump_scenario() texts to see how)");
@@ -778,6 +786,10 @@ void Session::feed_all(std::span<const aer::Event> events) {
 }
 
 std::size_t Session::buffered() const { return impl_->buffered(); }
+
+const std::string& Session::config_text() const {
+  return impl_->fingerprint();
+}
 
 bool Session::backpressure() const { return room() == 0; }
 

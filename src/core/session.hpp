@@ -28,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -125,6 +126,10 @@ class Session {
   /// std::runtime_error on any mismatch). After restore the session
   /// continues byte-identically to the run that took the snapshot.
   void restore(const std::vector<std::uint8_t>& blob);
+
+  /// dump_scenario() of this session's scenario: the config fingerprint
+  /// every snapshot embeds and restore() checks. Dumped once, on first use.
+  [[nodiscard]] const std::string& config_text() const;
 
   // --- completion -----------------------------------------------------------
 

@@ -1,6 +1,7 @@
 #include "fleet/fleet_io.hpp"
 
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 
 #include "core/config_io.hpp"
@@ -57,13 +58,9 @@ void apply_fleet_key(FleetConfig& config, const std::string& key,
 }
 
 FleetConfig load_fleet(std::istream& is) {
+  const std::string text{std::istreambuf_iterator<char>{is}, {}};
   FleetConfig config;
-  core::keyio::parse_stream(
-      is, "fleet config",
-      [&](const std::string& key, const std::string& value,
-          std::size_t line_no) {
-        fleet_schema().apply(config, key, value, line_no);
-      });
+  fleet_schema().load(config, text);
   config.validate();
   return config;
 }

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cinttypes>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -18,6 +20,12 @@ namespace {
 [[noreturn]] void sys_fail(const std::string& what) {
   throw std::runtime_error("net client: " + what + ": " +
                            std::strerror(errno));
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016" PRIx64, v);
+  return buf;
 }
 
 }  // namespace
@@ -133,6 +141,17 @@ HelloAck Client::hello(const std::string& session_name,
                              to_string(f.type));
   }
   const HelloAck ack = decode_hello_ack(f.payload);
+  // The gateway fingerprints the dump of the scenario it loaded; a text
+  // that dumps differently is not the scenario the caller built.
+  if (!config_text.empty()) {
+    const std::uint64_t sent = config_fingerprint(config_text);
+    if (ack.config_fingerprint != sent) {
+      throw std::runtime_error(
+          "net client: HELLO_ACK config fingerprint " +
+          hex64(ack.config_fingerprint) + " != " + hex64(sent) +
+          " of the sent config (send canonical dump_scenario() text)");
+    }
+  }
   session_id_ = f.session_id;
   credit_ = ack.credit;
   return ack;

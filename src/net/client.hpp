@@ -43,7 +43,10 @@ class Client {
 
   /// HELLO / HELLO_ACK handshake. config_text is canonical dump_scenario()
   /// output ("" = server default). Returns the ack — events_fed tells a
-  /// resuming client how many stream events to skip.
+  /// resuming client how many stream events to skip. Throws
+  /// std::runtime_error naming both fingerprints when config_text is not
+  /// empty and the ack's config fingerprint is not config_text's: the
+  /// gateway loaded a scenario that dumps to different text.
   HelloAck hello(const std::string& session_name,
                  const std::string& config_text);
 

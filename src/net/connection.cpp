@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <fstream>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/config_io.hpp"
@@ -57,15 +56,20 @@ const char* telemetry_override(const telemetry::SessionOptions& hello,
 void write_blob_atomic(const std::string& path,
                        const std::vector<std::uint8_t>& blob) {
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f{tmp, std::ios::binary | std::ios::trunc};
-    if (!f) throw std::runtime_error("net: cannot open " + tmp);
-    f.write(reinterpret_cast<const char*>(blob.data()),
-            static_cast<std::streamsize>(blob.size()));
-    if (!f) throw std::runtime_error("net: write failed for " + tmp);
-  }
+  const auto fail = [&tmp](const std::string& what) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error(what);
+  };
+  std::ofstream f{tmp, std::ios::binary | std::ios::trunc};
+  if (!f) fail("net: cannot open " + tmp);
+  f.write(reinterpret_cast<const char*>(blob.data()),
+          static_cast<std::streamsize>(blob.size()));
+  // close() flushes what the stream still buffers; a small blob is written
+  // only here, so its error surfaces only here.
+  f.close();
+  if (!f) fail("net: write failed for " + tmp);
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("net: cannot rename " + tmp + " to " + path);
+    fail("net: cannot rename " + tmp + " to " + path);
   }
 }
 
@@ -180,8 +184,7 @@ void Connection::handle_hello(const FrameView& f) {
   core::ScenarioConfig scenario = config_.default_scenario;
   if (!hello.config_text.empty()) {
     try {
-      std::istringstream is{hello.config_text};
-      scenario = core::load_scenario(is);
+      scenario = core::load_scenario_text(hello.config_text);
     } catch (const std::exception& e) {
       protocol_error(std::string{"bad config: "} + e.what());
       return;
@@ -193,8 +196,6 @@ void Connection::handle_hello(const FrameView& f) {
       return;
     }
   }
-  const std::string canonical = core::dump_scenario(scenario);
-
   try {
     session_ = std::make_unique<core::Session>(scenario);
   } catch (const std::exception& e) {
@@ -226,7 +227,7 @@ void Connection::handle_hello(const FrameView& f) {
   }
 
   HelloAck ack;
-  ack.config_fingerprint = config_fingerprint(canonical);
+  ack.config_fingerprint = config_fingerprint(session_->config_text());
   ack.events_fed = session_->events_fed();
   ack.position_ps = session_->position().count_ps();
   ack.credit = config_.credit_window;

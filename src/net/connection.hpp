@@ -140,6 +140,8 @@ class Connection {
 };
 
 /// Atomic (tmp + rename) blob write shared by the gateway and aetr-serve.
+/// On any failure, the flush at close included, it removes the temp file,
+/// leaves `path` as it was and throws std::runtime_error.
 void write_blob_atomic(const std::string& path,
                        const std::vector<std::uint8_t>& blob);
 /// Whole-file read; throws std::runtime_error when the file cannot open.

@@ -210,7 +210,7 @@ void decode_data_into(const std::uint8_t* payload, std::size_t size,
 
 /// FNV-1a 64 over the canonical dump_scenario() text — the config
 /// fingerprint HELLO_ACK echoes so client and server agree on the scenario
-/// before any DATA flows.
+/// before any DATA flows (Client::hello checks it).
 [[nodiscard]] std::uint64_t config_fingerprint(const std::string& config_text);
 
 }  // namespace aetr::net

@@ -8,6 +8,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/config_io.hpp"
 #include "core/key_schema.hpp"
@@ -57,10 +58,11 @@ std::uint64_t stream_seed(std::uint64_t root, std::size_t rung) {
 std::vector<double> default_params(const SearchSpace& space,
                                    const core::ScenarioConfig& base) {
   std::map<std::string, std::string> kv;
-  std::istringstream dump(core::dump_scenario(base));
-  core::keyio::parse_stream(
-      dump, "opt", [&](const std::string& key, const std::string& value,
-                       std::size_t) { kv[key] = value; });
+  core::keyio::parse_text(
+      core::dump_scenario(base), "opt",
+      [&](std::string_view key, std::string_view value, std::size_t) {
+        kv[std::string{key}] = value;
+      });
   std::vector<double> params;
   params.reserve(space.size());
   for (const auto& axis : space.axes()) {

@@ -7,10 +7,15 @@
 // validates and whose dump loads back to the same bytes. The same corpus
 // then goes through HELLO on an in-process net::Connection: the reply is a
 // NACK or a HELLO_ACK (the latter only for text that loads, fingerprinting
-// its canonical dump), and no exception leaves on_bytes().
+// its canonical dump), and no exception leaves on_bytes(). Every input,
+// also with CRLF line ends and without its final newline, loads from a
+// stream and from text exactly as the std::getline parser that preceded
+// the in-memory one loaded it: same config, same refusal message.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <istream>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -18,6 +23,7 @@
 #include <vector>
 
 #include "core/config_io.hpp"
+#include "core/key_schema.hpp"
 #include "core/scenario.hpp"
 #include "net/connection.hpp"
 #include "net/wire.hpp"
@@ -138,6 +144,79 @@ TEST(ConfigFuzz, EveryMutationIsRefusedOrRoundTrips) {
   // Both outcomes are exercised.
   EXPECT_GT(loaded, 500u);
   EXPECT_GT(refused, 500u);
+}
+
+/// The line parser before keyio::parse_text: std::getline over a stream,
+/// std::string trims.
+std::string getline_trim(const std::string& s) {
+  const auto first = s.find_first_not_of(" \t\r\n");
+  if (first == std::string::npos) return "";
+  const auto last = s.find_last_not_of(" \t\r\n");
+  return s.substr(first, last - first + 1);
+}
+
+core::ScenarioConfig getline_load(const std::string& text) {
+  core::ScenarioConfig scenario;
+  std::istringstream is{text};
+  std::string line;
+  std::size_t line_no = 0;
+  while (std::getline(is, line)) {
+    ++line_no;
+    const std::string stripped = getline_trim(line);
+    if (stripped.empty() || stripped[0] == '#') continue;
+    const auto eq = stripped.find('=');
+    if (eq == std::string::npos) {
+      throw std::runtime_error("config: line " + std::to_string(line_no) +
+                               " is not 'key = value': " + stripped);
+    }
+    core::scenario_schema().apply(scenario,
+                                  getline_trim(stripped.substr(0, eq)),
+                                  getline_trim(stripped.substr(eq + 1)),
+                                  line_no);
+  }
+  scenario.validate();
+  return scenario;
+}
+
+/// The canonical dump of what `load` makes of the text, or the refusal.
+std::string outcome(const std::function<core::ScenarioConfig()>& load) {
+  try {
+    return core::dump_scenario(load());
+  } catch (const std::invalid_argument& e) {
+    return std::string{"invalid_argument: "} + e.what();
+  } catch (const std::runtime_error& e) {
+    return std::string{"runtime_error: "} + e.what();
+  }
+}
+
+TEST(ConfigFuzz, StreamAndTextLoadAsTheGetlineParser) {
+  std::size_t refused = 0;
+  for (const auto& text : corpus()) {
+    std::string crlf;
+    for (const char c : text) {
+      if (c == '\n') crlf += '\r';
+      crlf += c;
+    }
+    std::string unterminated = text;
+    if (!unterminated.empty() && unterminated.back() == '\n') {
+      unterminated.pop_back();
+    }
+    for (const std::string& input : {text, crlf, unterminated}) {
+      const std::string want = outcome([&] { return getline_load(input); });
+      ASSERT_EQ(outcome([&] { return core::load_scenario_text(input); }),
+                want)
+          << input;
+      ASSERT_EQ(outcome([&] {
+                  std::istringstream is{input};
+                  return core::load_scenario(is);
+                }),
+                want)
+          << input;
+      if (want.rfind("runtime_error: config: line ", 0) == 0) ++refused;
+    }
+  }
+  // Malformed lines are refused with their line number.
+  EXPECT_GT(refused, 100u);
 }
 
 TEST(ConfigFuzz, HelloRepliesNackOrAckAndNeverThrows) {

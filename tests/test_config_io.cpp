@@ -11,6 +11,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -632,12 +633,13 @@ std::vector<NumericField<fleet::FleetConfig>> fleet_fields() {
 /// Keys whose value in `dump` reads as a number.
 std::vector<std::string> numeric_keys(const std::string& dump) {
   std::vector<std::string> keys;
-  std::istringstream is{dump};
-  keyio::parse_stream(is, "dump",
-                      [&](const std::string& key, const std::string& value,
-                          std::size_t) {
-                        if (is_number(value)) keys.push_back(key);
-                      });
+  keyio::parse_text(dump, "dump",
+                    [&](std::string_view key, std::string_view value,
+                        std::size_t) {
+                      if (is_number(std::string{value})) {
+                        keys.emplace_back(key);
+                      }
+                    });
   std::sort(keys.begin(), keys.end());
   return keys;
 }
@@ -661,10 +663,11 @@ void expect_exact_round_trip(const std::vector<NumericField<Config>>& fields,
     for (const auto& f : fields) f.randomize(config, rng);
     const std::string text = dump(config);
     Config back;
-    std::istringstream is{text};
-    keyio::parse_stream(is, "config",
-                        [&](const std::string& key, const std::string& value,
-                            std::size_t) { apply(back, key, value); });
+    keyio::parse_text(text, "config",
+                      [&](std::string_view key, std::string_view value,
+                          std::size_t) {
+                        apply(back, std::string{key}, std::string{value});
+                      });
     for (const auto& f : fields) {
       EXPECT_TRUE(f.same(back, config)) << f.key << " in\n" << text;
     }

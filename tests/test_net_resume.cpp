@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
+#include <vector>
 
 #include "core/config_io.hpp"
 #include "core/scenario.hpp"
@@ -282,6 +283,24 @@ TEST(NetResume, UnwritableSnapshotIsNacked) {
   EXPECT_NE(periodic.nack().find("snapshot failed: net: cannot open"),
             std::string::npos)
       << periodic.nack();
+}
+
+TEST(NetResume, FailedBlobWriteKeepsThePreviousSnapshot) {
+  // A blob under 1 KiB sits in the stream's buffer until close, so only
+  // the flush at close can report a full disk; that failure must throw,
+  // drop the temp file and leave the previous snapshot as it was.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  TempDir tmp;
+  const std::string path = tmp.str("s.snap");
+  const std::vector<std::uint8_t> good(100, 0x5A);
+  net::write_blob_atomic(path, good);
+  fs::create_symlink("/dev/full", path + ".tmp");
+  const std::vector<std::uint8_t> bigger(500, 0xA5);
+  EXPECT_THROW(net::write_blob_atomic(path, bigger), std::runtime_error);
+  // Not the link renamed over it: reading /dev/full would never end.
+  ASSERT_TRUE(fs::is_regular_file(fs::symlink_status(path)));
+  EXPECT_EQ(net::read_blob(path), good);
+  EXPECT_FALSE(fs::exists(fs::symlink_status(path + ".tmp")));
 }
 
 TEST(NetResume, SnapshotIntervalOutOfRangeIsNackedAtHello) {

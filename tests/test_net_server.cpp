@@ -106,6 +106,37 @@ void with_server(net::ServerOptions options, std::size_t sessions,
   EXPECT_EQ(server.sessions_completed(), sessions);
 }
 
+TEST(NetServer, ClientChecksTheHelloAckFingerprint) {
+  // "15.000" loads, but the gateway fingerprints the dump of what it
+  // loaded ("15" and every other key), so only the canonical text agrees
+  // with the ack.
+  const std::string loose = "clock.ring_mhz = 15.000\n";
+  const std::string canonical =
+      core::dump_scenario(core::load_scenario_text(loose));
+  const auto stream = poisson_stream(300, 44, 60e3);
+  TempDir tmp;
+  net::ServerOptions options;
+  options.uds_path = tmp.str("gw.sock");
+  with_server(options, 2, [&](net::Server&) {
+    {
+      auto c = net::Client::connect_uds(tmp.str("gw.sock"));
+      const auto ack = c.hello("canonical", canonical);
+      EXPECT_EQ(ack.config_fingerprint, net::config_fingerprint(canonical));
+      c.send_events(stream, 0);
+      (void)c.drain();
+    }
+    auto c = net::Client::connect_uds(tmp.str("gw.sock"));
+    try {
+      (void)c.hello("loose", loose);
+      ADD_FAILURE() << "hello accepted a fingerprint that differs";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find("config fingerprint"),
+                std::string::npos)
+          << e.what();
+    }
+  });
+}
+
 TEST(NetServer, TwoInterleavedTcpSessionsMatchBatchByteForByte) {
   const auto stream_a = poisson_stream(1500, 11, 50e3);
   const auto stream_b = poisson_stream(1200, 22, 80e3);
