@@ -282,18 +282,36 @@ void BM_FrameEncodeDecode(benchmark::State& state) {
 BENCHMARK(BM_FrameEncodeDecode);
 
 // The byte CRC-32 behind every wire frame and snapshot trailer. Args: one
-// event record (10 B), one 512-event DATA frame's CRC span (5124 B) and
-// the largest stream_snapshot blob (6442 B).
-void BM_Crc32Bytes(benchmark::State& state) {
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(state.range(0)));
+// event record (10 B), the folding kernel's shortest buffer (64 B), one
+// 512-event DATA frame's CRC span (5124 B) and the largest stream_snapshot
+// blob (6442 B). BM_Crc32Bytes runs the dispatched crc32_update (the
+// carry-less-multiply fold from 64 B where the CPU has PCLMUL),
+// BM_Crc32BytesTable the slice-by-8 table kernel alone.
+std::vector<std::uint8_t> crc_input(std::int64_t size) {
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
   Xoshiro256StarStar rng{7};
   for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+  return bytes;
+}
+
+void BM_Crc32Bytes(benchmark::State& state) {
+  const auto bytes = crc_input(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(util::crc32_bytes(bytes));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32Bytes)->Arg(10)->Arg(5124)->Arg(6442);
+BENCHMARK(BM_Crc32Bytes)->Arg(10)->Arg(64)->Arg(5124)->Arg(6442);
+
+void BM_Crc32BytesTable(benchmark::State& state) {
+  const auto bytes = crc_input(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        util::crc32_update_table(0xFFFFFFFFu, bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32BytesTable)->Arg(10)->Arg(64)->Arg(5124)->Arg(6442);
 
 // One 512-event DATA payload through the span decoder into a reused
 // buffer, as the gateway decodes every frame.

@@ -170,9 +170,18 @@ inline int shortest_digits(double v) {
 /// least 1e-6 of `v` apart, far more than an ulp, so both are the same
 /// text. A subnormal's ulp is the same on both sides of it, so the nearer
 /// text parses back wherever the farther one does.
+///
+/// `only_itself` declares that `loads_back` accepts no double but `v` (a
+/// `real` key). Then the loop starts at max(6, shortest_digits(v)): a text
+/// of fewer significant digits than the round-trip digits parses to some
+/// other double, by what "shortest" means, and %.pg prints at most p
+/// digits, so no precision below that start can answer. Other bindings
+/// start at 6, where a neighbour's shorter text can load back.
 template <typename LoadsBack>
-std::string shortest_text(double v, LoadsBack&& loads_back) {
-  if (shortest_digits(v) <= 6 && loads_back(v)) return format_g(v, 6);
+std::string shortest_text(double v, LoadsBack&& loads_back,
+                          bool only_itself = false) {
+  const int digits = shortest_digits(v);
+  if (digits <= 6 && loads_back(v)) return format_g(v, 6);
   double near[9] = {v};
   double up = v;
   double down = v;
@@ -180,7 +189,8 @@ std::string shortest_text(double v, LoadsBack&& loads_back) {
     near[2 * i - 1] = up = std::nextafter(up, HUGE_VAL);
     near[2 * i] = down = std::nextafter(down, -HUGE_VAL);
   }
-  for (int precision = 6; precision <= 17; ++precision) {
+  for (int precision = only_itself ? std::max(6, digits) : 6;
+       precision <= 17; ++precision) {
     const std::string own = format_g(v, precision);
     for (const double candidate : near) {
       const std::string text =
@@ -194,7 +204,8 @@ std::string shortest_text(double v, LoadsBack&& loads_back) {
 
 /// The shortest %g text that parses back to exactly `v`.
 inline std::string format_double(double v) {
-  return shortest_text(v, [v](double parsed) { return parsed == v; });
+  return shortest_text(
+      v, [v](double parsed) { return parsed == v; }, /*only_itself=*/true);
 }
 
 /// Picoseconds per unit of a time key's text.
@@ -330,7 +341,7 @@ class KeySchema {
           if (d < min) return std::nullopt;
           return d;
         },
-        [](double field) { return field; });
+        [](double field) { return field; }, /*only_itself=*/true);
   }
 
   /// Time field whose text counts `ps_per_unit` picoseconds (keyio::kPsPerNs,
@@ -553,9 +564,12 @@ class KeySchema {
   /// The codec behind every number binding: `decode` maps a parsed finite
   /// number to the field's value, or std::nullopt when it is out of range;
   /// `unit` maps the field's value back to the number its text shows.
-  /// Dump prints the shortest text that decodes to the stored value.
+  /// Dump prints the shortest text that decodes to the stored value;
+  /// `only_itself` is keyio::shortest_text's, true when `decode` and `unit`
+  /// are the identity on the values a load keeps.
   template <typename Get, typename Decode, typename Unit>
-  KeySchema& number(std::string key, Get get, Decode decode, Unit unit) {
+  KeySchema& number(std::string key, Get get, Decode decode, Unit unit,
+                    bool only_itself = false) {
     return add(
         key,
         [get, key, decode](Config& c, std::string_view v) {
@@ -563,12 +577,15 @@ class KeySchema {
           if (!value) keyio::out_of_range(key, v);
           get(c) = *value;
         },
-        [get, decode, unit](std::string& out, const Config& c) {
+        [get, decode, unit, only_itself](std::string& out, const Config& c) {
           const auto& field = get(c);
-          out += keyio::shortest_text(unit(field), [&](double parsed) {
-            const auto value = decode(parsed);
-            return value && *value == field;
-          });
+          out += keyio::shortest_text(
+              unit(field),
+              [&](double parsed) {
+                const auto value = decode(parsed);
+                return value && *value == field;
+              },
+              only_itself);
         });
   }
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <span>
 #include <stdexcept>
@@ -74,10 +75,23 @@ void write_blob_atomic(const std::string& path,
 }
 
 std::vector<std::uint8_t> read_blob(const std::string& path) {
+  // A device (/dev/zero, or a link to one) never ends; only a regular file
+  // has a size to read up to. Should the path change in between, the read
+  // still stops at that size, and the blob's own length and CRC checks
+  // refuse what it got.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    throw std::runtime_error(
+        (ec ? "net: cannot open " : "net: not a regular file: ") + path);
+  }
+  const auto size = std::filesystem::file_size(path, ec);
   std::ifstream f{path, std::ios::binary};
-  if (!f) throw std::runtime_error("net: cannot open " + path);
-  return std::vector<std::uint8_t>{std::istreambuf_iterator<char>(f),
-                                   std::istreambuf_iterator<char>()};
+  if (ec || !f) throw std::runtime_error("net: cannot open " + path);
+  std::vector<std::uint8_t> blob(static_cast<std::size_t>(size));
+  f.read(reinterpret_cast<char*>(blob.data()),
+         static_cast<std::streamsize>(blob.size()));
+  blob.resize(static_cast<std::size_t>(f.gcount()));
+  return blob;
 }
 
 Connection::Connection(const GatewayConfig& config, std::uint16_t session_id,

@@ -144,7 +144,9 @@ class Connection {
 /// leaves `path` as it was and throws std::runtime_error.
 void write_blob_atomic(const std::string& path,
                        const std::vector<std::uint8_t>& blob);
-/// Whole-file read; throws std::runtime_error when the file cannot open.
+/// Whole-file read of a regular file, up to the size it had when checked;
+/// throws std::runtime_error naming `path` when it cannot be opened or is
+/// not a regular file (a device such as /dev/zero would never end).
 [[nodiscard]] std::vector<std::uint8_t> read_blob(const std::string& path);
 
 }  // namespace aetr::net

@@ -94,8 +94,8 @@ struct FrameView {
 };
 
 // --- CRC-32 ------------------------------------------------------------------
-// Frames are checked with the slice-by-8 IEEE CRC-32 shared with the
-// session snapshot trailer and the I2S carrier (util/crc32.hpp).
+// Frames are checked with the IEEE CRC-32 shared with the session snapshot
+// trailer and the I2S carrier (util/crc32.hpp).
 
 using util::crc32_bytes;
 

@@ -303,6 +303,25 @@ TEST(NetResume, FailedBlobWriteKeepsThePreviousSnapshot) {
   EXPECT_FALSE(fs::exists(fs::symlink_status(path + ".tmp")));
 }
 
+TEST(NetResume, ResumeFromADeviceIsNackedPromptly) {
+  // A snapshot path that names a device never reaches its end; the resume
+  // refuses it by name at HELLO instead of reading until memory runs out.
+  if (!fs::exists("/dev/zero")) GTEST_SKIP() << "no /dev/zero";
+  TempDir tmp;
+  net::GatewayConfig gw;
+  gw.snapshot_dir = tmp.path.string();
+  gw.resume = true;
+  const std::string snap = tmp.str("alpha.snap");
+  fs::create_symlink("/dev/zero", snap);
+  InProcess c{gw};
+  bool open = true;
+  EXPECT_NO_THROW(open = c.hello());
+  EXPECT_FALSE(open);
+  EXPECT_EQ(c.conn.state(), net::Connection::State::kError);
+  EXPECT_EQ(c.nack(), "resume failed: net: not a regular file: " + snap);
+  EXPECT_THROW((void)net::read_blob("/dev/zero"), std::runtime_error);
+}
+
 TEST(NetResume, SnapshotIntervalOutOfRangeIsNackedAtHello) {
   // A programmatic interval that rounds to 0 ps (or overflows the
   // picosecond clock) is refused by the ingest pump at HELLO instead of

@@ -366,7 +366,7 @@ TEST(Table, CsvQuotesCellsThatHoldSeparators) {
 
 // --- CRC-32 ----------------------------------------------------------------
 
-/// The classic byte-at-a-time table walk the sliced kernel must equal.
+/// The bit-at-a-time CRC walk both kernels must equal.
 std::uint32_t reference_crc32_update(std::uint32_t state,
                                      const std::uint8_t* data,
                                      std::size_t size) {
@@ -398,36 +398,82 @@ TEST(Crc32, KnownVectors) {
   EXPECT_EQ(util::crc32_bytes(nullptr, 0), 0u);
 }
 
-TEST(Crc32, SlicedKernelEqualsByteWiseAtEveryLengthAndOffset) {
-  // Every length 0..4096 from each of the eight start offsets, so every
-  // split between the 8-byte steps, the 4-byte step and the byte tail and
-  // every alignment of the 8-byte loads is covered.
-  const auto data = random_bytes(4096 + 8, 20261018);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
+/// The table kernel, the dispatched crc32_update and, where this CPU has
+/// PCLMUL, the folding kernel all fold `p[0..len)` from `state` to `want`.
+::testing::AssertionResult kernels_give(std::uint32_t want,
+                                        std::uint32_t state,
+                                        const std::uint8_t* p,
+                                        std::size_t len) {
+  const std::uint32_t table = util::crc32_update_table(state, p, len);
+  const std::uint32_t dispatched = util::crc32_update(state, p, len);
+  const std::uint32_t clmul = util::crc32_clmul_supported()
+                                  ? util::crc32_update_clmul(state, p, len)
+                                  : want;
+  if (table == want && clmul == want && dispatched == want) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "length " << len << ": want " << want << ", table " << table
+         << ", clmul " << clmul << ", dispatched " << dispatched;
+}
+
+TEST(Crc32, KernelsEqualByteWiseAtEveryLengthAndOffset) {
+  // Every length 0..4096 from each of sixteen start offsets: every split
+  // between the 64-byte folds, the 16-byte folds and the table tail, every
+  // split of the table kernel's 8-byte, 4-byte and byte steps, and every
+  // alignment of both kernels' loads.
+  const auto data = random_bytes(4096 + 16, 20261018);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    const std::uint8_t* p = data.data() + offset;
+    std::uint32_t want = 0xFFFFFFFFu;  // the walk over p[0..len)
     for (std::size_t len = 0; len <= 4096; ++len) {
-      const std::uint8_t* p = data.data() + offset;
-      ASSERT_EQ(util::crc32_update(0xFFFFFFFFu, p, len),
-                reference_crc32_update(0xFFFFFFFFu, p, len))
-          << "offset " << offset << " length " << len;
+      ASSERT_TRUE(kernels_give(want, 0xFFFFFFFFu, p, len))
+          << "offset " << offset;
+      want = reference_crc32_update(want, p + len, 1);
     }
   }
 }
 
+TEST(Crc32, KernelsEqualByteWiseOnLongBuffers) {
+  // Lengths k*64 - 1, k*64 and k*64 + 1 up to 64 KiB, from any register
+  // value, and one buffer past the largest wire payload.
+  const auto data = random_bytes((std::size_t{1} << 20) + 16, 28);
+  const std::uint32_t seed = 0x9E3779B9u;
+  std::uint32_t want = seed;  // the walk over data[0..len)
+  std::size_t walked = 0;
+  for (std::size_t k = 1; k <= 1024; ++k) {
+    for (const std::size_t len : {k * 64 - 1, k * 64, k * 64 + 1}) {
+      if (len > 65536) continue;
+      want = reference_crc32_update(want, data.data() + walked, len - walked);
+      walked = len;
+      ASSERT_TRUE(kernels_give(want, seed, data.data(), len));
+    }
+  }
+  want = reference_crc32_update(want, data.data() + walked,
+                                data.size() - walked);
+  EXPECT_TRUE(kernels_give(want, seed, data.data(), data.size()))
+      << "kMaxPayload + 16";
+}
+
 TEST(Crc32, IncrementalUpdatesAtRandomSplitsEqualOneShot) {
+  // Pieces of 0..40 bytes stay on the table kernel; pieces of 0..300 bytes
+  // cross the 64-byte threshold, so the folding kernel resumes from
+  // registers the table kernel left and the other way round.
   std::mt19937 rng{7};
-  for (int iter = 0; iter < 500; ++iter) {
+  for (int iter = 0; iter < 1000; ++iter) {
     const auto data = random_bytes(
         std::uniform_int_distribution<std::size_t>{0, 6442}(rng),
         static_cast<std::uint32_t>(iter));
     const std::uint32_t one_shot = util::crc32_bytes(data);
     ASSERT_EQ(one_shot, ~reference_crc32_update(0xFFFFFFFFu, data.data(),
                                                  data.size()));
+    const std::size_t max_piece = iter % 2 == 0 ? 40 : 300;
     std::uint32_t state = 0xFFFFFFFFu;
     std::size_t pos = 0;
     while (pos < data.size()) {
       const std::size_t piece = std::min(
           data.size() - pos,
-          std::uniform_int_distribution<std::size_t>{0, 40}(rng));
+          std::uniform_int_distribution<std::size_t>{0, max_piece}(rng));
       state = util::crc32_update(state, data.data() + pos, piece);
       pos += piece;
     }
