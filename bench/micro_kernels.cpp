@@ -348,7 +348,6 @@ core::ScenarioConfig config_with_digits(std::int64_t every_digit) {
         {"sender.req_release_ns", "5654.321"},
         {"sender.min_gap_ns", "10123.456"},
         {"session.cooldown_us", "1000.1234567"},
-        {"session.snapshot_interval_sec", "0.0123456789"},
         {"fault.aer.drop_req_prob", "0.0123456789"},
         {"fault.aer.stuck_ack_prob", "0.00123456789"},
         {"fault.aer.addr_bit_flip_prob", "0.000123456789"},

@@ -89,16 +89,11 @@ KeySchema<ScenarioConfig> make_scenario_schema() {
          [](auto& c) -> auto& { return c.strict_protocol; });
   s.flag("session.final_flush", [](auto& c) -> auto& { return c.final_flush; });
   s.flag("session.attach_mcu", [](auto& c) -> auto& { return c.attach_mcu; });
-  s.flag("session.fast_forward",
-         [](auto& c) -> auto& { return c.fast_forward; });
   s.flag("session.energy_ledger",
          [](auto& c) -> auto& { return c.energy_ledger; });
   s.integer(
       "session.max_buffered_events",
       [](auto& c) -> auto& { return c.session.max_buffered_events; }, 1);
-  s.real(
-      "session.snapshot_interval_sec",
-      [](auto& c) -> auto& { return c.session.snapshot_interval_sec; }, 0.0);
   // Fault plan.
   s.integer("fault.seed", [](auto& c) -> auto& { return c.faults.seed; });
   s.real("fault.aer.drop_req_prob",

@@ -26,12 +26,10 @@
 // period in picoseconds does not fit in int64; an integer key
 // refuses negatives, fractions and values above its field type's maximum
 // (never narrowing) or outside its own bounds (clock.theta_div 1..4096,
-// clock.n_div 0..30, session.max_buffered_events >= 1);
-// session.snapshot_interval_sec refuses negatives. Each refusal throws
-// std::runtime_error naming the key and leaves the config untouched;
-// cross-key rules (probabilities in [0, 1], batch threshold <= capacity)
-// and a nonzero snapshot interval that rounds below 1 ps or past int64 ps
-// (core::snapshot_interval()) are ScenarioConfig::validate()'s.
+// clock.n_div 0..30, session.max_buffered_events >= 1). Each refusal
+// throws std::runtime_error naming the key and leaves the config
+// untouched; cross-key rules (probabilities in [0, 1], batch threshold <=
+// capacity) are ScenarioConfig::validate()'s.
 #pragma once
 
 #include <iosfwd>

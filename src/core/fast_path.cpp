@@ -9,8 +9,7 @@ namespace aetr::core {
 
 bool fast_path_eligible(const ScenarioConfig& scenario,
                         bool telemetry_active) {
-  return scenario.fast_forward && !telemetry_active &&
-         !scenario.faults.any() &&
+  return !telemetry_active && !scenario.faults.any() &&
          scenario.interface.drain_timeout == Time::zero();
 }
 

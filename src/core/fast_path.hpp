@@ -13,10 +13,11 @@
 //
 // A core::Session owns one engine whenever fast_path_eligible() holds and
 // drives it in place of the scheduler — batch run_scenario() and streaming
-// alike. The engine is resumable: it carries the sender's next-launch
-// floor, the last activity instant and the wire counters across calls,
-// and reproduces the DES streaming semantics exactly, including a
-// snapshot's settle point (docs/SIMULATOR.md §Fast path).
+// alike (only a test's core::DesOracleScope keeps it out). It is
+// resumable: it carries the sender's next-launch floor, the last activity
+// instant and the wire counters across calls, and reproduces the DES
+// streaming semantics exactly, including a snapshot's settle point
+// (docs/SIMULATOR.md §Fast path).
 //
 // The only cross-component ordering that matters is FIFO pushes (at sample
 // edges) versus FIFO pops (at I2S word deadlines); the engine merges the
@@ -40,10 +41,10 @@ class BlobReader;
 namespace aetr::core {
 
 /// True when `scenario` can take the fast path with a bit-identical result:
-/// the knob is on, no telemetry session is active (tracing observes the
-/// DES timeline itself), the fault plan is empty (zero-probability sites
-/// count as empty — fault::FaultPlan::any() is probability-based), and the
-/// FIFO drain-timeout watchdog is disabled (it schedules ad-hoc events).
+/// no telemetry session is active (tracing observes the DES timeline
+/// itself), the fault plan is empty (zero-probability sites count as empty
+/// — fault::FaultPlan::any() is probability-based), and the FIFO
+/// drain-timeout watchdog is disabled (it schedules ad-hoc events).
 [[nodiscard]] bool fast_path_eligible(const ScenarioConfig& scenario,
                                       bool telemetry_active);
 

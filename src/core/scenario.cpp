@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/ingest.hpp"
 #include "core/session.hpp"
 
 namespace aetr::core {
@@ -85,10 +84,6 @@ void ScenarioConfig::validate() const {
     throw std::invalid_argument("ScenarioConfig: theta_div must be > 0");
   }
   check_prob(interface.front_end.metastability_prob, "metastability_prob");
-  if (!snapshot_interval(session.snapshot_interval_sec)) {
-    throw std::invalid_argument("ScenarioConfig: session.snapshot_interval_sec"
-                                " must be 0 (off) or 1e-12 to 9.22e6 s");
-  }
   if (cooldown < Time::zero()) {
     throw std::invalid_argument("ScenarioConfig: cooldown must be >= 0");
   }

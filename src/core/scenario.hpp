@@ -20,17 +20,13 @@
 
 namespace aetr::core {
 
-/// Session-lifecycle limits (the `session.*` config keys): how much input a
-/// streaming core::Session may buffer before signalling backpressure, and
-/// how often a service harness (aetr-serve) checkpoints. Batch runs through
-/// run_scenario() never hit either limit.
+/// Session-lifecycle limits (`session.*`): how much input a streaming
+/// core::Session may buffer before signalling backpressure. Batch runs
+/// through run_scenario() never hit the limit.
 struct SessionLimits {
   /// Fed-but-not-yet-submitted events the session holds before feed()
   /// starts refusing input (the backpressure signal).
   std::size_t max_buffered_events = std::size_t{1} << 20;
-  /// `aetr-serve run`'s periodic snapshot pitch, 0 (off) or 1e-12 to
-  /// 9.22e6 s; the gateway ignores it. Not used by the session itself.
-  double snapshot_interval_sec = 0.0;
 };
 
 /// Everything one run needs, in one place.
@@ -42,12 +38,6 @@ struct ScenarioConfig {
   bool strict_protocol = false;     ///< throw on AER violations
   bool final_flush = true;          ///< drain FIFO residue at the end
   bool attach_mcu = true;           ///< decode the I2S stream
-  /// Idle-skip fast path (core/fast_path.hpp): replay the run analytically
-  /// when nothing observes the DES timeline — bit-identical results, no
-  /// per-spike scheduler events. Off preserves the reference event-driven
-  /// path. Ignored (reference path) whenever telemetry is active, the fault
-  /// plan injects anything, or a FIFO drain timeout is set.
-  bool fast_forward = true;
   /// Fill RunResult::ledger (obs::EnergyLedger) from the run's counters.
   /// Pure post-hoc arithmetic: never perturbs the run, never disqualifies
   /// the fast path, and off leaves RunResult bit-identical to a build

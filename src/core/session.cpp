@@ -1,5 +1,6 @@
 #include "core/session.hpp"
 
+#include <atomic>
 #include <cstring>
 #include <optional>
 #include <span>
@@ -30,7 +31,29 @@ constexpr std::size_t kTrailerBytes = 4;
 /// a config whose transients never die (which no validated scenario has).
 constexpr int kMaxSettleIterations = 1'000'000;
 
+std::atomic<int> g_des_oracle_scopes{0};  ///< engaged DesOracleScopes
+
 }  // namespace
+
+DesOracleScope::DesOracleScope(bool engage) : engaged_{engage} {
+  if (engaged_) ++g_des_oracle_scopes;
+}
+DesOracleScope::~DesOracleScope() {
+  if (engaged_) --g_des_oracle_scopes;
+}
+
+std::string Session::snapshot_header_error(
+    std::span<const std::uint8_t> header) {
+  if (header.size() < kSnapshotHeaderBytes ||
+      std::memcmp(header.data(), kSnapshotMagic, sizeof kSnapshotMagic) != 0) {
+    return "not a session snapshot";
+  }
+  const std::uint32_t version =
+      BlobReader{header.data() + sizeof kSnapshotMagic, 4}.u32();
+  if (version == kSnapshotVersion) return {};
+  return "snapshot version " + std::to_string(version) + " != supported " +
+         std::to_string(kSnapshotVersion);
+}
 
 struct Session::Impl {
   ScenarioConfig scenario;
@@ -176,7 +199,8 @@ struct Session::Impl {
                        scenario.faults.recovery.watchdog;
     watchdog_period = scenario.faults.recovery.watchdog_timeout;
 
-    if (fast_path_eligible(scenario, tel != nullptr)) {
+    if (g_des_oracle_scopes == 0 &&
+        fast_path_eligible(scenario, tel != nullptr)) {
       engine.emplace(sched, *iface, scenario);
     }
   }
@@ -495,6 +519,7 @@ struct Session::Impl {
     w.str(fingerprint());
     w.b(tel != nullptr);
     w.b(faults != nullptr);
+    w.b(engine.has_value());
 
     // Session-level stream position and lifecycle.
     w.b(started);
@@ -557,25 +582,18 @@ struct Session::Impl {
           "Session::restore: requires a freshly constructed session");
     }
 
-    if (blob.size() < sizeof kSnapshotMagic + 4 + kTrailerBytes) {
+    if (blob.size() < kSnapshotHeaderBytes + kTrailerBytes) {
       throw std::runtime_error("Session::restore: truncated snapshot");
-    }
-    const std::size_t body = blob.size() - kTrailerBytes;
-    BlobReader r{blob.data(), body};
-    char magic[8];
-    r.raw(magic, sizeof magic);
-    if (std::memcmp(magic, kSnapshotMagic, sizeof magic) != 0) {
-      throw std::runtime_error("Session::restore: not a session snapshot");
-    }
-    const std::uint32_t version = r.u32();
-    if (version != kSnapshotVersion) {
-      throw std::runtime_error("Session::restore: snapshot version " +
-                               std::to_string(version) + " != supported " +
-                               std::to_string(kSnapshotVersion));
     }
     // Magic and version come first so a foreign file or an older format
     // gets a precise error; the checksum then guards every byte the
     // section parsers below will read.
+    if (const std::string why = snapshot_header_error(blob); !why.empty()) {
+      throw std::runtime_error("Session::restore: " + why);
+    }
+    const std::size_t body = blob.size() - kTrailerBytes;
+    BlobReader r{blob.data() + kSnapshotHeaderBytes,
+                 body - kSnapshotHeaderBytes};
     if (BlobReader{blob.data() + body, kTrailerBytes}.u32() !=
         util::crc32_bytes(blob.data(), body)) {
       throw std::runtime_error(
@@ -593,6 +611,10 @@ struct Session::Impl {
     if (r.b() != (faults != nullptr)) {
       throw std::runtime_error(
           "Session::restore: fault-injector presence differs from snapshot");
+    }
+    if (r.b() != engine.has_value()) {  // the config text names no engine
+      throw std::runtime_error(
+          "Session::restore: run engine differs from the snapshot's");
     }
 
     started = r.b();

@@ -39,7 +39,13 @@ class Session {
  public:
   /// Snapshot blob format version (bumped on any layout change; restore
   /// rejects blobs whose version or config fingerprint does not match).
-  static constexpr std::uint32_t kSnapshotVersion = 4;
+  static constexpr std::uint32_t kSnapshotVersion = 5;
+  /// The magic "AETRSNAP" and the u32 LE version.
+  static constexpr std::size_t kSnapshotHeaderBytes = 12;
+  /// Why `header` does not start a blob this build restores ("" when it
+  /// does); restore() and net::read_blob() both check with it.
+  [[nodiscard]] static std::string snapshot_header_error(
+      std::span<const std::uint8_t> header);
 
   /// Build the full system (scheduler, interface, sender, checker, MCU,
   /// telemetry, fault injector).
@@ -170,6 +176,21 @@ class Session {
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
+};
+
+/// Test seam to the event-driven oracle: while an engaged scope is alive,
+/// every Session constructed (on any thread; each reads the count once, at
+/// construction) runs the DES even where fast_path_eligible() holds. No
+/// config key, CLI flag, HELLO or environment variable reaches it.
+class DesOracleScope {
+ public:
+  explicit DesOracleScope(bool engage = true);  ///< false: an inert scope
+  ~DesOracleScope();
+  DesOracleScope(const DesOracleScope&) = delete;
+  DesOracleScope& operator=(const DesOracleScope&) = delete;
+
+ private:
+  bool engaged_;
 };
 
 }  // namespace aetr::core

@@ -1,5 +1,6 @@
 #include "net/connection.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
@@ -29,25 +30,20 @@ bool valid_session_name(const std::string& name) {
   return name.front() != '.';
 }
 
-/// Telemetry is gateway policy: its artifact paths name files the gateway
-/// writes, and its spans live in gateway memory. Returns the first
-/// telemetry.* key in which a HELLO config differs from the gateway's own
-/// settings, or nullptr when they agree.
-const char* telemetry_override(const telemetry::SessionOptions& hello,
-                               const telemetry::SessionOptions& gateway) {
-  if (hello.trace != gateway.trace) return "telemetry.trace";
-  if (hello.metrics != gateway.metrics) return "telemetry.metrics";
-  if (hello.metrics_window != gateway.metrics_window) {
-    return "telemetry.metrics_window_ms";
-  }
-  if (hello.trace_json_path != gateway.trace_json_path) {
-    return "telemetry.trace_json_path";
-  }
-  if (hello.trace_csv_path != gateway.trace_csv_path) {
-    return "telemetry.trace_csv_path";
-  }
-  if (hello.metrics_csv_path != gateway.metrics_csv_path) {
-    return "telemetry.metrics_csv_path";
+/// Gateway policy is what the gateway spends or writes: the buffer cap
+/// bounds what a session holds in gateway memory (the pump advances only
+/// when it fills); telemetry writes gateway files. Returns the first such
+/// key a HELLO config dumps unlike the gateway's default, or nullptr.
+const char* policy_override(const core::ScenarioConfig& peer,
+                            const core::ScenarioConfig& own) {
+  for (const auto& e : core::scenario_schema().entries()) {
+    const bool policy = e.key == "session.max_buffered_events" ||
+                        e.key.starts_with("telemetry.");
+    if (!policy) continue;
+    std::string theirs, ours;
+    e.dump(theirs, peer);
+    e.dump(ours, own);
+    if (theirs != ours) return e.key.c_str();
   }
   return nullptr;
 }
@@ -87,10 +83,27 @@ std::vector<std::uint8_t> read_blob(const std::string& path) {
   const auto size = std::filesystem::file_size(path, ec);
   std::ifstream f{path, std::ios::binary};
   if (ec || !f) throw std::runtime_error("net: cannot open " + path);
-  std::vector<std::uint8_t> blob(static_cast<std::size_t>(size));
-  f.read(reinterpret_cast<char*>(blob.data()),
-         static_cast<std::streamsize>(blob.size()));
-  blob.resize(static_cast<std::size_t>(f.gcount()));
+  // The header is checked before anything is sized by the file, so a huge
+  // or sparse file that is not a snapshot allocates nothing.
+  constexpr std::size_t kHeader = core::Session::kSnapshotHeaderBytes;
+  std::vector<std::uint8_t> blob(kHeader);
+  const auto read_from = [&f, &blob](std::size_t at) {
+    f.read(reinterpret_cast<char*>(blob.data() + at),
+           static_cast<std::streamsize>(blob.size() - at));
+    blob.resize(at + static_cast<std::size_t>(f.gcount()));
+  };
+  read_from(0);
+  if (const std::string why = core::Session::snapshot_header_error(blob);
+      !why.empty()) {
+    throw std::runtime_error("net: " + path + ": " + why);
+  }
+  try {
+    blob.resize(std::max<std::size_t>(kHeader, size));
+  } catch (const std::exception& e) {  // bad_alloc, length_error
+    throw std::runtime_error("net: " + path + ": cannot hold " +
+                             std::to_string(size) + " bytes: " + e.what());
+  }
+  read_from(kHeader);
   return blob;
 }
 
@@ -203,8 +216,8 @@ void Connection::handle_hello(const FrameView& f) {
       protocol_error(std::string{"bad config: "} + e.what());
       return;
     }
-    if (const char* key = telemetry_override(
-            scenario.telemetry, config_.default_scenario.telemetry)) {
+    if (const char* key =
+            policy_override(scenario, config_.default_scenario)) {
       protocol_error(std::string{"bad config: "} + key +
                      " is gateway policy; HELLO may not change it");
       return;

@@ -10,7 +10,7 @@
 // Lifecycle:  AwaitHello --HELLO--> Streaming --DRAIN--> Done
 // Any protocol violation (garbage before HELLO, DATA before HELLO, credit
 // overrun, non-monotonic DATA timestamps, config mismatch on resume,
-// a HELLO config that changes the gateway's telemetry.* settings,
+// a HELLO config that changes telemetry.* or session.max_buffered_events,
 // malformed payload) sends NACK with a reason and closes; the session is
 // abandoned, never half-finished.
 //
@@ -60,9 +60,9 @@ struct GatewayConfig {
   std::string out_dir;
   /// Per-session snapshots at <snapshot_dir>/<name>.snap ("" = none).
   std::string snapshot_dir;
-  /// Periodic snapshot cadence on the simulated clock (a HELLO config's
-  /// session.snapshot_interval_sec is ignored); 0 disables it, SNAPSHOT_REQ
-  /// still works. A value core::snapshot_interval() refuses NACKs the HELLO.
+  /// Periodic snapshot cadence on the simulated clock; 0 disables it,
+  /// SNAPSHOT_REQ still works. A value core::snapshot_interval() refuses
+  /// NACKs the HELLO.
   double snapshot_interval_sec = 0.0;
   /// Restore <snapshot_dir>/<name>.snap at HELLO when it exists.
   bool resume = false;
@@ -144,9 +144,9 @@ class Connection {
 /// leaves `path` as it was and throws std::runtime_error.
 void write_blob_atomic(const std::string& path,
                        const std::vector<std::uint8_t>& blob);
-/// Whole-file read of a regular file, up to the size it had when checked;
-/// throws std::runtime_error naming `path` when it cannot be opened or is
-/// not a regular file (a device such as /dev/zero would never end).
+/// Whole-file read of a snapshot, up to the size it had when checked;
+/// throws std::runtime_error naming `path` when it cannot be opened, is not
+/// a regular file, or Session::snapshot_header_error() refuses its header.
 [[nodiscard]] std::vector<std::uint8_t> read_blob(const std::string& path);
 
 }  // namespace aetr::net

@@ -130,8 +130,7 @@ FigureResult run_ablation_buffer(const FigureOptions& opt) {
   const std::vector<double> capacities{512, 2300, 9200};
   SweepGrid g2;
   g2.axis("rate", rates).axis("capacity", capacities);
-  const bool fast_forward = opt.fast_forward;
-  const auto overflow_job = [fast_forward](const JobContext& ctx) {
+  const auto overflow_job = [](const JobContext& ctx) {
     const double rate = ctx.point.at("rate");
     const auto capacity = static_cast<std::size_t>(ctx.point.at("capacity"));
     core::ScenarioConfig scn;
@@ -139,7 +138,6 @@ FigureResult run_ablation_buffer(const FigureOptions& opt) {
     scn.interface.fifo.batch_threshold = capacity / 4;
     scn.interface.i2s.sck = Frequency::mhz(1.0);
     scn.interface.front_end.keep_records = false;
-    scn.fast_forward = fast_forward;
     gen::PoissonSource src{rate, 128, 11};
     const auto r = core::run_scenario_totals(
         scn, src, static_cast<std::size_t>(rate * 0.4));
@@ -304,16 +302,14 @@ FigureResult run_ablation_mcu(const FigureOptions& opt) {
   SweepGrid grid;
   grid.axis("rate", {1e3, 10e3, 100e3}).axis("batch", {64, 1024});
   const mcu::McuPowerCalibration cal;
-  const bool fast_forward = opt.fast_forward;
 
-  const auto job = [&cal, fast_forward](const JobContext& ctx) {
+  const auto job = [&cal](const JobContext& ctx) {
     const double rate = ctx.point.at("rate");
     // Batch-mode system: divided interface + batch MCU.
     core::ScenarioConfig scn;
     scn.interface.fifo.batch_threshold =
         static_cast<std::size_t>(ctx.point.at("batch"));
     scn.interface.front_end.keep_records = false;
-    scn.fast_forward = fast_forward;
     gen::PoissonSource src{rate, 128, 31};
     const auto n =
         static_cast<std::size_t>(std::clamp(rate * 0.5, 500.0, 20000.0));

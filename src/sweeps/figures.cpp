@@ -170,12 +170,10 @@ core::InterfaceConfig fig8_config(std::uint32_t theta, bool divide) {
 double fig8_measure_power(const core::InterfaceConfig& cfg, double rate_hz,
                           std::uint64_t seed,
                           const telemetry::SessionOptions& tel = {},
-                          bool fast_forward = true,
                           const std::string& ledger_stem = {}) {
   core::ScenarioConfig sc;
   sc.interface = cfg;
   sc.telemetry = tel;
-  sc.fast_forward = fast_forward;
   sc.energy_ledger = !ledger_stem.empty();
   core::RunResult r;
   if (rate_hz <= 0.0) {
@@ -229,7 +227,7 @@ FigureResult fig8_impl(const FigureOptions& opt) {
     const double p =
         fig8_measure_power(cfg, rate, ctx.seed,
                            job_telemetry(opt, "fig8", ctx.index),
-                           opt.fast_forward, ledger_stem);
+                           ledger_stem);
     JobOutput out;
     out.values = {p};
     out.rows = {{fmt("%g", ctx.point.at("theta")), fmt("%.6g", rate),
@@ -344,7 +342,6 @@ FigureResult ablation_ndiv_impl(const FigureOptions& opt) {
       scenario.interface.clock.theta_div = 64;
       scenario.interface.clock.n_div = n_div;
       scenario.interface.front_end.keep_records = false;
-      scenario.fast_forward = opt.fast_forward;
       gen::PoissonSource src{rate_hz, 128, seed};
       const auto n =
           static_cast<std::size_t>(std::clamp(rate_hz * 0.3, 200.0, 5000.0));
@@ -458,7 +455,6 @@ FigureResult ablation_agreement_impl(const FigureOptions& opt) {
     core::ScenarioConfig run_sc;
     run_sc.interface.clock.theta_div = theta;
     run_sc.interface.fifo.batch_threshold = 512;
-    run_sc.fast_forward = opt.fast_forward;
     gen::PoissonSource src{rate, 128, ctx.seed, Time::ns(130.0)};
     const auto events = gen::take(src, n_events);
     run_sc.telemetry = job_telemetry(opt, "ablation_agreement", ctx.index);
@@ -541,11 +537,9 @@ FigureResult faults_impl(const FigureOptions& opt) {
   SweepGrid grid;
   grid.axis("level", levels);
 
-  const bool fast_forward = opt.fast_forward;
   const auto scenario_at = [=](double level) {
     core::ScenarioConfig sc;
     sc.interface.fifo.batch_threshold = 64;
-    sc.fast_forward = fast_forward;
     if (level > 0.0) sc.faults = fault::scaled_plan(level, fault_seed);
     return sc;
   };

@@ -34,28 +34,20 @@ struct FigureOptions {
   /// are skipped (their thresholds are only meaningful on the full grid);
   /// consistency checks still run.
   bool quick = false;
-  /// Per-job sim-time telemetry for the figures that run the DES pipeline
+  /// Per-job sim-time telemetry for the figures that support it
   /// (fig8, ablation-agreement). Each job writes deterministically named
   /// artifacts — aetr_<figure>_j<NNN>_trace.json/.csv, _metrics.csv — into
   /// the same directory as the series CSVs; outputs are byte-identical for
   /// any `jobs` value. No-ops when the build has AETR_TELEMETRY=0.
   bool trace = false;
   bool metrics = false;
-  /// Per-job energy-attribution ledgers (obs/ledger.hpp) for the figures
-  /// that run the DES pipeline (fig8) and the fleet health roll-up for the
-  /// fleet figure. Each job writes aetr_<figure>_j<NNN>_ledger.csv and
-  /// _stack.txt (collapsed-stack flame graph) next to the series CSVs; the
-  /// fleet figure writes aetr_fleet_health.csv. Byte-identical for any
-  /// `jobs` value, and — unlike telemetry — the ledger never disqualifies
-  /// the fast path.
+  /// Per-job energy-attribution ledgers (obs/ledger.hpp) for fig8 and the
+  /// fleet health roll-up for the fleet figure. Each job writes
+  /// aetr_<figure>_j<NNN>_ledger.csv and _stack.txt (collapsed-stack flame
+  /// graph) next to the series CSVs; the fleet figure writes
+  /// aetr_fleet_health.csv. Byte-identical for any `jobs` value, and —
+  /// unlike telemetry — the ledger never disqualifies the fast path.
   bool ledger = false;
-  /// Idle-skip fast path for the figures that run the DES pipeline (see
-  /// core/fast_path.hpp). Results are bit-identical either way; turning it
-  /// off (`aetr-sweep --no-fast-forward`) forces the reference event-driven
-  /// path — tests/test_fastpath_scenario.cpp and the `fastpath-full` row
-  /// of tests/determinism.py diff the two. Figures that enable
-  /// per-job telemetry fall back to the reference path regardless.
-  bool fast_forward = true;
   /// Forwarded to runtime::SweepOptions::progress.
   std::function<void(std::size_t, std::size_t)> progress;
 };

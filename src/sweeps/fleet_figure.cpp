@@ -38,12 +38,10 @@ struct FleetCell {
 };
 
 fleet::FleetConfig cell_config(std::size_t nodes, double activity,
-                               std::uint64_t seed, bool quick,
-                               bool fast_forward, bool health) {
+                               std::uint64_t seed, bool quick, bool health) {
   fleet::FleetConfig cfg;
   cfg.base.interface.fifo.batch_threshold = 64;
   cfg.base.interface.front_end.keep_records = false;
-  cfg.base.fast_forward = fast_forward;
   cfg.health = health;
   cfg.nodes = nodes;
   cfg.gateways = 1;
@@ -102,8 +100,8 @@ FigureResult fleet_impl(const FigureOptions& opt) {
   for (const std::size_t n : fleet_sizes) {
     for (const double activity : activities) {
       const std::uint64_t cell_seed = runtime::derive_seed(root, cell_index);
-      const auto cfg = cell_config(n, activity, cell_seed, opt.quick,
-                                   opt.fast_forward, opt.ledger);
+      const auto cfg =
+          cell_config(n, activity, cell_seed, opt.quick, opt.ledger);
       fleet::FleetOptions fo;
       fo.jobs = opt.jobs;
       if (opt.progress) {
@@ -294,8 +292,8 @@ FigureResult fleet_impl(const FigureOptions& opt) {
           ++idx;
         }
       }
-      const auto fc = cell_config(1, act_hi, cell_seed, opt.quick,
-                                  opt.fast_forward, opt.ledger);
+      const auto fc =
+          cell_config(1, act_hi, cell_seed, opt.quick, opt.ledger);
       const auto plain =
           core::run_scenario(fleet::node_scenario(fc, 0),
                              fleet::node_stream(fc, 0));

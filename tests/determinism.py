@@ -12,9 +12,8 @@ sweep as the traced and ledger rows, so a crash or a missing artifact fails
 those rows instead of passing unnoticed here.
 
 Scripted rows drive the multi-process scenarios a two-variant table cannot
-express: SIGKILL then --resume, the two run engines under snapshots,
-SIGTERM drains, and an optimizer run that is interrupted (exit 4) and
-resumed. Two more pin CLI contracts: bad
+express: SIGKILL then --resume, SIGTERM drains, and an optimizer run that
+is interrupted (exit 4) and resumed. Two more pin CLI contracts: bad
 `opt` numbers exit 2, and `aetr-serve run --dump-config` round-trips. They wait for a file
 the programs write (an atomic snapshot, the gateway's --port-file),
 giving up after TIMEOUT_S, instead of sleeping a fixed time.
@@ -67,12 +66,6 @@ ROWS = [
         ["aetr_faults.csv", "aetr_faults_points.csv"]),
     Row("fig8-full", [["fig8", V]], J1, J4,
         ["aetr_fig8.csv", "aetr_fig8_points.csv"]),
-    # Full grids of every registered figure, fast path on vs off.
-    Row("fastpath-full", [["all", "--jobs", "4", V]],
-        [], ["--no-fast-forward"],
-        ["aetr_fig6.csv", "aetr_fig8.csv", "aetr_ablation_ndiv.csv",
-         "aetr_ablation_agreement.csv", "aetr_faults.csv",
-         "aetr_fleet_summary.json", *ABLATION_CSVS]),
     # The ablation studies' full grids do not depend on --jobs.
     Row("ablations", [[f"ablation-{name}", V] for name in ABLATIONS], J1, J4,
         ABLATION_CSVS),
@@ -204,22 +197,6 @@ def serve_kill_resume(sweep, serve, work):
                       "--no-history")
 
 
-def serve_engines(sweep, serve, work):
-    """A checkpointing file-ingest run ends with the same summary on the
-    analytic engine and on the event-driven oracle (session.fast_forward
-    on vs off): every snapshot settles both to the same point."""
-    stream = work / "stream.trace"
-    gen_stream(serve, stream)
-    des_conf = work / "des.conf"
-    des_conf.write_text("session.fast_forward = false\n")
-    for variant, config in (("a", []), ("b", ["--config", des_conf])):
-        run([serve, "run", "--in", stream, *config,
-             "--snapshot-interval-sec", "0.02",
-             "--snapshot", work / f"{variant}.snap",
-             "--out-dir", work / variant])
-    compare(work / "a", work / "b", ["summary.txt"])
-
-
 def feed_fifo(stream, fifo):
     try:
         with open(fifo, "wb") as f:
@@ -292,7 +269,7 @@ def opt_bad_numbers(sweep, serve, work):
 def serve_config_round_trip(sweep, serve, work):
     """`run --dump-config` round-trips through --config byte for byte, a
     misspelt key in --config exits 2 with a did-you-mean hint, and a
-    snapshot interval below 1 ps exits 2 as a key and as either flag."""
+    snapshot interval below 1 ps exits 2 as either flag."""
     a_conf, b_conf = work / "a.conf", work / "b.conf"
     a_conf.write_text(run([serve, "run", "--dump-config"]))
     b_conf.write_text(run([serve, "run", "--config", a_conf, "--dump-config"]))
@@ -309,17 +286,13 @@ def serve_config_round_trip(sweep, serve, work):
     if "did you mean 'fifo.overflow_policy'" not in proc.stderr:
         raise Failure(f"no did-you-mean hint:\n{proc.stderr[-2000:]}")
     # A snapshot interval that rounds to 0 ps would never advance the
-    # snapshot grid; the config key and both flags refuse it.
-    tiny = work / "tiny.conf"
-    tiny.write_text("session.snapshot_interval_sec = 1e-13\n")
-    run([serve, "run", "--config", tiny, "--dump-config"], expect=2)
+    # snapshot grid; both flags refuse it.
     for cmd in (["run", "--in", "-"], ["listen", "--uds", work / "gw.sock"]):
         run([serve, *cmd, "--snapshot-interval-sec", "1e-13"], expect=2)
 
 
 SCRIPTS = {
     "serve-kill-resume": serve_kill_resume,
-    "serve-engines": serve_engines,
     "serve-drain": serve_drain,
     "opt-resume": opt_interrupt_resume,
     "opt-bad-numbers": opt_bad_numbers,

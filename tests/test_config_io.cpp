@@ -271,6 +271,29 @@ TEST(ScenarioIo, RemovedRunAliasesAreRejected) {
   }
 }
 
+TEST(ScenarioIo, RemovedSessionKeysAreRejectedByName) {
+  // The engine follows fast_path_eligible() alone and the snapshot cadence
+  // is the harness's --snapshot-interval-sec, so neither key exists any
+  // more, under any value, and no alias keeps either loading.
+  const std::pair<const char*, const char*> lines[] = {
+      {"session.fast_forward", "session.fast_forward = false\n"},
+      {"session.fast_forward", "session.fast_forward = true\n"},
+      {"session.snapshot_interval_sec", "session.snapshot_interval_sec = 0\n"},
+      {"session.snapshot_interval_sec",
+       "session.snapshot_interval_sec = 0.02\n"}};
+  for (const auto& [key, line] : lines) {
+    try {
+      (void)load_scenario_text(line);
+      FAIL() << "expected rejection of removed key: " << line;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(std::string{"unknown key at line 1: "} + key),
+                std::string::npos)
+          << msg;
+    }
+  }
+}
+
 TEST(ScenarioIo, SuggestScenarioKeyDistanceCutoff) {
   EXPECT_EQ(suggest_scenario_key("clock.n_dib"), "clock.n_div");
   EXPECT_EQ(suggest_scenario_key("colck.theta_div"), "clock.theta_div");
@@ -577,8 +600,6 @@ std::vector<NumericField<ScenarioConfig>> scenario_fields() {
       time<C>("session.cooldown_us", AETR_GET(cooldown), &Time::us, 1e6),
       integer<C>("session.max_buffered_events",
                  AETR_GET(session.max_buffered_events), 1),
-      real<C>("session.snapshot_interval_sec",
-              AETR_GET(session.snapshot_interval_sec), true),
       integer<C>("fault.seed", AETR_GET(faults.seed)),
       real<C>("fault.aer.drop_req_prob", AETR_GET(faults.aer.drop_req_prob)),
       real<C>("fault.aer.stuck_ack_prob", AETR_GET(faults.aer.stuck_ack_prob)),

@@ -1,9 +1,11 @@
 // Bit-exactness of the idle-skip fast path (core/fast_path.hpp): every
-// RunResult field must be byte-identical with session.fast_forward on vs off,
-// across rates that exercise the shutdown ladder, FIFO overflow, both
-// overflow policies, metastability, and the no-MCU/no-flush corners. Also
-// covers the fault-plan eligibility rule: a plan whose probabilities are
-// all zero must not force the reference path (satellite of ISSUE 6).
+// RunResult field must be byte-identical on the analytic engine and on the
+// event-driven oracle (core::DesOracleScope), across rates that exercise
+// the shutdown ladder, FIFO overflow, both overflow policies,
+// metastability, and the no-MCU/no-flush corners. Also covers the
+// fault-plan eligibility rule: a plan whose probabilities are all zero
+// must not force the reference path. The sweep cases diff every figure's
+// artifacts, quick and full grids, between the two engines.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -17,6 +19,7 @@
 #include "buffer/fifo.hpp"
 #include "core/fast_path.hpp"
 #include "core/scenario.hpp"
+#include "core/session.hpp"
 #include "fault/fault_plan.hpp"
 #include "gen/sources.hpp"
 #include "opt/optimizer.hpp"
@@ -69,9 +72,10 @@ void expect_identical(const RunResult& f, const RunResult& r) {
   }
 }
 
-RunResult run_with(ScenarioConfig sc, const aer::EventStream& events,
-                   bool fast_forward) {
-  sc.fast_forward = fast_forward;
+/// Run on the analytic engine (`fast`) or on the event-driven oracle.
+RunResult run_with(const ScenarioConfig& sc, const aer::EventStream& events,
+                   bool fast) {
+  const DesOracleScope oracle{!fast};
   return run_scenario(sc, events);
 }
 
@@ -143,8 +147,7 @@ TEST(FastPathScenario, ActiveFaultPlanFallsBackToReference) {
   EXPECT_FALSE(fast_path_eligible(timed, false));
   ScenarioConfig plain;
   EXPECT_FALSE(fast_path_eligible(plain, /*telemetry_active=*/true));
-  plain.fast_forward = false;
-  EXPECT_FALSE(fast_path_eligible(plain, false));
+  EXPECT_TRUE(fast_path_eligible(plain, false));
 }
 
 std::string slurp(const std::string& path) {
@@ -154,34 +157,40 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-TEST(FastPathSweeps, QuickFigureCsvsByteIdenticalOnVsOff) {
+TEST(FastPathSweeps, FigureCsvsByteIdenticalOnVsOff) {
   // Every figure `aetr-sweep all` runs writes the same files, byte for
-  // byte, whether the fast path is engaged or not.
+  // byte, on the analytic engine and on the event-driven oracle, on the
+  // quick and on the full grids.
   namespace fs = std::filesystem;
   const auto dir = fs::temp_directory_path() / "aetr_fastpath_sweeps";
   fs::remove_all(dir);
-  for (const auto& fig : sweeps::figures()) {
-    SCOPED_TRACE(fig.name);
-    const fs::path on_dir = dir / fig.name / "on";
-    const fs::path off_dir = dir / fig.name / "off";
-    sweeps::FigureOptions on;
-    on.jobs = 1;
-    on.quick = true;
-    on.fast_forward = true;
-    on.out_dir = on_dir.string();
-    sweeps::FigureOptions off = on;
-    off.fast_forward = false;
-    off.out_dir = off_dir.string();
-    EXPECT_FALSE(slurp(fig.run(on).csv_path).empty());
-    (void)fig.run(off);
-    const auto count = [](const fs::path& d) {
-      return std::distance(fs::directory_iterator{d}, fs::directory_iterator{});
-    };
-    EXPECT_EQ(count(on_dir), count(off_dir));
-    for (const auto& f : fs::directory_iterator{on_dir}) {
-      const auto name = f.path().filename();
-      EXPECT_EQ(slurp(f.path().string()), slurp((off_dir / name).string()))
-          << name;
+  for (const bool quick : {true, false}) {
+    for (const auto& fig : sweeps::figures()) {
+      SCOPED_TRACE(std::string{fig.name} + (quick ? " --quick" : ""));
+      const fs::path grid_dir = dir / (quick ? "quick" : "full") / fig.name;
+      const fs::path on_dir = grid_dir / "on";
+      const fs::path off_dir = grid_dir / "off";
+      sweeps::FigureOptions on;
+      on.jobs = 4;
+      on.quick = quick;
+      on.out_dir = on_dir.string();
+      sweeps::FigureOptions off = on;
+      off.out_dir = off_dir.string();
+      EXPECT_FALSE(slurp(fig.run(on).csv_path).empty());
+      {
+        const DesOracleScope oracle;
+        (void)fig.run(off);
+      }
+      const auto count = [](const fs::path& d) {
+        return std::distance(fs::directory_iterator{d},
+                             fs::directory_iterator{});
+      };
+      EXPECT_EQ(count(on_dir), count(off_dir));
+      for (const auto& f : fs::directory_iterator{on_dir}) {
+        const auto name = f.path().filename();
+        EXPECT_EQ(slurp(f.path().string()), slurp((off_dir / name).string()))
+            << name;
+      }
     }
   }
   fs::remove_all(dir);
@@ -197,14 +206,15 @@ TEST(FastPathSweeps, QuickOptArtifactsByteIdenticalOnVsOff) {
   options.workload.n_events = 600;
   const auto space = opt::SearchSpace::default_space();
 
-  ScenarioConfig base_on;
+  const ScenarioConfig base;
   options.out_dir = (dir / "on").string();
-  const auto on = opt::optimize(space, base_on, options);
+  const auto on = opt::optimize(space, base, options);
 
-  ScenarioConfig base_off;
-  base_off.fast_forward = false;
   options.out_dir = (dir / "off").string();
-  const auto off = opt::optimize(space, base_off, options);
+  const auto off = [&] {
+    const DesOracleScope oracle;
+    return opt::optimize(space, base, options);
+  }();
 
   ASSERT_EQ(on.artifacts.size(), off.artifacts.size());
   for (std::size_t i = 0; i < on.artifacts.size(); ++i) {

@@ -19,13 +19,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <vector>
 
 #include "core/config_io.hpp"
 #include "core/scenario.hpp"
+#include "core/session.hpp"
 #include "core/summary.hpp"
 #include "gen/sources.hpp"
 #include "net/client.hpp"
@@ -292,7 +295,9 @@ TEST(NetResume, FailedBlobWriteKeepsThePreviousSnapshot) {
   if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   TempDir tmp;
   const std::string path = tmp.str("s.snap");
-  const std::vector<std::uint8_t> good(100, 0x5A);
+  // read_blob checks the snapshot header, so the kept blob starts with one.
+  std::vector<std::uint8_t> good = core::Session{{}}.snapshot();
+  good.resize(100);
   net::write_blob_atomic(path, good);
   fs::create_symlink("/dev/full", path + ".tmp");
   const std::vector<std::uint8_t> bigger(500, 0xA5);
@@ -320,6 +325,52 @@ TEST(NetResume, ResumeFromADeviceIsNackedPromptly) {
   EXPECT_EQ(c.conn.state(), net::Connection::State::kError);
   EXPECT_EQ(c.nack(), "resume failed: net: not a regular file: " + snap);
   EXPECT_THROW((void)net::read_blob("/dev/zero"), std::runtime_error);
+}
+
+TEST(NetResume, HugeSparseSnapshotIsRefusedByItsHeader) {
+  // A 64 GiB sparse file reads as zeros: read_blob checks the snapshot
+  // header before it sizes anything by the file, so the refusal names the
+  // file at once instead of allocating 64 GiB (or failing to).
+  TempDir tmp;
+  const std::string path = tmp.str("alpha.snap");
+  { std::ofstream touch{path}; }
+  fs::resize_file(path, std::uintmax_t{64} << 30);
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    (void)net::read_blob(path);
+    FAIL() << "read_blob accepted a sparse file of zeros";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string{e.what()},
+              "net: " + path + ": not a session snapshot");
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds{5});
+
+  // The gateway's resume refuses it the same way, by name.
+  net::GatewayConfig gw;
+  gw.snapshot_dir = tmp.path.string();
+  gw.resume = true;
+  InProcess c{gw};
+  EXPECT_FALSE(c.hello());
+  EXPECT_EQ(c.nack(),
+            "resume failed: net: " + path + ": not a session snapshot");
+}
+
+TEST(NetResume, OlderSnapshotVersionIsRefusedByName) {
+  TempDir tmp;
+  const std::string path = tmp.str("old.snap");
+  std::vector<std::uint8_t> blob = core::Session{{}}.snapshot();
+  blob[8] = static_cast<std::uint8_t>(core::Session::kSnapshotVersion - 1);
+  net::write_blob_atomic(path, blob);
+  try {
+    (void)net::read_blob(path);
+    FAIL() << "read_blob accepted an older snapshot version";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string{e.what()},
+              "net: " + path + ": snapshot version " +
+                  std::to_string(core::Session::kSnapshotVersion - 1) +
+                  " != supported " +
+                  std::to_string(core::Session::kSnapshotVersion));
+  }
 }
 
 TEST(NetResume, SnapshotIntervalOutOfRangeIsNackedAtHello) {

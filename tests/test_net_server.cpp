@@ -9,7 +9,9 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/config_io.hpp"
 #include "core/scenario.hpp"
@@ -378,6 +380,81 @@ TEST(NetServer, RequestStopDrainsLiveSessions) {
 
   const auto drained = read_file(tmp.str("summary-alpha.txt"));
   EXPECT_EQ(drained, batch_summary(core::ScenarioConfig{}, stream));
+}
+
+/// The replies an in-process Connection sends to one HELLO carrying
+/// `config_text`, and whether it stays open.
+struct HelloReply {
+  bool open{false};
+  std::vector<net::Frame> replies;
+
+  [[nodiscard]] std::string nack() const {
+    return !replies.empty() && replies.front().type == net::MsgType::kNack
+               ? net::decode_nack(replies.front().payload).reason
+               : std::string{};
+  }
+};
+
+HelloReply hello_with(const net::GatewayConfig& gateway,
+                      const std::string& config_text) {
+  HelloReply r;
+  net::Decoder in;
+  net::Connection conn{gateway, 1, [&](const std::vector<std::uint8_t>& b) {
+                         in.feed(b);
+                         while (auto f = in.next()) r.replies.push_back(*f);
+                       }};
+  net::Hello hello;
+  hello.session_name = "alpha";
+  hello.config_text = config_text;
+  r.open = conn.on_bytes(
+      net::encode_frame(net::MsgType::kHello, 0, net::encode_hello(hello)));
+  return r;
+}
+
+TEST(NetServer, HelloMayNotSetGatewayBufferCap) {
+  // The buffer cap bounds the events a session holds in gateway memory
+  // (the pump advances only when the buffer fills), so a peer's cap of
+  // 1e12 would keep its whole stream until DRAIN. Any cap other than the
+  // gateway's own is NACKed by name; the gateway's own is accepted.
+  net::GatewayConfig gateway;
+  gateway.default_scenario.session.max_buffered_events = 4096;
+  core::ScenarioConfig peer = gateway.default_scenario;
+  for (const std::size_t cap :
+       {std::size_t{1'000'000'000'000}, std::size_t{1} << 20, std::size_t{1}}) {
+    SCOPED_TRACE(cap);
+    peer.session.max_buffered_events = cap;
+    const HelloReply r = hello_with(gateway, core::dump_scenario(peer));
+    EXPECT_FALSE(r.open);
+    EXPECT_EQ(r.nack(),
+              "bad config: session.max_buffered_events is gateway policy; "
+              "HELLO may not change it");
+  }
+  peer.session.max_buffered_events = 4096;
+  const HelloReply same = hello_with(gateway, core::dump_scenario(peer));
+  EXPECT_TRUE(same.open);
+  ASSERT_FALSE(same.replies.empty());
+  EXPECT_EQ(same.replies.front().type, net::MsgType::kHelloAck);
+}
+
+TEST(NetServer, HelloCarryingARemovedKeyIsNacked) {
+  // Neither the engine nor the snapshot cadence is a scenario key: a peer
+  // that names either gets the unknown-key NACK, so it can neither put its
+  // session on the event-driven path nor pick the gateway's cadence.
+  const net::GatewayConfig gateway;
+  const std::string dump = core::dump_scenario(gateway.default_scenario);
+  for (const std::string key :
+       {"session.fast_forward", "session.snapshot_interval_sec"}) {
+    SCOPED_TRACE(key);
+    for (const char* value : {"0", "1"}) {
+      const HelloReply r =
+          hello_with(gateway, dump + key + " = " + value + "\n");
+      EXPECT_FALSE(r.open);
+      const std::string nack = r.nack();
+      EXPECT_EQ(nack.rfind("bad config: ", 0), 0u) << nack;
+      EXPECT_NE(nack.find("unknown key"), std::string::npos) << nack;
+      EXPECT_NE(nack.find(key), std::string::npos) << nack;
+    }
+  }
 }
 
 TEST(NetServer, HelloMayNotSetGatewayTelemetry) {

@@ -38,6 +38,7 @@
 #include <random>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/error.hpp"
@@ -63,7 +64,6 @@ aer::EventStream make_stream(std::size_t n, std::uint64_t seed) {
 
 core::ScenarioConfig faulty_scenario() {
   core::ScenarioConfig scenario;
-  scenario.fast_forward = false;
   scenario.faults = fault::scaled_plan(0.3, 42);
   telemetry::SessionOptions tel;
   tel.metrics = true;  // probes + snapshot grid; no artifact paths
@@ -72,14 +72,15 @@ core::ScenarioConfig faulty_scenario() {
 }
 
 /// The two run engines, named for failure messages: the analytic engine
-/// (session.fast_forward on) and the event-driven oracle (off).
+/// and the event-driven oracle (a Session built under core::DesOracleScope).
 constexpr bool kEngines[] = {true, false};
 
 std::string engine_name(bool fast) { return fast ? "engine" : "DES"; }
 
-core::ScenarioConfig on_engine(core::ScenarioConfig scenario, bool fast) {
-  scenario.fast_forward = fast;
-  return scenario;
+std::unique_ptr<core::Session> make_session(const core::ScenarioConfig& sc,
+                                            bool fast) {
+  const core::DesOracleScope oracle{!fast};
+  return std::make_unique<core::Session>(sc);
 }
 
 void expect_equal(const core::RunResult& a, const core::RunResult& b,
@@ -108,7 +109,8 @@ void expect_equal(const core::RunResult& a, const core::RunResult& b,
 // final result matches feeding the whole stream and finishing in one go.
 TEST(Session, AdvanceScheduleIsTransparent) {
   for (const bool fast : kEngines) {
-    const core::ScenarioConfig scenario = on_engine({}, fast);
+    const core::DesOracleScope oracle{!fast};
+    const core::ScenarioConfig scenario;
     const aer::EventStream events = make_stream(3000, 7);
     core::Session batch{scenario};
     batch.feed_all(events);
@@ -129,7 +131,8 @@ TEST(Session, AdvanceScheduleIsTransparent) {
 // minus snapshots) also reproduces the batch run exactly.
 TEST(Session, StreamedFeedMatchesBatch) {
   for (const bool fast : kEngines) {
-    const core::ScenarioConfig scenario = on_engine({}, fast);
+    const core::DesOracleScope oracle{!fast};
+    const core::ScenarioConfig scenario;
     const aer::EventStream events = make_stream(3000, 7);
     core::Session batch{scenario};
     batch.feed_all(events);
@@ -211,7 +214,8 @@ void check_kill_resume(const core::ScenarioConfig& scenario, int points,
 TEST(Session, KillResumeByteIdentical25Points) {
   for (const bool fast : kEngines) {
     SCOPED_TRACE(engine_name(fast));
-    check_kill_resume(on_engine({}, fast), 25);
+    const core::DesOracleScope oracle{!fast};
+    check_kill_resume({}, 25);
   }
 }
 
@@ -222,7 +226,8 @@ TEST(Session, KillResumeByteIdenticalWithFaultsAndTelemetry) {
 TEST(Session, KillResumeByteIdenticalWithoutHistory) {
   for (const bool fast : kEngines) {
     SCOPED_TRACE(engine_name(fast));
-    check_kill_resume(on_engine({}, fast), 25, /*keep_history=*/false);
+    const core::DesOracleScope oracle{!fast};
+    check_kill_resume({}, 25, /*keep_history=*/false);
   }
 }
 
@@ -363,8 +368,8 @@ struct Lockstep {
 
   explicit Lockstep(const core::ScenarioConfig& sc)
       : scenario{sc},
-        fast{std::make_unique<core::Session>(on_engine(sc, true))},
-        des{std::make_unique<core::Session>(on_engine(sc, false))} {}
+        fast{make_session(sc, true)},
+        des{make_session(sc, false)} {}
 
   void check(const std::string& what) const {
     ASSERT_EQ(fast->position(), des->position()) << what;
@@ -383,8 +388,8 @@ struct Lockstep {
     const std::vector<std::uint8_t> db = des->snapshot();
     check("snapshot");
     if (!resume) return;
-    fast = std::make_unique<core::Session>(on_engine(scenario, true));
-    des = std::make_unique<core::Session>(on_engine(scenario, false));
+    fast = make_session(scenario, true);
+    des = make_session(scenario, false);
     fast->restore(fb);
     des->restore(db);
     check("restore");
@@ -409,7 +414,7 @@ TEST(Session, StreamingEnginesAgree) {
   std::mt19937_64 rng{0x5E77u};
   for (int schedule = 0; schedule < 30; ++schedule) {
     const core::ScenarioConfig scenario = random_scenario(rng);
-    ASSERT_TRUE(core::fast_path_eligible(on_engine(scenario, true), false));
+    ASSERT_TRUE(core::fast_path_eligible(scenario, false));
     const double rate =
         std::initializer_list<double>{2e3, 5e4, 3e5, 8e5}.begin()[rng() % 4];
     gen::PoissonSource source{rate, 256, rng()};
@@ -481,8 +486,10 @@ core::RunResult run_streamed(const core::ScenarioConfig& scenario,
 // the history-off run folds each chunk as it goes and ends bitwise equal
 // to the history-on run that scores the whole log at finish().
 TEST(Session, HistoryOffKeepsErrorStatsBitwise) {
-  for (const core::ScenarioConfig& base :
-       {on_engine({}, true), on_engine({}, false), faulty_scenario()}) {
+  const std::pair<core::ScenarioConfig, bool> runs[] = {
+      {{}, true}, {{}, false}, {faulty_scenario(), false}};
+  for (const auto& [base, fast] : runs) {
+    const core::DesOracleScope oracle{!fast};
     core::ScenarioConfig scenario = base;
     scenario.session.max_buffered_events = 256;
     const aer::EventStream events = make_stream(5000, 17);
@@ -516,7 +523,8 @@ TEST(Session, HistoryOffKeepsErrorStatsBitwise) {
 TEST(Session, HistoryOffDropsCaptureLogAfterAdvance) {
   for (const bool fast : kEngines) {
     const aer::EventStream events = make_stream(500, 19);
-    core::Session s{on_engine({}, fast)};
+    const core::DesOracleScope oracle{!fast};
+    core::Session s{core::ScenarioConfig{}};
     s.set_keep_history(false);
     s.feed_all(events);
     s.advance_to(events[events.size() / 2].time);
@@ -571,7 +579,8 @@ void check_snapshot_size_is_flat(core::ScenarioConfig scenario) {
 TEST(Session, HistoryOffSnapshotSizeIsFlat) {
   for (const bool fast : kEngines) {
     SCOPED_TRACE(engine_name(fast));
-    check_snapshot_size_is_flat(on_engine({}, fast));
+    const core::DesOracleScope oracle{!fast};
+    check_snapshot_size_is_flat({});
   }
 }
 
@@ -601,16 +610,20 @@ void check_restore_rejects_every_corrupted_byte(
 TEST(Session, RestoreRejectsEveryCorruptedByte) {
   for (const bool fast : kEngines) {
     SCOPED_TRACE(engine_name(fast));
-    check_restore_rejects_every_corrupted_byte(on_engine({}, fast));
+    const core::DesOracleScope oracle{!fast};
+    check_restore_rejects_every_corrupted_byte({});
   }
 }
 
 // A blob of the previous layout names both versions instead of failing
 // somewhere inside a section parser.
 TEST(Session, PreviousSnapshotVersionGetsVersionError) {
+  // Version 5 dropped two config keys, so a version 4 blob's fingerprint
+  // could never match; the header check names the versions first.
+  static_assert(core::Session::kSnapshotVersion == 5);
   core::Session s{core::ScenarioConfig{}};
   std::vector<std::uint8_t> blob = s.snapshot();
-  constexpr std::uint32_t kOld = core::Session::kSnapshotVersion - 1;
+  constexpr std::uint32_t kOld = 4;
   for (std::size_t i = 0; i < 4; ++i) {  // u32 LE right after the magic
     blob[8 + i] = static_cast<std::uint8_t>(kOld >> (8 * i));
   }
@@ -656,7 +669,8 @@ void check_snapshot_schedule_is_deterministic(
 TEST(Session, SnapshotScheduleIsDeterministic) {
   for (const bool fast : kEngines) {
     SCOPED_TRACE(engine_name(fast));
-    check_snapshot_schedule_is_deterministic(on_engine({}, fast));
+    const core::DesOracleScope oracle{!fast};
+    check_snapshot_schedule_is_deterministic({});
   }
 }
 
@@ -738,8 +752,8 @@ TEST(Session, FeedAllRevivesServicesInPerEventOrder) {
 }
 
 TEST(Session, RestoreRejectsMismatchedScenario) {
+  const core::DesOracleScope oracle;
   core::ScenarioConfig a;
-  a.fast_forward = false;
   core::Session s{a};
   s.advance_to(Time::us(50));
   const auto blob = s.snapshot();
@@ -753,8 +767,8 @@ TEST(Session, RestoreRejectsMismatchedScenario) {
 TEST(Session, RestoreRejectsScenarioDifferingPastTheSixthDigit) {
   // The fingerprint is the exact dump, so a ring 0.0000321 MHz apart (the
   // same at six significant digits) is another interface.
+  const core::DesOracleScope oracle;
   core::ScenarioConfig a;
-  a.fast_forward = false;
   a.interface.clock.ring_frequency = Frequency::mhz(118.7654321);
   core::Session s{a};
   s.advance_to(Time::us(50));
@@ -774,7 +788,8 @@ TEST(Session, RestoreRejectsScenarioDifferingPastTheSixthDigit) {
 TEST(Session, RestoreRejectsBufferedEventsOutOfOrder) {
   for (const bool fast : kEngines) {
     SCOPED_TRACE(engine_name(fast));
-    const core::ScenarioConfig scenario = on_engine({}, fast);
+    const core::DesOracleScope oracle{!fast};
+    const core::ScenarioConfig scenario;
     const aer::EventStream events = make_stream(300, 29);
     core::Session s{scenario};
     s.feed_all(events);
@@ -817,8 +832,8 @@ TEST(Session, RestoreRejectsBufferedEventsOutOfOrder) {
 }
 
 TEST(Session, RestoreRejectsTruncatedBlob) {
-  core::ScenarioConfig scenario;
-  scenario.fast_forward = false;
+  const core::DesOracleScope oracle;
+  const core::ScenarioConfig scenario;
   core::Session s{scenario};
   s.advance_to(Time::us(50));
   auto blob = s.snapshot();
@@ -828,8 +843,8 @@ TEST(Session, RestoreRejectsTruncatedBlob) {
 }
 
 TEST(Session, RestoreRequiresFreshSession) {
-  core::ScenarioConfig scenario;
-  scenario.fast_forward = false;
+  const core::DesOracleScope oracle;
+  const core::ScenarioConfig scenario;
   core::Session s{scenario};
   s.advance_to(Time::us(50));
   const auto blob = s.snapshot();
@@ -838,17 +853,71 @@ TEST(Session, RestoreRequiresFreshSession) {
   EXPECT_THROW(used.restore(blob), std::logic_error);
 }
 
+// The seam picks the engine at construction: the analytic engine only
+// moves the scheduler's clock, the event-driven oracle dispatches events.
+// Scopes nest, an inert scope changes nothing, and a session keeps the
+// engine it was built with after its scope ends.
+TEST(Session, DesOracleScopeSelectsTheEventDrivenPath) {
+  const aer::EventStream events = make_stream(200, 37);
+  const auto dispatched = [&events](core::Session& s) {
+    s.feed_all(events);
+    s.advance_to(events.back().time);
+    return s.scheduler().processed();
+  };
+  core::Session engine{core::ScenarioConfig{}};
+  EXPECT_EQ(dispatched(engine), 0u);
+  std::unique_ptr<core::Session> outlives_scope;
+  {
+    const core::DesOracleScope outer;
+    {
+      const core::DesOracleScope inner;
+      const core::DesOracleScope inert{false};
+    }
+    outlives_scope = std::make_unique<core::Session>(core::ScenarioConfig{});
+  }
+  EXPECT_GT(dispatched(*outlives_scope), 0u);
+  {
+    const core::DesOracleScope inert{false};
+    core::Session after{core::ScenarioConfig{}};
+    EXPECT_EQ(dispatched(after), 0u);
+  }
+}
+
+// Both engines share a config fingerprint but not their blob sections, so
+// a blob restores only into a session on the engine that took it.
+TEST(Session, BlobRestoresOnlyIntoTheEngineThatTookIt) {
+  const aer::EventStream events = make_stream(300, 41);
+  std::vector<std::uint8_t> blobs[2];
+  for (const bool fast : kEngines) {
+    const std::unique_ptr<core::Session> s = make_session({}, fast);
+    s->feed_all(events);
+    s->advance_to(events[events.size() / 2].time);
+    blobs[fast ? 0 : 1] = s->snapshot();
+  }
+  for (const bool fast : kEngines) {
+    SCOPED_TRACE(engine_name(fast));
+    EXPECT_NO_THROW(make_session({}, fast)->restore(blobs[fast ? 0 : 1]));
+    try {
+      make_session({}, fast)->restore(blobs[fast ? 1 : 0]);
+      FAIL() << "restored the other engine's blob";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find("run engine differs"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // run_scenario() is a thin wrapper over Session: same stream, same result.
 TEST(Session, WrapperEquivalence) {
-  for (const bool fast_forward : {false, true}) {
-    core::ScenarioConfig scenario;
-    scenario.fast_forward = fast_forward;
+  for (const bool fast : kEngines) {
+    const core::DesOracleScope oracle{!fast};
+    const core::ScenarioConfig scenario;
     const aer::EventStream events = make_stream(1000, 13);
     const core::RunResult a = core::run_scenario(scenario, events);
     core::Session s{scenario};
     s.feed_all(events);
-    expect_equal(s.finish(), a,
-                 fast_forward ? "wrapper (fast path)" : "wrapper (DES)");
+    expect_equal(s.finish(), a, "wrapper (" + engine_name(fast) + ")");
   }
 }
 
@@ -913,9 +982,10 @@ TEST(Session, ChunkedBatchMatchesWholeStream) {
   cases.push_back({"telemetry", traced, make_stream(9000, 61)});
 
   for (const bool fast : kEngines) {
+    const core::DesOracleScope oracle{!fast};
     for (const Case& c : cases) {
       const std::string what = engine_name(fast) + ", " + c.name;
-      core::ScenarioConfig batch_sc = on_engine(c.scenario, fast);
+      core::ScenarioConfig batch_sc = c.scenario;
       core::ScenarioConfig whole_sc = batch_sc;
       const bool telemetry = c.scenario.telemetry.any();
       if (telemetry) {
@@ -960,7 +1030,8 @@ TEST(Session, ChunkedBatchMatchesWholeStream) {
 // line equal the history-on run's.
 TEST(Session, HistoryOffReportsDeliveries) {
   for (const bool fast : kEngines) {
-    core::ScenarioConfig scenario = on_engine({}, fast);
+    const core::DesOracleScope oracle{!fast};
+    core::ScenarioConfig scenario;
     scenario.energy_ledger = true;
     scenario.session.max_buffered_events = 256;
     const aer::EventStream events = make_stream(5000, 23);
@@ -986,6 +1057,7 @@ struct SourceCase {
   core::ScenarioConfig scenario;
   std::function<std::unique_ptr<gen::SpikeSource>()> source;
   std::size_t n_events;
+  bool fast = true;  ///< false: run on the event-driven oracle
 };
 
 std::vector<SourceCase> source_cases() {
@@ -994,9 +1066,10 @@ std::vector<SourceCase> source_cases() {
   };
   std::vector<SourceCase> cases;
   for (const bool fast : kEngines) {
-    core::ScenarioConfig ledger = on_engine({}, fast);
+    core::ScenarioConfig ledger;
     ledger.energy_ledger = true;
-    cases.push_back({engine_name(fast) + " + ledger", ledger, poisson, 9000});
+    cases.push_back(
+        {engine_name(fast) + " + ledger", ledger, poisson, 9000, fast});
   }
   // The fig8 stimulus at 800 kevt/s on the figure's interface.
   core::ScenarioConfig fig8;
@@ -1019,10 +1092,11 @@ std::vector<SourceCase> source_cases() {
   const aer::EventStream finite = make_stream(5000, 31);
   for (const bool fast : kEngines) {
     cases.push_back({engine_name(fast) + " + finite source",
-                     on_engine({}, fast),
+                     {},
                      [finite] { return std::make_unique<gen::TraceSource>(
                                     finite); },
-                     9000});
+                     9000,
+                     fast});
   }
   return cases;
 }
@@ -1032,6 +1106,7 @@ std::vector<SourceCase> source_cases() {
 // logs come back empty.
 TEST(Session, TotalsMatchFullRun) {
   for (const SourceCase& c : source_cases()) {
+    const core::DesOracleScope oracle{!c.fast};
     const auto full_src = c.source();
     const core::RunResult full =
         core::run_scenario(c.scenario, *full_src, c.n_events);
@@ -1054,6 +1129,7 @@ TEST(Session, TotalsMatchFullRun) {
 // field, per-event logs included.
 TEST(Session, SourceOverloadMatchesMaterialized) {
   for (const SourceCase& c : source_cases()) {
+    const core::DesOracleScope oracle{!c.fast};
     const auto src = c.source();
     const core::RunResult pulled =
         core::run_scenario(c.scenario, *src, c.n_events);
@@ -1080,10 +1156,35 @@ TEST(IngestPump, RefusesIntervalsOutsideThePicosecondRange) {
     EXPECT_FALSE(core::snapshot_interval(sec));
     EXPECT_THROW((void)core::IngestPump(s, sec, keep_going),
                  std::invalid_argument);
-    core::ScenarioConfig scenario;
-    scenario.session.snapshot_interval_sec = sec;
-    EXPECT_THROW(scenario.validate(), std::invalid_argument);
   }
+}
+
+// A checkpointing ingest run, fed one event per push as `aetr-serve run`
+// feeds a trace, ends with the same summary on the analytic engine and on
+// the event-driven oracle: every snapshot settles both to the same point.
+TEST(IngestPump, SnapshottedStreamEndsTheSameOnBothEngines) {
+  gen::PoissonSource source{100e3, 256, 7};
+  const aer::EventStream events = gen::take(source, 20000);
+  std::string summaries[2];
+  for (const bool fast : kEngines) {
+    SCOPED_TRACE(engine_name(fast));
+    const std::unique_ptr<core::Session> s =
+        make_session(core::ScenarioConfig{}, fast);
+    std::size_t snapshots = 0;
+    core::IngestPump pump{*s, 0.02, [&] {
+                            EXPECT_FALSE(s->snapshot().empty());
+                            ++snapshots;
+                            return true;
+                          }};
+    for (const aer::Event& ev : events) ASSERT_EQ(pump.push({&ev, 1}), 1u);
+    // One per 20 ms instant that an event reaches.
+    EXPECT_EQ(snapshots, static_cast<std::size_t>(
+                             events.back().time.count_ps() /
+                             Time::ms(20).count_ps()));
+    EXPECT_GE(snapshots, 9u);
+    summaries[fast ? 0 : 1] = core::run_summary_text(s->finish());
+  }
+  EXPECT_EQ(summaries[0], summaries[1]);
 }
 
 TEST(IngestPump, NextInstantIsTheNextMultipleAndSaturates) {

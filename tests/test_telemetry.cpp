@@ -580,7 +580,6 @@ TEST(Integration, FaultProbesAgreeWithRunResultCounters) {
   // fall back to the reference event-driven run; the fault.* probes and
   // RunResult::faults read the same injector counters, so whatever path
   // executed they can never disagree.
-  sc.fast_forward = true;
   sc.faults = fault::scaled_plan(0.05, 99);  // the quick faults-figure level
   ASSERT_TRUE(sc.faults.any());
   core::Session run{sc};

@@ -136,9 +136,9 @@ TEST(WordPathAlloc, MoveTransfersTheInlineCallable) {
 
 /// Allocations of one streaming run over `n` periodic events (every FIFO
 /// batch alike), history off, fed through the backpressure pump.
-std::uint64_t run_allocations(bool fast_forward, std::size_t n) {
+std::uint64_t run_allocations(bool fast, std::size_t n) {
+  const core::DesOracleScope oracle{!fast};
   core::ScenarioConfig scenario;
-  scenario.fast_forward = fast_forward;
   scenario.session.max_buffered_events = 256;
   gen::RegularSource source{Time::us(5), 256};
   const aer::EventStream events = gen::take(source, n);
@@ -156,11 +156,11 @@ std::uint64_t run_allocations(bool fast_forward, std::size_t n) {
 }
 
 TEST(WordPathAlloc, WholeRunAllocatesNothingPerSpike) {
-  for (const bool fast_forward : {false, true}) {
-    const std::uint64_t once = run_allocations(fast_forward, 20000);
-    const std::uint64_t twice = run_allocations(fast_forward, 40000);
-    EXPECT_EQ(once, twice) << (fast_forward ? "analytic engine"
-                                            : "event-driven reference path")
+  for (const bool fast : {false, true}) {
+    const std::uint64_t once = run_allocations(fast, 20000);
+    const std::uint64_t twice = run_allocations(fast, 40000);
+    EXPECT_EQ(once, twice) << (fast ? "analytic engine"
+                                    : "event-driven reference path")
                            << ": 20000 events allocated " << once
                            << " times, 40000 events " << twice;
   }

@@ -14,11 +14,11 @@
 //       Ingest a stream — an .aedat file, a trace file, a FIFO, or stdin
 //       ('-') — through the gateway's core::IngestPump into a Session:
 //       advance simulated time under backpressure, checkpoint the full
-//       simulator state to --snapshot every session.snapshot_interval_sec
-//       (0 or 1e-12 .. 9.22e6 s) of *simulated* time (atomically: tmp +
-//       rename, so a kill never leaves a torn blob), and on end-of-stream
-//       or SIGTERM/SIGINT drain gracefully: finish() the session and
-//       write the run summary.
+//       simulator state to --snapshot every --snapshot-interval-sec (0 =
+//       off, the default, or 1e-12 .. 9.22e6 s) of *simulated* time
+//       (atomically: tmp + rename, so a kill never leaves a torn blob),
+//       and on end-of-stream or SIGTERM/SIGINT drain gracefully: finish()
+//       the session and write the run summary.
 //
 //       With --resume the session first restores the last snapshot and
 //       skips the events it already consumed, continuing byte-identically
@@ -45,8 +45,9 @@
 //       hosts one core::Session per connection over the framed wire
 //       protocol, each with its own periodic snapshots under
 //       --snapshot-dir and a per-session summary-<name>.txt under
-//       --out-dir, fed through `run`'s pump (a HELLO's snapshot interval
-//       is ignored). SIGTERM/SIGINT drains every live session before exit;
+//       --out-dir, fed through `run`'s pump; a HELLO may not change
+//       telemetry.* or session.max_buffered_events. SIGTERM/SIGINT drains
+//       every live session before exit;
 //       --resume restores <name>.snap at HELLO so a SIGKILLed gateway
 //       continues byte-identically.
 //
@@ -225,7 +226,7 @@ struct RunArgs {
   std::string out_dir;
   std::string snapshot;
   std::string stats_json;
-  double snapshot_interval_sec = -1.0;  // <0: take from the scenario config
+  double snapshot_interval_sec = 0.0;  // 0: periodic snapshots off
   bool resume = false;
   bool keep_history = true;
   std::uint64_t pace_us = 0;
@@ -240,10 +241,6 @@ long max_rss_kb() {
 
 int cmd_run(const RunArgs& args,
             const aetr::core::ScenarioConfig& scenario) {
-  const double interval_sec = args.snapshot_interval_sec >= 0.0
-                                  ? args.snapshot_interval_sec
-                                  : scenario.session.snapshot_interval_sec;
-
   aetr::core::Session session{scenario};
   if (!args.keep_history) session.set_keep_history(false);
 
@@ -272,7 +269,8 @@ int cmd_run(const RunArgs& args,
     return true;
   };
   aetr::core::IngestPump pump{
-      session, args.snapshot.empty() ? 0.0 : interval_sec, write_snapshot};
+      session, args.snapshot.empty() ? 0.0 : args.snapshot_interval_sec,
+      write_snapshot};
 
   // A trace file, FIFO or stdin is parsed a line at a time and each event
   // pushed once parsed, never held over a further blocking read; an .aedat

@@ -2,13 +2,12 @@
 // and the design-space optimizer.
 //
 //   aetr-sweep <figure>|all
-//              [--jobs N] [--seed S] [--out DIR] [--quick] [--no-fast-forward]
+//              [--jobs N] [--seed S] [--out DIR] [--quick]
 //              [--trace] [--metrics] [--ledger] [--quiet]
 //
 // <figure> is any entry of the sweeps::figures() registry; `aetr-sweep
 // list` prints them, and `all` runs every one, so one command exercises
-// each of them (the fast-path on vs off gate in tests/determinism.py runs
-// `all`).
+// each of them.
 //   aetr-sweep opt [--strategy factorial|random|halving] [--budget N]
 //              [--objectives energy,error[,loss,latency]] [--space FILE]
 //              [--events N] [--rate HZ] [--fault-level X] [--resume]
@@ -81,8 +80,6 @@ int usage(std::ostream& os) {
         "  --out DIR      output directory (default: results/ or $AETR_OUT)\n"
         "  --quick        reduced grid; paper checks skipped, consistency\n"
         "                 checks still run\n"
-        "  --no-fast-forward  force the reference event-driven path\n"
-        "                 (outputs are bit-identical; see docs/SIMULATOR.md)\n"
         "  --trace        per-job Chrome trace JSON + CSV (DES figures:\n"
         "                 fig8, ablation-agreement; see docs/OBSERVABILITY.md)\n"
         "  --metrics      per-job sampled-metrics CSV (same figures)\n"
@@ -113,8 +110,11 @@ int run_opt(int argc, char** argv, bool* usage_error) {
   std::string space_file;
   bool quick = false;
   bool quiet = false;
-  bool fast_forward = true;
   std::size_t events = 0;
+  const auto bad = [usage_error] {  // a usage error: exit 2 with usage
+    *usage_error = true;
+    return 2;
+  };
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -128,44 +128,38 @@ int run_opt(int argc, char** argv, bool* usage_error) {
       if (arg == "--jobs") {
         std::uint64_t v = 0;
         const char* s = next();
-        if (!s || !parse_u64(s, v)) { *usage_error = true; return 2; }
+        if (!s || !parse_u64(s, v)) return bad();
         opt.jobs = static_cast<std::size_t>(v);
       } else if (arg == "--seed") {
         std::uint64_t v = 0;
         const char* s = next();
-        if (!s || !parse_u64(s, v)) { *usage_error = true; return 2; }
+        if (!s || !parse_u64(s, v)) return bad();
         opt.seed = v;
       } else if (arg == "--out") {
         const char* s = next();
-        if (!s) { *usage_error = true; return 2; }
+        if (!s) return bad();
         opt.out_dir = s;
       } else if (arg == "--strategy") {
         const char* s = next();
-        if (!s) { *usage_error = true; return 2; }
+        if (!s) return bad();
         opt.strategy = aetr::opt::parse_strategy(s);
       } else if (arg == "--budget") {
         std::uint64_t v = 0;
         const char* s = next();
-        if (!s || !parse_u64(s, v) || v == 0) {
-          *usage_error = true;
-          return 2;
-        }
+        if (!s || !parse_u64(s, v) || v == 0) return bad();
         opt.budget = static_cast<std::size_t>(v);
       } else if (arg == "--objectives") {
         const char* s = next();
-        if (!s) { *usage_error = true; return 2; }
+        if (!s) return bad();
         opt.objectives = aetr::opt::parse_objectives(s);
       } else if (arg == "--space") {
         const char* s = next();
-        if (!s) { *usage_error = true; return 2; }
+        if (!s) return bad();
         space_file = s;
       } else if (arg == "--events") {
         std::uint64_t v = 0;
         const char* s = next();
-        if (!s || !parse_u64(s, v) || v == 0) {
-          *usage_error = true;
-          return 2;
-        }
+        if (!s || !parse_u64(s, v) || v == 0) return bad();
         events = static_cast<std::size_t>(v);
       } else if (arg == "--rate") {
         const char* s = next();
@@ -173,28 +167,24 @@ int run_opt(int argc, char** argv, bool* usage_error) {
         if (!s || !parse_f64(s, rate) || !(rate > 0.0) ||
             !std::isfinite(rate)) {
           std::cerr << "aetr-sweep: --rate needs a finite number > 0\n";
-          *usage_error = true;
-          return 2;
+          return bad();
         }
       } else if (arg == "--fault-level") {
         const char* s = next();
         double& level = opt.workload.fault_level;
         if (!s || !parse_f64(s, level) || !(level >= 0.0 && level <= 1.0)) {
           std::cerr << "aetr-sweep: --fault-level needs a number in [0, 1]\n";
-          *usage_error = true;
-          return 2;
+          return bad();
         }
       } else if (arg == "--resume") {
         opt.resume = true;
       } else if (arg == "--interrupt-after") {
         std::uint64_t v = 0;
         const char* s = next();
-        if (!s || !parse_u64(s, v)) { *usage_error = true; return 2; }
+        if (!s || !parse_u64(s, v)) return bad();
         opt.interrupt_after = static_cast<std::size_t>(v);
       } else if (arg == "--quick") {
         quick = true;
-      } else if (arg == "--no-fast-forward") {
-        fast_forward = false;
       } else if (arg == "--trace") {
         opt.trace = true;
       } else if (arg == "--metrics") {
@@ -203,8 +193,7 @@ int run_opt(int argc, char** argv, bool* usage_error) {
         quiet = true;
       } else {
         std::cerr << "aetr-sweep: unknown option '" << arg << "'\n";
-        *usage_error = true;
-        return 2;
+        return bad();
       }
     } catch (const std::exception& e) {
       std::cerr << "aetr-sweep: " << e.what() << "\n";
@@ -226,9 +215,8 @@ int run_opt(int argc, char** argv, bool* usage_error) {
     const aetr::opt::SearchSpace space =
         space_file.empty() ? aetr::opt::SearchSpace::default_space()
                            : aetr::opt::SearchSpace::parse_file(space_file);
-    aetr::core::ScenarioConfig base;  // the paper-default scenario
-    base.fast_forward = fast_forward;
-    const auto result = aetr::opt::optimize(space, base, opt);
+    // The paper-default scenario is the base of every trial.
+    const auto result = aetr::opt::optimize(space, {}, opt);
     if (!quiet) {
       std::printf("== opt — %s, budget %zu, %zu evaluations run ==\n",
                   aetr::opt::to_string(opt.strategy), opt.budget,
@@ -361,8 +349,6 @@ int main(int argc, char** argv) {
       cli.fig.out_dir = s;
     } else if (arg == "--quick") {
       cli.fig.quick = true;
-    } else if (arg == "--no-fast-forward") {
-      cli.fig.fast_forward = false;
     } else if (arg == "--trace") {
       cli.fig.trace = true;
     } else if (arg == "--metrics") {
