@@ -137,6 +137,37 @@ void BM_ScheduleMeasure(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleMeasure)->Arg(16)->Arg(64);
 
+// The capture's latency, not its throughput: each call's sample edge is
+// the next interval's origin (sweep_error's carry, the engine's chain),
+// so one measure() cannot start before the previous one ends. Args:
+// theta_div and the mean exponential interval in microseconds.
+void BM_ScheduleMeasureChained(benchmark::State& state) {
+  clockgen::ScheduleConfig cfg;
+  cfg.theta_div = static_cast<std::uint32_t>(state.range(0));
+  const clockgen::SamplingSchedule schedule{cfg};
+  Xoshiro256StarStar rng{7};
+  constexpr std::size_t kIntervals = 4096;  // a power of two: cheap wrap
+  std::vector<Time> intervals(kIntervals);
+  const Time mean = Time::us(static_cast<double>(state.range(1)));
+  for (Time& t : intervals) t = rng.exponential_time(mean);
+  std::size_t i = 0;
+  Time carry = Time::zero();
+  for (auto _ : state) {
+    Time elapsed = intervals[i] - carry;
+    if (elapsed < Time::ps(1)) elapsed = Time::ps(1);
+    const auto m = schedule.measure(elapsed, 2);
+    benchmark::DoNotOptimize(m.ticks);
+    carry = m.sample_edge - elapsed;
+    i = (i + 1) & (kIntervals - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ScheduleMeasureChained)
+    ->Args({64, 10})
+    ->Args({64, 333})
+    ->Args({100, 10})
+    ->Args({100, 333});
+
 void BM_PoissonGeneration(benchmark::State& state) {
   gen::PoissonSource src{100e3, 128, 3};
   for (auto _ : state) {

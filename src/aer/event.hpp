@@ -15,6 +15,12 @@ namespace aetr::aer {
 inline constexpr unsigned kAddressBits = 10;
 inline constexpr std::uint16_t kAddressMask = (1u << kAddressBits) - 1u;
 
+/// The latest event time the simulator accepts: half of Time's range, so
+/// every delay the pipeline adds after an event (handshake, capture,
+/// cooldown, drain) is still a Time. Session::feed/feed_all, the ingest
+/// pump and TraceReader refuse anything later.
+inline constexpr Time kLatestEventTime = Time::max() / 2;
+
 /// A raw sensor spike: which "neuron" fired and when. The time is the
 /// simulator's ground truth; in hardware it is implicit in the handshake.
 struct Event {

@@ -33,6 +33,10 @@ std::optional<Event> TraceReader::next() {
                                std::to_string(line_no_) + ": " + line_);
     }
     const Event ev{static_cast<std::uint16_t>(address), Time::ps(t_ps)};
+    if (ev.time > kLatestEventTime) {
+      throw std::runtime_error("read_trace: time out of range at line " +
+                               std::to_string(line_no_) + ": " + line_);
+    }
     if (last_ && ev.time < *last_) {
       throw std::runtime_error("read_trace: events out of order at line " +
                                std::to_string(line_no_));

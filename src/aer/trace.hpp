@@ -18,7 +18,8 @@ namespace aetr::aer {
 /// Incremental parser behind read_trace(), one event per next() (nullopt
 /// at the end), so a pipe is consumed as it arrives. Skips blank lines (a
 /// CR line end included) and '#' comments; throws std::runtime_error
-/// naming the line on a malformed or out-of-order one.
+/// naming the line on a malformed or out-of-order one, or one whose time is
+/// past kLatestEventTime.
 class TraceReader {
  public:
   explicit TraceReader(std::istream& is) : is_{is} {}

@@ -118,9 +118,7 @@ std::uint64_t ClockGenerator::settle_capture(
     // request; it has been running again since the request instant.
     awake_accum_ += schedule_.awake_span() + (m.sample_edge - delta);
     sampling_cycles_accum_ +=
-        m.cycles +
-        static_cast<std::uint64_t>((m.sample_edge - delta - wake) / tmin()) +
-        1;
+        m.cycles + schedule_.tmin_ticks(m.sample_edge - delta - wake) + 1;
     ++wakeups_;
   } else {
     awake_accum_ += std::min(m.sample_edge, schedule_.awake_span());

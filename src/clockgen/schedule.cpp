@@ -1,16 +1,11 @@
 #include "clockgen/schedule.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
 namespace aetr::clockgen {
-namespace {
-
-/// Ceiling division for positive picosecond counts.
-Time::Rep ceil_div(Time::Rep a, Time::Rep b) { return (a + b - 1) / b; }
-
-}  // namespace
 
 SamplingSchedule::SamplingSchedule(const ScheduleConfig& config)
     : cfg_{config} {
@@ -23,44 +18,28 @@ SamplingSchedule::SamplingSchedule(const ScheduleConfig& config)
   if (cfg_.n_div > 30) {
     throw std::invalid_argument("SamplingSchedule: n_div too large (max 30)");
   }
+  theta_ = cfg_.theta_div;
   top_level_ = cfg_.divide_enabled ? cfg_.n_div : 0;
-  // The latest instant below, tmin * theta_div * (2^(top + 1) - 1), must be
+  sleeps_ = cfg_.divide_enabled && cfg_.shutdown_enabled;
+  // The latest level start, tmin * theta_div * (2^(top + 1) - 1), must be
   // a Time; the factor itself is below 2^63 (theta_div < 2^32, top <= 30).
-  const std::uint64_t last_factor =
-      static_cast<std::uint64_t>(cfg_.theta_div) *
-      ((std::uint64_t{1} << (top_level_ + 1)) - 1);
-  if (static_cast<std::uint64_t>(cfg_.tmin.count_ps()) >
-      static_cast<std::uint64_t>(Time::max().count_ps()) / last_factor) {
+  // So is every divisor below, which the reciprocals need.
+  const auto tmin = static_cast<std::uint64_t>(cfg_.tmin.count_ps());
+  const std::uint64_t last_factor = level_ticks(top_level_ + 1);
+  if (tmin > static_cast<std::uint64_t>(Time::max().count_ps()) / last_factor) {
     throw std::invalid_argument(
         "SamplingSchedule: tmin * theta_div * 2^(n_div + 1) exceeds the time "
         "range");
   }
-  // S_k = theta_div * Tmin * (2^k - 1); one extra entry marks the end of the
-  // top level (the shutdown instant, or "never").
-  level_starts_.reserve(top_level_ + 2);
-  for (std::uint32_t k = 0; k <= top_level_; ++k) {
-    const auto scale = static_cast<Time::Rep>((std::uint64_t{1} << k) - 1);
-    level_starts_.push_back(cfg_.tmin * static_cast<Time::Rep>(cfg_.theta_div) *
-                            scale);
-  }
-  const bool sleeps = cfg_.divide_enabled && cfg_.shutdown_enabled;
-  if (sleeps) {
-    const auto scale =
-        static_cast<Time::Rep>((std::uint64_t{1} << (top_level_ + 1)) - 1);
-    level_starts_.push_back(cfg_.tmin * static_cast<Time::Rep>(cfg_.theta_div) *
-                            scale);
-  } else {
-    level_starts_.push_back(Time::max());
-  }
-  saturation_ticks_ =
-      awake_span() == Time::max()
-          ? ~std::uint64_t{0}  // clock never stops; counter never freezes
-          : static_cast<std::uint64_t>(awake_span() / cfg_.tmin);
+  tmin_recip_ = Reciprocal{tmin};
+  dwell_recip_ = Reciprocal{tmin * theta_};
+  awake_span_ = sleeps_ ? cfg_.tmin * static_cast<Time::Rep>(last_factor)
+                        : Time::max();
+  // The clock that never stops never freezes its counter.
+  saturation_ticks_ = sleeps_ ? last_factor : ~std::uint64_t{0};
   // Every level contributed theta_div edges except that the would-be edge
   // at the shutdown instant never happens.
-  asleep_cycles_ = static_cast<std::uint64_t>(cfg_.theta_div) *
-                       (top_level_ + 1) -
-                   1;
+  asleep_cycles_ = theta_ * (top_level_ + 1) - 1;
 }
 
 Time SamplingSchedule::period_of_level(std::uint32_t k) const {
@@ -70,64 +49,64 @@ Time SamplingSchedule::period_of_level(std::uint32_t k) const {
 
 Time SamplingSchedule::level_start(std::uint32_t k) const {
   assert(k <= top_level_ + 1);
-  return level_starts_[k];
+  return k <= top_level_
+             ? cfg_.tmin * static_cast<Time::Rep>(level_ticks(k))
+             : awake_span_;
 }
 
-Time SamplingSchedule::awake_span() const {
-  return level_starts_[top_level_ + 1];
+Time SamplingSchedule::awake_span() const { return awake_span_; }
+
+std::uint32_t SamplingSchedule::level_of_ps(std::uint64_t ps) const {
+  // elapsed >= S_k <=> floor(elapsed / (theta_div * Tmin)) + 1 >= 2^k.
+  const std::uint64_t dwells = dwell_recip_.divide(ps);
+  return std::min(top_level_,
+                  static_cast<std::uint32_t>(std::bit_width(dwells + 1)) - 1);
+}
+
+SamplingSchedule::Place SamplingSchedule::first_edge_place(
+    Time elapsed) const {
+  if (elapsed <= Time::zero()) return {0, 0};
+  const auto ps = static_cast<std::uint64_t>(elapsed.count_ps());
+  const std::uint32_t k = level_of_ps(ps);
+  // ceil(elapsed / Tmin) - theta_div * (2^k - 1) Tmin into the level,
+  // rounded up to the level's period 2^k Tmin.
+  const std::uint64_t c = tmin_recip_.divide(ps - 1) + 1;
+  return {k, (c - level_ticks(k) + (std::uint64_t{1} << k) - 1) >> k};
 }
 
 std::uint32_t SamplingSchedule::level_at(Time elapsed) const {
-  // Level starts strictly increase, so scanning up from level 0 finds the
-  // same level as scanning down from the top, in as many steps as the
-  // level is deep: short intervals, the common case, stop at once.
-  std::uint32_t k = 0;
-  while (k < top_level_ && elapsed >= level_starts_[k + 1]) ++k;
-  return k;
+  if (elapsed <= Time::zero()) return 0;
+  return level_of_ps(static_cast<std::uint64_t>(elapsed.count_ps()));
 }
 
 bool SamplingSchedule::is_asleep_at(Time elapsed) const {
-  return elapsed >= awake_span();
+  return elapsed >= awake_span_;
 }
 
 Time SamplingSchedule::first_edge_at_or_after(Time elapsed) const {
-  if (elapsed <= Time::zero()) return Time::zero();
   if (is_asleep_at(elapsed)) return Time::max();
-  const std::uint32_t k = level_at(elapsed);
-  const Time s = level_starts_[k];
-  const Time p = period_of_level(k);
-  const Time edge =
-      s + p * ceil_div((elapsed - s).count_ps(), p.count_ps());
-  // The edge may fall exactly on (or, for the top level with shutdown, past)
-  // the level boundary; the boundary instant is the next level's first edge,
-  // or the shutdown instant at the top.
-  if (edge >= level_starts_[k + 1]) {
-    return k < top_level_ ? level_starts_[k + 1] : Time::max();
-  }
-  return edge;
+  const Place p = first_edge_place(elapsed);
+  // Index theta_div is the level's end: the next level's first edge, or
+  // at the top the shutdown instant, where no edge comes.
+  if (sleeps_ && p.k == top_level_ && p.idx >= theta_) return Time::max();
+  return cfg_.tmin *
+         static_cast<Time::Rep>(level_ticks(p.k) + (p.idx << p.k));
 }
 
 std::uint64_t SamplingSchedule::counter_at_edge(Time edge) const {
-  const std::uint64_t sat = saturation_ticks();
-  if (edge >= awake_span()) return sat;
+  if (edge >= awake_span_) return saturation_ticks_;
   const std::uint32_t k = level_at(edge);
-  const Time s = level_starts_[k];
-  const Time p = period_of_level(k);
-  const auto i = static_cast<std::uint64_t>((edge - s) / p);
-  const std::uint64_t base =
-      static_cast<std::uint64_t>(cfg_.theta_div) *
-      ((std::uint64_t{1} << k) - 1);
-  return std::min(base + i * (std::uint64_t{1} << k), sat);
+  const std::uint64_t in_level = tmin_ticks(edge) - level_ticks(k);
+  // Round down to the level's period: the edge at or before `edge`, below
+  // saturation_ticks() since it comes before awake_span().
+  return level_ticks(k) + ((in_level >> k) << k);
 }
 
 std::uint64_t SamplingSchedule::cycles_until(Time elapsed) const {
   if (elapsed <= Time::zero()) return 0;
   if (is_asleep_at(elapsed)) return asleep_cycles_;
   const std::uint32_t k = level_at(elapsed);
-  const Time s = level_starts_[k];
-  const Time p = period_of_level(k);
-  return static_cast<std::uint64_t>(cfg_.theta_div) * k +
-         static_cast<std::uint64_t>((elapsed - s) / p);
+  return theta_ * k + ((tmin_ticks(elapsed) - level_ticks(k)) >> k);
 }
 
 SamplingSchedule::Measurement SamplingSchedule::measure(
@@ -145,82 +124,37 @@ SamplingSchedule::Measurement SamplingSchedule::measure(
     m.cycles = asleep_cycles_;
     return m;
   }
-  // Hot path (one call per captured spike): find the first edge with one
-  // division, then place the sample edge sync_edges periods on, carrying
-  // the level and the edge's index within it, instead of re-deriving both
-  // per synchroniser edge the way chained first_edge_at_or_after and
-  // counter_at_edge calls would. Identical boundary rules: an edge landing
-  // on (or past) a level boundary becomes the boundary instant — the next
-  // level's first edge — and stepping off the top level means shutdown
-  // would interrupt the synchroniser. Every saturated outcome closes at or
-  // past awake_span(), where cycles_until() reads asleep_cycles_.
-  std::uint32_t k = 0;
-  Time edge = Time::zero();
-  std::uint64_t idx = 0;  // edge == level_starts_[k] + idx * P_k
-  if (delta > Time::zero()) {
-    k = level_at(delta);
-    const Time s = level_starts_[k];
-    const Time p = period_of_level(k);
-    idx = static_cast<std::uint64_t>(
-        ceil_div((delta - s).count_ps(), p.count_ps()));
-    edge = s + p * static_cast<Time::Rep>(idx);
-    if (edge >= level_starts_[k + 1]) {
-      if (k < top_level_) {
-        edge = level_starts_[k + 1];
-        ++k;
-        idx = 0;
-      } else {
-        // Request landed inside the final sampling period before shutdown;
-        // the pending request keeps the clock alive at the slowest period.
-        m.sample_edge = awake_span() + period_of_level(top_level_) *
-                                           static_cast<Time::Rep>(sync_edges);
-        m.ticks = saturation_ticks_;
-        m.saturated = true;
-        m.cycles = asleep_cycles_;
-        return m;
-      }
-    }
+  // Hot path (one call per captured spike): locate the first edge, then
+  // step sync_edges edges on by index. A level's edges are indices
+  // 0..theta_div-1 and its boundary instant is index theta_div, which is
+  // also the next level's index 0, so an index past the level carries into
+  // the next one; stepping off the top level means shutdown would
+  // interrupt the synchroniser. Every saturated outcome closes at or past
+  // awake_span(), where cycles_until() reads asleep_cycles_.
+  auto [k, idx] = first_edge_place(delta);
+  idx += sync_edges;
+  while (idx >= theta_ && k < top_level_) {
+    idx -= theta_;
+    ++k;
   }
-  const Time in_level = edge + period_of_level(k) *
-                                   static_cast<Time::Rep>(sync_edges);
-  if (in_level < level_starts_[k + 1]) {
-    // Common case: every synchroniser edge stays inside the level.
-    edge = in_level;
-    idx += sync_edges;
-  } else {
-    for (std::uint32_t i = 0; i < sync_edges; ++i) {
-      Time next = edge + period_of_level(k);
-      if (next >= level_starts_[k + 1]) {
-        if (k < top_level_) {
-          next = level_starts_[k + 1];
-          ++k;
-          idx = 0;
-        } else {
-          // Shutdown would occur while the request is being synchronised;
-          // the FSM checks request() before shutting down, so the clock
-          // keeps ticking at the slowest period until the sample completes.
-          m.sample_edge = awake_span() +
-                          period_of_level(top_level_) *
-                              static_cast<Time::Rep>(sync_edges - i - 1);
-          m.ticks = saturation_ticks_;
-          m.saturated = true;
-          m.cycles = asleep_cycles_;
-          return m;
-        }
-      } else {
-        ++idx;
-      }
-      edge = next;
-    }
+  if (sleeps_ && idx >= theta_) {
+    // The request landed in, or the synchroniser ran into, the final
+    // sampling period before shutdown; the FSM checks request() before
+    // shutting down, so the clock keeps ticking at the slowest period
+    // until the sample completes.
+    m.sample_edge = awake_span_ + period_of_level(top_level_) *
+                                      static_cast<Time::Rep>(idx - theta_);
+    m.ticks = saturation_ticks_;
+    m.saturated = true;
+    m.cycles = asleep_cycles_;
+    return m;
   }
-  m.sample_edge = edge;
-  // counter_at_edge and cycles_until with the level and index in hand
-  // (edge ∈ [S_k, S_k+1)).
-  const std::uint64_t base =
-      static_cast<std::uint64_t>(cfg_.theta_div) * ((std::uint64_t{1} << k) - 1);
-  m.ticks = std::min(base + idx * (std::uint64_t{1} << k), saturation_ticks_);
-  m.saturated = m.ticks >= saturation_ticks_;
-  m.cycles = static_cast<std::uint64_t>(cfg_.theta_div) * k + idx;
+  // counter_at_edge and cycles_until with the level and index in hand:
+  // the counter reads the edge's own position in Tmin units, below
+  // saturation_ticks() since the edge comes before awake_span().
+  m.ticks = level_ticks(k) + (idx << k);
+  m.sample_edge = cfg_.tmin * static_cast<Time::Rep>(m.ticks);
+  m.cycles = theta_ * k + idx;
   return m;
 }
 

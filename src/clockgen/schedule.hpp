@@ -12,11 +12,20 @@
 // reset; the DES ClockGenerator and the analysis sweeps share this class, so
 // the cycle-level simulator and the paper's-Matlab-model equivalent are
 // provably quantising identically.
+//
+// Every level start S_k = theta_div * Tmin * (2^k - 1) is a whole number of
+// Tmin, so every query goes through one locator: with f = floor(elapsed /
+// Tmin), elapsed >= S_k <=> f >= theta_div * (2^k - 1), so the level is
+// min(top, bit_width(floor(elapsed / (theta_div * Tmin)) + 1) - 1) and the
+// edge index within it a subtraction and a shift by k. Both quotients are
+// a multiply by a precomputed reciprocal (util/reciprocal.hpp), exact over
+// the whole non-negative time range: no level scan and no hardware divide.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "util/reciprocal.hpp"
 #include "util/time.hpp"
 
 namespace aetr::clockgen {
@@ -48,6 +57,12 @@ class SamplingSchedule {
   /// Time::max() when shutdown or division is disabled.
   [[nodiscard]] Time awake_span() const;
 
+  /// Whole Tmin periods in `span` (>= 0): floor(span / Tmin), by the
+  /// schedule's reciprocal.
+  [[nodiscard]] std::uint64_t tmin_ticks(Time span) const {
+    return tmin_recip_.divide(static_cast<std::uint64_t>(span.count_ps()));
+  }
+
   /// Counter value the timestamp register freezes at when the clock stops
   /// (the elapsed awake time in Tmin units). Events waiting longer than
   /// awake_span() are tagged saturated.
@@ -78,7 +93,8 @@ class SamplingSchedule {
   /// interval: the counter value latched `sync_edges` sampling edges after
   /// the request arrives, `delta` after the previous sample. Returns the
   /// measured ticks and the edge (relative time) at which the sample closes,
-  /// which becomes the next interval's origin.
+  /// which becomes the next interval's origin. One locator call, then the
+  /// synchroniser edges by index arithmetic: the per-capture hot path.
   struct Measurement {
     std::uint64_t ticks{0};
     Time sample_edge{Time::zero()};
@@ -101,9 +117,27 @@ class SamplingSchedule {
       Time until, std::size_t max_edges = 1u << 20) const;
 
  private:
+  /// The first edge at or after an elapsed time: its level k and its index
+  /// within the level (edge = S_k + idx * Tmin * 2^k). idx reaches
+  /// theta_div when the edge falls on the next level's start.
+  struct Place {
+    std::uint32_t k;
+    std::uint64_t idx;
+  };
+  [[nodiscard]] std::uint32_t level_of_ps(std::uint64_t ps) const;
+  [[nodiscard]] Place first_edge_place(Time elapsed) const;
+  /// theta_div * (2^k - 1): S_k in Tmin units.
+  [[nodiscard]] std::uint64_t level_ticks(std::uint32_t k) const {
+    return theta_ * ((std::uint64_t{1} << k) - 1);
+  }
+
   ScheduleConfig cfg_;
+  std::uint64_t theta_;               // theta_div, widened
   std::uint32_t top_level_;           // n_div if dividing, else 0
-  std::vector<Time> level_starts_;    // S_0..S_(top+1)
+  bool sleeps_;                       // divides and shuts down
+  Time awake_span_;                   // S_(top+1), or Time::max()
+  Reciprocal tmin_recip_;             // / Tmin
+  Reciprocal dwell_recip_;            // / (theta_div * Tmin)
   std::uint64_t saturation_ticks_;    // saturation_ticks(), cached
   std::uint64_t asleep_cycles_;       // cycles_until() once asleep, cached
 };

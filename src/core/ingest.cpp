@@ -36,7 +36,9 @@ std::size_t IngestPump::push(std::span<const aer::Event> events) {
   Time last = session_.last_event_time().value_or(
       events.empty() ? Time::zero() : events.front().time);
   std::size_t valid = 0;
-  for (; valid < events.size() && events[valid].time >= last; ++valid) {
+  for (; valid < events.size() && events[valid].time >= last &&
+         events[valid].time <= aer::kLatestEventTime;
+       ++valid) {
     last = events[valid].time;
   }
   const bool snapshotting = interval_ > Time::zero();

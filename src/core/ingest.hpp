@@ -40,7 +40,8 @@ class IngestPump {
   IngestPump(Session& session, double interval_sec, SnapshotFn on_snapshot);
 
   /// Returns how many events were ingested: fewer than given when one goes
-  /// back in time or the snapshot callback returns false.
+  /// back in time or past aer::kLatestEventTime, or the snapshot callback
+  /// returns false.
   std::size_t push(std::span<const aer::Event> events);
 
  private:

@@ -362,6 +362,7 @@ struct Session::Impl {
       throw std::invalid_argument(
           "Session::feed: events must arrive in non-decreasing time order");
     }
+    if (ev.time > aer::kLatestEventTime) throw too_late("Session::feed");
     if (buffered() >= scenario.session.max_buffered_events) {
       return false;
     }
@@ -376,8 +377,14 @@ struct Session::Impl {
     return true;
   }
 
+  static std::invalid_argument too_late(const char* who) {
+    return std::invalid_argument(
+        std::string{who} + ": event time past aer::kLatestEventTime");
+  }
+
   /// Append the longest non-decreasing prefix of `events` (continuing
-  /// from the last event fed) in one go, then throw if that was not all.
+  /// from the last event fed, none past aer::kLatestEventTime) in one go,
+  /// then throw if that was not all.
   /// Per-event feed() with the cap off, minus the per-event upkeep:
   /// revive_services() depends only on the clock and the first and last
   /// event times.
@@ -386,7 +393,9 @@ struct Session::Impl {
     if (events.empty()) return;
     Time last = have_first_event ? last_event_time : events.front().time;
     std::size_t n = 0;
-    for (; n < events.size() && events[n].time >= last; ++n) {
+    for (; n < events.size() && events[n].time >= last &&
+           events[n].time <= aer::kLatestEventTime;
+         ++n) {
       last = events[n].time;
     }
     if (n > 0) {
@@ -399,6 +408,9 @@ struct Session::Impl {
       last_event_time = last;
       fed_total += n;
       revive_services(events.front().time);
+    }
+    if (n < events.size() && events[n].time >= last) {
+      throw too_late("Session::feed_all");
     }
     if (n < events.size()) {
       throw std::invalid_argument(

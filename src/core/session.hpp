@@ -59,7 +59,8 @@ class Session {
   // --- streaming input ------------------------------------------------------
 
   /// Buffer one event for later submission. Events must be fed in
-  /// non-decreasing time order (throws std::invalid_argument otherwise).
+  /// non-decreasing time order, none later than aer::kLatestEventTime
+  /// (throws std::invalid_argument otherwise).
   /// Returns false — and does NOT accept the event — when the internal
   /// buffer already holds session.max_buffered_events; the caller should
   /// advance_to() to drain the buffer, then retry.
@@ -70,8 +71,9 @@ class Session {
   /// This is what the run_scenario() entry points use — a batch caller
   /// already holds the stream, so bounding the session's copy of it
   /// protects nothing. Same ordering contract as feed(): the events before
-  /// the first one that goes back in time are accepted (events_fed()
-  /// counts them), then it throws std::invalid_argument. Within the cap
+  /// the first one that goes back in time or past aer::kLatestEventTime
+  /// are accepted (events_fed() counts them), then it throws
+  /// std::invalid_argument. Within the cap
   /// (events.size() <= room()) it leaves the session exactly as a loop of
   /// feed() calls would, which lets core::IngestPump feed in runs.
   void feed_all(std::span<const aer::Event> events);

@@ -282,12 +282,15 @@ void Connection::handle_data(const FrameView& f) {
                    " credit");
     return;
   }
-  // The prefix before an event that goes back in time is ingested before
-  // the NACK; a failed snapshot has NACKed already.
+  // The prefix before an event that goes back in time, or past the
+  // latest time a session takes, is ingested before the NACK; a failed
+  // snapshot has NACKed already.
   const std::size_t pushed = pump_->push(events);
   ingested_ += pushed;
   if (pushed < events.size()) {
-    protocol_error("non-monotonic DATA timestamp");
+    protocol_error(events[pushed].time > aer::kLatestEventTime
+                       ? "DATA timestamp out of range"
+                       : "non-monotonic DATA timestamp");
     return;
   }
   send_frame(MsgType::kCredit,

@@ -14,9 +14,11 @@ those rows instead of passing unnoticed here.
 Scripted rows drive the multi-process scenarios a two-variant table cannot
 express: SIGKILL then --resume, SIGTERM drains, and an optimizer run that
 is interrupted (exit 4) and resumed. Two more pin CLI contracts: bad
-`opt` numbers exit 2, and `aetr-serve run --dump-config` round-trips. They wait for a file
-the programs write (an atomic snapshot, the gateway's --port-file),
-giving up after TIMEOUT_S, instead of sleeping a fixed time.
+`opt` numbers exit 2, and `aetr-serve run --dump-config` round-trips. They
+wait for a file the programs write (an atomic snapshot, the gateway's
+--port-file), giving up after TIMEOUT_S, instead of sleeping a fixed time.
+The golden row pins every `aetr-sweep all` artifact to the sha256 listed
+in tests/golden_sweep_all.sha256.
 
 tests/CMakeLists.txt registers one ctest per row under the label
 `determinism`; run them with `ctest --preset default -L determinism`, or
@@ -28,6 +30,7 @@ one row by hand:
 """
 import argparse
 import collections
+import hashlib
 import os
 import pathlib
 import signal
@@ -73,6 +76,10 @@ ROWS = [
         ["--seed", "1"], ["--seed", "2"],
         ["aetr_fig8.csv", "aetr_fig8_points.csv"], will_fail=True),
 ]
+
+# `sha256sum *` of the `aetr-sweep all --jobs 2` output directory. An
+# intentional output change regenerates it and says so in CHANGES.md.
+GOLDEN = pathlib.Path(__file__).with_name("golden_sweep_all.sha256")
 
 OPT_ARTIFACTS = ["aetr_opt_trials.csv", "aetr_opt_pareto.csv",
                  "aetr_opt_pareto.svg", "aetr_opt_summary.json",
@@ -291,12 +298,36 @@ def serve_config_round_trip(sweep, serve, work):
         run([serve, *cmd, "--snapshot-interval-sec", "1e-13"], expect=2)
 
 
+def sweep_all_golden(sweep, serve, work):
+    """`aetr-sweep all --jobs 2` writes exactly the artifacts GOLDEN lists,
+    each with its listed sha256; a failure names every file that is
+    missing, unlisted or different."""
+    run([sweep, "all", "--jobs", "2", "--quiet"],
+        env={**os.environ, "AETR_OUT": str(work)})
+    want = {}
+    for line in GOLDEN.read_text().splitlines():
+        digest, name = line.split(maxsplit=1)
+        want[name.lstrip("*")] = digest
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in work.iterdir() if p.is_file()}
+    problems = [f"{n} missing" for n in sorted(want.keys() - got.keys())]
+    problems += [f"{n} not in {GOLDEN.name}"
+                 for n in sorted(got.keys() - want.keys())]
+    problems += [f"{n} differs (sha256 {got[n][:12]}, listed {want[n][:12]})"
+                 for n in sorted(want.keys() & got.keys())
+                 if got[n] != want[n]]
+    if problems:
+        raise Failure(f"{len(problems)} of {len(want)} artifacts off the "
+                      "golden list:\n  " + "\n  ".join(problems))
+
+
 SCRIPTS = {
     "serve-kill-resume": serve_kill_resume,
     "serve-drain": serve_drain,
     "opt-resume": opt_interrupt_resume,
     "opt-bad-numbers": opt_bad_numbers,
     "serve-dump-config": serve_config_round_trip,
+    "golden": sweep_all_golden,
 }
 
 

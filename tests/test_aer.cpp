@@ -261,6 +261,23 @@ TEST(Trace, CrlfTraceWithBlankAndCommentLinesLoads) {
   std::remove(path.c_str());
 }
 
+TEST(Trace, ReaderRefusesATimePastTheLatestAndNamesTheLine) {
+  const Time::Rep latest = kLatestEventTime.count_ps();
+  std::stringstream ss{"100 5\n" + std::to_string(latest) + " 6\n" +
+                       std::to_string(latest + 1) + " 7\n"};
+  TraceReader reader{ss};
+  EXPECT_EQ(reader.next(), (Event{5, 100_ps}));
+  EXPECT_EQ(reader.next(), (Event{6, kLatestEventTime}));
+  try {
+    (void)reader.next();
+    FAIL() << "a time past kLatestEventTime was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string{e.what()},
+              "read_trace: time out of range at line 3: " +
+                  std::to_string(latest + 1) + " 7");
+  }
+}
+
 TEST(Trace, ReaderYieldsEventsOneAtATimeAndNamesTheLine) {
   std::stringstream ss{"# c\n100 5\n\n200 6\n150 7\n"};
   TraceReader reader{ss};

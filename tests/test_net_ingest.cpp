@@ -282,6 +282,24 @@ TEST(NetIngest, NonMonotonicEventMidFrameIsNackedAfterTheSamePrefix) {
   }
 }
 
+TEST(NetIngest, EventPastTheLatestTimeIsNackedAfterThePrefix) {
+  // The wire carries any int64 time; the session takes none past
+  // aer::kLatestEventTime, so the gateway ingests the prefix before it
+  // and NACKs, without an exception leaving on_bytes().
+  const Time latest = aer::kLatestEventTime;
+  Gateway gw{core::ScenarioConfig{}, /*keep_history=*/false};
+  const aer::EventStream frame{
+      {1, Time::us(5)}, {2, latest}, {3, latest + Time::ps(1)}};
+  bool open = true;
+  EXPECT_NO_THROW(open = gw.push(net::MsgType::kData,
+                                 net::encode_data(frame, 0, frame.size())));
+  EXPECT_FALSE(open);
+  ASSERT_EQ(gw.replies.back().type, net::MsgType::kNack);
+  EXPECT_EQ(net::decode_nack(gw.replies.back().payload).reason,
+            "DATA timestamp out of range");
+  EXPECT_EQ(gw.conn->events_ingested(), 2u);
+}
+
 TEST(NetIngest, RunFeedMatchesWithFaultsAndMetricsGrid) {
   // Metrics grid and handshake watchdog both wind down in the idle gaps of
   // a sparse stream and are revived by the next frame's events: a run

@@ -3,12 +3,14 @@
 // and property sweeps proving the quantisation bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "clockgen/schedule.hpp"
+#include "util/reciprocal.hpp"
 #include "util/rng.hpp"
 
 namespace aetr::clockgen {
@@ -364,6 +366,267 @@ TEST(Schedule, MeasureMatchesEdgeByEdgeReference) {
     }
   }
   EXPECT_GT(cases, 24u * 400u * 4u);
+}
+
+// ---------------------------------------------------------------------------
+// The locator against the schedule's earlier formulation: a scan up the
+// level starts and one hardware division per query. Kept here, verbatim in
+// substance, as an oracle that shares no code with SamplingSchedule.
+
+class ScanSchedule {
+ public:
+  explicit ScanSchedule(const ScheduleConfig& cfg) : cfg_{cfg} {
+    top_ = cfg.divide_enabled ? cfg.n_div : 0;
+    const Time dwell = cfg.tmin * static_cast<Time::Rep>(cfg.theta_div);
+    for (std::uint32_t k = 0; k <= top_; ++k) {
+      starts_.push_back(dwell *
+                        static_cast<Time::Rep>((std::uint64_t{1} << k) - 1));
+    }
+    starts_.push_back(
+        cfg.divide_enabled && cfg.shutdown_enabled
+            ? dwell * static_cast<Time::Rep>(
+                          (std::uint64_t{1} << (top_ + 1)) - 1)
+            : Time::max());
+    sat_ = awake() == Time::max()
+               ? ~std::uint64_t{0}
+               : static_cast<std::uint64_t>(awake() / cfg.tmin);
+    asleep_cycles_ =
+        static_cast<std::uint64_t>(cfg.theta_div) * (top_ + 1) - 1;
+  }
+
+  [[nodiscard]] Time awake() const { return starts_[top_ + 1]; }
+  [[nodiscard]] Time period(std::uint32_t k) const {
+    return cfg_.tmin * static_cast<Time::Rep>(std::uint64_t{1} << k);
+  }
+  [[nodiscard]] std::uint32_t level_at(Time e) const {
+    std::uint32_t k = 0;
+    while (k < top_ && e >= starts_[k + 1]) ++k;
+    return k;
+  }
+  [[nodiscard]] bool is_asleep_at(Time e) const { return e >= awake(); }
+  [[nodiscard]] Time first_edge_at_or_after(Time e) const {
+    if (e <= Time::zero()) return Time::zero();
+    if (is_asleep_at(e)) return Time::max();
+    const std::uint32_t k = level_at(e);
+    const Time s = starts_[k];
+    const Time p = period(k);
+    const Time edge = s + p * ceil_div((e - s).count_ps(), p.count_ps());
+    if (edge >= starts_[k + 1]) {
+      return k < top_ ? starts_[k + 1] : Time::max();
+    }
+    return edge;
+  }
+  [[nodiscard]] std::uint64_t counter_at_edge(Time edge) const {
+    if (edge >= awake()) return sat_;
+    const std::uint32_t k = level_at(edge);
+    const auto i = static_cast<std::uint64_t>((edge - starts_[k]) / period(k));
+    const std::uint64_t base = static_cast<std::uint64_t>(cfg_.theta_div) *
+                               ((std::uint64_t{1} << k) - 1);
+    return std::min(base + i * (std::uint64_t{1} << k), sat_);
+  }
+  [[nodiscard]] std::uint64_t cycles_until(Time e) const {
+    if (e <= Time::zero()) return 0;
+    if (is_asleep_at(e)) return asleep_cycles_;
+    const std::uint32_t k = level_at(e);
+    return static_cast<std::uint64_t>(cfg_.theta_div) * k +
+           static_cast<std::uint64_t>((e - starts_[k]) / period(k));
+  }
+  /// The earlier measure(): first edge by one division, then one edge at a
+  /// time through the synchroniser.
+  [[nodiscard]] SamplingSchedule::Measurement measure(Time delta,
+                                                      std::uint32_t sync,
+                                                      Time wake) const {
+    SamplingSchedule::Measurement m;
+    const auto saturate = [&](Time edge) {
+      m.sample_edge = edge;
+      m.ticks = sat_;
+      m.saturated = true;
+      m.cycles = asleep_cycles_;
+      return m;
+    };
+    if (is_asleep_at(delta)) {
+      return saturate(delta + wake +
+                      cfg_.tmin * static_cast<Time::Rep>(sync + 1));
+    }
+    std::uint32_t k = 0;
+    Time edge = Time::zero();
+    std::uint64_t idx = 0;
+    if (delta > Time::zero()) {
+      k = level_at(delta);
+      const Time s = starts_[k];
+      const Time p = period(k);
+      idx = static_cast<std::uint64_t>(
+          ceil_div((delta - s).count_ps(), p.count_ps()));
+      edge = s + p * static_cast<Time::Rep>(idx);
+      if (edge >= starts_[k + 1]) {
+        if (k == top_) {
+          return saturate(awake() +
+                          period(top_) * static_cast<Time::Rep>(sync));
+        }
+        edge = starts_[k + 1];
+        ++k;
+        idx = 0;
+      }
+    }
+    for (std::uint32_t i = 0; i < sync; ++i) {
+      Time next = edge + period(k);
+      if (next >= starts_[k + 1]) {
+        if (k == top_) {
+          return saturate(awake() +
+                          period(top_) * static_cast<Time::Rep>(sync - i - 1));
+        }
+        next = starts_[k + 1];
+        ++k;
+        idx = 0;
+      } else {
+        ++idx;
+      }
+      edge = next;
+    }
+    m.sample_edge = edge;
+    const std::uint64_t base = static_cast<std::uint64_t>(cfg_.theta_div) *
+                               ((std::uint64_t{1} << k) - 1);
+    m.ticks = std::min(base + idx * (std::uint64_t{1} << k), sat_);
+    m.saturated = m.ticks >= sat_;
+    m.cycles = static_cast<std::uint64_t>(cfg_.theta_div) * k + idx;
+    return m;
+  }
+
+ private:
+  static Time::Rep ceil_div(Time::Rep a, Time::Rep b) {
+    return (a + b - 1) / b;
+  }
+
+  ScheduleConfig cfg_;
+  std::uint32_t top_{0};
+  std::vector<Time> starts_;
+  std::uint64_t sat_{0};
+  std::uint64_t asleep_cycles_{0};
+};
+
+TEST(Schedule, LocatorMatchesScanAndDivideOracle) {
+  Xoshiro256StarStar rng{0x10CA7E};
+  std::size_t configs = 0;
+  std::size_t cases = 0;
+  for (const Time::Rep tmin : {1, 2, 3, 66'667, 1'000'003}) {
+    for (const std::uint32_t theta : {1u, 2u, 3u, 16u, 64u, 100u, 255u}) {
+      for (const std::uint32_t n_div : {0u, 1u, 8u, 30u}) {
+        for (const bool divide : {true, false}) {
+          for (const bool shutdown : {true, false}) {
+            ScheduleConfig cfg;
+            cfg.tmin = Time::ps(tmin);
+            cfg.theta_div = theta;
+            cfg.n_div = n_div;
+            cfg.divide_enabled = divide;
+            cfg.shutdown_enabled = shutdown;
+            const std::uint32_t top = divide ? n_div : 0;
+            // The range check: tmin * theta * (2^(top+1) - 1) is a Time.
+            const std::uint64_t last_factor =
+                theta * ((std::uint64_t{1} << (top + 1)) - 1);
+            if (static_cast<std::uint64_t>(tmin) >
+                static_cast<std::uint64_t>(Time::max().count_ps()) /
+                    last_factor) {
+              EXPECT_THROW(SamplingSchedule{cfg}, std::invalid_argument);
+              continue;
+            }
+            const SamplingSchedule s{cfg};
+            const ScanSchedule ref{cfg};
+            ++configs;
+            // Every level start and the shutdown instant, +-1 ps and
+            // +-Tmin; random deltas across the awake span and past it;
+            // the largest delta whose sample edge is still a Time.
+            const Time slowest = ref.period(top);
+            const Time wake_max = 100_ns;
+            const Time largest =
+                Time::max() - wake_max - slowest * 4 - Time::ps(1);
+            std::vector<Time> deltas{Time::zero(), Time::ps(1), largest};
+            for (std::uint32_t k = 0; k <= top + 1; ++k) {
+              const Time b = s.level_start(k);
+              ASSERT_EQ(b, k <= top ? ref.period(0) * static_cast<Time::Rep>(
+                                          theta * ((std::uint64_t{1} << k) - 1))
+                                    : ref.awake());
+              if (b == Time::max()) continue;
+              for (const Time d : {Time::ps(-1), Time::zero(), Time::ps(1),
+                                   Time::zero() - cfg.tmin, cfg.tmin}) {
+                if (b + d >= Time::zero()) deltas.push_back(b + d);
+              }
+            }
+            const Time span = ref.awake() != Time::max()
+                                  ? ref.awake() + ref.awake() / 4
+                                  : s.level_start(top) + slowest * 1000;
+            for (int i = 0; i < 64; ++i) {
+              deltas.push_back(Time::ps(static_cast<Time::Rep>(
+                  rng.uniform_int(static_cast<std::uint64_t>(
+                      std::min(span, largest).count_ps())))));
+            }
+            for (const Time delta : deltas) {
+              const std::string what =
+                  "tmin=" + std::to_string(tmin) +
+                  " theta=" + std::to_string(theta) +
+                  " n_div=" + std::to_string(n_div) +
+                  " divide=" + std::to_string(divide) +
+                  " shutdown=" + std::to_string(shutdown) +
+                  " delta=" + std::to_string(delta.count_ps()) + "ps";
+              ASSERT_EQ(s.is_asleep_at(delta), ref.is_asleep_at(delta))
+                  << what;
+              ASSERT_EQ(s.level_at(delta), ref.level_at(delta)) << what;
+              ASSERT_EQ(s.cycles_until(delta), ref.cycles_until(delta))
+                  << what;
+              const Time edge = s.first_edge_at_or_after(delta);
+              ASSERT_EQ(edge, ref.first_edge_at_or_after(delta)) << what;
+              ASSERT_EQ(s.counter_at_edge(delta), ref.counter_at_edge(delta))
+                  << what;
+              if (edge != Time::max()) {
+                ASSERT_EQ(s.counter_at_edge(edge), ref.counter_at_edge(edge))
+                    << what;
+                ASSERT_EQ(s.level_at(edge), ref.level_at(edge)) << what;
+              }
+              for (std::uint32_t sync = 0; sync <= 3; ++sync) {
+                for (const Time wake : {Time::zero(), wake_max}) {
+                  const auto m = s.measure(delta, sync, wake);
+                  const auto r = ref.measure(delta, sync, wake);
+                  ASSERT_EQ(m.sample_edge, r.sample_edge)
+                      << what << " sync=" << sync;
+                  ASSERT_EQ(m.ticks, r.ticks) << what << " sync=" << sync;
+                  ASSERT_EQ(m.saturated, r.saturated)
+                      << what << " sync=" << sync;
+                  ASSERT_EQ(m.cycles, r.cycles) << what << " sync=" << sync;
+                  ++cases;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(configs, 500u);
+  EXPECT_GT(cases, configs * 8u * 70u);
+}
+
+TEST(Reciprocal, MatchesHardwareDivision) {
+  Xoshiro256StarStar rng{0xD1D};
+  constexpr std::uint64_t kTop = (std::uint64_t{1} << 63) - 1;
+  std::vector<std::uint64_t> divisors{1,       2,        3,
+                                      7,       66'667,   1'000'003,
+                                      1u << 31, kTop / 2, kTop / 2 + 1,
+                                      kTop - 1, kTop};
+  for (int i = 0; i < 64; ++i) {
+    divisors.push_back(1 + rng.uniform_int(kTop));
+    divisors.push_back(1 + (rng.next() >> (1 + rng.uniform_int(63))));
+  }
+  for (const std::uint64_t d : divisors) {
+    const Reciprocal r{d};
+    std::vector<std::uint64_t> numerators{0, d - 1, d, kTop};
+    if (d <= kTop / 2) numerators.push_back(2 * d - 1);
+    for (int i = 0; i < 256; ++i) {
+      numerators.push_back(rng.uniform_int(kTop) + 1);
+      numerators.push_back(rng.next() >> (1 + rng.uniform_int(63)));
+    }
+    for (const std::uint64_t n : numerators) {
+      ASSERT_EQ(r.divide(n), n / d) << n << " / " << d;
+    }
+  }
 }
 
 }  // namespace

@@ -701,6 +701,42 @@ TEST(Session, FeedRejectsTimeRegression) {
                std::invalid_argument);
 }
 
+// An event at aer::kLatestEventTime runs to the end with every delay the
+// pipeline adds after it still a Time (the sanitize preset turns a signed
+// overflow into a failure), on the default clock, without shutdown and
+// without division, on both engines. One picosecond later is refused by
+// feed() and feed_all(), and so is the ingest pump's prefix.
+TEST(Session, LatestEventTimeRunsCleanAndOnePastIsRefused) {
+  const Time latest = aer::kLatestEventTime;
+  const aer::Event late{9, latest + Time::ps(1)};
+  for (const int clock : {0, 1, 2}) {
+    for (const bool fast : kEngines) {
+      core::ScenarioConfig sc;
+      sc.interface.clock.shutdown_enabled = clock != 1;
+      sc.interface.clock.divide_enabled = clock != 2;
+      const std::string what =
+          engine_name(fast) + " clock variant " + std::to_string(clock);
+      auto s = make_session(sc, fast);
+      s->feed_all(aer::EventStream{
+          {1, Time::us(5)}, {2, latest - Time::us(3)}, {3, latest}});
+      EXPECT_THROW((void)s->feed(late), std::invalid_argument) << what;
+      EXPECT_THROW(s->feed_all(aer::EventStream{{4, latest}, late}),
+                   std::invalid_argument)
+          << what;
+      EXPECT_EQ(s->events_fed(), 4u) << what;
+      const core::RunResult r = s->finish();
+      EXPECT_EQ(r.events_in, 4u) << what;
+      EXPECT_EQ(r.words_out, 4u) << what;
+      EXPECT_GT(r.sim_end, latest) << what;
+    }
+  }
+  core::Session s{core::ScenarioConfig{}};
+  core::IngestPump pump{s, 0.0, [] { return true; }};
+  EXPECT_EQ(pump.push(aer::EventStream{{1, Time::us(5)}, {2, latest}, late}),
+            2u);
+  EXPECT_EQ(s.events_fed(), 2u);
+}
+
 // feed_all() keeps feed()'s ordering contract: the in-order prefix is
 // accepted, then the call throws.
 TEST(Session, FeedAllKeepsPrefixOnDisorder) {
