@@ -100,7 +100,7 @@ void AerSender::restore_state(BlobReader& r) {
     queue_.push_back(Event{addr, r.time()});
   }
   sent_.clear();
-  const auto ns = r.u64();
+  const auto ns = r.count(2 + 8);  // u16 + time
   sent_.reserve(ns);
   for (std::uint64_t i = 0; i < ns; ++i) {
     const auto addr = r.u16();

@@ -113,7 +113,7 @@ void AerChannel::restore_state(BlobReader& r) {
   handshakes_ = r.u64();
   strict_ = r.b();
   violations_.clear();
-  const auto nv = r.u64();
+  const auto nv = r.count(8 + 8);  // time + string length
   violations_.reserve(nv);
   for (std::uint64_t i = 0; i < nv; ++i) {
     const Time t = r.time();

@@ -29,7 +29,8 @@
 // clock.n_div 0..30, session.max_buffered_events >= 1). Each refusal
 // throws std::runtime_error naming the key and leaves the config
 // untouched; cross-key rules (probabilities in [0, 1], batch threshold <=
-// capacity) are ScenarioConfig::validate()'s.
+// capacity, every time key and the clock's awake span at most
+// ScenarioConfig::kMaxTime) are ScenarioConfig::validate()'s.
 #pragma once
 
 #include <iosfwd>

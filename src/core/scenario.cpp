@@ -18,6 +18,30 @@ void check_prob(double p, const char* what) {
   }
 }
 
+/// A time key: it gets added to an event time, so it stays in
+/// [0, ScenarioConfig::kMaxTime].
+void check_time(Time t, const char* key) {
+  if (t < Time::zero() || t > ScenarioConfig::kMaxTime) {
+    throw std::invalid_argument(std::string{"ScenarioConfig: "} + key +
+                                " must be in [0, Time::max() / 4]");
+  }
+}
+
+/// The schedule's last level start, tmin * theta_div * (2^(top + 1) - 1)
+/// (its awake span when it sleeps), where tmin is the ring period times
+/// 2^(divider stages), is at most ScenarioConfig::kMaxTime. theta_div > 0.
+bool awake_span_fits(const clockgen::ClockGeneratorConfig& c) {
+  const unsigned stages = c.ref_divider_stages + c.sampling_divider_stages;
+  const std::uint32_t top = c.divide_enabled ? c.n_div : 0;
+  if (stages > 62 || top > 30) return false;
+  const std::uint64_t factor =
+      std::uint64_t{c.theta_div} * ((std::uint64_t{1} << (top + 1)) - 1);
+  const auto limit =
+      static_cast<std::uint64_t>(ScenarioConfig::kMaxTime.count_ps());
+  return c.ring_frequency.period().count_ps() <=
+         static_cast<Time::Rep>((limit / factor) >> stages);
+}
+
 /// Events per feed_all() + advance_to() step of a batch run.
 constexpr std::size_t kChunk = 4096;
 
@@ -84,8 +108,22 @@ void ScenarioConfig::validate() const {
     throw std::invalid_argument("ScenarioConfig: theta_div must be > 0");
   }
   check_prob(interface.front_end.metastability_prob, "metastability_prob");
-  if (cooldown < Time::zero()) {
-    throw std::invalid_argument("ScenarioConfig: cooldown must be >= 0");
+  // Every time key, and the awake span, gets added to an event time.
+  check_time(interface.clock.wake_latency, "clock.wake_latency_ns");
+  check_time(interface.drain_timeout, "drain_timeout_us");
+  check_time(sender.addr_setup, "sender.addr_setup_ns");
+  check_time(sender.req_release, "sender.req_release_ns");
+  check_time(sender.min_gap, "sender.min_gap_ns");
+  check_time(cooldown, "session.cooldown_us");
+  check_time(faults.aer.runt_width, "fault.aer.runt_width_ns");
+  check_time(faults.recovery.watchdog_timeout,
+             "fault.recovery.watchdog_timeout_us");
+  check_time(telemetry.metrics_window, "telemetry.metrics_window_ms");
+  if (!awake_span_fits(interface.clock)) {
+    throw std::invalid_argument(
+        "ScenarioConfig: the clock's awake span (clock.ring_mhz, "
+        "clock.ref_divider_stages, clock.sampling_divider_stages, "
+        "clock.theta_div, clock.n_div) must be at most Time::max() / 4");
   }
   // Fault plan.
   check_prob(faults.aer.drop_req_prob, "fault.aer.drop_req_prob");

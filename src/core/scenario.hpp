@@ -49,8 +49,14 @@ struct ScenarioConfig {
   /// its artifacts when the run finishes.
   telemetry::SessionOptions telemetry;
 
+  /// The most any time key may hold, and the most the clock's awake span
+  /// may reach: an event time (at most aer::kLatestEventTime,
+  /// Time::max() / 2) plus one of them stays a Time.
+  static constexpr Time kMaxTime = Time::max() / 4;
+
   /// Throws std::invalid_argument on the first inconsistency (probability
-  /// out of [0,1], zero-width runt, degenerate FIFO geometry, ...).
+  /// out of [0,1], zero-width runt, degenerate FIFO geometry, a time key
+  /// outside [0, kMaxTime] named by its key, ...).
   void validate() const;
 };
 

@@ -587,6 +587,22 @@ struct Session::Impl {
     return std::move(w).take();
   }
 
+  /// A restored time in [0, hi]. Event times stay within
+  /// aer::kLatestEventTime, as feed() keeps them; the clock and timer
+  /// deadlines run on past the latest event, by less than one config time
+  /// (ScenarioConfig::kMaxTime), so the pipeline's own delays still add up
+  /// to a Time.
+  static Time time_upto(BlobReader& r, Time hi, const char* what) {
+    const Time t = r.time();
+    if (t < Time::zero() || t > hi) {
+      throw std::runtime_error(std::string{"Session::restore: "} + what +
+                               " out of range");
+    }
+    return t;
+  }
+  static constexpr Time kLatestDeadline =
+      aer::kLatestEventTime + ScenarioConfig::kMaxTime;
+
   void restore(const std::vector<std::uint8_t>& blob) {
     require_live("restore");
     if (started || fed_total > 0) {
@@ -631,6 +647,11 @@ struct Session::Impl {
 
     started = r.b();
     span_open = r.b();
+    // finish() closes an open runner span on the trace.
+    if (span_open && (tel == nullptr || !tel->trace_on())) {
+      throw std::runtime_error(
+          "Session::restore: runner span open without a trace");
+    }
     keep_history = r.b();
     if (!keep_history) {
       sender->set_keep_sent(false);
@@ -638,15 +659,15 @@ struct Session::Impl {
     }
     fed_total = r.u64();
     have_first_event = r.b();
-    first_event_time = r.time();
-    last_event_time = r.time();
+    first_event_time = time_upto(r, aer::kLatestEventTime, "event time");
+    last_event_time = time_upto(r, aer::kLatestEventTime, "event time");
     pending.clear();
     pending_head = 0;
-    const std::uint64_t n_pending = r.u64();
+    const std::uint64_t n_pending = r.count(2 + 8);  // u16 + time
     pending.reserve(n_pending);
     for (std::uint64_t i = 0; i < n_pending; ++i) {
       const std::uint16_t addr = r.u16();
-      const Time t = r.time();
+      const Time t = time_upto(r, aer::kLatestEventTime, "event time");
       // submit_upto() relies on the buffer being ordered up to the last
       // event time.
       if (t > last_event_time ||
@@ -663,16 +684,18 @@ struct Session::Impl {
     submitted = static_cast<std::size_t>(n_queued);
 
     const bool had_grid = r.b();
-    const Time saved_grid_next = r.time();
+    const Time saved_grid_next =
+        time_upto(r, kLatestDeadline, "clock or deadline");
     const bool had_watchdog = r.b();
-    const Time saved_watchdog_deadline = r.time();
+    const Time saved_watchdog_deadline =
+        time_upto(r, kLatestDeadline, "clock or deadline");
     watchdog_suspect_ticks = static_cast<int>(r.i64());
     watchdog_suspect_handshakes = r.u64();
 
     const std::uint64_t rearm_count = r.u64();
 
     sim::Scheduler::ClockState clk;
-    clk.now = r.time();
+    clk.now = time_upto(r, kLatestDeadline, "clock or deadline");
     // Wind the sequence counter back by the timers about to re-arm (grid,
     // watchdog, drain deadlines, sender launch): their fresh allocations
     // then bring it back to the snapshotted value.
@@ -696,7 +719,7 @@ struct Session::Impl {
     scorer->restore_state(r);
 
     latencies.clear();
-    const std::uint64_t n_lat = r.u64();
+    const std::uint64_t n_lat = r.count(8);
     latencies.reserve(n_lat);
     for (std::uint64_t i = 0; i < n_lat; ++i) latencies.push_back(r.f64());
     harvested = r.u64();

@@ -185,7 +185,7 @@ void AerFrontEnd::restore_state(BlobReader& r) {
   for (auto& s : rs) s = r.u64();
   rng_.set_state(rs);
   records_.clear();
-  const auto nr = r.u64();
+  const auto nr = r.count(2 + 8 + 8 + 4);  // u16, two times, u32
   records_.reserve(nr);
   for (std::uint64_t i = 0; i < nr; ++i) {
     CaptureRecord rec;

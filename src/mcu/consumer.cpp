@@ -212,7 +212,7 @@ void McuConsumer::restore_state(BlobReader& r) {
   ds.saturated = r.u64();
   decoder_.set_state(ds);
   events_.clear();
-  const auto ne = r.u64();
+  const auto ne = r.count(2 + 8 + 1);  // u16, time, bool
   events_.reserve(ne);
   for (std::uint64_t i = 0; i < ne; ++i) {
     aer::TimedEvent ev;
@@ -222,7 +222,7 @@ void McuConsumer::restore_state(BlobReader& r) {
     events_.push_back(ev);
   }
   pending_.clear();
-  const auto np = r.u64();
+  const auto np = r.count(4);
   pending_.reserve(np);
   for (std::uint64_t i = 0; i < np; ++i) pending_.push_back(r.u32());
   running_crc_ = r.u32();

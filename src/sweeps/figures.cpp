@@ -8,14 +8,20 @@
 #include <utility>
 
 #include "analysis/error.hpp"
+#include "clockgen/schedule.hpp"
+#include "cochlea/audio.hpp"
+#include "cochlea/cochlea.hpp"
 #include "core/scenario.hpp"
 #include "gen/sources.hpp"
 #include "obs/ledger.hpp"
 #include "power/model.hpp"
 #include "runtime/sink.hpp"
+#include "sim/vcd.hpp"
 #include "sweeps/common.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/artifacts.hpp"
+#include "util/histogram.hpp"
+#include "util/stats.hpp"
 
 namespace aetr::sweeps {
 
@@ -313,6 +319,151 @@ FigureResult fig8_impl(const FigureOptions& opt) {
                                 "P(10)/P(550k) = " + fmt("%.2f", flatness)));
   }
 
+  return FigureResult{std::move(table), report, std::move(checks), csv,
+                      points_csv};
+}
+
+// --- Fig. 2: the divided sampling clock, Ndiv = 3, theta_div = 8 -----------
+
+// A closed-form picture, not a sweep: no job runs, so the report is empty.
+FigureResult fig2_impl(const FigureOptions& opt) {
+  clockgen::ScheduleConfig cfg;
+  cfg.tmin = Time::ns(100.0);  // display unit; the shape is what Fig. 2 shows
+  cfg.theta_div = 8;
+  cfg.n_div = 3;
+  const clockgen::SamplingSchedule schedule{cfg};
+  const Time span = schedule.awake_span();
+  const auto edges = schedule.enumerate_edges(span);
+
+  // The waveform, with an explicit low phase (50 % duty) per cycle.
+  {
+    sim::VcdWriter vcd{util::artifact_path("aetr_fig2.vcd", opt.out_dir)};
+    const auto clk = vcd.add_signal("clockgen", "sampling_clk");
+    const auto level = vcd.add_signal("clockgen", "div_level", 4);
+    const auto sleep = vcd.add_signal("clockgen", "sleep");
+    vcd.change(sleep, 0, Time::zero());
+    for (const auto& e : edges) {
+      vcd.change(clk, 1, e.at);
+      vcd.change(level, e.level, e.at);
+      vcd.change(clk, 0, e.at + schedule.period_of_level(e.level) / 2);
+    }
+    vcd.change(sleep, 1, span);
+  }
+
+  Table table{{"edge", "time", "level", "period"}};
+  std::vector<std::size_t> per_level(cfg.n_div + 1, 0);
+  bool inside = true;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const auto& e = edges[i];
+    table.add_row({std::to_string(i), e.at.to_string(),
+                   std::to_string(e.level),
+                   schedule.period_of_level(e.level).to_string()});
+    ++per_level[e.level];  // level_at() clamps to n_div
+    inside = inside && e.at < span;
+  }
+  const std::string csv = util::artifact_path("aetr_fig2.csv", opt.out_dir);
+  table.write_csv(csv);
+
+  const bool theta_per_level =
+      std::all_of(per_level.begin(), per_level.end(),
+                  [&](std::size_t n) { return n == cfg.theta_div; });
+  const bool stops = schedule.is_asleep_at(span) &&
+                     schedule.first_edge_at_or_after(span) == Time::max() &&
+                     schedule.enumerate_edges(span * 2).size() == edges.size();
+  std::vector<Check> checks;
+  checks.push_back(make_check(
+      "theta_div edges at each of the Ndiv + 1 levels",
+      theta_per_level && edges.size() == cfg.theta_div * (cfg.n_div + 1),
+      std::to_string(edges.size()) + " edges"));
+  checks.push_back(make_check("every edge inside the awake span", inside,
+                              "span " + span.to_string()));
+  checks.push_back(make_check("the clock stops at the awake span", stops, ""));
+  return FigureResult{std::move(table), {}, std::move(checks), csv, ""};
+}
+
+// --- Fig. 7: a cochlea word and its error distribution vs. theta_div -------
+
+FigureResult fig7_impl(const FigureOptions& opt) {
+  // The stimulus is part of the figure's definition, like the ablations'
+  // seeds: a synthesised word over a noise floor ("a word extracted from a
+  // real sentence"), seed 2024 whatever --seed says.
+  cochlea::CochleaModel sensor;
+  cochlea::AudioSynth synth{sensor.config().sample_rate, 2024};
+  auto audio = synth.word(cochlea::AudioSynth::demo_word());
+  synth.add_background(audio, 0.02);
+  const auto events = sensor.process(audio);
+
+  // Fig. 7a: the event-rate profile in 10 ms bins.
+  const Time bin = Time::ms(10.0);
+  const Time last = events.empty() ? Time::zero() : events.back().time;
+  std::vector<int> rate(static_cast<std::size_t>(last / bin) + 1, 0);
+  for (const auto& ev : events) ++rate[static_cast<std::size_t>(ev.time / bin)];
+  Table rate_table{{"t (ms)", "rate (kevt/s)"}};
+  for (std::size_t b = 0; b < rate.size(); ++b) {
+    rate_table.add_row(
+        {Table::num(static_cast<double>(b) * bin.to_ms(), 4),
+         Table::num(static_cast<double>(rate[b]) / bin.to_sec() / 1e3, 4)});
+  }
+  rate_table.write_csv(util::artifact_path("aetr_fig7a_rate.csv", opt.out_dir));
+
+  // Fig. 7b: the word through the full interface at each theta_div.
+  const std::vector<double> thetas{16, 32, 64};
+  const Histogram bins{0.0, 12.0, 16};  // error %, like the paper's x axis
+  SweepGrid grid;
+  grid.axis("theta", thetas);
+  const auto job = [&events, &bins](const JobContext& ctx) {
+    core::ScenarioConfig scn;
+    scn.interface.clock.theta_div =
+        static_cast<std::uint32_t>(ctx.point.at("theta"));
+    scn.interface.fifo.batch_threshold = 256;
+    const auto result = core::run_scenario(scn, events);
+    const auto errors = analysis::record_errors(
+        result.records, result.tick_unit, result.saturation_span);
+    Histogram h = bins;
+    RunningStats stats;
+    for (const double e : errors) {
+      h.add(100.0 * e);
+      stats.add(e);
+    }
+    JobOutput out;
+    out.values = {stats.mean()};
+    for (std::size_t b = 0; b < h.bin_count(); ++b) {
+      out.values.push_back(h.probability(b));
+    }
+    out.rows = {{fmt("%g", ctx.point.at("theta")),
+                 std::to_string(errors.size()), fmt("%.6g", stats.mean())}};
+    return out;
+  };
+  const std::string points_csv =
+      util::artifact_path("aetr_fig7_points.csv", opt.out_dir);
+  runtime::CsvSink sink{points_csv};
+  const auto report = runtime::run_sweep(
+      grid, job, sweep_options(opt, 7, {"theta", "captures", "mean_err"}),
+      &sink);
+
+  const auto& out = report.outputs;
+  Table table{{"error bin", "P(theta=16)", "P(theta=32)", "P(theta=64)"}};
+  for (std::size_t b = 0; b < bins.bin_count(); ++b) {
+    table.add_row({Table::num(bins.bin_lo(b), 3) + "-" +
+                       Table::num(bins.bin_hi(b), 3) + "%",
+                   Table::num(out[0].values[b + 1], 3),
+                   Table::num(out[1].values[b + 1], 3),
+                   Table::num(out[2].values[b + 1], 3)});
+  }
+  const std::string csv =
+      util::artifact_path("aetr_fig7b_errors.csv", opt.out_dir);
+  table.write_csv(csv);
+
+  const double m16 = out[0].values[0];
+  const double m32 = out[1].values[0];
+  const double m64 = out[2].values[0];
+  std::vector<Check> checks;
+  checks.push_back(make_check(
+      "accuracy improves with theta_div (paper Fig. 7b)",
+      m64 < m32 && m32 < m16,
+      "mean error " + fmt("%.3f", 100.0 * m16) + " / " +
+          fmt("%.3f", 100.0 * m32) + " / " + fmt("%.3f", 100.0 * m64) +
+          " % at theta_div 16 / 32 / 64"));
   return FigureResult{std::move(table), report, std::move(checks), csv,
                       points_csv};
 }
@@ -641,7 +792,9 @@ FigureResult faults_impl(const FigureOptions& opt) {
 
 }  // namespace
 
+FigureResult run_fig2(const FigureOptions& opt) { return fig2_impl(opt); }
 FigureResult run_fig6(const FigureOptions& opt) { return fig6_impl(opt); }
+FigureResult run_fig7(const FigureOptions& opt) { return fig7_impl(opt); }
 FigureResult run_fig8(const FigureOptions& opt) { return fig8_impl(opt); }
 FigureResult run_ablation_ndiv(const FigureOptions& opt) {
   return ablation_ndiv_impl(opt);
@@ -653,8 +806,12 @@ FigureResult run_faults(const FigureOptions& opt) { return faults_impl(opt); }
 
 const std::vector<FigureDef>& figures() {
   static const std::vector<FigureDef> defs{
+      {"fig2", "Fig. 2 — the divided sampling clock, Ndiv = 3, theta_div = 8",
+       &run_fig2},
       {"fig6", "Fig. 6 — avg relative timestamp error vs. event rate",
        &run_fig6},
+      {"fig7", "Fig. 7 — a cochlea word: rate profile, error vs. theta_div",
+       &run_fig7},
       {"fig8", "Fig. 8 — average interface power vs. event rate", &run_fig8},
       {"ablation-ndiv", "A1 — N_div as the max-measurable-interval knob",
        &run_ablation_ndiv},
@@ -695,8 +852,11 @@ const FigureDef* find_figure(const std::string& name) {
 
 int report_figure(const FigureResult& result, std::ostream& os) {
   result.table.print(os);
-  os << "\nseries written to " << result.csv_path << " (per-job rows: "
-     << result.points_csv_path << ")\n";
+  os << "\nseries written to " << result.csv_path;
+  if (!result.points_csv_path.empty()) {
+    os << " (per-job rows: " << result.points_csv_path << ")";
+  }
+  os << "\n";
   if (!result.checks.empty()) {
     os << "\nchecks:\n";
     for (const auto& c : result.checks) {
@@ -706,14 +866,16 @@ int report_figure(const FigureResult& result, std::ostream& os) {
     }
   }
   const auto& rep = result.report;
-  char line[160];
-  std::snprintf(line, sizeof line,
-                "\nsweep: %zu jobs on %zu threads in %.3f s wall"
-                " (%.3f s busy, %.1f jobs/s, %llu steals)\n",
-                rep.metrics.size(), rep.threads, rep.wall_sec, rep.busy_sec(),
-                rep.jobs_per_sec(),
-                static_cast<unsigned long long>(rep.steals));
-  os << line;
+  if (!rep.metrics.empty()) {  // a closed-form figure runs no sweep
+    char line[160];
+    std::snprintf(line, sizeof line,
+                  "\nsweep: %zu jobs on %zu threads in %.3f s wall"
+                  " (%.3f s busy, %.1f jobs/s, %llu steals)\n",
+                  rep.metrics.size(), rep.threads, rep.wall_sec,
+                  rep.busy_sec(), rep.jobs_per_sec(),
+                  static_cast<unsigned long long>(rep.steals));
+    os << line;
+  }
   return result.ok() ? 0 : 1;
 }
 

@@ -4,7 +4,9 @@
 // point onto the work-stealing pool, and post-processes the ordered outputs
 // into the paper-style table, the CSV series, and the self-checks. The
 // `aetr-sweep` CLI is the one front door to them (`aetr-sweep fig8`, ...),
-// so a figure is defined in exactly one place.
+// so a figure is defined in exactly one place: every paper figure (Fig. 2,
+// 6, 7, 8) and every study is a registry entry, and no standalone bench
+// main reproduces one.
 //
 // Determinism: for a fixed (figure, seed, grid) every output file is
 // byte-identical whatever `jobs` is — see runtime/sweep.hpp for the
@@ -62,7 +64,7 @@ struct Check {
 struct FigureResult {
   Table table;                    ///< the paper-style series table
   runtime::SweepReport report;    ///< per-job + whole-sweep metrics
-  std::vector<Check> checks;      ///< empty in --quick mode
+  std::vector<Check> checks;      ///< --quick skips the paper checks
   std::string csv_path;           ///< main series CSV
   std::string points_csv_path;    ///< long-format per-job CSV (streamed)
 
@@ -74,7 +76,15 @@ struct FigureResult {
   }
 };
 
+/// Fig. 2: the sampling-clock waveform (aetr_fig2.vcd) and its edge table
+/// (aetr_fig2.csv). Closed-form, so it runs no sweep job and takes no seed.
+FigureResult run_fig2(const FigureOptions& opt);
 FigureResult run_fig6(const FigureOptions& opt);
+/// Fig. 7: a synthesised cochlea word (fixed stimulus seed 2024, which
+/// --seed does not change): its rate profile (aetr_fig7a_rate.csv) and the
+/// timestamp-error distribution at theta_div 16/32/64, one job each
+/// (aetr_fig7b_errors.csv). --quick runs the same grid.
+FigureResult run_fig7(const FigureOptions& opt);
 FigureResult run_fig8(const FigureOptions& opt);
 FigureResult run_ablation_ndiv(const FigureOptions& opt);
 FigureResult run_ablation_agreement(const FigureOptions& opt);

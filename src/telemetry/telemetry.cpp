@@ -263,11 +263,11 @@ void TraceSession::save_state(BlobWriter& w) const {
 
 void TraceSession::restore_state(BlobReader& r) {
   track_names_.clear();
-  const auto nt = r.u64();
+  const auto nt = r.count(8);  // string length
   track_names_.reserve(nt);
   for (std::uint64_t i = 0; i < nt; ++i) track_names_.push_back(r.str());
   events_.clear();
-  const auto ne = r.u64();
+  const auto ne = r.count(1 + 4 + 8 + 8 + 8 + 1);  // an event without args
   events_.reserve(ne);
   for (std::uint64_t i = 0; i < ne; ++i) {
     Event e;
@@ -304,12 +304,12 @@ void MetricsRegistry::save_state(BlobWriter& w) const {
 
 void MetricsRegistry::restore_state(BlobReader& r) {
   snapshots_.clear();
-  const auto ns = r.u64();
+  const auto ns = r.count(8 + 8);  // time + value count
   snapshots_.reserve(ns);
   for (std::uint64_t i = 0; i < ns; ++i) {
     Snapshot s;
     s.at = r.time();
-    const auto nv = r.u64();
+    const auto nv = r.count(8);
     s.values.reserve(nv);
     for (std::uint64_t v = 0; v < nv; ++v) s.values.push_back(r.f64());
     snapshots_.push_back(std::move(s));
@@ -318,7 +318,7 @@ void MetricsRegistry::restore_state(BlobReader& r) {
   for (std::uint64_t i = 0; i < nh; ++i) {
     const std::string name = r.str();
     const double total = r.f64();
-    const auto bins = r.u64();
+    const auto bins = r.count(8);
     std::vector<double> counts;
     counts.reserve(bins);
     for (std::uint64_t b = 0; b < bins; ++b) counts.push_back(r.f64());

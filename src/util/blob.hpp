@@ -98,6 +98,20 @@ class BlobReader {
     pos_ += n;
   }
 
+  /// An element count read as u64, refused with the truncation error when
+  /// the rest of the blob cannot hold that many elements of at least
+  /// `elem_bytes` bytes each, so a restore may reserve() it.
+  [[nodiscard]] std::size_t count(std::size_t elem_bytes) {
+    const std::uint64_t n = u64();
+    if (n > remaining() / elem_bytes) {
+      throw std::runtime_error("blob: truncated (need " + std::to_string(n) +
+                               " elements of " + std::to_string(elem_bytes) +
+                               " bytes, have " + std::to_string(remaining()) +
+                               ")");
+    }
+    return static_cast<std::size_t>(n);
+  }
+
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
   [[nodiscard]] bool done() const { return pos_ == size_; }
 

@@ -432,6 +432,50 @@ TEST(ScenarioIo, NonFiniteAndHugeNumbersThrow) {
   }
 }
 
+// Every time key is added to an event time (up to aer::kLatestEventTime,
+// Time::max() / 2), so validate() bounds it at Time::max() / 4, about
+// 2.3e18 ps, and so does the clock's awake span. Config text and a
+// programmatic config meet the same check, which names the key.
+TEST(ScenarioIo, TimesThatOverflowAnEventTimeAreRefusedByKey) {
+  const auto expect_refused = [](const std::string& text,
+                                 const std::string& key) {
+    try {
+      (void)load_scenario_text(text);
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(key), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refused("session.cooldown_us = 9000000000000\n",
+                 "session.cooldown_us");
+  std::size_t time_keys = 0;
+  for (const auto& [key, value] : default_assignments()) {
+    const double ps_per_unit = ends_with(key, "_ns")   ? 1e3
+                               : ends_with(key, "_us") ? 1e6
+                               : ends_with(key, "_ms") ? 1e9
+                                                       : 0.0;
+    if (ps_per_unit == 0.0) continue;
+    ++time_keys;
+    std::ostringstream over;
+    over << key << " = " << 3e18 / ps_per_unit << "\n";
+    expect_refused(over.str(), key);
+    std::ostringstream under;
+    under << key << " = " << 2e18 / ps_per_unit << "\n";
+    EXPECT_NO_THROW((void)load_scenario_text(under.str())) << under.str();
+  }
+  EXPECT_EQ(time_keys, 9u);
+  // 100 ns ring period * 2^3 * 4096 * (2^31 - 1) is about 7e18 ps.
+  expect_refused("clock.ring_mhz = 10\nclock.theta_div = 4096\n"
+                 "clock.n_div = 30\n",
+                 "clock.n_div");
+  ScenarioConfig programmatic;
+  programmatic.cooldown = Time::us(9e12);
+  EXPECT_THROW(programmatic.validate(), std::invalid_argument);
+  programmatic.cooldown = ScenarioConfig::kMaxTime;
+  EXPECT_NO_THROW(programmatic.validate());
+}
+
 // --- exact round trip -------------------------------------------------------
 
 /// One scenario key's text, after loading `text` as its value.

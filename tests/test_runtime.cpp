@@ -551,28 +551,40 @@ TEST(Figures, QuickFig6IsByteIdenticalAcrossJobCounts) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(Figures, QuickFig8IsByteIdenticalAcrossJobCounts) {
-  const auto dir = std::filesystem::temp_directory_path() / "aetr_rt_fig8";
-  std::filesystem::remove_all(dir);
-  sweeps::FigureOptions o1;
-  o1.jobs = 1;
-  o1.quick = true;
-  o1.out_dir = (dir / "j1").string();
-  auto r1 = sweeps::run_fig8(o1);
-  sweeps::FigureOptions o4 = o1;
-  o4.jobs = 4;
-  o4.out_dir = (dir / "j4").string();
-  auto r4 = sweeps::run_fig8(o4);
-
-  EXPECT_EQ(slurp(r1.csv_path), slurp(r4.csv_path));
-  EXPECT_EQ(slurp(r1.points_csv_path), slurp(r4.points_csv_path));
-  EXPECT_FALSE(slurp(r1.csv_path).empty());
-  std::filesystem::remove_all(dir);
+// Every file fig7 and fig8 write (fig7's rate profile included) is the
+// same at jobs 1 and 4.
+TEST(Figures, QuickFig7AndFig8AreByteIdenticalAcrossJobCounts) {
+  namespace fs = std::filesystem;
+  const auto dir = fs::temp_directory_path() / "aetr_rt_fig78";
+  fs::remove_all(dir);
+  for (const auto run : {&sweeps::run_fig7, &sweeps::run_fig8}) {
+    sweeps::FigureOptions o1;
+    o1.jobs = 1;
+    o1.quick = true;
+    o1.out_dir = (dir / "j1").string();
+    const auto r1 = run(o1);
+    sweeps::FigureOptions o4 = o1;
+    o4.jobs = 4;
+    o4.out_dir = (dir / "j4").string();
+    (void)run(o4);
+    EXPECT_FALSE(slurp(r1.csv_path).empty()) << r1.csv_path;
+    EXPECT_TRUE(r1.ok()) << r1.csv_path;
+  }
+  std::size_t files = 0;
+  for (const auto& f : fs::directory_iterator{dir / "j1"}) {
+    ++files;
+    EXPECT_EQ(slurp(f.path().string()),
+              slurp((dir / "j4" / f.path().filename()).string()))
+        << f.path().filename();
+  }
+  EXPECT_EQ(files, 3u + 2u);  // fig7a, fig7b, fig7 points; fig8, points
+  fs::remove_all(dir);
 }
 
 TEST(Figures, RegistryCoversCliSubcommands) {
-  EXPECT_NE(sweeps::find_figure("fig6"), nullptr);
-  EXPECT_NE(sweeps::find_figure("fig8"), nullptr);
+  for (const char* name : {"fig2", "fig6", "fig7", "fig8"}) {
+    EXPECT_NE(sweeps::find_figure(name), nullptr) << name;
+  }
   EXPECT_NE(sweeps::find_figure("ablation-ndiv"), nullptr);
   EXPECT_NE(sweeps::find_figure("ablation-agreement"), nullptr);
   for (const char* name :

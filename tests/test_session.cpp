@@ -818,6 +818,16 @@ TEST(Session, RestoreRejectsScenarioDifferingPastTheSixthDigit) {
   EXPECT_NO_THROW(same.restore(blob));
 }
 
+/// Recompute a blob's CRC-32 trailer after an edit, as a hostile writer
+/// would: the checksum catches accidents, not edits.
+void reseal(std::vector<std::uint8_t>& blob) {
+  const std::size_t body = blob.size() - 4;
+  const std::uint32_t crc = util::crc32_bytes(blob.data(), body);
+  for (std::size_t i = 0; i < 4; ++i) {
+    blob[body + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+}
+
 // A blob whose buffered events are out of order, or later than its last
 // event time, is refused even under a valid checksum: submission takes
 // every buffered event once the timeline reaches the last event time.
@@ -854,16 +864,142 @@ TEST(Session, RestoreRejectsBufferedEventsOutOfOrder) {
       const auto moved = encode(aer::Event{events.back().address, moved_to});
       std::copy(moved.begin(), moved.end(),
                 bad.begin() + (at - blob.begin()));
-      const std::size_t body = bad.size() - 4;
-      const std::uint32_t crc = util::crc32_bytes(bad.data(), body);
-      for (int i = 0; i < 4; ++i) {
-        bad[body + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(crc >> (8 * i));
-      }
+      reseal(bad);
       core::Session fresh{scenario};
       EXPECT_THROW(fresh.restore(bad), std::runtime_error)
           << "moved to " << moved_to.count_ps() << " ps";
     }
+  }
+}
+
+/// Overwrite the little-endian u64 at `at` and reseal.
+void poke_u64(std::vector<std::uint8_t>& blob, std::size_t at,
+              std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    blob[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  reseal(blob);
+}
+
+/// Byte offsets of the session-level fields at the head of a blob, in the
+/// order Session::snapshot() writes them.
+struct SessionFields {
+  std::size_t span_open, first_event, last_event, n_pending, first_pending,
+      grid_next, watchdog_deadline, clock_now;
+};
+
+SessionFields session_fields(const std::vector<std::uint8_t>& blob) {
+  std::size_t at = core::Session::kSnapshotHeaderBytes;
+  std::uint64_t fingerprint = 0;
+  std::memcpy(&fingerprint, blob.data() + at, 8);  // LE on every CI host
+  at += 8 + fingerprint + 3;  // + telemetry, faults, engine flags
+  SessionFields f{};
+  f.span_open = at + 1;                       // after `started`
+  f.first_event = f.span_open + 2 + 8 + 1;    // keep_history, fed, have_first
+  f.last_event = f.first_event + 8;
+  f.n_pending = f.last_event + 8;
+  f.first_pending = f.n_pending + 8 + 2;      // its time, after the address
+  std::uint64_t n_pending = 0;
+  std::memcpy(&n_pending, blob.data() + f.n_pending, 8);
+  f.grid_next = f.n_pending + 8 + 10 * n_pending + 8 + 1;  // queued, armed
+  f.watchdog_deadline = f.grid_next + 8 + 1;
+  f.clock_now = f.watchdog_deadline + 8 + 8 + 8 + 8;  // suspect x2, re-arms
+  return f;
+}
+
+/// A mid-stream blob of the default scenario with buffered events.
+std::vector<std::uint8_t> buffered_blob(bool fast) {
+  const aer::EventStream events = make_stream(300, 43);
+  const std::unique_ptr<core::Session> s = make_session({}, fast);
+  s->feed_all(events);
+  s->advance_to(events[events.size() / 2].time);
+  return s->snapshot();
+}
+
+void expect_refused(bool fast, const std::vector<std::uint8_t>& blob,
+                    const std::string& why, const std::string& what) {
+  try {
+    make_session({}, fast)->restore(blob);
+    ADD_FAILURE() << what << ": restore accepted the blob";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find(why), std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+// A length read from the blob is checked against the bytes left before
+// anything is reserved: a pending count of 2^64 - 1 is a truncation
+// error, not bad_alloc or length_error.
+TEST(Session, RestoreRefusesCountsTheBlobCannotHold) {
+  for (const bool fast : kEngines) {
+    SCOPED_TRACE(engine_name(fast));
+    std::vector<std::uint8_t> blob = buffered_blob(fast);
+    EXPECT_NO_THROW(make_session({}, fast)->restore(blob));
+    poke_u64(blob, session_fields(blob).n_pending, ~std::uint64_t{0});
+    expect_refused(fast, blob, "truncated", "pending count 2^64 - 1");
+  }
+}
+
+// finish() closes an open runner span on the trace, so a blob that says
+// the span is open is refused by a session without a trace (it used to
+// be accepted, and finish() then dereferenced a null telemetry session).
+TEST(Session, RestoreRefusesAnOpenSpanWithoutATrace) {
+  for (const bool fast : kEngines) {
+    SCOPED_TRACE(engine_name(fast));
+    std::vector<std::uint8_t> blob = buffered_blob(fast);
+    const std::size_t at = session_fields(blob).span_open;
+    ASSERT_EQ(blob[at], 0);
+    blob[at] = 1;
+    reseal(blob);
+    expect_refused(fast, blob, "runner span open without a trace",
+                   "span_open");
+  }
+}
+
+// Every restored time lies where the writer keeps it: event times in
+// [0, kLatestEventTime], the clock and timer deadlines no further than
+// one config time (ScenarioConfig::kMaxTime) past that. A time with its
+// sign bit flipped, or past its bound, is refused; a session that has run
+// past the latest event time still restores.
+TEST(Session, RestoreRefusesTimesOutsideTheRunRange) {
+  const std::uint64_t latest = aer::kLatestEventTime.count_ps();
+  const std::uint64_t timeline_end =
+      latest + core::ScenarioConfig::kMaxTime.count_ps();
+  for (const bool fast : kEngines) {
+    SCOPED_TRACE(engine_name(fast));
+    const std::vector<std::uint8_t> blob = buffered_blob(fast);
+    const SessionFields f = session_fields(blob);
+    const struct {
+      const char* name;
+      std::size_t at;
+      std::uint64_t past;
+      const char* why;
+    } fields[] = {
+        {"first event", f.first_event, latest + 1, "event time out of range"},
+        {"last event", f.last_event, latest + 1, "event time out of range"},
+        {"buffered event", f.first_pending, latest + 1, "event time out of range"},
+        {"grid deadline", f.grid_next, timeline_end + 1, "deadline out of range"},
+        {"watchdog deadline", f.watchdog_deadline, timeline_end + 1,
+         "deadline out of range"},
+        {"clock", f.clock_now, timeline_end + 1, "deadline out of range"},
+    };
+    for (const auto& field : fields) {
+      std::uint64_t saved = 0;
+      std::memcpy(&saved, blob.data() + field.at, 8);
+      for (const std::uint64_t bad : {saved | (std::uint64_t{1} << 63),
+                                      field.past}) {
+        std::vector<std::uint8_t> edited = blob;
+        poke_u64(edited, field.at, bad);
+        expect_refused(fast, edited, field.why,
+                       std::string{field.name} + " = " + std::to_string(bad));
+      }
+    }
+    // An event at kLatestEventTime: the clock runs past it, within bound.
+    const std::unique_ptr<core::Session> s = make_session({}, fast);
+    s->feed_all(aer::EventStream{{1, Time::us(5)}, {2, aer::kLatestEventTime}});
+    s->advance_to(aer::kLatestEventTime);
+    const std::vector<std::uint8_t> late = s->snapshot();
+    EXPECT_NO_THROW(make_session({}, fast)->restore(late));
   }
 }
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "util/blob.hpp"
 #include "util/crc32.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
@@ -68,6 +69,20 @@ TEST(Frequency, PeriodRoundTrip) {
 TEST(Frequency, UnitHelpers) {
   EXPECT_DOUBLE_EQ(Frequency::khz(550.0).to_hz(), 550e3);
   EXPECT_DOUBLE_EQ(Frequency::mhz(120.0).to_hz(), 120e6);
+}
+
+TEST(Blob, CountRefusesMoreElementsThanTheBytesLeft) {
+  BlobWriter w;
+  w.u64(3);
+  for (const std::uint64_t v : {1u, 2u, 3u}) w.u64(v);
+  BlobReader fits{w.bytes()};
+  EXPECT_EQ(fits.count(8), 3u);
+  BlobReader too_wide{w.bytes()};
+  EXPECT_THROW((void)too_wide.count(9), std::runtime_error);
+  BlobWriter huge;
+  huge.u64(~std::uint64_t{0});
+  BlobReader r{huge.bytes()};
+  EXPECT_THROW((void)r.count(1), std::runtime_error);
 }
 
 TEST(Xoshiro, DeterministicForSeed) {
