@@ -5,8 +5,10 @@
 // opening (config text load and dump, HELLO -> HELLO_ACK).
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -360,6 +362,64 @@ void BM_DecodeData(benchmark::State& state) {
                           static_cast<std::int64_t>(payload.size()));
 }
 BENCHMARK(BM_DecodeData);
+
+// One 512-event DATA frame into a warm in-process Connection (buffer cap
+// 4096, history off, no snapshots), as stream_snapshot's frames that
+// neither advance nor snapshot: parse in place, decode, one check-and-append
+// pass, CREDIT reply. Frames are timed one by one. Untimed: each
+// Connection's HELLO and first eight frames (its buffers still grow), and
+// every eighth frame after them, which finds the buffer full and advances.
+// A fresh Connection takes over when the pre-encoded stream runs out.
+void BM_DataFrameIngest(benchmark::State& state) {
+  constexpr std::size_t kFrame = 512;
+  constexpr std::size_t kPerFill = 4096 / kFrame;  // frames that fill the cap
+  constexpr std::size_t kFrames = 64;
+  core::ScenarioConfig sc;
+  sc.session.max_buffered_events = kFrame * kPerFill;
+  gen::PoissonSource source{100e3, 256, 1};
+  const auto events = gen::take(source, kFrame * kFrames);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::size_t k = 0; k < kFrames; ++k) {
+    frames.push_back(net::encode_frame(
+        net::MsgType::kData, 0, net::encode_data(events, k * kFrame, kFrame)));
+  }
+  net::Hello hello;
+  hello.session_name = "bench";
+  const auto hello_frame =
+      net::encode_frame(net::MsgType::kHello, 0, net::encode_hello(hello));
+  net::GatewayConfig gw;
+  gw.default_scenario = sc;
+  gw.keep_history = false;
+  std::size_t reply_bytes = 0;
+  const net::Connection::SendFn sink =
+      [&reply_bytes](const std::vector<std::uint8_t>& reply) {
+        reply_bytes += reply.size();
+      };
+  std::optional<net::Connection> conn;
+  std::size_t next = kFrames;
+  for (auto _ : state) {
+    while (next < kPerFill || next % kPerFill == 0) {
+      if (next == kFrames) {
+        conn.emplace(gw, 1, sink);
+        conn->on_bytes(hello_frame);
+        next = 0;
+      }
+      conn->on_bytes(frames[next++]);
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    const bool open = conn->on_bytes(frames[next++]);
+    const auto t1 = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+    if (!open) {
+      state.SkipWithError("DATA frame was not credited");
+      break;
+    }
+  }
+  benchmark::DoNotOptimize(reply_bytes);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kFrame));
+}
+BENCHMARK(BM_DataFrameIngest)->UseManualTime();
 
 // Arg 0: the default scenario, whose numbers all print in six digits or
 // fewer. Arg 1: every real, time, frequency and scaled key needs more

@@ -33,36 +33,32 @@ IngestPump::IngestPump(Session& session, double interval_sec,
 }
 
 std::size_t IngestPump::push(std::span<const aer::Event> events) {
-  Time last = session_.last_event_time().value_or(
-      events.empty() ? Time::zero() : events.front().time);
-  std::size_t valid = 0;
-  for (; valid < events.size() && events[valid].time >= last &&
-         events[valid].time <= aer::kLatestEventTime;
-       ++valid) {
-    last = events[valid].time;
-  }
-  const bool snapshotting = interval_ > Time::zero();
-  for (std::size_t i = 0; i < valid;) {
+  std::size_t i = 0;
+  while (i < events.size()) {
     const std::size_t room = session_.room();
     if (room == 0) {
-      // Full of events at or before this one: advancing to it drains all.
-      session_.advance_to(events[i].time);
+      // Full of events at or before this one: advancing to it drains all,
+      // when the session would take it at all.
+      const Time t = events[i].time;
+      if (t < session_.last_event_time().value_or(t) ||
+          t > aer::kLatestEventTime) {
+        break;
+      }
+      session_.advance_to(t);
       continue;
     }
-    std::size_t end = std::min(valid, i + room);
-    for (std::size_t j = i; snapshotting && j < end; ++j) {
-      if (events[j].time >= next_snapshot_) end = j + 1;
-    }
-    session_.feed_all(events.subspan(i, end - i));
-    i = end;
-    const Time t = events[end - 1].time;
-    if (snapshotting && t >= next_snapshot_) {
+    const std::size_t n =
+        session_.feed_run(events.subspan(i), room, next_snapshot_);
+    i += n;
+    if (n > 0 && events[i - 1].time >= next_snapshot_) {
       session_.advance_to(next_snapshot_);
-      next_snapshot_ = next_snapshot_instant(t, interval_);
-      if (!on_snapshot_()) return i;
+      next_snapshot_ = next_snapshot_instant(events[i - 1].time, interval_);
+      if (!on_snapshot_()) break;
+    } else if (n < room) {
+      break;  // the end, or an event the session refuses
     }
   }
-  return valid;
+  return i;
 }
 
 }  // namespace aetr::core

@@ -1,8 +1,9 @@
 // The one ingest loop: `aetr-serve run` and every gateway net::Connection
 // feed their session through an IngestPump. push() feeds the events'
 // non-decreasing prefix (continuing from Session::last_event_time()) with
-// feed_all() in runs cut at the buffer's free room and after the first
-// event at or past the next snapshot instant. A full buffer gets
+// Session::feed_run() in runs cut at the buffer's free room and after the
+// first event at or past the next snapshot instant; each run is checked,
+// cut and appended in one pass over its events. A full buffer gets
 // advance_to(next event's time); a run reaching an instant gets
 // advance_to(instant), then the snapshot callback: the per-event loop's
 // exact calls (tests/test_net_ingest.cpp). Instants are the multiples of

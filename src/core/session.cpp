@@ -382,41 +382,60 @@ struct Session::Impl {
         std::string{who} + ": event time past aer::kLatestEventTime");
   }
 
-  /// Append the longest non-decreasing prefix of `events` (continuing
-  /// from the last event fed, none past aer::kLatestEventTime) in one go,
-  /// then throw if that was not all.
+  void feed_all(std::span<const aer::Event> events) {
+    require_live("feed_all");
+    const std::size_t n = feed_run(events, events.size(), Time::max());
+    if (n == events.size()) return;
+    if (events[n].time > aer::kLatestEventTime) {
+      throw too_late("Session::feed_all");
+    }
+    throw std::invalid_argument(
+        "Session::feed_all: events must arrive in non-decreasing time order");
+  }
+
   /// Per-event feed() with the cap off, minus the per-event upkeep:
   /// revive_services() depends only on the clock and the first and last
   /// event times.
-  void feed_all(std::span<const aer::Event> events) {
-    require_live("feed_all");
-    if (events.empty()) return;
+  std::size_t feed_run(std::span<const aer::Event> events, std::size_t limit,
+                       Time cut) {
+    const std::size_t most = std::min(limit, events.size());
+    if (most == 0) return 0;
     Time last = have_first_event ? last_event_time : events.front().time;
+    // Whole blocks first, one branch each: a block in order whose last
+    // event lies below both the cut and the latest time holds no stop. The
+    // block that fails, and the tail, are walked event by event.
+    constexpr std::size_t kBlock = 8;
+    const Time below = std::min(cut, aer::kLatestEventTime + Time::ps(1));
     std::size_t n = 0;
-    for (; n < events.size() && events[n].time >= last &&
-           events[n].time <= aer::kLatestEventTime;
-         ++n) {
-      last = events[n].time;
-    }
-    if (n > 0) {
-      pending.insert(pending.end(), events.begin(),
-                     events.begin() + static_cast<std::ptrdiff_t>(n));
-      if (!have_first_event) {
-        have_first_event = true;
-        first_event_time = events.front().time;
+    for (; n + kBlock <= most; n += kBlock) {
+      Time prev = last;
+      bool in_order = true;
+#pragma GCC unroll 8
+      for (std::size_t j = n; j < n + kBlock; ++j) {
+        in_order &= prev <= events[j].time;
+        prev = events[j].time;
       }
-      last_event_time = last;
-      fed_total += n;
-      revive_services(events.front().time);
+      if (!in_order || prev >= below) break;
+      last = prev;
     }
-    if (n < events.size() && events[n].time >= last) {
-      throw too_late("Session::feed_all");
+    while (n < most) {
+      const Time t = events[n].time;
+      if (t < last || t > aer::kLatestEventTime) break;
+      last = t;
+      ++n;
+      if (t >= cut) break;
     }
-    if (n < events.size()) {
-      throw std::invalid_argument(
-          "Session::feed_all: events must arrive in non-decreasing time "
-          "order");
+    if (n == 0) return 0;
+    pending.insert(pending.end(), events.begin(),
+                   events.begin() + static_cast<std::ptrdiff_t>(n));
+    if (!have_first_event) {
+      have_first_event = true;
+      first_event_time = events.front().time;
     }
+    last_event_time = last;
+    fed_total += n;
+    revive_services(events.front().time);
+    return n;
   }
 
   /// Submit every buffered event with time <= t (Time::max(): all).
@@ -840,6 +859,12 @@ bool Session::feed(const aer::Event& ev) {
 
 void Session::feed_all(std::span<const aer::Event> events) {
   impl_->feed_all(events);
+}
+
+std::size_t Session::feed_run(std::span<const aer::Event> events,
+                              std::size_t limit, Time cut) {
+  impl_->require_live("feed_run");
+  return impl_->feed_run(events, limit, cut);
 }
 
 std::size_t Session::buffered() const { return impl_->buffered(); }

@@ -67,16 +67,25 @@ class Session {
   bool feed(const aer::Event& ev);
 
   /// Batch replay: buffer a whole chunk at once, ignoring the backpressure
-  /// cap, in one append (one ordering pass, one copy, one counter update).
-  /// This is what the run_scenario() entry points use — a batch caller
-  /// already holds the stream, so bounding the session's copy of it
-  /// protects nothing. Same ordering contract as feed(): the events before
-  /// the first one that goes back in time or past aer::kLatestEventTime
-  /// are accepted (events_fed() counts them), then it throws
-  /// std::invalid_argument. Within the cap
-  /// (events.size() <= room()) it leaves the session exactly as a loop of
-  /// feed() calls would, which lets core::IngestPump feed in runs.
+  /// cap, through feed_run(). This is what the run_scenario() entry points
+  /// use — a batch caller already holds the stream, so bounding the
+  /// session's copy of it protects nothing. Same ordering contract as
+  /// feed(): the events before the first one that goes back in time or
+  /// past aer::kLatestEventTime are accepted (events_fed() counts them),
+  /// then it throws std::invalid_argument.
   void feed_all(std::span<const aer::Event> events);
+
+  /// The one append behind feed_all() and core::IngestPump. A single pass
+  /// over the front of `events` checks each against the last event fed
+  /// and stops before the first that goes back in time or past
+  /// aer::kLatestEventTime, after `limit` events, or after the first event
+  /// at or past `cut`; the events it passed are then copied into the
+  /// buffer at once (one copy, one counter update), ignoring the
+  /// backpressure cap. Returns how many it took. Within the cap
+  /// (limit <= room()) it leaves the session exactly as a loop of feed()
+  /// calls would, which lets the pump feed in runs.
+  std::size_t feed_run(std::span<const aer::Event> events, std::size_t limit,
+                       Time cut);
 
   /// Fed-but-not-yet-submitted events currently held.
   [[nodiscard]] std::size_t buffered() const;

@@ -115,14 +115,15 @@ Connection::~Connection() = default;
 
 bool Connection::on_bytes(const std::uint8_t* data, std::size_t size) {
   if (closed()) return false;
-  decoder_.feed(data, size);
-  while (!closed()) {
-    const auto frame = decoder_.next_view();
-    if (!frame) {
-      if (decoder_.failed()) protocol_error("framing: " + decoder_.error());
-      break;
-    }
-    handle_frame(*frame);
+  // Frames are handled where they lie in `data`; only one split across
+  // calls is copied. Nothing after a frame that closes the connection is
+  // parsed.
+  decoder_.feed_frames(data, size, [this](const FrameView& f) {
+    handle_frame(f);
+    return !closed();
+  });
+  if (!closed() && decoder_.failed()) {
+    protocol_error("framing: " + decoder_.error());
   }
   return !closed();
 }
@@ -132,8 +133,10 @@ bool Connection::on_bytes(const std::vector<std::uint8_t>& bytes) {
 }
 
 void Connection::send_frame(MsgType type,
-                            const std::vector<std::uint8_t>& payload) {
-  if (send_) send_(encode_frame(type, session_id_, payload));
+                            std::span<const std::uint8_t> payload) {
+  if (!send_) return;
+  encode_frame_into(reply_, type, session_id_, payload);
+  send_(reply_);
 }
 
 void Connection::protocol_error(const std::string& reason) {
@@ -294,7 +297,7 @@ void Connection::handle_data(const FrameView& f) {
     return;
   }
   send_frame(MsgType::kCredit,
-             encode_credit(Credit{static_cast<std::uint64_t>(events.size())}));
+             credit_payload(Credit{static_cast<std::uint64_t>(events.size())}));
 }
 
 void Connection::handle_snapshot_req() {

@@ -21,12 +21,16 @@
 // simulated time, so the wire-level credit never deadlocks against the
 // session's bounded buffer.
 //
-// Ingest: a DATA frame is decoded in place (Decoder::next_view) into a
-// reused event buffer and pushed through the session's core::IngestPump
-// (core/ingest.hpp), as `aetr-serve run` pushes its input. The pump's
-// monotonic check continues from the session's last event, restored ones
-// included: an older event is NACKed ("non-monotonic DATA timestamp")
-// after the frame's valid prefix is ingested.
+// Ingest: on_bytes() parses each whole frame where it lies in the
+// caller's bytes (Decoder::feed_frames), copying only a frame split across
+// calls. A DATA frame is decoded into a reused event buffer and pushed
+// through the session's core::IngestPump (core/ingest.hpp), as
+// `aetr-serve run` pushes its input. The pump's monotonic check continues
+// from the session's last event, restored ones included: an older event is
+// NACKed ("non-monotonic DATA timestamp") after the frame's valid prefix
+// is ingested. Replies are encoded into one buffer the connection reuses
+// and handed to the SendFn by reference, so a frame that neither advances
+// nor snapshots allocates nothing.
 //
 // Snapshots: with snapshot_dir set and interval > 0, the pump checkpoints
 // to <snapshot_dir>/<name>.snap (atomic tmp+rename) on the simulated-time
@@ -41,6 +45,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,6 +79,8 @@ struct GatewayConfig {
 
 class Connection {
  public:
+  /// Takes one encoded reply frame. The bytes live only for the call: the
+  /// connection encodes every reply into the same buffer.
   using SendFn = std::function<void(const std::vector<std::uint8_t>&)>;
 
   enum class State : std::uint8_t {
@@ -119,11 +126,15 @@ class Connection {
   /// cannot settle or the blob cannot be written.
   bool take_snapshot();
   void protocol_error(const std::string& reason);
-  void send_frame(MsgType type, const std::vector<std::uint8_t>& payload);
+  /// Encodes into reply_ and hands it to send_, which must not keep the
+  /// reference: a CREDIT reply allocates nothing once reply_ has grown.
+  void send_frame(MsgType type, std::span<const std::uint8_t> payload);
 
   GatewayConfig config_;
   std::uint16_t session_id_;
   SendFn send_;
+  /// The last reply sent; keeps its capacity across replies.
+  std::vector<std::uint8_t> reply_;
   Decoder decoder_;
   State state_{State::kAwaitHello};
   std::string name_;

@@ -1,6 +1,7 @@
 #include "net/wire.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -9,14 +10,10 @@
 namespace aetr::net {
 namespace {
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xffu));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+/// Stores the `n` low bytes of `v` at `p`, little-endian.
+void put_le(std::uint8_t* p, std::uint64_t v, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    p[i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
 }
 
@@ -76,23 +73,31 @@ bool is_known_type(std::uint8_t raw) {
          raw <= static_cast<std::uint8_t>(MsgType::kBye);
 }
 
-std::vector<std::uint8_t> encode_frame(
-    MsgType type, std::uint16_t session_id,
-    const std::vector<std::uint8_t>& payload) {
+void encode_frame_into(std::vector<std::uint8_t>& out, MsgType type,
+                       std::uint16_t session_id,
+                       std::span<const std::uint8_t> payload) {
   if (payload.size() > kMaxPayload) {
     throw std::invalid_argument("net: payload exceeds kMaxPayload");
   }
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + payload.size() + 4);
-  put_u32(out, kMagic);
-  out.push_back(static_cast<std::uint8_t>(type));
-  out.push_back(0);  // reserved
-  put_u16(out, session_id);
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+  out.resize(kHeaderSize + payload.size() + 4);
+  std::uint8_t* p = out.data();
+  put_le(p, kMagic, 4);
+  p[4] = static_cast<std::uint8_t>(type);
+  p[5] = 0;  // reserved
+  put_le(p + 6, session_id, 2);
+  put_le(p + 8, payload.size(), 4);
+  if (!payload.empty()) {
+    std::memcpy(p + kHeaderSize, payload.data(), payload.size());
+  }
   // CRC over everything after the magic: type..payload.
-  const std::uint32_t crc = crc32_bytes(out.data() + 4, out.size() - 4);
-  put_u32(out, crc);
+  const std::size_t crc_at = kHeaderSize + payload.size();
+  put_le(p + crc_at, crc32_bytes(p + 4, crc_at - 4), 4);
+}
+
+std::vector<std::uint8_t> encode_frame(MsgType type, std::uint16_t session_id,
+                                       std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> out;
+  encode_frame_into(out, type, session_id, payload);
   return out;
 }
 
@@ -110,6 +115,7 @@ void Decoder::fail(const std::string& why) {
   error_ = why;
   buffer_.clear();
   consumed_ = 0;
+  lent_size_ = 0;
 }
 
 void Decoder::compact() {
@@ -126,41 +132,81 @@ void Decoder::compact() {
   }
 }
 
-std::optional<FrameView> Decoder::next_view() {
-  if (failed()) return std::nullopt;
-  compact();
-  const std::size_t avail = buffer_.size() - consumed_;
-  if (avail < kHeaderSize) return std::nullopt;
-  const std::uint8_t* head = buffer_.data() + consumed_;
+bool Decoder::top_up(std::size_t want) {
+  const std::size_t have = buffer_.size() - consumed_;
+  if (have >= want) return true;
+  const std::size_t take = std::min(want - have, lent_size_);
+  buffer_.insert(buffer_.end(), lent_, lent_ + take);
+  lent_ += take;
+  lent_size_ -= take;
+  return have + take == want;
+}
+
+void Decoder::keep_lent_tail() {
+  if (lent_size_ > 0) {
+    compact();
+    buffer_.insert(buffer_.end(), lent_, lent_ + lent_size_);
+  }
+  lent_ = nullptr;
+  lent_size_ = 0;
+}
+
+std::size_t Decoder::frame_size(const std::uint8_t* head) {
   if (get_u32(head) != kMagic) {
     fail("bad magic");
-    return std::nullopt;
+    return 0;
   }
   const std::uint8_t raw_type = head[4];
   if (!is_known_type(raw_type)) {
     fail("unknown frame type " + std::to_string(raw_type));
-    return std::nullopt;
+    return 0;
   }
   if (head[5] != 0) {
     fail("reserved header byte set");
-    return std::nullopt;
+    return 0;
   }
   const std::uint32_t len = get_u32(head + 8);
   if (len > kMaxPayload) {
     fail("oversized payload length " + std::to_string(len));
-    return std::nullopt;
+    return 0;
   }
-  const std::size_t total = kHeaderSize + len + 4;
-  if (avail < total) return std::nullopt;
+  return kHeaderSize + len + 4;
+}
+
+std::optional<FrameView> Decoder::checked(const std::uint8_t* head,
+                                          std::size_t size) {
+  const std::size_t len = size - kHeaderSize - 4;
   const std::uint32_t want = get_u32(head + kHeaderSize + len);
   const std::uint32_t got = crc32_bytes(head + 4, kHeaderSize - 4 + len);
   if (want != got) {
     fail("frame CRC mismatch");
     return std::nullopt;
   }
-  consumed_ += total;
-  return FrameView{static_cast<MsgType>(raw_type), get_u16(head + 6),
+  return FrameView{static_cast<MsgType>(head[4]), get_u16(head + 6),
                    head + kHeaderSize, len};
+}
+
+std::optional<FrameView> Decoder::next_view() {
+  if (failed()) return std::nullopt;
+  compact();
+  if (consumed_ < buffer_.size()) {
+    // Buffered bytes come first; the frame they begin takes from the lent
+    // bytes only what it lacks, its header before its length is known.
+    if (!top_up(kHeaderSize)) return std::nullopt;
+    const std::size_t size = frame_size(buffer_.data() + consumed_);
+    if (size == 0 || !top_up(size)) return std::nullopt;
+    const std::uint8_t* head = buffer_.data() + consumed_;
+    consumed_ += size;
+    return checked(head, size);
+  }
+  // Nothing buffered: parse the next whole frame where it lies.
+  if (lent_size_ < kHeaderSize) return std::nullopt;
+  const std::size_t size = frame_size(lent_);
+  if (size == 0 || lent_size_ < size) return std::nullopt;
+  const std::uint8_t* head = lent_;
+  lent_ += size;
+  lent_size_ -= size;
+  return checked(head, size);
 }
 
 std::optional<Frame> Decoder::next() {
@@ -268,10 +314,15 @@ aer::EventStream decode_data(const std::vector<std::uint8_t>& payload) {
   return events;
 }
 
+std::array<std::uint8_t, 8> credit_payload(const Credit& m) {
+  std::array<std::uint8_t, 8> payload{};
+  put_le(payload.data(), m.grant, payload.size());
+  return payload;
+}
+
 std::vector<std::uint8_t> encode_credit(const Credit& m) {
-  BlobWriter w;
-  w.u64(m.grant);
-  return std::move(w).take();
+  const std::array<std::uint8_t, 8> payload = credit_payload(m);
+  return {payload.begin(), payload.end()};
 }
 
 Credit decode_credit(const std::vector<std::uint8_t>& payload) {

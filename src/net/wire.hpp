@@ -40,9 +40,11 @@
 // payloads; the connection layer maps that to a NACK + close.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -84,8 +86,11 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// A decoded frame whose payload still lies in the Decoder's buffer:
-/// valid until the next feed() / next() / next_view() on that Decoder.
+/// A decoded frame whose payload is not copied out. It lies in the
+/// Decoder's buffer, valid until the next feed() / next() / next_view() on
+/// that Decoder; or, when Decoder::feed_frames() hands it over, in the
+/// caller's bytes, valid until the frame handler returns (a connection's
+/// on_bytes() has not returned yet).
 struct FrameView {
   MsgType type{MsgType::kBye};
   std::uint16_t session_id{0};
@@ -101,23 +106,59 @@ using util::crc32_bytes;
 
 // --- frame encode / streaming decode ----------------------------------------
 
-/// Encode one frame. Throws std::invalid_argument when payload exceeds
-/// kMaxPayload.
+/// Encode one frame into `out`, replacing its contents but keeping its
+/// capacity: a sender that reuses `out` allocates only while it grows.
+/// Throws std::invalid_argument when payload exceeds kMaxPayload.
+void encode_frame_into(std::vector<std::uint8_t>& out, MsgType type,
+                       std::uint16_t session_id,
+                       std::span<const std::uint8_t> payload);
+
+/// encode_frame_into() a fresh vector.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(
     MsgType type, std::uint16_t session_id,
-    const std::vector<std::uint8_t>& payload);
+    std::span<const std::uint8_t> payload);
 
-/// Incremental frame decoder over a reliable byte stream. feed() bytes in
-/// arbitrary chunk sizes; next() yields completed frames in order. Any
-/// framing violation (bad magic, reserved byte set, unknown type, oversized
-/// length, CRC mismatch) puts the decoder into a terminal error state:
-/// error() is set, next() returns nothing, further feed()s are ignored.
+/// Incremental frame decoder over a reliable byte stream, in two styles
+/// over one parser. feed() copies bytes of arbitrary chunk sizes into the
+/// decoder's buffer and next() / next_view() then yield completed frames
+/// in order. feed_frames() instead parses whole frames where they lie in
+/// the caller's bytes and copies only what a frame split across calls
+/// needs. Any framing violation (bad magic, reserved byte set, unknown
+/// type, oversized length, CRC mismatch) puts the decoder into a terminal
+/// error state: error() is set, no frame is yielded, further input is
+/// ignored.
 class Decoder {
  public:
   /// Append raw bytes from the transport. Returns false once the decoder
   /// is in the error state (bytes are discarded).
   bool feed(const std::uint8_t* data, std::size_t size);
   bool feed(const std::vector<std::uint8_t>& bytes);
+
+  /// Hand every frame completed by `data` to on_frame(const FrameView&),
+  /// in order, after any frames still buffered. A frame wholly inside
+  /// `data` is parsed where it lies and its view points there; a frame
+  /// begun by earlier bytes is completed in this decoder's buffer, copying
+  /// only the bytes it lacks. A view lives until on_frame returns. A
+  /// trailing partial frame is copied, for a later call to complete, and
+  /// so is the rest of `data` when on_frame returns false to stop or
+  /// throws. Returns false once the decoder is in the error state.
+  template <typename OnFrame>
+  bool feed_frames(const std::uint8_t* data, std::size_t size,
+                   OnFrame&& on_frame) {
+    if (failed()) return false;
+    lent_ = data;
+    lent_size_ = size;
+    try {
+      while (const std::optional<FrameView> frame = next_view()) {
+        if (!on_frame(*frame)) break;
+      }
+    } catch (...) {
+      keep_lent_tail();  // `data` may die with this call
+      throw;
+    }
+    keep_lent_tail();
+    return !failed();
+  }
 
   /// The next completed frame, if any (its payload copied out).
   [[nodiscard]] std::optional<Frame> next();
@@ -138,9 +179,21 @@ class Decoder {
  private:
   void fail(const std::string& why);
   void compact();
+  /// Moves lent bytes into the buffer until the frame begun there holds
+  /// `want` bytes; false when the lent bytes run out first.
+  bool top_up(std::size_t want);
+  /// The whole frame's size from its checked header, 0 after fail().
+  std::size_t frame_size(const std::uint8_t* head);
+  /// The frame at `head` (`size` bytes) once its CRC checks out.
+  std::optional<FrameView> checked(const std::uint8_t* head,
+                                   std::size_t size);
+  void keep_lent_tail();
 
   std::vector<std::uint8_t> buffer_;
   std::size_t consumed_{0};
+  /// The caller's bytes during feed_frames(), not yet parsed or copied.
+  const std::uint8_t* lent_{nullptr};
+  std::size_t lent_size_{0};
   std::string error_;
 };
 
@@ -183,6 +236,8 @@ struct Summary {
 [[nodiscard]] std::vector<std::uint8_t> encode_hello_ack(const HelloAck& m);
 [[nodiscard]] std::vector<std::uint8_t> encode_data(
     const aer::EventStream& events, std::size_t from, std::size_t count);
+/// CREDIT's fixed-size payload, built without touching the heap.
+[[nodiscard]] std::array<std::uint8_t, 8> credit_payload(const Credit& m);
 [[nodiscard]] std::vector<std::uint8_t> encode_credit(const Credit& m);
 [[nodiscard]] std::vector<std::uint8_t> encode_nack(const Nack& m);
 [[nodiscard]] std::vector<std::uint8_t> encode_snapshot_ack(

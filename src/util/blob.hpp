@@ -55,9 +55,14 @@ class BlobWriter {
   }
 
  private:
-  void le(std::uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) {
-      bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  /// The `n` low bytes of `v`, little-endian, appended in one resize (which
+  /// grows the buffer geometrically) and stored in place.
+  void le(std::uint64_t v, std::size_t n) {
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    std::uint8_t* p = bytes_.data() + at;
+    for (std::size_t i = 0; i < n; ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
   }
 

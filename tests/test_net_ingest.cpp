@@ -1,14 +1,17 @@
 // The gateway's DATA ingest path pinned against the per-event pump it
 // replaced. Connection::handle_data decodes a frame in place and pushes it
 // through core::IngestPump, which hands the session runs of events
-// (Session::feed_all) cut at the buffer's free room and at the next
+// (Session::feed_run) cut at the buffer's free room and at the next
 // snapshot instant. The reference below is the per-event
 // loop it replaced — feed; on backpressure advance_to the event's time and
 // retry; once an event reaches the next grid instant advance to it and
 // snapshot — driven on a bare Session. The snapshot file the Connection
 // leaves after every frame (none before the reference's first blob), every
 // CREDIT grant, events_ingested() and the final SUMMARY must equal the
-// reference byte for byte.
+// reference byte for byte. Last, the same stream split across on_bytes()
+// calls at any byte, which switches the decoder between frames parsed in
+// the caller's bytes and frames completed in its own buffer, must leave
+// what whole frames leave after every call.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -16,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -26,6 +30,7 @@
 #include "gen/sources.hpp"
 #include "net/connection.hpp"
 #include "net/wire.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -360,6 +365,216 @@ TEST(NetIngest, ResumedSessionMatchesTheUninterruptedPump) {
     EXPECT_EQ(gw.conn->summary_text(),
               core::run_summary_text(ref.session.finish()));
   }
+}
+
+/// What a Connection shows after some on_bytes() calls: its snapshot file
+/// (nullopt while there is none), events_ingested(), the replies sent so
+/// far, and whether it is still open.
+struct Shown {
+  std::optional<Bytes> file;
+  std::uint64_t ingested{0};
+  std::size_t replies{0};
+  bool open{true};
+  bool operator==(const Shown&) const = default;
+};
+
+/// A snapshotting Connection that keeps its replies' raw bytes and sends
+/// itself nothing until deliver() hands it bytes.
+struct Delivered {
+  TempDir dir;
+  std::vector<Bytes> replies;
+  std::unique_ptr<net::Connection> conn;
+  bool open{true};
+
+  explicit Delivered(const core::ScenarioConfig& scenario) {
+    net::GatewayConfig config;
+    config.default_scenario = scenario;
+    config.snapshot_dir = dir.path.string();
+    config.snapshot_interval_sec = kIntervalSec;
+    config.keep_history = false;
+    conn = std::make_unique<net::Connection>(
+        config, 1, [this](const Bytes& b) { replies.push_back(b); });
+  }
+
+  void deliver(const Bytes& stream, std::size_t from, std::size_t to) {
+    open = conn->on_bytes(stream.data() + from, to - from);
+  }
+
+  [[nodiscard]] Shown shown() const {
+    Shown s;
+    const fs::path snap = dir.path / "split.snap";
+    if (fs::exists(snap)) s.file = net::read_blob(snap.string());
+    s.ingested = conn->events_ingested();
+    s.replies = replies.size();
+    s.open = open;
+    return s;
+  }
+};
+
+/// HELLO, `events` in `chunk`-event DATA frames, DRAIN: the byte stream
+/// and the offset where each frame ends.
+struct Stream {
+  Bytes bytes;
+  std::vector<std::size_t> frame_ends;
+
+  void add(const Bytes& frame) {
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+    frame_ends.push_back(bytes.size());
+  }
+
+  Stream(const aer::EventStream& events, std::size_t chunk) {
+    net::Hello hello;
+    hello.session_name = "split";
+    add(net::encode_frame(net::MsgType::kHello, 0, net::encode_hello(hello)));
+    for (std::size_t pos = 0; pos < events.size(); pos += chunk) {
+      const std::size_t n = std::min(chunk, events.size() - pos);
+      add(net::encode_frame(net::MsgType::kData, 0,
+                            net::encode_data(events, pos, n)));
+    }
+    add(net::encode_frame(net::MsgType::kDrain, 0, {}));
+  }
+
+  /// Whole frames in the first `offset` bytes.
+  [[nodiscard]] std::size_t frames_in(std::size_t offset) const {
+    return static_cast<std::size_t>(
+        std::upper_bound(frame_ends.begin(), frame_ends.end(), offset) -
+        frame_ends.begin());
+  }
+};
+
+/// The stream one frame per on_bytes() call: what the Connection shows
+/// after each count of whole frames (index 0: nothing delivered yet), its
+/// replies and its summary.
+struct WholeFrames {
+  std::vector<Shown> after;
+  std::vector<Bytes> replies;
+  std::string summary;
+
+  WholeFrames(const core::ScenarioConfig& scenario, const Stream& stream) {
+    Delivered d{scenario};
+    after.push_back(d.shown());
+    std::size_t from = 0;
+    for (const std::size_t end : stream.frame_ends) {
+      d.deliver(stream.bytes, from, end);
+      from = end;
+      after.push_back(d.shown());
+    }
+    replies = d.replies;
+    summary = d.conn->summary_text();
+  }
+};
+
+/// Delivers `stream` in on_bytes() calls that end at `cuts` (ascending,
+/// the last at the stream's end). After every call the Connection must
+/// show what the whole-frame delivery showed once as many whole frames had
+/// arrived; at the end it must have sent the same replies (CREDIT grants,
+/// NACK text, SUMMARY) and hold the same summary.
+void expect_same_as_whole_frames(const core::ScenarioConfig& scenario,
+                                 const Stream& stream, const WholeFrames& ref,
+                                 const std::vector<std::size_t>& cuts,
+                                 const std::string& delivery) {
+  SCOPED_TRACE(delivery);
+  ASSERT_EQ(cuts.back(), stream.bytes.size());
+  Delivered d{scenario};
+  std::size_t from = 0;
+  for (std::size_t call = 0; call < cuts.size(); ++call) {
+    d.deliver(stream.bytes, from, cuts[call]);
+    from = cuts[call];
+    const std::size_t frames = stream.frames_in(from);
+    ASSERT_EQ(d.shown(), ref.after[frames])
+        << "call " << call << " ends at byte " << from << ", after "
+        << frames << " whole frames";
+  }
+  EXPECT_EQ(d.replies, ref.replies);
+  EXPECT_EQ(d.conn->summary_text(), ref.summary);
+}
+
+/// Every delivery of the split-delivery test over one stream.
+void expect_every_split(const core::ScenarioConfig& scenario,
+                        const aer::EventStream& events, std::size_t chunk,
+                        std::size_t pair_at) {
+  const Stream stream{events, chunk};
+  const WholeFrames ref{scenario, stream};
+  const std::size_t size = stream.bytes.size();
+  // The pair takes a snapshot or is NACKed; other frames snapshot too.
+  EXPECT_TRUE(ref.after[pair_at].file != ref.after[pair_at + 2].file ||
+              !ref.after[pair_at + 2].open);
+  std::size_t snapshots = 0;
+  for (std::size_t f = 1; f < ref.after.size(); ++f) {
+    if (ref.after[f].file != ref.after[f - 1].file) ++snapshots;
+  }
+  EXPECT_GE(snapshots, 3u);
+
+  expect_same_as_whole_frames(scenario, stream, ref, stream.frame_ends,
+                              "one frame per call");
+  expect_same_as_whole_frames(scenario, stream, ref, {size},
+                              "all frames in one call");
+
+  // Frames `pair_at` and `pair_at + 1` in two calls, cut at every offset
+  // from before the pair's first byte to after its last; every other
+  // frame in a call of its own.
+  const std::size_t pair_begin = stream.frame_ends[pair_at - 1];
+  const std::size_t pair_end = stream.frame_ends[pair_at + 1];
+  for (std::size_t cut = pair_begin; cut <= pair_end; ++cut) {
+    std::vector<std::size_t> cuts;
+    for (const std::size_t end : stream.frame_ends) {
+      if (end == stream.frame_ends[pair_at]) {
+        cuts.push_back(cut);
+      } else {
+        cuts.push_back(end);
+      }
+    }
+    expect_same_as_whole_frames(scenario, stream, ref, cuts,
+                                "pair cut at byte " + std::to_string(cut));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+
+  // Seeded random calls: a third of them one byte long, a third up to 16
+  // bytes, a third up to three frames.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Xoshiro256StarStar rng{seed};
+    const std::size_t frame_bytes = stream.frame_ends[1] - stream.frame_ends[0];
+    std::vector<std::size_t> cuts;
+    for (std::size_t at = 0; at < size;) {
+      std::size_t len = 1;
+      switch (rng.uniform_int(3)) {
+        case 0: break;
+        case 1: len = 1 + rng.uniform_int(16); break;
+        default: len = 1 + rng.uniform_int(3 * frame_bytes); break;
+      }
+      at = std::min(size, at + len);
+      cuts.push_back(at);
+    }
+    expect_same_as_whole_frames(scenario, stream, ref, cuts,
+                                "random calls, seed " + std::to_string(seed));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(NetIngest, ByteSplitDeliveryMatchesWholeFrames) {
+  // 16-event frames (180 bytes) at 100 kevt/s span ~0.16 ms against 1 ms
+  // snapshots and a 64-event buffer, so the calls that complete a frame
+  // take snapshots and advances. The frame pair cut at every offset holds
+  // a snapshot instant.
+  const core::ScenarioConfig scenario = with_cap(64);
+  aer::EventStream events = poisson(640, 13, 100e3);
+  expect_every_split(scenario, events, 16, /*pair_at=*/12);
+  if (HasFatalFailure()) return;
+
+  // Mid-stream, one event of frame 21 (frame 0 is the HELLO) goes back in
+  // time: every delivery NACKs it after the same prefix, and the bytes
+  // after that frame change nothing.
+  events[20 * 16 + 5].time = events[20 * 16 + 4].time - Time::ns(1);
+  const Stream stream{events, 16};
+  const WholeFrames ref{scenario, stream};
+  ASSERT_FALSE(ref.after.back().open);
+  ASSERT_EQ(ref.replies.back()[4],
+            static_cast<std::uint8_t>(net::MsgType::kNack));
+  net::Decoder nack;
+  nack.feed(ref.replies.back());
+  EXPECT_EQ(net::decode_nack(nack.next()->payload).reason,
+            "non-monotonic DATA timestamp");
+  expect_every_split(scenario, events, 16, /*pair_at=*/20);
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #include <memory>
 #include <random>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "core/config_io.hpp"
 #include "gen/sources.hpp"
@@ -165,6 +167,71 @@ TEST(NetFrame, ReassemblesAcrossArbitrarySplits) {
   const auto f = dec.next();
   ASSERT_TRUE(f);
   EXPECT_EQ(decode_data(f->payload), stream);
+}
+
+TEST(NetFrame, FeedFramesParsesInPlaceAndCopiesOnlyTheTail) {
+  const auto stream = test_stream(96);
+  std::vector<std::vector<std::uint8_t>> frames;
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t k = 0; k < 3; ++k) {
+    frames.push_back(
+        encode_frame(MsgType::kData, 1, encode_data(stream, 32 * k, 32)));
+    bytes.insert(bytes.end(), frames.back().begin(), frames.back().end());
+  }
+  const auto payload_of = [&](std::size_t k) {
+    return std::vector<std::uint8_t>(frames[k].begin() + kHeaderSize,
+                                     frames[k].end() - 4);
+  };
+  const auto inside = [](const FrameView& f, const std::uint8_t* from,
+                         std::size_t size) {
+    return f.payload >= from && f.payload + f.payload_size <= from + size;
+  };
+
+  // Two whole frames are read where they lie; the third, cut short, is
+  // the only copy, and the next call completes it in the decoder's buffer.
+  Decoder dec;
+  const std::size_t cut = bytes.size() - 5;
+  std::vector<std::vector<std::uint8_t>> seen;
+  ASSERT_TRUE(dec.feed_frames(bytes.data(), cut, [&](const FrameView& f) {
+    EXPECT_TRUE(inside(f, bytes.data(), cut)) << "frame " << seen.size();
+    seen.emplace_back(f.payload, f.payload + f.payload_size);
+    return true;
+  }));
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(dec.pending_bytes(), frames[2].size() - 5);
+  const std::vector<std::uint8_t> tail(
+      bytes.begin() + static_cast<std::ptrdiff_t>(cut), bytes.end());
+  ASSERT_TRUE(
+      dec.feed_frames(tail.data(), tail.size(), [&](const FrameView& f) {
+        EXPECT_FALSE(inside(f, tail.data(), tail.size()));
+        seen.emplace_back(f.payload, f.payload + f.payload_size);
+        return true;
+      }));
+  ASSERT_EQ(seen.size(), 3u);
+  for (std::size_t k = 0; k < 3; ++k) EXPECT_EQ(seen[k], payload_of(k));
+  EXPECT_EQ(dec.pending_bytes(), 0u);
+
+  // A handler that stops, or throws, leaves the rest of its bytes
+  // buffered, in order.
+  for (const bool throws : {false, true}) {
+    Decoder d;
+    const auto first = [throws](const FrameView&) -> bool {
+      if (throws) throw std::runtime_error("handler");
+      return false;
+    };
+    if (throws) {
+      EXPECT_THROW(d.feed_frames(bytes.data(), bytes.size(), first),
+                   std::runtime_error);
+    } else {
+      EXPECT_TRUE(d.feed_frames(bytes.data(), bytes.size(), first));
+    }
+    EXPECT_EQ(d.pending_bytes(), frames[1].size() + frames[2].size());
+    for (std::size_t k = 1; k < 3; ++k) {
+      const auto f = d.next();
+      ASSERT_TRUE(f) << "frame " << k;
+      EXPECT_EQ(f->payload, payload_of(k));
+    }
+  }
 }
 
 TEST(NetFrame, TruncatedFrameNeverSurfaces) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <random>
 #include <set>
@@ -83,6 +84,55 @@ TEST(Blob, CountRefusesMoreElementsThanTheBytesLeft) {
   huge.u64(~std::uint64_t{0});
   BlobReader r{huge.bytes()};
   EXPECT_THROW((void)r.count(1), std::runtime_error);
+}
+
+/// The encoding BlobWriter promises, one byte at a time: the `n` low bytes
+/// of `v`, least significant first.
+void reference_le(std::vector<std::uint8_t>& out, std::uint64_t v, int n) {
+  for (int i = 0; i < n; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+TEST(Blob, FixedWidthFieldsMatchThePerByteEncoding) {
+  Xoshiro256StarStar rng{2024};
+  // Each value alone, then random sequences of them on one writer, so
+  // fields land at every offset and across every regrowth.
+  for (int round = 0; round < 400; ++round) {
+    BlobWriter w;
+    std::vector<std::uint8_t> want;
+    const int fields =
+        round < 100 ? 1 : 1 + static_cast<int>(rng.uniform_int(64));
+    for (int f = 0; f < fields; ++f) {
+      const std::uint64_t v = rng.next();
+      switch (rng.uniform_int(5)) {
+        case 0:
+          w.u16(static_cast<std::uint16_t>(v));
+          reference_le(want, v & 0xFFFFu, 2);
+          break;
+        case 1:
+          w.u32(static_cast<std::uint32_t>(v));
+          reference_le(want, v & 0xFFFFFFFFu, 4);
+          break;
+        case 2:
+          w.u64(v);
+          reference_le(want, v, 8);
+          break;
+        case 3: {
+          double d = 0.0;
+          std::memcpy(&d, &v, sizeof d);
+          w.f64(d);
+          reference_le(want, v, 8);
+          break;
+        }
+        default:
+          w.time(Time::ps(static_cast<Time::Rep>(v)));
+          reference_le(want, v, 8);
+          break;
+      }
+    }
+    ASSERT_EQ(w.bytes(), want) << "round " << round;
+  }
 }
 
 TEST(Xoshiro, DeterministicForSeed) {

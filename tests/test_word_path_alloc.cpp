@@ -6,8 +6,11 @@
 // dispatching them must never touch the global allocator. Then the whole
 // run: a streaming session with history off reaches a steady state where
 // no spike allocates, on the event-driven reference path (the oracle every
-// ineligible config runs) and on the analytic engine alike. Global
-// operator new/delete are replaced in this binary with counting versions.
+// ineligible config runs) and on the analytic engine alike. And the
+// gateway's side of it: a warm net::Connection takes a DATA frame that
+// neither advances nor snapshots, and replies CREDIT, without allocating.
+// Global operator new/delete are replaced in this binary with counting
+// versions.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +18,7 @@
 #include <new>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "aer/event.hpp"
 #include "core/scenario.hpp"
@@ -22,6 +26,8 @@
 #include "frontend/aer_frontend.hpp"
 #include "gen/sources.hpp"
 #include "i2s/i2s.hpp"
+#include "net/connection.hpp"
+#include "net/wire.hpp"
 #include "util/time.hpp"
 
 namespace {
@@ -164,6 +170,62 @@ TEST(WordPathAlloc, WholeRunAllocatesNothingPerSpike) {
                            << ": 20000 events allocated " << once
                            << " times, 40000 events " << twice;
   }
+}
+
+TEST(WordPathAlloc, QuietDataFramesAllocateNothingInAWarmConnection) {
+  // 512-event frames against a 4096-event buffer: the frames after each
+  // eight find the buffer full and advance, the other seven only parse,
+  // decode, append and reply. The first eight frames grow the buffers.
+  constexpr std::size_t kFrame = 512;
+  constexpr std::size_t kPerFill = 4096 / kFrame;
+  constexpr std::size_t kFrames = 96;
+  core::ScenarioConfig scenario;
+  scenario.session.max_buffered_events = kFrame * kPerFill;
+  gen::PoissonSource source{100e3, 256, 11};
+  const aer::EventStream events = gen::take(source, kFrame * kFrames);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::size_t k = 0; k < kFrames; ++k) {
+    frames.push_back(net::encode_frame(
+        net::MsgType::kData, 0, net::encode_data(events, k * kFrame, kFrame)));
+  }
+  net::Hello hello;
+  hello.session_name = "alloc";
+  const auto hello_frame =
+      net::encode_frame(net::MsgType::kHello, 0, net::encode_hello(hello));
+
+  net::GatewayConfig gateway;
+  gateway.default_scenario = scenario;
+  gateway.keep_history = false;
+  // The sink reads each reply where it lies: a CREDIT's grant is the u64
+  // after the 12-byte header.
+  std::uint64_t credits = 0;
+  std::uint64_t granted = 0;
+  net::Connection conn{
+      gateway, 1, [&](const std::vector<std::uint8_t>& reply) {
+        if (reply[4] != static_cast<std::uint8_t>(net::MsgType::kCredit)) {
+          return;
+        }
+        ++credits;
+        for (std::size_t i = 0; i < 8; ++i) {
+          granted |= std::uint64_t{reply[net::kHeaderSize + i]} << (8 * i);
+        }
+      }};
+  ASSERT_TRUE(conn.on_bytes(hello_frame));
+  std::size_t quiet = 0;
+  for (std::size_t k = 0; k < kFrames; ++k) {
+    granted = 0;
+    const std::uint64_t before = g_allocs;
+    ASSERT_TRUE(conn.on_bytes(frames[k])) << conn.error();
+    const std::uint64_t allocs = g_allocs - before;
+    ASSERT_EQ(credits, k + 1);
+    EXPECT_EQ(granted, kFrame) << "frame " << k;
+    if (k >= kPerFill && k % kPerFill != 0) {
+      EXPECT_EQ(allocs, 0u) << "quiet frame " << k << " allocated";
+      ++quiet;
+    }
+  }
+  EXPECT_EQ(conn.events_ingested(), kFrame * kFrames);
+  EXPECT_EQ(quiet, kFrames - kPerFill - (kFrames / kPerFill - 1));
 }
 
 }  // namespace
