@@ -72,6 +72,9 @@ class AerChannel {
 
   /// Completed 4-phase handshakes so far.
   [[nodiscard]] std::uint64_t handshakes() const { return handshakes_; }
+  /// Count one handshake completed off the wire: the analytic engine
+  /// (core/fast_path) drives no edges and calls this at each ACK fall.
+  void count_handshake() { ++handshakes_; }
   [[nodiscard]] const std::vector<ProtocolViolation>& violations() const {
     return violations_;
   }

@@ -114,20 +114,20 @@ void AetrFifo::set_batch_threshold(std::size_t words) {
 void AetrFifo::attach_telemetry(telemetry::TelemetrySession* session) {
   tel_ = telemetry::BlockTelemetry{session, "fifo"};
   if (auto* m = tel_.metrics()) {
-    m->probe("fifo.occupancy", [this] {
+    m->probe("fifo.occupancy", [this](Time) {
       return static_cast<double>(size_);
     });
-    m->probe("fifo.pushes", [this] {
+    m->probe("fifo.pushes", [this](Time) {
       return static_cast<double>(pushes_);
     });
-    m->probe("fifo.pops", [this] { return static_cast<double>(pops_); });
-    m->probe("fifo.overflows", [this] {
+    m->probe("fifo.pops", [this](Time) { return static_cast<double>(pops_); });
+    m->probe("fifo.overflows", [this](Time) {
       return static_cast<double>(overflows_);
     });
-    m->probe("fifo.underflows", [this] {
+    m->probe("fifo.underflows", [this](Time) {
       return static_cast<double>(underflows_);
     });
-    m->probe("fifo.max_occupancy", [this] {
+    m->probe("fifo.max_occupancy", [this](Time) {
       return static_cast<double>(max_occupancy_);
     });
     occ_hist_ = m->log_histogram("fifo.occupancy_words", 1.0,

@@ -39,18 +39,22 @@ ClockGenerator::ClockGenerator(sim::Scheduler& sched,
       origin_{sched.now()},
       tel_{sched.telemetry(), "clockgen"} {
   if (auto* m = tel_.metrics()) {
-    m->probe("clockgen.captures", [this] {
+    m->probe("clockgen.captures", [this](Time) {
       return static_cast<double>(captures_);
     });
-    m->probe("clockgen.wakeups", [this] {
+    m->probe("clockgen.wakeups", [this](Time) {
       return static_cast<double>(wakeups_);
     });
-    m->probe("clockgen.level", [this] {
-      return asleep() ? -1.0 : static_cast<double>(level());
+    m->probe("clockgen.level", [this](Time at) {
+      const Time e = at - origin_;
+      return schedule_.is_asleep_at(e)
+                 ? -1.0
+                 : static_cast<double>(schedule_.level_at(e));
     });
-    m->probe("clockgen.awake_s", [this] { return activity().awake.to_sec(); });
-    m->probe("clockgen.sampling_cycles", [this] {
-      return static_cast<double>(activity().sampling_cycles);
+    m->probe("clockgen.awake_s",
+             [this](Time at) { return activity_at(at).awake.to_sec(); });
+    m->probe("clockgen.sampling_cycles", [this](Time at) {
+      return static_cast<double>(activity_at(at).sampling_cycles);
     });
   }
   tel_.counter("level", origin_, 0.0);
@@ -108,17 +112,36 @@ Time ClockGenerator::wake_latency_for(bool was_asleep) {
   return wake;
 }
 
-std::uint64_t ClockGenerator::settle_capture(
-    const SamplingSchedule::Measurement& m, Time delta, bool was_asleep,
-    Time wake, Time sample_abs) {
-  // Close the books on the interval [origin_, sample edge]. m.cycles is
+Time ClockGenerator::begin_capture(std::uint32_t sync_edges, Time req) {
+  if (capture_pending_) {
+    throw std::logic_error(
+        "ClockGenerator: capture while another request is in flight "
+        "(AER 4-phase handshake should serialise requests)");
+  }
+  capture_pending_ = true;
+  PendingCapture& p = pending_;
+  p.origin = origin_;
+  p.delta = req - origin_;
+  p.was_asleep = schedule_.is_asleep_at(p.delta);
+  p.wake = wake_latency_for(p.was_asleep);
+  p.m = schedule_.measure(p.delta, sync_edges, p.wake);
+  return origin_ + p.m.sample_edge;
+}
+
+ClockGenerator::CaptureResult ClockGenerator::complete_capture() {
+  const PendingCapture& p = pending_;
+  const SamplingSchedule::Measurement& m = p.m;
+  // An SPI retune mid-capture moves origin_; the edge stays where the
+  // measurement put it.
+  const Time sample_abs = p.origin + m.sample_edge;
+  // Close the books on the interval [origin, sample edge]. m.cycles is
   // cycles_until(sample_edge): for a sleeper, the full schedule's edges.
-  if (was_asleep) {
+  if (p.was_asleep) {
     // Ring ran for the full schedule, paused, and restarted at the
     // request; it has been running again since the request instant.
-    awake_accum_ += schedule_.awake_span() + (m.sample_edge - delta);
+    awake_accum_ += schedule_.awake_span() + (m.sample_edge - p.delta);
     sampling_cycles_accum_ +=
-        m.cycles + schedule_.tmin_ticks(m.sample_edge - delta - wake) + 1;
+        m.cycles + schedule_.tmin_ticks(m.sample_edge - p.delta - p.wake) + 1;
     ++wakeups_;
   } else {
     awake_accum_ += std::min(m.sample_edge, schedule_.awake_span());
@@ -126,10 +149,10 @@ std::uint64_t ClockGenerator::settle_capture(
   }
   ++captures_;
   if (tel_.tracing()) {
-    trace_closed_interval(sample_abs - m.sample_edge, m.sample_edge,
-                          was_asleep, delta);
+    trace_closed_interval(p.origin, m.sample_edge, p.was_asleep, p.delta);
   }
   origin_ = sample_abs;  // the sample edge is the new counter origin
+  capture_pending_ = false;
   // Period jitter accumulates in the timestamp counter: the latched
   // tick count gains a zero-mean error with sigma growing as
   // sqrt(ticks) (independent per-cycle jitter).
@@ -146,51 +169,18 @@ std::uint64_t ClockGenerator::settle_capture(
           0, static_cast<std::int64_t>(m.ticks) + jit));
     }
   }
-  return ticks;
+  return {sample_abs, ticks, m.saturated};
 }
 
 void ClockGenerator::capture_request(std::uint32_t sync_edges, CaptureFn done) {
-  if (capture_pending_) {
-    throw std::logic_error(
-        "ClockGenerator: capture while another request is in flight "
-        "(AER 4-phase handshake should serialise requests)");
-  }
-  capture_pending_ = true;
-  PendingCapture& p = pending_;
-  p.delta = elapsed();
-  p.was_asleep = schedule_.is_asleep_at(p.delta);
-  p.wake = wake_latency_for(p.was_asleep);
-  p.m = schedule_.measure(p.delta, sync_edges, p.wake);
-  p.done = std::move(done);
-  sched_.schedule_at(origin_ + p.m.sample_edge, [this] { complete_capture(); });
-}
-
-void ClockGenerator::complete_capture() {
-  const PendingCapture& p = pending_;
-  const std::uint64_t ticks =
-      settle_capture(p.m, p.delta, p.was_asleep, p.wake, sched_.now());
-  const bool saturated = p.m.saturated;
-  capture_pending_ = false;
-  // Moved out first: the callback may start the next capture.
-  CaptureFn done = std::move(pending_.done);
-  done(sched_.now(), ticks, saturated);
-}
-
-ClockGenerator::CaptureResult ClockGenerator::capture_now(
-    std::uint32_t sync_edges, Time req_abs) {
-  if (capture_pending_) {
-    throw std::logic_error(
-        "ClockGenerator: capture while another request is in flight "
-        "(AER 4-phase handshake should serialise requests)");
-  }
-  const Time delta = req_abs - origin_;
-  const bool was_asleep = schedule_.is_asleep_at(delta);
-  const Time wake = wake_latency_for(was_asleep);
-  const auto m = schedule_.measure(delta, sync_edges, wake);
-  const Time sample_abs = origin_ + m.sample_edge;
-  const std::uint64_t ticks =
-      settle_capture(m, delta, was_asleep, wake, sample_abs);
-  return {sample_abs, ticks, m.saturated};
+  const Time edge = begin_capture(sync_edges, sched_.now());
+  pending_.done = std::move(done);
+  sched_.schedule_at(edge, [this] {
+    const CaptureResult r = complete_capture();
+    // Moved out first: the callback may start the next capture.
+    CaptureFn fn = std::move(pending_.done);
+    fn(r.edge, r.ticks, r.saturated);
+  });
 }
 
 void ClockGenerator::trace_closed_interval(Time old_origin, Time end_rel,
@@ -226,9 +216,9 @@ Time ClockGenerator::current_period() const {
   return schedule_.period_of_level(level());
 }
 
-ClockActivity ClockGenerator::activity() const {
+ClockActivity ClockGenerator::activity_at(Time now) const {
   ClockActivity a;
-  const Time e = elapsed();
+  const Time e = now - origin_;
   a.awake = awake_accum_ + std::min(e, schedule_.awake_span());
   a.sampling_cycles = sampling_cycles_accum_ + schedule_.cycles_until(e);
   a.wakeups = wakeups_;

@@ -76,26 +76,27 @@ class ClockGenerator {
   void set_divide_enabled(bool enabled);
   void set_shutdown_enabled(bool enabled);
 
-  /// Called by the AER front-end at the instant REQ rises. The generator
-  /// wakes the ring if paused, lets the request cross `sync_edges` sampling
-  /// edges (the 2-FF synchronizer), then invokes `done` at the edge where
-  /// the FSM samples the event; the schedule resets to Tmin at that edge.
-  /// Only one capture may be in flight (guaranteed by the AER handshake).
+  /// A capture on the event-driven path: begin_capture() at the instant REQ
+  /// rises, then complete_capture() scheduled at the sample edge, which
+  /// invokes `done`. Only one capture may be in flight (guaranteed by the
+  /// AER handshake).
   void capture_request(std::uint32_t sync_edges, CaptureFn done);
 
-  /// Analytic capture for the fast path: identical measurement, fault
-  /// lotteries, accounting and telemetry as capture_request followed by its
-  /// scheduled sample-edge callback, but computed immediately from the
-  /// request's absolute time instead of materialising the edge as a DES
-  /// event. `req_abs` is the instant REQ rises; it may lie ahead of
-  /// sched_.now() — the caller owns the timeline and guarantees nothing
-  /// else touches this block in between.
+  /// The two halves of a capture, shared by both run engines. The measure
+  /// half, at the instant `req` REQ rises: the generator wakes the ring if
+  /// paused and lets the request cross `sync_edges` sampling edges (the 2-FF
+  /// synchronizer); returns the absolute sample edge where the FSM samples
+  /// the event. `req` may lie ahead of the scheduler's clock on the
+  /// analytic engine, which owns the timeline.
+  Time begin_capture(std::uint32_t sync_edges, Time req);
+  /// The settle half, at that sample edge: activity accounting, retroactive
+  /// tracing, the schedule reset to Tmin and the period-jitter lottery.
   struct CaptureResult {
     Time edge;            ///< absolute sampling-edge time
     std::uint64_t ticks;  ///< latched timestamp-counter value
     bool saturated;       ///< counter hit the saturation marker
   };
-  CaptureResult capture_now(std::uint32_t sync_edges, Time req_abs);
+  CaptureResult complete_capture();
 
   /// True when the sampling clock is currently shut down.
   [[nodiscard]] bool asleep() const;
@@ -106,8 +107,13 @@ class ClockGenerator {
   /// Current sampling period of the global clock.
   [[nodiscard]] Time current_period() const;
 
-  /// Activity totals settled up to the current simulation time.
-  [[nodiscard]] ClockActivity activity() const;
+  /// Activity totals settled up to the current simulation time, or up to
+  /// `now` (a metrics grid point, which the analytic engine may sample
+  /// ahead of the scheduler's clock).
+  [[nodiscard]] ClockActivity activity() const {
+    return activity_at(sched_.now());
+  }
+  [[nodiscard]] ClockActivity activity_at(Time now) const;
 
   /// Period-jitter / wake-latency-variation lotteries. Null is inert.
   void attach_faults(fault::FaultInjector* faults) { faults_ = faults; }
@@ -122,14 +128,6 @@ class ClockGenerator {
   void rebuild_schedule();
   /// Wake latency for this capture, including the restart-jitter lottery.
   [[nodiscard]] Time wake_latency_for(bool was_asleep);
-  /// Sample-edge event of the capture in flight.
-  void complete_capture();
-  /// Close the books on the interval ending at the sample edge: activity
-  /// accounting, capture count, retroactive tracing, origin reset and the
-  /// period-jitter lottery. Returns the (possibly jittered) latched ticks.
-  std::uint64_t settle_capture(const SamplingSchedule::Measurement& m,
-                               Time delta, bool was_asleep, Time wake,
-                               Time sample_abs);
   [[nodiscard]] Time elapsed() const { return sched_.now() - origin_; }
   /// Materialise the FSM trace of a just-closed inter-capture interval:
   /// between captures the division level is a pure function of elapsed
@@ -144,12 +142,13 @@ class ClockGenerator {
   fault::FaultInjector* faults_{nullptr};
   Time origin_{Time::zero()};  ///< absolute time of the last schedule reset
   bool capture_pending_{false};
-  // The capture in flight (one at a time — capture_pending_): measured at
-  // the request, completed by a sample-edge event that captures only
-  // `this`, so the per-spike closure stays inside the scheduler's inline
-  // buffer.
+  // The capture in flight (one at a time — capture_pending_), measured at
+  // the request and settled at its sample edge. `done` is set only by
+  // capture_request(), whose sample-edge event captures only `this`, so
+  // the per-spike closure stays inside the scheduler's inline buffer.
   struct PendingCapture {
     SamplingSchedule::Measurement m;
+    Time origin{Time::zero()};  ///< origin_ at the request
     Time delta{Time::zero()};
     bool was_asleep{false};
     Time wake{Time::zero()};

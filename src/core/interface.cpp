@@ -162,10 +162,10 @@ void AerToI2sInterface::map_registers() {
   });
 }
 
-power::ActivityTotals AerToI2sInterface::activity() const {
+power::ActivityTotals AerToI2sInterface::activity_at(Time now) const {
   power::ActivityTotals a;
-  const auto clk = clkgen_.activity();
-  a.window = sched_.now();
+  const auto clk = clkgen_.activity_at(now);
+  a.window = now;
   a.osc_awake = clk.awake;
   a.sampling_cycles = clk.sampling_cycles;
   a.events = front_end_.events();

@@ -87,8 +87,13 @@ class AerToI2sInterface {
     return clkgen_.schedule().awake_span();
   }
 
-  /// Activity totals settled up to the current simulation time.
-  [[nodiscard]] power::ActivityTotals activity() const;
+  /// Activity totals settled up to the current simulation time, or up to
+  /// `now` (a metrics grid point, which the analytic engine may sample
+  /// ahead of the scheduler's clock).
+  [[nodiscard]] power::ActivityTotals activity() const {
+    return activity_at(sched_.now());
+  }
+  [[nodiscard]] power::ActivityTotals activity_at(Time now) const;
 
   /// Average power over the whole run so far, per the calibrated model.
   [[nodiscard]] double average_power_w() const;

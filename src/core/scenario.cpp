@@ -49,19 +49,17 @@ constexpr std::size_t kChunk = 4096;
 /// returns the next span of at most kChunk events, empty at the end of
 /// the stimulus. Each chunk is fed and the timeline run to its last event,
 /// so the session buffers about one chunk instead of the whole stream;
-/// advance_to() is transparent, so the result is the one-shot run's. A
-/// telemetry run feeds everything before the first advance instead: the
-/// runner span records the events fed when the timeline starts.
+/// advance_to() is transparent, so the result is the one-shot run's,
+/// telemetry artifacts included.
 template <typename NextChunk>
 RunResult run_chunked(const ScenarioConfig& scenario, bool keep_history,
                       NextChunk next_chunk) {
   Session session{scenario};
   session.set_keep_history(keep_history);
-  const bool advance = session.telemetry_session() == nullptr;
   for (std::span<const aer::Event> chunk = next_chunk(); !chunk.empty();
        chunk = next_chunk()) {
     session.feed_all(chunk);
-    if (advance) session.advance_to(chunk.back().time);
+    session.advance_to(chunk.back().time);
   }
   return session.finish();
 }

@@ -39,9 +39,8 @@ struct ScenarioConfig {
   bool final_flush = true;          ///< drain FIFO residue at the end
   bool attach_mcu = true;           ///< decode the I2S stream
   /// Fill RunResult::ledger (obs::EnergyLedger) from the run's counters.
-  /// Pure post-hoc arithmetic: never perturbs the run, never disqualifies
-  /// the fast path, and off leaves RunResult bit-identical to a build
-  /// without the ledger.
+  /// Pure post-hoc arithmetic: never perturbs the run, and off leaves
+  /// RunResult bit-identical to a build without the ledger.
   bool energy_ledger = false;
   SessionLimits session;            ///< streaming-session lifecycle limits
   /// Per-run telemetry. Off exactly when !telemetry.any(); otherwise the

@@ -99,15 +99,14 @@ struct Session::Impl {
   Time first_event_time{Time::zero()};
   Time last_event_time{Time::zero()};
 
+  // The metrics grid, sampled by the session itself on either engine as
+  // the timeline passes each point (core/fast_path.hpp). It starts with
+  // the timeline.
+  MetricsGrid grid;
+
   // Standing services (each owns at most one pending scheduler event,
   // which is exactly what snapshot() needs to account for quiescence).
   bool started{false};
-  bool span_open{false};
-  telemetry::TraceSession::Track runner_track{0};
-  bool grid_enabled{false};
-  Time grid_pitch{Time::zero()};
-  bool grid_armed{false};
-  Time grid_next{Time::zero()};
   bool watchdog_enabled{false};
   Time watchdog_period{Time::zero()};
   bool watchdog_armed{false};
@@ -163,35 +162,31 @@ struct Session::Impl {
 
     run_tel.emplace(tel, "runner");
     if (auto* m = run_tel->metrics()) {
-      m->probe("sched.events_dispatched",
-               [this] { return static_cast<double>(sched.processed()); });
-      m->probe("sched.scheduled", [this] {
-        return static_cast<double>(sched.stats().scheduled);
+      m->probe("power.avg_w", [this](Time at) {
+        return iface->power_model().average_power_w(iface->activity_at(at));
       });
-      m->probe("sched.pending",
-               [this] { return static_cast<double>(sched.pending()); });
-      m->probe("power.avg_w", [this] { return iface->average_power_w(); });
       if (faults != nullptr) {
         // The fault.* probes read the injector's counters — the same
         // fields RunResult::faults is copied from, so the two can never
         // disagree.
-        m->probe("fault.injected", [this] {
+        m->probe("fault.injected", [this](Time) {
           return static_cast<double>(faults->counters().injected_total());
         });
-        m->probe("fault.recovered", [this] {
+        m->probe("fault.recovered", [this](Time) {
           return static_cast<double>(faults->counters().recovered_total());
         });
-        m->probe("fault.watchdog_resyncs", [this] {
+        m->probe("fault.watchdog_resyncs", [this](Time) {
           return static_cast<double>(faults->counters().watchdog_resyncs);
         });
-        m->probe("fault.crc_rejected_words", [this] {
+        m->probe("fault.crc_rejected_words", [this](Time) {
           return static_cast<double>(faults->counters().crc_rejected_words);
         });
       }
+      if (tel->options().metrics_window > Time::zero()) {
+        grid.metrics = m;
+        grid.pitch = tel->options().metrics_window;
+      }
     }
-
-    grid_enabled = tel != nullptr && tel->metrics_on();
-    if (grid_enabled) grid_pitch = tel->options().metrics_window;
     // Handshake watchdog: armed only when a wire fault that can wedge the
     // link is actually injected (and recovery is enabled), so fault-free
     // runs schedule nothing extra.
@@ -199,9 +194,8 @@ struct Session::Impl {
                        scenario.faults.recovery.watchdog;
     watchdog_period = scenario.faults.recovery.watchdog_timeout;
 
-    if (g_des_oracle_scopes == 0 &&
-        fast_path_eligible(scenario, tel != nullptr)) {
-      engine.emplace(sched, *iface, scenario);
+    if (g_des_oracle_scopes == 0 && fast_path_eligible(scenario)) {
+      engine.emplace(sched, *iface, scenario, grid);
     }
   }
 
@@ -234,35 +228,6 @@ struct Session::Impl {
   }
 
   // --- standing services ---------------------------------------------------
-
-  /// First sampling-grid point at (or, when `strictly_after`, strictly
-  /// past) `t`. Grid points sit at integer multiples of the pitch,
-  /// anchored at zero — the same ticks an uninterrupted batch run's
-  /// self-rearming grid visits.
-  [[nodiscard]] Time grid_point(Time t, bool strictly_after) const {
-    if (grid_pitch <= Time::zero()) return t;
-    const Time rem = t % grid_pitch;
-    if (rem == Time::zero()) return strictly_after ? t + grid_pitch : t;
-    return t - rem + grid_pitch;
-  }
-
-  /// Self-rearming snapshot tick: samples every registered probe on the
-  /// metrics grid. Re-arms only up to the last fed event so the grid
-  /// never extends the simulated timeline (RunResult must be
-  /// telemetry-invariant).
-  void arm_grid_at(Time at) {
-    grid_armed = true;
-    grid_next = at;
-    sched.schedule_at(at, [this] {
-      tel->metrics().snapshot(sched.now());
-      const Time next = sched.now() + grid_pitch;
-      if (next <= last_event_time) {
-        arm_grid_at(next);
-      } else {
-        grid_armed = false;
-      }
-    });
-  }
 
   void arm_watchdog_at(Time at) {
     watchdog_armed = true;
@@ -316,65 +281,55 @@ struct Session::Impl {
     }
   }
 
-  /// Arm the session's standing services on first use of the timeline.
-  /// Order matters for bit-identity: the metrics grid, then the watchdog,
-  /// then the runner span claim their scheduler sequence numbers (the
-  /// same-timestamp tie-break) in that fixed order.
+  /// Start the timeline's services on its first use: the metrics grid
+  /// from its first point (the clock reads zero until the first advance)
+  /// and the handshake watchdog.
   void ensure_started() {
     if (started || done) return;
     started = true;
-    if (grid_enabled && fed_total > 0) {
-      arm_grid_at(grid_point(sched.now(), /*strictly_after=*/false));
-    }
+    grid.start();
     if (watchdog_enabled) arm_watchdog_at(sched.now() + watchdog_period);
-    if (tel != nullptr && tel->trace_on()) {
-      runner_track = tel->trace().track("runner");
-      tel->trace().begin(runner_track, "run_scenario", sched.now(),
-                         {{"events", static_cast<double>(fed_total)}});
-      span_open = true;
+  }
+
+  /// Streaming upkeep after new input: a watchdog that wound down while
+  /// the stream was idle comes back when more work arrives.
+  void revive_watchdog() {
+    if (started && watchdog_enabled && !watchdog_armed) {
+      arm_watchdog_at(sched.now() + watchdog_period);
     }
   }
 
-  /// Streaming upkeep after new input: a standing service that wound
-  /// down while the stream was idle comes back when more work arrives.
-  /// `first` is the earliest of the events just fed. Fed one at a time,
-  /// they would revive the grid only once an event reached its next
-  /// point — after the watchdog unless that was the first event — and the
-  /// scheduler's same-time tie-break must see that order either way.
-  void revive_services(Time first) {
-    if (!started) return;
-    const bool grid_due = grid_enabled && !grid_armed;
-    const Time at = grid_due ? grid_point(sched.now(), /*strictly_after=*/true)
-                             : Time::zero();
-    const bool grid_first = grid_due && at <= first;
-    if (grid_first) arm_grid_at(at);
-    if (watchdog_enabled && !watchdog_armed) {
-      arm_watchdog_at(sched.now() + watchdog_period);
+  /// The event-driven timeline through `t`: every event at or before it,
+  /// each grid point sampled once the events at or before it have run.
+  void run_des_until(Time t) {
+    while (grid.next <= t) {
+      sched.run_until(grid.next);
+      grid.sample();
     }
-    if (grid_due && !grid_first && at <= last_event_time) arm_grid_at(at);
+    sched.run_until(t);
+  }
+
+  /// The event-driven timeline until no event is pending.
+  void run_des() {
+    while (sched.pending() > 0) run_des_until(sched.next_event_time());
   }
 
   // --- input ----------------------------------------------------------------
 
+  [[nodiscard]] std::size_t room() const {
+    const std::size_t cap = scenario.session.max_buffered_events;
+    return buffered() >= cap ? 0 : cap - buffered();
+  }
+
   bool feed(const aer::Event& ev) {
     require_live("feed");
+    if (feed_run({&ev, 1}, room(), Time::max()) == 1) return true;
+    if (ev.time > aer::kLatestEventTime) throw too_late("Session::feed");
     if (have_first_event && ev.time < last_event_time) {
       throw std::invalid_argument(
           "Session::feed: events must arrive in non-decreasing time order");
     }
-    if (ev.time > aer::kLatestEventTime) throw too_late("Session::feed");
-    if (buffered() >= scenario.session.max_buffered_events) {
-      return false;
-    }
-    pending.push_back(ev);
-    if (!have_first_event) {
-      have_first_event = true;
-      first_event_time = ev.time;
-    }
-    last_event_time = ev.time;
-    ++fed_total;
-    revive_services(ev.time);
-    return true;
+    return false;  // the buffer is full
   }
 
   static std::invalid_argument too_late(const char* who) {
@@ -393,9 +348,7 @@ struct Session::Impl {
         "Session::feed_all: events must arrive in non-decreasing time order");
   }
 
-  /// Per-event feed() with the cap off, minus the per-event upkeep:
-  /// revive_services() depends only on the clock and the first and last
-  /// event times.
+  /// The one append path: feed() is a one-event call capped at room().
   std::size_t feed_run(std::span<const aer::Event> events, std::size_t limit,
                        Time cut) {
     const std::size_t most = std::min(limit, events.size());
@@ -434,7 +387,8 @@ struct Session::Impl {
     }
     last_event_time = last;
     fed_total += n;
-    revive_services(events.front().time);
+    grid.extend(last, sched.now());
+    revive_watchdog();
     return n;
   }
 
@@ -494,7 +448,7 @@ struct Session::Impl {
     if (engine) {
       launched(engine->run_to(t, queued()));
     } else {
-      sched.run_until(t);
+      run_des_until(t);
     }
     if (!keep_history) fold_records();
   }
@@ -504,8 +458,8 @@ struct Session::Impl {
   /// Pending scheduler events the session can account for: one per armed
   /// standing service plus the sender's next launch.
   [[nodiscard]] std::size_t standing_timers() {
-    return (grid_armed ? 1u : 0u) + (watchdog_armed ? 1u : 0u) +
-           iface->drain_deadline_count() + (sender->launch_pending() ? 1u : 0u);
+    return (watchdog_armed ? 1u : 0u) + iface->drain_deadline_count() +
+           (sender->launch_pending() ? 1u : 0u);
   }
 
   /// Quiescent: every pending scheduler event is a standing timer and no
@@ -533,7 +487,7 @@ struct Session::Impl {
         throw std::logic_error(
             "Session::snapshot: standing-timer accounting is inconsistent");
       }
-      sched.run_until(sched.next_event_time());
+      run_des_until(sched.next_event_time());
     }
     throw std::runtime_error(
         "Session::snapshot: system did not reach a quiescent point");
@@ -554,7 +508,6 @@ struct Session::Impl {
 
     // Session-level stream position and lifecycle.
     w.b(started);
-    w.b(span_open);
     w.b(keep_history);
     w.u64(fed_total);
     w.b(have_first_event);
@@ -568,8 +521,6 @@ struct Session::Impl {
     w.u64(submitted - pending_head);
 
     // Standing services.
-    w.b(grid_armed);
-    w.time(grid_next);
     w.b(watchdog_armed);
     w.time(watchdog_deadline);
     w.i64(watchdog_suspect_ticks);
@@ -665,12 +616,6 @@ struct Session::Impl {
     }
 
     started = r.b();
-    span_open = r.b();
-    // finish() closes an open runner span on the trace.
-    if (span_open && (tel == nullptr || !tel->trace_on())) {
-      throw std::runtime_error(
-          "Session::restore: runner span open without a trace");
-    }
     keep_history = r.b();
     if (!keep_history) {
       sender->set_keep_sent(false);
@@ -702,9 +647,6 @@ struct Session::Impl {
     }
     submitted = static_cast<std::size_t>(n_queued);
 
-    const bool had_grid = r.b();
-    const Time saved_grid_next =
-        time_upto(r, kLatestDeadline, "clock or deadline");
     const bool had_watchdog = r.b();
     const Time saved_watchdog_deadline =
         time_upto(r, kLatestDeadline, "clock or deadline");
@@ -715,8 +657,8 @@ struct Session::Impl {
 
     sim::Scheduler::ClockState clk;
     clk.now = time_upto(r, kLatestDeadline, "clock or deadline");
-    // Wind the sequence counter back by the timers about to re-arm (grid,
-    // watchdog, drain deadlines, sender launch): their fresh allocations
+    // Wind the sequence counter back by the timers about to re-arm
+    // (watchdog, drain deadlines, sender launch): their fresh allocations
     // then bring it back to the snapshotted value.
     clk.next_seq = r.u64() - rearm_count;
     clk.processed = r.u64();
@@ -724,10 +666,17 @@ struct Session::Impl {
     sched.restore_clock_state(clk);
     if (engine) engine->restore_state(r);
 
-    // Re-arm standing timers in a canonical order (grid, watchdog, drain
+    // A snapshot is taken where the timeline has sampled every grid point
+    // up to the clock (and the last event) and none past it.
+    const Time grid_until = have_first_event ? last_event_time : Time::ps(-1);
+    if (started) {
+      grid.resume(grid_until, clk.now);
+    } else {
+      grid.extend(grid_until, clk.now);
+    }
+    // Re-arm standing timers in a canonical order (watchdog, drain
     // deadlines, sender launch) so their sequence numbers — the
     // same-timestamp tie-break — are assigned deterministically.
-    if (had_grid) arm_grid_at(saved_grid_next);
     if (had_watchdog) arm_watchdog_at(saved_watchdog_deadline);
 
     if (faults != nullptr) faults->restore_state(r);
@@ -744,11 +693,6 @@ struct Session::Impl {
     harvested = r.u64();
 
     if (tel != nullptr) tel->restore_state(r);
-    if (span_open && tel != nullptr && tel->trace_on()) {
-      // Re-resolve the runner track after telemetry restore so finish()
-      // closes the span on the same track the snapshot's begin used.
-      runner_track = tel->trace().track("runner");
-    }
 
     if (!r.done()) {
       throw std::runtime_error(
@@ -766,10 +710,10 @@ struct Session::Impl {
       launched(submitted - pending_head);
       return;
     }
-    sched.run();
+    run_des();
     if (scenario.final_flush && !iface->fifo().empty()) {
       iface->i2s_master().request_drain(sched.now());
-      sched.run();
+      run_des();
     }
   }
 
@@ -787,11 +731,11 @@ struct Session::Impl {
       harvest(sched.now());
     }
 
-    if (span_open) {
-      tel->trace().end(runner_track, "run_scenario", sched.now());
-      span_open = false;
-    }
     if (tel != nullptr) {
+      // The runner span, written whole: from the first advance (at zero)
+      // to the end of the run, with every event fed.
+      run_tel->complete("run_scenario", Time::zero(), sched.now(),
+                        {{"events", static_cast<double>(fed_total)}});
       if (tel->metrics_on()) tel->metrics().snapshot(sched.now());
       tel->write_artifacts();
     }
@@ -812,9 +756,9 @@ struct Session::Impl {
     r.words_out = iface->i2s_master().words_sent();
     r.fifo_overflows = iface->fifo().overflows();
     r.batches = mcu->batches();
-    // The engine computes the wire-level outcomes arithmetically (the
-    // channel and its observers never see edges there).
-    r.handshakes = engine ? engine->handshakes() : iface->aer_in().handshakes();
+    r.handshakes = iface->aer_in().handshakes();
+    // The engine computes the CAVIAR outcome arithmetically (the channel's
+    // observers never see edges there).
     r.caviar_violations =
         engine ? engine->caviar_violations() : caviar->violation_count();
     r.protocol_violations = iface->aer_in().violations().size();
@@ -875,11 +819,7 @@ const std::string& Session::config_text() const {
 
 bool Session::backpressure() const { return room() == 0; }
 
-std::size_t Session::room() const {
-  const std::size_t cap = impl_->scenario.session.max_buffered_events;
-  const std::size_t held = impl_->buffered();
-  return held >= cap ? 0 : cap - held;
-}
+std::size_t Session::room() const { return impl_->room(); }
 
 std::optional<Time> Session::last_event_time() const {
   if (!impl_->have_first_event) return std::nullopt;

@@ -8,11 +8,10 @@
 // The batch entry points in core/scenario.hpp are thin wrappers over this
 // class: construct, then feed the stream in chunks of at most 4096 events
 // (feed_all), advancing to each chunk's last event so the input buffer
-// never holds much more than one chunk, then finish(). A telemetry run
-// feeds every chunk before the first advance instead, because the runner
-// span records the events fed when the timeline starts. Advancing is
-// transparent, so both orders give the result of feeding the whole stream
-// at once. run_scenario() keeps per-event history; run_scenario_totals()
+// never holds much more than one chunk, then finish(). Advancing is
+// transparent, so this gives the result of feeding the whole stream at
+// once, telemetry artifacts included. run_scenario() keeps per-event
+// history; run_scenario_totals()
 // turns it off first (set_keep_history), so it returns the same aggregates
 // with `records`, `decoded` and `delivery_latency_sec` left empty.
 //
@@ -39,7 +38,7 @@ class Session {
  public:
   /// Snapshot blob format version (bumped on any layout change; restore
   /// rejects blobs whose version or config fingerprint does not match).
-  static constexpr std::uint32_t kSnapshotVersion = 5;
+  static constexpr std::uint32_t kSnapshotVersion = 6;
   /// The magic "AETRSNAP" and the u32 LE version.
   static constexpr std::size_t kSnapshotHeaderBytes = 12;
   /// Why `header` does not start a blob this build restores ("" when it
@@ -58,12 +57,12 @@ class Session {
 
   // --- streaming input ------------------------------------------------------
 
-  /// Buffer one event for later submission. Events must be fed in
-  /// non-decreasing time order, none later than aer::kLatestEventTime
-  /// (throws std::invalid_argument otherwise).
-  /// Returns false — and does NOT accept the event — when the internal
-  /// buffer already holds session.max_buffered_events; the caller should
-  /// advance_to() to drain the buffer, then retry.
+  /// Buffer one event for later submission: feed_run() of one event,
+  /// capped at room(). Events must be fed in non-decreasing time order,
+  /// none later than aer::kLatestEventTime (throws std::invalid_argument
+  /// otherwise). Returns false — and does NOT accept the event — when the
+  /// internal buffer already holds session.max_buffered_events; the caller
+  /// should advance_to() to drain the buffer, then retry.
   bool feed(const aer::Event& ev);
 
   /// Batch replay: buffer a whole chunk at once, ignoring the backpressure
@@ -108,11 +107,13 @@ class Session {
 
   /// Submit every buffered event with time <= t to the sender, then run
   /// the system up to exactly t (events beyond t stay buffered). A t in
-  /// the past is clamped to position(). First call arms the session's
-  /// standing services (metrics grid, handshake watchdog, runner span).
-  /// A session whose scenario is fast-path eligible runs the analytic
-  /// engine (core/fast_path.hpp) instead of the scheduler, with unchanged
-  /// semantics: the result is the event-driven run's, byte for byte.
+  /// the past is clamped to position(). First call starts the metrics grid
+  /// and arms the handshake watchdog. Each grid point the run passes is
+  /// sampled once everything at or before it has run; finish() keeps the
+  /// points up to the last event fed. A session whose scenario is
+  /// fast-path eligible runs the analytic engine (core/fast_path.hpp)
+  /// instead of the scheduler, with unchanged semantics: the result, and
+  /// every telemetry artifact, is the event-driven run's, byte for byte.
   void advance_to(Time t);
 
   /// Current simulated time.
@@ -124,8 +125,8 @@ class Session {
   /// session first settles: input submission pauses while the scheduler
   /// drains in-flight transients (a handshake mid-flight, an I2S drain)
   /// until every pending scheduler event is a standing timer it knows
-  /// how to re-arm (metrics grid tick, watchdog check, drain-timeout
-  /// deadlines, the sender's next launch). Settling dispatches that
+  /// how to re-arm (watchdog check, drain-timeout deadlines, the sender's
+  /// next launch). Settling dispatches that
   /// work at exactly the times an uninterrupted run would, but it
   /// advances position() to the quiescent point — so a snapshot is a
   /// synchronization point in the run, not an invisible observation: an

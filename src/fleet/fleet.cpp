@@ -422,16 +422,17 @@ FleetResult run_fleet(const FleetConfig& config, const FleetOptions& options) {
   for (const GatewayResult& g : res.gateways) {
     util_max = std::max(util_max, g.utilization());
   }
-  res.metrics.probe("fleet.total_energy_j", [total_energy] {
+  res.metrics.probe("fleet.total_energy_j", [total_energy](Time) {
     return total_energy;
   });
-  res.metrics.probe("fleet.delivered_events", [delivered] {
+  res.metrics.probe("fleet.delivered_events", [delivered](Time) {
     return delivered;
   });
-  res.metrics.probe("fleet.delivered_fraction", [frac] { return frac; });
-  res.metrics.probe("fleet.energy_per_delivered_j", [epd] { return epd; });
-  res.metrics.probe("fleet.latency_p99_ms", [p99_ms] { return p99_ms; });
-  res.metrics.probe("fleet.gateway_util_max", [util_max] {
+  res.metrics.probe("fleet.delivered_fraction", [frac](Time) { return frac; });
+  res.metrics.probe("fleet.energy_per_delivered_j",
+                    [epd](Time) { return epd; });
+  res.metrics.probe("fleet.latency_p99_ms", [p99_ms](Time) { return p99_ms; });
+  res.metrics.probe("fleet.gateway_util_max", [util_max](Time) {
     return util_max;
   });
   res.metrics.snapshot(Time::sec(max_sim_end));

@@ -17,16 +17,16 @@ AerFrontEnd::AerFrontEnd(sim::Scheduler& sched, aer::AerChannel& channel,
       rng_{config.seed},
       tel_{sched.telemetry(), "frontend"} {
   if (auto* m = tel_.metrics()) {
-    m->probe("frontend.events", [this] {
+    m->probe("frontend.events", [this](Time) {
       return static_cast<double>(events_);
     });
-    m->probe("frontend.saturated", [this] {
+    m->probe("frontend.saturated", [this](Time) {
       return static_cast<double>(saturated_);
     });
-    m->probe("frontend.metastable", [this] {
+    m->probe("frontend.metastable", [this](Time) {
       return static_cast<double>(metastable_);
     });
-    m->probe("frontend.handshakes", [this] {
+    m->probe("frontend.handshakes", [this](Time) {
       return static_cast<double>(channel_.handshakes());
     });
     // Inter-capture intervals, 1 µs .. 10 s (the paper's ISI span).
@@ -50,14 +50,25 @@ bool AerFrontEnd::resync(Time now) {
 }
 
 void AerFrontEnd::handle_request(Time t) {
+  capture_ = capture_begin(channel_.addr(), t, sched_.now());
+  sched_.schedule_at(capture_.edge, [this] {
+    if (capture_commit(capture_)) {
+      sched_.schedule_after(cfg_.ack_rise_delay,
+                            [this] { channel_.assert_ack(); });
+    }
+  });
+}
+
+AerFrontEnd::Capture AerFrontEnd::capture_begin(std::uint16_t addr, Time req,
+                                                Time now) {
   std::uint32_t sync = cfg_.sync_stages;
   if (cfg_.metastability_prob > 0.0 &&
       rng_.bernoulli(cfg_.metastability_prob)) {
     ++sync;  // the first FF went metastable; one extra edge to resolve
     ++metastable_;
-    tel_.instant("metastable", t);
+    tel_.instant("metastable", req);
   }
-  const aer::Event request{channel_.addr(), t};
+  const aer::Event request{addr, req};
   // The address register can latch a corrupted bus (fault injection); the
   // ground-truth record keeps the address the sender actually drove.
   std::uint16_t latched = request.address;
@@ -70,81 +81,33 @@ void AerFrontEnd::handle_request(Time t) {
   }
   in_flight_ = true;
   if (tel_.tracing()) [[unlikely]] {
-    tel_.begin("capture", t,
+    tel_.begin("capture", req,
                {{"addr", static_cast<double>(request.address)}});
   }
-  clkgen_.capture_request(
-      sync, [this, request, latched](Time edge, std::uint64_t ticks,
-                                     bool saturated) {
-        in_flight_ = false;
-        if (faults_ != nullptr && !channel_.req()) {
-          // Level-confirmed sampling: the REQ level collapsed under us (a
-          // runt dip). Abort the capture — no word, no ACK; the watchdog
-          // re-delivers the request once the level has recovered.
-          ++faults_->counters().runts_filtered;
-          tel_.end("capture", edge);
-          return;
-        }
-        // At the sample edge: ADDR was stable since before REQ, so the
-        // address register holds it; the counter value is latched with it.
-        const aer::AetrWord word =
-            saturated ? aer::AetrWord::saturated(latched)
-                      : aer::AetrWord::make(latched, ticks);
-        ++events_;
-        if (word.is_saturated()) {
-          ++saturated_;
-          // The timestamp counter rolled over its measurable span: the
-          // clock had shut down and the word carries the saturation tag.
-          tel_.instant("ts_rollover", edge);
-        }
-        tel_.end("capture", edge);
-        if (isi_hist_ != nullptr) [[unlikely]] {
-          if (have_last_edge_) isi_hist_->add((edge - last_edge_).to_sec());
-          last_edge_ = edge;
-          have_last_edge_ = true;
-        }
-        if (cfg_.keep_records) {
-          records_.push_back(CaptureRecord{request, edge, word});
-        }
-        if (word_fn_) word_fn_(word, edge);
-        sched_.schedule_after(cfg_.ack_rise_delay,
-                              [this] { channel_.assert_ack(); });
-      });
+  return Capture{request, latched, clkgen_.begin_capture(sync, now)};
 }
 
-AerFrontEnd::FastCapture AerFrontEnd::fast_capture_begin(std::uint16_t addr,
-                                                         Time req_abs) {
-  std::uint32_t sync = cfg_.sync_stages;
-  if (cfg_.metastability_prob > 0.0 &&
-      rng_.bernoulli(cfg_.metastability_prob)) {
-    ++sync;  // the first FF went metastable; one extra edge to resolve
-    ++metastable_;
-    tel_.instant("metastable", req_abs);
+bool AerFrontEnd::capture_commit(const Capture& c) {
+  const auto cap = clkgen_.complete_capture();
+  in_flight_ = false;
+  if (faults_ != nullptr && !channel_.req()) {
+    // Level-confirmed sampling: the REQ level collapsed under us (a runt
+    // dip). Abort the capture — no word, no ACK; the watchdog re-delivers
+    // the request once the level has recovered.
+    ++faults_->counters().runts_filtered;
+    tel_.end("capture", c.edge);
+    return false;
   }
-  const aer::Event request{addr, req_abs};
-  std::uint16_t latched = request.address;
-  if (faults_ != nullptr &&
-      faults_->roll(fault::Site::kAddrBus,
-                    faults_->plan().aer.addr_bit_flip_prob)) {
-    latched ^= static_cast<std::uint16_t>(
-        1u << faults_->pick_bit(fault::Site::kAddrBus, aer::kAddressBits));
-    ++faults_->counters().addr_flips;
-  }
-  if (tel_.tracing()) [[unlikely]] {
-    tel_.begin("capture", req_abs,
-               {{"addr", static_cast<double>(request.address)}});
-  }
-  const auto cap = clkgen_.capture_now(sync, req_abs);
-  return FastCapture{request, latched, cap.edge, cap.ticks, cap.saturated};
-}
-
-void AerFrontEnd::fast_capture_commit(const FastCapture& c) {
-  const aer::AetrWord word = c.saturated
+  // At the sample edge: ADDR was stable since before REQ, so the address
+  // register holds it; the counter value is latched with it.
+  const aer::AetrWord word = cap.saturated
                                  ? aer::AetrWord::saturated(c.latched)
-                                 : aer::AetrWord::make(c.latched, c.ticks);
+                                 : aer::AetrWord::make(c.latched, cap.ticks);
   ++events_;
   if (word.is_saturated()) {
     ++saturated_;
+    // The timestamp counter rolled over its measurable span: the clock
+    // had shut down and the word carries the saturation tag.
     tel_.instant("ts_rollover", c.edge);
   }
   tel_.end("capture", c.edge);
@@ -157,6 +120,7 @@ void AerFrontEnd::fast_capture_commit(const FastCapture& c) {
     records_.push_back(CaptureRecord{c.request, c.edge, word});
   }
   if (word_fn_) word_fn_(word, c.edge);
+  return true;
 }
 
 void AerFrontEnd::save_state(BlobWriter& w) const {

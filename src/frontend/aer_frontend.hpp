@@ -98,23 +98,26 @@ class AerFrontEnd {
   /// capture was restarted.
   bool resync(Time now);
 
-  // --- fast path -----------------------------------------------------------
-  // The analytic interpreter (core/fast_path) bypasses the AER wire: it
-  // hands the address and the REQ-rise instant straight to the front-end.
-  // begin() performs everything handle_request does up to and including the
-  // clock-generator measurement (same RNG draw order, so fault and
-  // metastability lotteries stay bit-identical); commit() performs the
-  // sample-edge work (word, counters, records, word_fn_) and is deferred so
-  // the caller can order it against other timeline activity at the edge.
-  struct FastCapture {
+  // --- capture halves -------------------------------------------------------
+  // Both run engines time an event through the same two calls. The
+  // event-driven path calls them from the REQ-rise observer and from the
+  // sample-edge event it schedules; the analytic engine (core/fast_path)
+  // bypasses the AER wire and calls them itself, ordering the commit
+  // against the rest of the timeline at the edge.
+  struct Capture {
     aer::Event request;     ///< ground-truth address + REQ rise time
     std::uint16_t latched;  ///< address as latched (post fault lottery)
     Time edge;              ///< absolute sample-edge time
-    std::uint64_t ticks;    ///< latched timestamp-counter value
-    bool saturated;         ///< counter hit the saturation marker
   };
-  FastCapture fast_capture_begin(std::uint16_t addr, Time req_abs);
-  void fast_capture_commit(const FastCapture& c);
+  /// At REQ rise `req`: the metastability and address-bus lotteries, the
+  /// "capture" span and the clock generator's measure half, taken at
+  /// `now` (later than `req` only when the handshake watchdog re-delivers
+  /// a request the synchroniser missed; the record keeps `req`).
+  Capture capture_begin(std::uint16_t addr, Time req, Time now);
+  /// At the sample edge: the clock generator's settle half, then the word,
+  /// counters, records and delivery downstream. Returns false when the
+  /// capture is aborted instead (a runt dip under fault injection).
+  bool capture_commit(const Capture& c);
 
   /// Serialize RNG/records/counter state. Requires no capture in flight.
   /// The isi histogram pointer is re-acquired via the telemetry session at
@@ -132,6 +135,7 @@ class AerFrontEnd {
   WordFn word_fn_;
   fault::FaultInjector* faults_{nullptr};
   bool in_flight_{false};
+  Capture capture_{};  ///< the event-driven path's capture in flight
   Xoshiro256StarStar rng_;
   std::vector<CaptureRecord> records_;
   std::uint64_t events_{0};

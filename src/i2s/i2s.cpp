@@ -18,12 +18,13 @@ I2sMaster::I2sMaster(sim::Scheduler& sched, buffer::AetrFifo& fifo,
       sck_period_{config.sck.period()},
       tel_{sched.telemetry(), "i2s"} {
   if (auto* m = tel_.metrics()) {
-    m->probe("i2s.words_sent", [this] {
+    m->probe("i2s.words_sent", [this](Time) {
       return static_cast<double>(words_sent_);
     });
-    m->probe("i2s.drains", [this] { return static_cast<double>(drains_); });
-    m->probe("i2s.busy_s", [this] { return busy_accum_.to_sec(); });
-    m->probe("i2s.bits_shifted", [this] {
+    m->probe("i2s.drains",
+             [this](Time) { return static_cast<double>(drains_); });
+    m->probe("i2s.busy_s", [this](Time) { return busy_accum_.to_sec(); });
+    m->probe("i2s.bits_shifted", [this](Time) {
       return static_cast<double>(bits_shifted_);
     });
   }
@@ -42,14 +43,15 @@ void I2sMaster::request_drain(Time now) {
   drain_start_ = now;
   tel_.begin("drain", now,
              {{"backlog", static_cast<double>(fifo_.size())}});
-  if (external_drive_) {
-    // Same deadline send_next() would have scheduled (backlog is non-empty
-    // here, so the DES path always schedules rather than finishing).
-    batch_remaining_ = fifo_.size();
-    next_due_ = now + word_time();
-    return;
+  batch_remaining_ = fifo_.size();
+  arm_word(now + word_time());
+}
+
+void I2sMaster::arm_word(Time due) {
+  next_due_ = due;
+  if (!external_drive_) {
+    sched_.schedule_at(due, [this] { step_word(sched_.now()); });
   }
-  send_next(fifo_.size());
 }
 
 std::uint32_t I2sMaster::apply_line_noise(std::uint32_t raw) {
@@ -93,40 +95,8 @@ void I2sMaster::finish_drain(Time now) {
   });
 }
 
-void I2sMaster::send_next(std::size_t remaining_in_batch) {
-  if (fifo_.empty() || remaining_in_batch == 0) {
-    finish_drain(sched_.now());
-    return;
-  }
-  sched_.schedule_after(word_time(), [this, remaining_in_batch] {
-    if (fifo_.empty()) {  // defensive: nothing to send after all
-      finish_drain(sched_.now());
-      return;
-    }
-    const aer::AetrWord word = fifo_.pop(sched_.now());
-    ++words_sent_;
-    bits_shifted_ += cfg_.word_bits;
-    if (tel_.tracing()) [[unlikely]] {
-      tel_.instant("word", sched_.now(),
-                   {{"remaining", static_cast<double>(fifo_.size())}});
-    }
-    if (faults_ != nullptr && !fifo_.last_pop_parity_ok()) {
-      // Parity-checked read caught a cell upset: the slot was consumed but
-      // the corrupt word is suppressed instead of forwarded.
-    } else {
-      std::uint32_t raw = word.raw();
-      if (faults_ != nullptr) raw = apply_line_noise(raw);
-      if (crc_active_) batch_words_.push_back(word.raw());
-      if (word_fn_) word_fn_(aer::AetrWord{raw}, sched_.now());
-    }
-    const std::size_t next_remaining =
-        cfg_.drain_until_empty ? fifo_.size() : remaining_in_batch - 1;
-    send_next(next_remaining);
-  });
-}
-
 void I2sMaster::step_word(Time now) {
-  assert(external_drive_ && draining_ && now == next_due_);
+  assert(draining_ && now == next_due_);
   next_due_ = Time::max();
   if (fifo_.empty()) {  // defensive: nothing to send after all
     finish_drain(now);
@@ -155,7 +125,7 @@ void I2sMaster::step_word(Time now) {
     return;
   }
   batch_remaining_ = next_remaining;
-  next_due_ = now + word_time();
+  arm_word(now + word_time());
 }
 
 void I2sMaster::save_state(BlobWriter& w) const {

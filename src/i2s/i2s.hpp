@@ -71,13 +71,15 @@ class I2sMaster {
   /// recovery enables it). Null is inert.
   void attach_faults(fault::FaultInjector* faults);
 
-  // --- external drive (fast path) ------------------------------------------
-  // In external-drive mode request_drain() arms a deadline instead of
-  // scheduling DES events; the analytic interpreter (core/fast_path) polls
-  // next_word_due() and calls step_word() at each deadline, interleaving
-  // word pops with FIFO pushes in exact timeline order. step_word() is the
-  // verbatim body of the per-word DES callback with `now` passed in. Not
-  // compatible with CRC batch framing (fault runs never take the fast path).
+  // --- word step -----------------------------------------------------------
+  // A drain pops one word per word time. step_word() is that pop, called at
+  // the deadline next_word_due() returns; it arms the next deadline or
+  // finishes the drain. On the event-driven path each deadline is a
+  // scheduled event that calls it. In external-drive mode nothing is
+  // scheduled: the analytic interpreter (core/fast_path) polls the deadline
+  // and calls step_word() itself, interleaving word pops with FIFO pushes
+  // in exact timeline order. Not compatible with CRC batch framing (fault
+  // runs never take the fast path).
   void set_external_drive(bool on) { external_drive_ = on; }
   [[nodiscard]] Time next_word_due() const { return next_due_; }
   void step_word(Time now);
@@ -95,7 +97,7 @@ class I2sMaster {
   void restore_state(BlobReader& r);
 
  private:
-  void send_next(std::size_t remaining_in_batch);
+  void arm_word(Time due);
   void finish_drain(Time now);
   void complete_drain(Time now);
   [[nodiscard]] std::uint32_t apply_line_noise(std::uint32_t raw);
@@ -111,8 +113,8 @@ class I2sMaster {
   std::vector<std::uint32_t> batch_words_;  ///< shifter-side words (pre-noise)
   bool draining_{false};
   bool external_drive_{false};
-  Time next_due_{Time::max()};        ///< next word pop (external mode)
-  std::size_t batch_remaining_{0};    ///< batch budget (external mode)
+  Time next_due_{Time::max()};        ///< next word pop
+  std::size_t batch_remaining_{0};    ///< words left in this batch
   Time drain_start_{Time::zero()};
   std::uint64_t words_sent_{0};
   std::uint64_t bits_shifted_{0};

@@ -171,15 +171,18 @@ void McuConsumer::finish(Time now) {
 void McuConsumer::attach_telemetry(telemetry::TelemetrySession* session) {
   tel_ = telemetry::BlockTelemetry{session, "mcu"};
   if (auto* m = tel_.metrics()) {
-    m->probe("mcu.words", [this] { return static_cast<double>(words_); });
-    m->probe("mcu.batches", [this] { return static_cast<double>(batches_); });
-    m->probe("mcu.decoded", [this] {
+    m->probe("mcu.words",
+             [this](Time) { return static_cast<double>(words_); });
+    m->probe("mcu.batches",
+             [this](Time) { return static_cast<double>(batches_); });
+    m->probe("mcu.decoded", [this](Time) {
       return static_cast<double>(decoder_.decoded());
     });
-    m->probe("mcu.saturated", [this] {
+    m->probe("mcu.saturated", [this](Time) {
       return static_cast<double>(decoder_.saturated());
     });
-    m->probe("mcu.bus_active_s", [this] { return bus_active_.to_sec(); });
+    m->probe("mcu.bus_active_s",
+             [this](Time) { return bus_active_.to_sec(); });
   }
 }
 

@@ -49,36 +49,6 @@ class CsvSink final : public ResultSink {
   std::ostream* os_;
 };
 
-/// Streams rows as a JSON array of objects keyed by the header cells.
-class JsonSink final : public ResultSink {
- public:
-  explicit JsonSink(const std::string& path);
-  explicit JsonSink(std::ostream& os);
-
-  void begin(const Row& header) override;
-  void row(const Row& cells) override;
-  void end() override;
-
- private:
-  std::ofstream file_;
-  std::ostream* os_;
-  Row header_;
-  bool first_row_{true};
-};
-
-/// Fans rows out to several sinks (console table + CSV + JSON in one pass).
-class MultiSink final : public ResultSink {
- public:
-  explicit MultiSink(std::vector<ResultSink*> sinks);
-
-  void begin(const Row& header) override;
-  void row(const Row& cells) override;
-  void end() override;
-
- private:
-  std::vector<ResultSink*> sinks_;
-};
-
 /// Thread-safe reorder buffer: add() in any order, rows reach the sink in
 /// strictly increasing index order. One job may contribute zero or more rows.
 class OrderedCollector {

@@ -68,7 +68,9 @@ telemetry::SessionOptions job_telemetry(const FigureOptions& opt,
 
 // --- Fig. 6: average relative timestamp error vs. event rate ---------------
 
-FigureResult fig6_impl(const FigureOptions& opt) {
+}  // namespace
+
+FigureResult run_fig6(const FigureOptions& opt) {
   const std::vector<double> thetas{16, 32, 64};
   const std::size_t points = opt.quick ? 9 : 27;
   const std::size_t n_events = opt.quick ? 800 : 6000;
@@ -162,6 +164,8 @@ FigureResult fig6_impl(const FigureOptions& opt) {
 
 // --- Fig. 8: average interface power vs. event rate ------------------------
 
+namespace {
+
 core::InterfaceConfig fig8_config(std::uint32_t theta, bool divide) {
   core::InterfaceConfig cfg;
   cfg.clock.theta_div = theta;
@@ -203,7 +207,9 @@ double fig8_measure_power(const core::InterfaceConfig& cfg, double rate_hz,
   return r.average_power_w;
 }
 
-FigureResult fig8_impl(const FigureOptions& opt) {
+}  // namespace
+
+FigureResult run_fig8(const FigureOptions& opt) {
   // theta = 0 encodes the paper's no-division baseline (theta_div = 64
   // hardware with the divider and shutdown disabled).
   const std::vector<double> thetas =
@@ -326,7 +332,7 @@ FigureResult fig8_impl(const FigureOptions& opt) {
 // --- Fig. 2: the divided sampling clock, Ndiv = 3, theta_div = 8 -----------
 
 // A closed-form picture, not a sweep: no job runs, so the report is empty.
-FigureResult fig2_impl(const FigureOptions& opt) {
+FigureResult run_fig2(const FigureOptions& opt) {
   clockgen::ScheduleConfig cfg;
   cfg.tmin = Time::ns(100.0);  // display unit; the shape is what Fig. 2 shows
   cfg.theta_div = 8;
@@ -383,7 +389,7 @@ FigureResult fig2_impl(const FigureOptions& opt) {
 
 // --- Fig. 7: a cochlea word and its error distribution vs. theta_div -------
 
-FigureResult fig7_impl(const FigureOptions& opt) {
+FigureResult run_fig7(const FigureOptions& opt) {
   // The stimulus is part of the figure's definition, like the ablations'
   // seeds: a synthesised word over a noise floor ("a word extracted from a
   // real sentence"), seed 2024 whatever --seed says.
@@ -470,7 +476,7 @@ FigureResult fig7_impl(const FigureOptions& opt) {
 
 // --- Ablation A1: the N_div knob -------------------------------------------
 
-FigureResult ablation_ndiv_impl(const FigureOptions& opt) {
+FigureResult run_ablation_ndiv(const FigureOptions& opt) {
   const std::vector<double> ndivs = opt.quick
                                         ? std::vector<double>{2, 8}
                                         : std::vector<double>{2, 4, 6, 8, 10};
@@ -573,7 +579,7 @@ FigureResult ablation_ndiv_impl(const FigureOptions& opt) {
 
 // --- Ablation A4: DES vs. algorithmic model --------------------------------
 
-FigureResult ablation_agreement_impl(const FigureOptions& opt) {
+FigureResult run_ablation_agreement(const FigureOptions& opt) {
   const std::vector<double> thetas =
       opt.quick ? std::vector<double>{64} : std::vector<double>{16, 64};
   const std::vector<double> rates =
@@ -672,7 +678,7 @@ FigureResult ablation_agreement_impl(const FigureOptions& opt) {
 // shared, so the curves are coupled: a glitch injected at a low level is,
 // with high probability, also injected at every higher level.
 
-FigureResult faults_impl(const FigureOptions& opt) {
+FigureResult run_faults(const FigureOptions& opt) {
   const std::vector<double> levels =
       opt.quick ? std::vector<double>{0, 1e-2, 5e-2}
                 : std::vector<double>{0, 2e-3, 1e-2, 3e-2, 1e-1};
@@ -789,20 +795,6 @@ FigureResult faults_impl(const FigureOptions& opt) {
   return FigureResult{std::move(table), report, std::move(checks), csv,
                       points_csv};
 }
-
-}  // namespace
-
-FigureResult run_fig2(const FigureOptions& opt) { return fig2_impl(opt); }
-FigureResult run_fig6(const FigureOptions& opt) { return fig6_impl(opt); }
-FigureResult run_fig7(const FigureOptions& opt) { return fig7_impl(opt); }
-FigureResult run_fig8(const FigureOptions& opt) { return fig8_impl(opt); }
-FigureResult run_ablation_ndiv(const FigureOptions& opt) {
-  return ablation_ndiv_impl(opt);
-}
-FigureResult run_ablation_agreement(const FigureOptions& opt) {
-  return ablation_agreement_impl(opt);
-}
-FigureResult run_faults(const FigureOptions& opt) { return faults_impl(opt); }
 
 const std::vector<FigureDef>& figures() {
   static const std::vector<FigureDef> defs{

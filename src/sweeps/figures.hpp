@@ -40,15 +40,15 @@ struct FigureOptions {
   /// (fig8, ablation-agreement). Each job writes deterministically named
   /// artifacts — aetr_<figure>_j<NNN>_trace.json/.csv, _metrics.csv — into
   /// the same directory as the series CSVs; outputs are byte-identical for
-  /// any `jobs` value. No-ops when the build has AETR_TELEMETRY=0.
+  /// any `jobs` value, and on either run engine. No-ops when the build
+  /// has AETR_TELEMETRY=0.
   bool trace = false;
   bool metrics = false;
   /// Per-job energy-attribution ledgers (obs/ledger.hpp) for fig8 and the
   /// fleet health roll-up for the fleet figure. Each job writes
   /// aetr_<figure>_j<NNN>_ledger.csv and _stack.txt (collapsed-stack flame
   /// graph) next to the series CSVs; the fleet figure writes
-  /// aetr_fleet_health.csv. Byte-identical for any `jobs` value, and —
-  /// unlike telemetry — the ledger never disqualifies the fast path.
+  /// aetr_fleet_health.csv. Byte-identical for any `jobs` value.
   bool ledger = false;
   /// Forwarded to runtime::SweepOptions::progress.
   std::function<void(std::size_t, std::size_t)> progress;

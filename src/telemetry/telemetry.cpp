@@ -201,7 +201,7 @@ void MetricsRegistry::snapshot(Time t) {
   Snapshot s;
   s.at = t;
   s.values.reserve(samplers_.size());
-  for (const auto& fn : samplers_) s.values.push_back(fn ? fn() : 0.0);
+  for (const auto& fn : samplers_) s.values.push_back(fn ? fn(t) : 0.0);
   snapshots_.push_back(std::move(s));
 }
 

@@ -152,13 +152,16 @@ class TraceSession {
 
 /// Sampled metrics. Probes are registered once (at component construction)
 /// with a callback that reads the component's own counter; snapshot() walks
-/// the probes on a sim-time grid. The running pipeline never touches the
-/// registry — only the snapshot tick does — so metrics cost nothing
-/// between grid points. Histograms are the exception: they are fed at
-/// emission sites (guarded by the session null-test like all telemetry).
+/// the probes on a sim-time grid, passing each the instant it samples (a
+/// gauge of elapsed time reads it instead of the scheduler's clock, which
+/// the analytic engine does not move to every grid point). The running
+/// pipeline never touches the registry — only the snapshot tick does — so
+/// metrics cost nothing between grid points. Histograms are the exception:
+/// they are fed at emission sites (guarded by the session null-test like
+/// all telemetry).
 class MetricsRegistry {
  public:
-  using SampleFn = std::function<double()>;
+  using SampleFn = std::function<double(Time)>;
 
   /// Register a named probe. Names must be unique per session (later
   /// registrations of the same name replace the sampler, keeping column
@@ -214,7 +217,7 @@ class MetricsRegistry {
 struct SessionOptions {
   bool trace = false;    ///< record spans / instants / counters
   bool metrics = false;  ///< register probes + sample the snapshot grid
-  Time metrics_window = Time::ms(1.0);  ///< snapshot grid pitch
+  Time metrics_window = Time::ms(1.0);  ///< snapshot grid pitch; 0: no grid
   std::size_t max_trace_events = 1u << 20;
   // Artifact paths; empty = don't write that artifact. Written by the
   // run's core::Session when it finishes.

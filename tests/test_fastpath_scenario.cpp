@@ -24,6 +24,7 @@
 #include "gen/sources.hpp"
 #include "opt/optimizer.hpp"
 #include "sweeps/figures.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace aetr::core {
 namespace {
@@ -99,7 +100,7 @@ TEST(FastPathScenario, BitIdenticalAcrossRatesAndCorners) {
       gen::PoissonSource src{rate, 64, 42};
       const auto events = gen::take(src, 1500);
 
-      ASSERT_TRUE(fast_path_eligible(base, /*telemetry_active=*/false));
+      ASSERT_TRUE(fast_path_eligible(base));
       expect_identical(run_with(base, events, true),
                        run_with(base, events, false));
     }
@@ -124,7 +125,7 @@ TEST(FastPathScenario, ZeroProbabilityFaultPlanStaysOnFastPath) {
 
   ScenarioConfig with_zero_plan;
   with_zero_plan.faults = zero;
-  ASSERT_TRUE(fast_path_eligible(with_zero_plan, false));
+  ASSERT_TRUE(fast_path_eligible(with_zero_plan));
 
   // ...and its fast-forward run must be byte-identical to the fault-free
   // fast-forward baseline (and to both reference runs).
@@ -140,14 +141,36 @@ TEST(FastPathScenario, ActiveFaultPlanFallsBackToReference) {
   fault::FaultPlan plan = fault::scaled_plan(0.5, 99);
   ScenarioConfig sc;
   sc.faults = plan;
-  EXPECT_FALSE(fast_path_eligible(sc, false));
-  // Borrowed/owned telemetry and drain timeouts also disqualify.
+  EXPECT_FALSE(fast_path_eligible(sc));
+  // A drain timeout also disqualifies; telemetry does not.
   ScenarioConfig timed;
   timed.interface.drain_timeout = Time::us(50.0);
-  EXPECT_FALSE(fast_path_eligible(timed, false));
-  ScenarioConfig plain;
-  EXPECT_FALSE(fast_path_eligible(plain, /*telemetry_active=*/true));
-  EXPECT_TRUE(fast_path_eligible(plain, false));
+  EXPECT_FALSE(fast_path_eligible(timed));
+  ScenarioConfig traced;
+  traced.telemetry.trace = true;
+  traced.telemetry.metrics = true;
+  EXPECT_TRUE(fast_path_eligible(traced));
+}
+
+// A traced and sampled run with no fault plan and no drain timeout runs
+// the analytic engine: the scheduler dispatches nothing from start to end.
+TEST(FastPathScenario, ObservedRunDispatchesNoSchedulerEvent) {
+  ScenarioConfig sc;
+  sc.telemetry.trace = true;
+  sc.telemetry.metrics = true;
+  sc.telemetry.metrics_window = Time::us(200.0);
+  gen::PoissonSource src{5e4, 64, 5};
+  Session session{sc};
+  session.feed_all(gen::take(src, 2000));
+  const RunResult r = session.finish();
+  EXPECT_EQ(session.scheduler().processed(), 0u);
+  EXPECT_EQ(r.events_in, 2000u);
+  if (telemetry::compiled_in()) {
+    const telemetry::TelemetrySession* tel = session.telemetry_session();
+    ASSERT_NE(tel, nullptr);
+    EXPECT_FALSE(tel->trace().events().empty());
+    EXPECT_GT(tel->metrics().snapshots().size(), 100u);
+  }
 }
 
 std::string slurp(const std::string& path) {
@@ -192,6 +215,49 @@ TEST(FastPathSweeps, FigureCsvsByteIdenticalOnVsOff) {
             << name;
       }
     }
+  }
+  fs::remove_all(dir);
+}
+
+TEST(FastPathSweeps, TelemetryByteIdenticalOnVsOff) {
+  // The figures that take per-job telemetry write the same trace JSON,
+  // trace CSV and metrics CSV, byte for byte, on the analytic engine and
+  // on the event-driven oracle.
+  if (!telemetry::compiled_in()) GTEST_SKIP() << "built with AETR_TELEMETRY=0";
+  namespace fs = std::filesystem;
+  const auto dir = fs::temp_directory_path() / "aetr_fastpath_telemetry";
+  fs::remove_all(dir);
+  for (const char* name : {"fig8", "ablation-agreement"}) {
+    SCOPED_TRACE(name);
+    const sweeps::FigureDef* fig = sweeps::find_figure(name);
+    ASSERT_NE(fig, nullptr);
+    sweeps::FigureOptions on;
+    on.jobs = 4;
+    on.quick = true;
+    on.trace = true;
+    on.metrics = true;
+    on.out_dir = (dir / name / "on").string();
+    sweeps::FigureOptions off = on;
+    off.out_dir = (dir / name / "off").string();
+    (void)fig->run(on);
+    {
+      const DesOracleScope oracle;
+      (void)fig->run(off);
+    }
+    std::size_t files = 0;
+    std::size_t metrics = 0;
+    for (const auto& f : fs::directory_iterator{on.out_dir}) {
+      const auto file = f.path().filename();
+      ++files;
+      if (file.string().ends_with("_metrics.csv")) ++metrics;
+      EXPECT_EQ(slurp(f.path().string()),
+                slurp((fs::path{off.out_dir} / file).string()))
+          << file;
+    }
+    EXPECT_GT(metrics, 0u);
+    EXPECT_EQ(files, static_cast<std::size_t>(std::distance(
+                         fs::directory_iterator{off.out_dir},
+                         fs::directory_iterator{})));
   }
   fs::remove_all(dir);
 }

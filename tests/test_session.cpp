@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -414,7 +415,7 @@ TEST(Session, StreamingEnginesAgree) {
   std::mt19937_64 rng{0x5E77u};
   for (int schedule = 0; schedule < 30; ++schedule) {
     const core::ScenarioConfig scenario = random_scenario(rng);
-    ASSERT_TRUE(core::fast_path_eligible(scenario, false));
+    ASSERT_TRUE(core::fast_path_eligible(scenario));
     const double rate =
         std::initializer_list<double>{2e3, 5e4, 3e5, 8e5}.begin()[rng() % 4];
     gen::PoissonSource source{rate, 256, rng()};
@@ -618,12 +619,13 @@ TEST(Session, RestoreRejectsEveryCorruptedByte) {
 // A blob of the previous layout names both versions instead of failing
 // somewhere inside a section parser.
 TEST(Session, PreviousSnapshotVersionGetsVersionError) {
-  // Version 5 dropped two config keys, so a version 4 blob's fingerprint
-  // could never match; the header check names the versions first.
-  static_assert(core::Session::kSnapshotVersion == 5);
+  // Version 6 dropped the metrics grid's and the runner span's fields, so
+  // a version 5 blob would misparse behind a matching fingerprint; the
+  // header check names the versions first.
+  static_assert(core::Session::kSnapshotVersion == 6);
   core::Session s{core::ScenarioConfig{}};
   std::vector<std::uint8_t> blob = s.snapshot();
-  constexpr std::uint32_t kOld = 4;
+  constexpr std::uint32_t kOld = 5;
   for (std::size_t i = 0; i < 4; ++i) {  // u32 LE right after the magic
     blob[8 + i] = static_cast<std::uint8_t>(kOld >> (8 * i));
   }
@@ -759,13 +761,12 @@ TEST(Session, FeedAllKeepsPrefixOnDisorder) {
   EXPECT_EQ(s.finish().events_in, 6u);
 }
 
-// Fed in one call, a chunk must revive the standing services in the order
-// a feed() per event would. At 1.99 ms the metrics grid and the handshake
-// watchdog have both wound down; the watchdog's next check (now + 10 us)
-// and the grid's next point both fall at 2 ms. Fed one at a time, the
-// 1.995 ms event re-arms the watchdog and only the 2.5 ms event the grid,
-// so the watchdog wins the same-time tie — visible in the 2 ms grid row's
-// sched.events_dispatched sample, which the snapshot blob carries.
+// Fed in one call, a chunk must revive the handshake watchdog as a feed()
+// per event would. At 1.99 ms the watchdog has wound down and the metrics
+// grid has stopped at the last event fed; the 1.995 ms event re-arms the
+// watchdog, whose next check (now + 10 us) falls on the 2 ms grid point,
+// where the grid resumes. The session samples that point after the check,
+// and the snapshot blob carries the row and the re-armed deadline.
 TEST(Session, FeedAllRevivesServicesInPerEventOrder) {
   core::ScenarioConfig sc;
   sc.faults.aer.drop_req_prob = 1e-9;  // arms the watchdog, drops nothing
@@ -884,8 +885,8 @@ void poke_u64(std::vector<std::uint8_t>& blob, std::size_t at,
 /// Byte offsets of the session-level fields at the head of a blob, in the
 /// order Session::snapshot() writes them.
 struct SessionFields {
-  std::size_t span_open, first_event, last_event, n_pending, first_pending,
-      grid_next, watchdog_deadline, clock_now;
+  std::size_t first_event, last_event, n_pending, first_pending,
+      watchdog_deadline, clock_now;
 };
 
 SessionFields session_fields(const std::vector<std::uint8_t>& blob) {
@@ -894,15 +895,15 @@ SessionFields session_fields(const std::vector<std::uint8_t>& blob) {
   std::memcpy(&fingerprint, blob.data() + at, 8);  // LE on every CI host
   at += 8 + fingerprint + 3;  // + telemetry, faults, engine flags
   SessionFields f{};
-  f.span_open = at + 1;                       // after `started`
-  f.first_event = f.span_open + 2 + 8 + 1;    // keep_history, fed, have_first
+  // After started, keep_history, fed and have_first.
+  f.first_event = at + 1 + 1 + 8 + 1;
   f.last_event = f.first_event + 8;
   f.n_pending = f.last_event + 8;
   f.first_pending = f.n_pending + 8 + 2;      // its time, after the address
   std::uint64_t n_pending = 0;
   std::memcpy(&n_pending, blob.data() + f.n_pending, 8);
-  f.grid_next = f.n_pending + 8 + 10 * n_pending + 8 + 1;  // queued, armed
-  f.watchdog_deadline = f.grid_next + 8 + 1;
+  // After the buffered events, the queued count and the watchdog's flag.
+  f.watchdog_deadline = f.n_pending + 8 + 10 * n_pending + 8 + 1;
   f.clock_now = f.watchdog_deadline + 8 + 8 + 8 + 8;  // suspect x2, re-arms
   return f;
 }
@@ -940,22 +941,6 @@ TEST(Session, RestoreRefusesCountsTheBlobCannotHold) {
   }
 }
 
-// finish() closes an open runner span on the trace, so a blob that says
-// the span is open is refused by a session without a trace (it used to
-// be accepted, and finish() then dereferenced a null telemetry session).
-TEST(Session, RestoreRefusesAnOpenSpanWithoutATrace) {
-  for (const bool fast : kEngines) {
-    SCOPED_TRACE(engine_name(fast));
-    std::vector<std::uint8_t> blob = buffered_blob(fast);
-    const std::size_t at = session_fields(blob).span_open;
-    ASSERT_EQ(blob[at], 0);
-    blob[at] = 1;
-    reseal(blob);
-    expect_refused(fast, blob, "runner span open without a trace",
-                   "span_open");
-  }
-}
-
 // Every restored time lies where the writer keeps it: event times in
 // [0, kLatestEventTime], the clock and timer deadlines no further than
 // one config time (ScenarioConfig::kMaxTime) past that. A time with its
@@ -978,7 +963,6 @@ TEST(Session, RestoreRefusesTimesOutsideTheRunRange) {
         {"first event", f.first_event, latest + 1, "event time out of range"},
         {"last event", f.last_event, latest + 1, "event time out of range"},
         {"buffered event", f.first_pending, latest + 1, "event time out of range"},
-        {"grid deadline", f.grid_next, timeline_end + 1, "deadline out of range"},
         {"watchdog deadline", f.watchdog_deadline, timeline_end + 1,
          "deadline out of range"},
         {"clock", f.clock_now, timeline_end + 1, "deadline out of range"},
@@ -1098,26 +1082,29 @@ std::string read_file(const std::string& path) {
   return {std::istreambuf_iterator<char>{f}, std::istreambuf_iterator<char>{}};
 }
 
-/// Byte equality of two artifact files, reporting the first differing
-/// line (gtest's own string diff is quadratic in the line count).
-void expect_same_file(const std::string& a_path, const std::string& b_path,
+/// Byte equality of two artifacts, reporting the first differing line
+/// (gtest's own string diff is quadratic in the line count).
+void expect_same_text(const std::string& a, const std::string& b,
                       const std::string& what) {
-  const std::string a = read_file(a_path);
-  const std::string b = read_file(b_path);
-  EXPECT_FALSE(a.empty()) << what << ": " << a_path;
+  EXPECT_FALSE(a.empty()) << what;
   if (a == b) return;
   std::size_t at = 0;
   while (at < a.size() && at < b.size() && a[at] == b[at]) ++at;
   const std::size_t line = a.rfind('\n', at) + 1;  // npos + 1 == 0
-  ADD_FAILURE() << what << ": " << a_path << " and " << b_path
-                << " differ from byte " << at << ":\n  "
+  ADD_FAILURE() << what << " differ from byte " << at << ":\n  "
                 << a.substr(line, a.find('\n', at) - line) << "\n  "
                 << b.substr(line, b.find('\n', at) - line);
 }
 
-/// The batch entry point feeds and advances in 4096-event chunks (plain
-/// feeding when telemetry is on); the whole-stream Session run is the
-/// definition it must equal, on both engines.
+void expect_same_file(const std::string& a_path, const std::string& b_path,
+                      const std::string& what) {
+  expect_same_text(read_file(a_path), read_file(b_path),
+                   what + ": " + a_path + " and " + b_path);
+}
+
+/// The batch entry point feeds and advances in 4096-event chunks, traced
+/// and sampled runs too; the whole-stream Session run is the definition it
+/// must equal, on both engines.
 TEST(Session, ChunkedBatchMatchesWholeStream) {
   struct Case {
     std::string name;
@@ -1161,8 +1148,8 @@ TEST(Session, ChunkedBatchMatchesWholeStream) {
       core::ScenarioConfig whole_sc = batch_sc;
       const bool telemetry = c.scenario.telemetry.any();
       if (telemetry) {
-        // The artifacts must match too: the runner span counts every
-        // event fed before the timeline starts.
+        // The artifacts must match too: the runner span, written at the
+        // end, counts every event fed.
         const std::string dir = testing::TempDir() + "aetr_chunked_";
         batch_sc.telemetry.trace_csv_path = dir + "batch_trace.csv";
         batch_sc.telemetry.metrics_csv_path = dir + "batch_metrics.csv";
@@ -1193,6 +1180,108 @@ TEST(Session, ChunkedBatchMatchesWholeStream) {
   s.advance_to(first.back().time);
   EXPECT_LT(s.interface().front_end().events(), 4096u / 2);
   (void)s.finish();
+}
+
+/// What a traced and sampled run leaves: its result, its three artifacts,
+/// and how many grid points fell inside a capture (REQ rise to sample
+/// edge) and inside a handshake's tail (sample edge to ACK fall).
+struct ObservedRun {
+  core::RunResult result;
+  std::string trace_json, trace_csv, metrics_csv;
+  std::size_t in_capture{0}, in_tail{0};
+};
+
+/// Feed `events` in uneven chunks, advancing after each to a point up to
+/// 2 us short of its last event, and snapshot after about one chunk in
+/// four; with `resume`, a fresh session restored from each blob carries
+/// on. The chunk and snapshot schedule is the same for every call.
+ObservedRun run_observed(const core::ScenarioConfig& sc,
+                         const aer::EventStream& events, bool fast,
+                         bool resume) {
+  std::mt19937_64 rng{0xF1E5u};
+  std::unique_ptr<core::Session> s = make_session(sc, fast);
+  std::size_t snapshots = 0;
+  for (std::size_t i = 0; i < events.size();) {
+    const std::size_t n = std::min<std::size_t>(1 + rng() % 97,
+                                                events.size() - i);
+    s->feed_all({events.data() + i, n});
+    i += n;
+    const Time short_of = Time::ns(static_cast<double>(rng() % 2000));
+    s->advance_to(std::max(Time::zero(), events[i - 1].time - short_of));
+    if (rng() % 4 == 0) {
+      const std::vector<std::uint8_t> blob = s->snapshot();
+      ++snapshots;
+      if (resume) {
+        s = make_session(sc, fast);
+        s->restore(blob);
+      }
+    }
+  }
+  EXPECT_GE(snapshots, 2u);
+  ObservedRun out;
+  out.result = s->finish();
+  out.trace_json = read_file(sc.telemetry.trace_json_path);
+  out.trace_csv = read_file(sc.telemetry.trace_csv_path);
+  out.metrics_csv = read_file(sc.telemetry.metrics_csv_path);
+
+  const core::InterfaceConfig& ic = sc.interface;
+  const Time tail = ic.front_end.ack_rise_delay + sc.sender.req_release +
+                    ic.front_end.ack_fall_delay;
+  const auto& rows = s->telemetry_session()->metrics().snapshots();
+  auto row = rows.begin();
+  for (const frontend::CaptureRecord& rec : out.result.records) {
+    while (row != rows.end() && row->at <= rec.request.time) ++row;
+    for (; row != rows.end() && row->at < rec.sample_edge + tail; ++row) {
+      if (row->at < rec.sample_edge) {
+        ++out.in_capture;
+      } else if (row->at > rec.sample_edge) {
+        ++out.in_tail;
+      }
+    }
+  }
+  return out;
+}
+
+// A traced stream sampled every 300 ns, so that grid points fall inside
+// captures and inside handshake tails, where the engine samples a point
+// between the two halves of a capture or ahead of a pending ACK fall.
+// Snapshotted and resumed at random points, it ends with the artifacts and
+// RunResult of the session that took the same snapshots and kept going,
+// on both engines, and the two engines agree.
+TEST(Session, FineGridTelemetryResumesAlikeOnBothEngines) {
+  if (!telemetry::compiled_in()) GTEST_SKIP() << "built with AETR_TELEMETRY=0";
+  core::ScenarioConfig sc;
+  sc.telemetry.trace = true;
+  sc.telemetry.metrics = true;
+  sc.telemetry.metrics_window = Time::ns(300);
+  const std::string dir = testing::TempDir() + "aetr_fine_grid_";
+  sc.telemetry.trace_json_path = dir + "trace.json";
+  sc.telemetry.trace_csv_path = dir + "trace.csv";
+  sc.telemetry.metrics_csv_path = dir + "metrics.csv";
+  const aer::EventStream events = make_stream(600, 67);
+
+  std::vector<ObservedRun> resumed;
+  for (const bool fast : kEngines) {
+    const std::string what = engine_name(fast);
+    const ObservedRun kept = run_observed(sc, events, fast, false);
+    resumed.push_back(run_observed(sc, events, fast, true));
+    const ObservedRun& res = resumed.back();
+    EXPECT_GT(kept.in_capture, 0u) << what;
+    EXPECT_GT(kept.in_tail, 0u) << what;
+    expect_identical(kept.result, res.result, what + ", resumed");
+    expect_same_text(kept.trace_json, res.trace_json, what + ", trace JSON");
+    expect_same_text(kept.trace_csv, res.trace_csv, what + ", trace CSV");
+    expect_same_text(kept.metrics_csv, res.metrics_csv, what + ", metrics");
+  }
+  const ObservedRun& engine = resumed[0];
+  const ObservedRun& des = resumed[1];
+  expect_identical(engine.result, des.result, "engine vs DES");
+  expect_same_text(engine.trace_json, des.trace_json, "engine vs DES, JSON");
+  expect_same_text(engine.trace_csv, des.trace_csv, "engine vs DES, CSV");
+  expect_same_text(engine.metrics_csv, des.metrics_csv, "engine vs DES, rows");
+  for (const char* f : {"trace.json", "trace.csv", "metrics.csv"}) {
+    std::remove((dir + f).c_str());
+  }
 }
 
 // --- aggregate-only runs -----------------------------------------------------

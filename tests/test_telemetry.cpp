@@ -230,8 +230,8 @@ TEST(Metrics, SnapshotGridIsDeterministic) {
     std::uint64_t counter = 0;
     double gauge = 0.0;
     reg.probe("block.counter",
-              [&counter] { return static_cast<double>(counter); });
-    reg.probe("block.gauge", [&gauge] { return gauge; });
+              [&counter](Time) { return static_cast<double>(counter); });
+    reg.probe("block.gauge", [&gauge](Time) { return gauge; });
     for (int i = 0; i < 5; ++i) {
       counter += static_cast<std::uint64_t>(i) * 7u;
       gauge = 0.125 * i;
@@ -259,8 +259,8 @@ TEST(Metrics, SnapshotGridIsDeterministic) {
 
 TEST(Metrics, DuplicateProbeReplacesSampler) {
   MetricsRegistry reg;
-  reg.probe("x", [] { return 1.0; });
-  reg.probe("x", [] { return 2.0; });  // re-wire, same column
+  reg.probe("x", [](Time) { return 1.0; });
+  reg.probe("x", [](Time) { return 2.0; });  // re-wire, same column
   reg.snapshot(Time::zero());
   ASSERT_EQ(reg.names().size(), 1u);
   EXPECT_DOUBLE_EQ(reg.last("x"), 2.0);
@@ -313,7 +313,7 @@ TEST(Metrics, SnapshotGridEdgeCases) {
   EXPECT_DOUBLE_EQ(reg.last("missing"), 0.0);
   // A probe registered after a snapshot has no column in that row yet:
   // last() must answer 0, not read past the short row.
-  reg.probe("late", [] { return 42.0; });
+  reg.probe("late", [](Time) { return 42.0; });
   EXPECT_DOUBLE_EQ(reg.last("late"), 0.0);
   reg.snapshot(Time::ms(2.0));
   EXPECT_DOUBLE_EQ(reg.last("late"), 42.0);
@@ -541,8 +541,7 @@ TEST(Integration, RunStreamTraceCoversEveryPipelineStage) {
   const std::string metrics = slurp(sc.telemetry.metrics_csv_path);
   for (const char* col :
        {"frontend.events", "fifo.occupancy", "clockgen.captures",
-        "i2s.words_sent", "mcu.words", "sched.events_dispatched",
-        "power.avg_w"}) {
+        "i2s.words_sent", "mcu.words", "power.avg_w"}) {
     EXPECT_NE(metrics.find(col), std::string::npos) << "missing " << col;
   }
   std::remove(sc.telemetry.trace_json_path.c_str());
