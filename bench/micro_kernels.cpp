@@ -282,6 +282,26 @@ void BM_RunScenarioHistory(benchmark::State& state) {
 }
 BENCHMARK(BM_RunScenarioHistory)->ArgName("history")->Arg(1)->Arg(0);
 
+// BM_RunScenarioHistory/history:0 with a 50 us drain timeout: at 800 kevt/s
+// about 40 words wait when a deadline falls, far below the 512-word
+// threshold, so the deadlines start the drains.
+void BM_RunScenarioDrainTimeout(benchmark::State& state) {
+  constexpr std::size_t kEvents = 20000;
+  core::ScenarioConfig scn;
+  scn.interface.front_end.keep_records = false;
+  scn.interface.fifo.batch_threshold = 512;
+  scn.interface.drain_timeout = Time::us(50.0);
+  scn.cooldown = Time::ms(0.1);
+  for (auto _ : state) {
+    gen::LfsrRateSource src{800e3, Frequency::mhz(30.0), 128, 7, 0};
+    const auto r = core::run_scenario_totals(scn, src, kEvents);
+    benchmark::DoNotOptimize(r.average_power_w);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kEvents));
+}
+BENCHMARK(BM_RunScenarioDrainTimeout);
+
 void BM_CodecEncodeDecode(benchmark::State& state) {
   aer::AetrCodec codec{static_cast<unsigned>(state.range(0))};
   Xoshiro256StarStar rng{5};

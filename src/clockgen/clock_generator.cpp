@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 #include "util/blob.hpp"
 
@@ -69,6 +68,23 @@ void ClockGenerator::rebuild_schedule() {
   sampling_cycles_accum_ += schedule_.cycles_until(e);
   origin_ = sched_.now();
   schedule_ = SamplingSchedule{to_schedule_config(cfg_)};
+  if (capture_pending_) {
+    // The capture in flight keeps its sample edge, but its interval was
+    // settled up to here: rebase it on the retune, so that its sample edge
+    // books only the rest, under the new schedule. A sleeper's ring has
+    // run since the request, which the settle did not count (its pause
+    // and wake go untraced).
+    PendingCapture& p = pending_;
+    const Time edge = p.origin + p.m.sample_edge;
+    if (p.was_asleep) {
+      awake_accum_ += origin_ - (p.origin + p.delta);
+      ++wakeups_;
+      p.was_asleep = false;
+    }
+    p.origin = origin_;
+    p.m.sample_edge = edge - origin_;
+    p.m.cycles = schedule_.cycles_until(p.m.sample_edge);
+  }
   tel_.instant("reconfig", origin_,
                {{"theta_div", static_cast<double>(cfg_.theta_div)},
                 {"n_div", static_cast<double>(cfg_.n_div)}});
@@ -131,8 +147,6 @@ Time ClockGenerator::begin_capture(std::uint32_t sync_edges, Time req) {
 ClockGenerator::CaptureResult ClockGenerator::complete_capture() {
   const PendingCapture& p = pending_;
   const SamplingSchedule::Measurement& m = p.m;
-  // An SPI retune mid-capture moves origin_; the edge stays where the
-  // measurement put it.
   const Time sample_abs = p.origin + m.sample_edge;
   // Close the books on the interval [origin, sample edge]. m.cycles is
   // cycles_until(sample_edge): for a sleeper, the full schedule's edges.
@@ -170,17 +184,6 @@ ClockGenerator::CaptureResult ClockGenerator::complete_capture() {
     }
   }
   return {sample_abs, ticks, m.saturated};
-}
-
-void ClockGenerator::capture_request(std::uint32_t sync_edges, CaptureFn done) {
-  const Time edge = begin_capture(sync_edges, sched_.now());
-  pending_.done = std::move(done);
-  sched_.schedule_at(edge, [this] {
-    const CaptureResult r = complete_capture();
-    // Moved out first: the callback may start the next capture.
-    CaptureFn fn = std::move(pending_.done);
-    fn(r.edge, r.ticks, r.saturated);
-  });
 }
 
 void ClockGenerator::trace_closed_interval(Time old_origin, Time end_rel,

@@ -16,7 +16,6 @@
 #include "fault/injector.hpp"
 #include "sim/scheduler.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/inplace_function.hpp"
 #include "util/time.hpp"
 
 namespace aetr {
@@ -55,13 +54,6 @@ struct ClockActivity {
 /// DES embodiment of the clock generator + sampling FSM.
 class ClockGenerator {
  public:
-  /// Capture completion callback: absolute sampling-edge time, the latched
-  /// timestamp-counter value (Tmin ticks since previous event), and whether
-  /// the value is the saturation marker. Invoked once per spike on the
-  /// event-driven path, so it stores its capture inline (no allocation).
-  using CaptureFn =
-      util::InplaceFunction<void(Time edge, std::uint64_t ticks, bool saturated)>;
-
   ClockGenerator(sim::Scheduler& sched, ClockGeneratorConfig config = {});
 
   /// Base (undivided) sampling period Tmin.
@@ -76,21 +68,18 @@ class ClockGenerator {
   void set_divide_enabled(bool enabled);
   void set_shutdown_enabled(bool enabled);
 
-  /// A capture on the event-driven path: begin_capture() at the instant REQ
-  /// rises, then complete_capture() scheduled at the sample edge, which
-  /// invokes `done`. Only one capture may be in flight (guaranteed by the
-  /// AER handshake).
-  void capture_request(std::uint32_t sync_edges, CaptureFn done);
-
   /// The two halves of a capture, shared by both run engines. The measure
   /// half, at the instant `req` REQ rises: the generator wakes the ring if
   /// paused and lets the request cross `sync_edges` sampling edges (the 2-FF
   /// synchronizer); returns the absolute sample edge where the FSM samples
   /// the event. `req` may lie ahead of the scheduler's clock on the
-  /// analytic engine, which owns the timeline.
+  /// analytic engine, which owns the timeline. Only one capture may be in
+  /// flight (guaranteed by the AER handshake; std::logic_error otherwise).
   Time begin_capture(std::uint32_t sync_edges, Time req);
   /// The settle half, at that sample edge: activity accounting, retroactive
-  /// tracing, the schedule reset to Tmin and the period-jitter lottery.
+  /// tracing, the schedule reset to Tmin and the period-jitter lottery. An
+  /// SPI retune in between restarts the schedule at the retune, and the
+  /// books close from there under the new schedule; the edge stays put.
   struct CaptureResult {
     Time edge;            ///< absolute sampling-edge time
     std::uint64_t ticks;  ///< latched timestamp-counter value
@@ -143,16 +132,13 @@ class ClockGenerator {
   Time origin_{Time::zero()};  ///< absolute time of the last schedule reset
   bool capture_pending_{false};
   // The capture in flight (one at a time — capture_pending_), measured at
-  // the request and settled at its sample edge. `done` is set only by
-  // capture_request(), whose sample-edge event captures only `this`, so
-  // the per-spike closure stays inside the scheduler's inline buffer.
+  // the request and settled at its sample edge.
   struct PendingCapture {
     SamplingSchedule::Measurement m;
-    Time origin{Time::zero()};  ///< origin_ at the request
+    Time origin{Time::zero()};  ///< origin_ at the request, or a retune
     Time delta{Time::zero()};
     bool was_asleep{false};
     Time wake{Time::zero()};
-    CaptureFn done;
   };
   PendingCapture pending_;
 

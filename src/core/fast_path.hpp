@@ -2,13 +2,15 @@
 //
 // Between spikes the whole interface is analytically predictable — the
 // clock generator already models its divided-clock state in closed form,
-// the AER handshake is a fixed delay chain, and the I2S drain pops words on
-// a fixed grid. The reference DES path nevertheless pays ~6 scheduler
-// events per spike plus one per drained word. This engine drives the exact
-// same component code (the real ClockGenerator / AerFrontEnd / FIFO /
-// I2sMaster objects, through the calls the DES makes too: the front-end's
-// capture_begin / capture_commit and the I2S master's step_word) on a
-// merged virtual timeline and never schedules anything: it only moves the
+// the AER handshake is a fixed delay chain, the I2S drain pops words on
+// a fixed grid, and a drain deadline falls a fixed delay after the word
+// that armed it. The reference DES path nevertheless pays ~6 scheduler
+// events per spike plus one per drained word and per deadline. This
+// engine drives the exact same component code (the real ClockGenerator /
+// AerFrontEnd / FIFO / I2sMaster objects, through the calls the DES makes
+// too: the front-end's capture_begin / capture_commit, the I2S master's
+// step_word and the interface's expire_drain_deadline) on a merged
+// virtual timeline and never schedules anything: it only moves the
 // scheduler's clock. Every counter, record, RNG draw, accounting value,
 // trace event and metrics row is bit-identical to the event-driven run.
 //
@@ -21,11 +23,11 @@
 // snapshot's settle point (docs/SIMULATOR.md §Fast path).
 //
 // The cross-component orderings that matter are FIFO pushes (at sample
-// edges) versus FIFO pops (at I2S word deadlines), and both versus the
-// session's metrics grid points; the engine merges the streams by (fire
-// time, schedule time), which reproduces the scheduler's (time, seq)
-// dispatch order, and samples each grid point after everything at or
-// before it.
+// edges) versus FIFO pops (at I2S word deadlines) and drain deadlines,
+// and all of them versus the session's metrics grid points; the engine
+// merges the streams by (fire time, schedule time), which reproduces the
+// scheduler's (time, seq) dispatch order, and samples each grid point
+// after everything at or before it.
 #pragma once
 
 #include <cstdint>
@@ -46,8 +48,7 @@ namespace aetr::core {
 
 /// True when `scenario` can take the fast path with a bit-identical result:
 /// the fault plan is empty (zero-probability sites count as empty —
-/// fault::FaultPlan::any() is probability-based), and the FIFO
-/// drain-timeout watchdog is disabled (it schedules ad-hoc events).
+/// fault::FaultPlan::any() is probability-based).
 [[nodiscard]] bool fast_path_eligible(const ScenarioConfig& scenario);
 
 /// The metrics sampling grid a core::Session walks on either engine: a
@@ -108,8 +109,9 @@ class FastPathEngine {
                  const ScenarioConfig& scenario, MetricsGrid& grid);
 
   /// The DES `advance_to(t)`: launch every queued event whose handshake
-  /// starts at or before `t`, run every I2S word pop and sample every grid
-  /// point due at or before `t`, and move the clock to `t`. An event
+  /// starts at or before `t`, run every I2S word pop and drain deadline
+  /// and sample every grid point due at or before `t`, and move the clock
+  /// to `t`. An event
   /// launches at max(its time, the post-handshake gap, the clock at the
   /// call) — the clock term is the sender's floor for an event submitted
   /// late (aer::AerSender).
@@ -121,9 +123,10 @@ class FastPathEngine {
   /// due before that instant runs, as the settle loop dispatches it.
   std::size_t settle(std::span<const aer::Event> queued);
 
-  /// Run every queued event and the drain to completion, then the final
-  /// flush (when the scenario asks for one), and land the clock on the last
-  /// activity instant — or stay put when that lies in the past.
+  /// Run every queued event, the drain and every drain deadline to
+  /// completion, then the final flush (when the scenario asks for one), and
+  /// land the clock on the last activity instant — or stay put when that
+  /// lies in the past.
   void run_out(std::span<const aer::Event> queued);
 
   /// What the CAVIAR checker would have observed on the wire, which the
@@ -135,13 +138,24 @@ class FastPathEngine {
   /// The engine's own snapshot section (valid at a settle point, where no
   /// handshake is in flight and no drain runs).
   void save_state(BlobWriter& w) const;
-  void restore_state(BlobReader& r);
+  /// Refuses (std::runtime_error) a restored time outside [0, latest].
+  void restore_state(BlobReader& r, Time latest);
 
  private:
   std::size_t launch_upto(Time t, std::span<const aer::Event> queued,
                           Time floor);
+  /// launch_upto() with (kDeadlines) or without drain deadlines to merge;
+  /// launch_plain() is the second, flattened.
+  template <bool kDeadlines>
+  std::size_t launch_through(Time t, std::span<const aer::Event> queued,
+                             Time floor);
+  std::size_t launch_plain(Time t, std::span<const aer::Event> queued,
+                           Time floor);
+  template <bool kDeadlines>
   void handshake(std::uint16_t address, Time launch);
+  template <bool kDeadlines>
   void pops_before(Time t, Time emit);
+  void expire_deadline(Time deadline);
   /// Sample the grid points before `t`, or at or before it.
   void grid_before(Time t) {
     while (grid_.next < t) sample_grid();
@@ -155,6 +169,7 @@ class FastPathEngine {
   [[nodiscard]] Time launch_of(const aer::Event& ev, Time floor) const;
 
   sim::Scheduler& sched_;
+  AerToI2sInterface& iface_;
   aer::AerChannel& channel_;
   frontend::AerFrontEnd& fe_;
   i2s::I2sMaster& i2s_;
@@ -164,10 +179,13 @@ class FastPathEngine {
   Time ack_rise_delay_;
   Time ack_fall_delay_;
   Time word_time_;
+  bool deadlines_;  ///< a drain timeout is set
+  /// A drain deadline due with a word pop runs first (see pops_before()).
+  bool deadline_wins_tie_;
   bool final_flush_;
 
   Time earliest_next_launch_{Time::zero()};
-  /// Latest ACK fall or word pop run so far. After run_to(t) it exceeds t
+  /// Latest ACK fall, word pop or drain deadline run so far. After run_to(t) it exceeds t
   /// exactly when a handshake launched by t is still in flight at t.
   Time t_end_{Time::zero()};
   /// An ACK fall not yet counted on the channel (Time::max(): none). It is

@@ -1,5 +1,7 @@
 #include "core/interface.hpp"
 
+#include <stdexcept>
+
 #include "util/blob.hpp"
 
 namespace aetr::core {
@@ -57,12 +59,22 @@ AerToI2sInterface::AerToI2sInterface(sim::Scheduler& sched,
   map_registers();
 }
 
+void AerToI2sInterface::set_external_drive(bool on) {
+  external_drive_ = on;
+  i2s_.set_external_drive(on);
+}
+
 void AerToI2sInterface::arm_drain_deadline(Time deadline) {
   drain_deadlines_.push_back(deadline);
-  sched_.schedule_at(deadline, [this] {
-    if (!drain_deadlines_.empty()) drain_deadlines_.pop_front();
-    if (!fifo_.empty()) i2s_.request_drain(sched_.now());
-  });
+  if (!external_drive_) {
+    sched_.schedule_at(deadline,
+                       [this] { expire_drain_deadline(sched_.now()); });
+  }
+}
+
+void AerToI2sInterface::expire_drain_deadline(Time now) {
+  drain_deadlines_.pop_front();
+  if (!fifo_.empty()) i2s_.request_drain(now);
 }
 
 void AerToI2sInterface::map_registers() {
@@ -200,7 +212,7 @@ void AerToI2sInterface::save_state(BlobWriter& w) const {
   for (const Time t : drain_deadlines_) w.time(t);
 }
 
-void AerToI2sInterface::restore_state(BlobReader& r) {
+void AerToI2sInterface::restore_state(BlobReader& r, Time latest) {
   channel_.restore_state(r);
   clkgen_.restore_state(r);
   front_end_.restore_state(r);
@@ -212,8 +224,19 @@ void AerToI2sInterface::restore_state(BlobReader& r) {
   spi_readout_ = r.b();
   readout_latch_ = r.u32();
   drain_deadlines_.clear();
-  const auto nd = r.u64();
-  for (std::uint64_t i = 0; i < nd; ++i) arm_drain_deadline(r.time());
+  const std::size_t nd = r.count(8);
+  for (std::size_t i = 0; i < nd; ++i) {
+    const Time deadline = r.time();
+    if (deadline <= sched_.now() || deadline > latest) {
+      throw std::runtime_error(
+          "AerToI2sInterface::restore_state: drain deadline out of range");
+    }
+    if (!drain_deadlines_.empty() && deadline < drain_deadlines_.back()) {
+      throw std::runtime_error(
+          "AerToI2sInterface::restore_state: drain deadlines out of order");
+    }
+    arm_drain_deadline(deadline);
+  }
 }
 
 }  // namespace aetr::core

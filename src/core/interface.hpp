@@ -100,11 +100,27 @@ class AerToI2sInterface {
   [[nodiscard]] power::PowerBreakdown power_breakdown() const;
   [[nodiscard]] const power::PowerModel& power_model() const { return power_; }
 
+  // --- drain deadline -------------------------------------------------------
+  // A word that lands in an empty FIFO arms a deadline drain_timeout later.
+  // expire_drain_deadline() is that deadline, called at the instant
+  // next_drain_deadline() returns: it retires the deadline and starts a
+  // drain if words are waiting (a running drain ignores the request). On
+  // the event-driven path each deadline is a scheduled event that calls it.
+  // Under external drive nothing is scheduled: the analytic engine
+  // (core/fast_path) calls it in timeline order, as it calls the I2S
+  // master's word step.
+  void set_external_drive(bool on);
+  [[nodiscard]] Time next_drain_deadline() const {
+    return drain_deadlines_.empty() ? Time::max() : drain_deadlines_.front();
+  }
+  void expire_drain_deadline(Time now);
+
   // --- snapshot/restore -----------------------------------------------------
-  /// Outstanding drain-timeout deadlines (one standing DES timer each).
-  /// The session counts these when testing scheduler quiescence.
-  [[nodiscard]] std::size_t drain_deadline_count() const {
-    return drain_deadlines_.size();
+  /// Drain deadlines that are scheduler events: one per outstanding
+  /// deadline on the event-driven path, none under external drive. The
+  /// session counts these when testing scheduler quiescence.
+  [[nodiscard]] std::size_t drain_deadline_timers() const {
+    return external_drive_ ? 0 : drain_deadlines_.size();
   }
 
   /// Serialize every block's state plus the interface's own registers and
@@ -113,10 +129,11 @@ class AerToI2sInterface {
   void save_state(BlobWriter& w) const;
 
   /// Restore into a freshly constructed interface with an identical config.
-  /// Re-arms one DES timer per saved drain deadline (the scheduler clock
-  /// must already be restored so absolute re-arm times are in the future
-  /// or at now()).
-  void restore_state(BlobReader& r);
+  /// The scheduler clock must already be restored: each saved drain
+  /// deadline must lie after it, no earlier than the one before, and no
+  /// later than `latest` (std::runtime_error otherwise). On the
+  /// event-driven path each is re-armed as a scheduler event.
+  void restore_state(BlobReader& r, Time latest);
 
  private:
   void map_registers();
@@ -135,9 +152,11 @@ class AerToI2sInterface {
   power::PowerModel power_;
   bool spi_readout_{false};        ///< CTRL bit2: MCU polls the FIFO over SPI
   std::uint32_t readout_latch_{0};  ///< word latched by a kFifoData0 read
-  /// Absolute deadlines of outstanding drain-timeout timers, oldest first
-  /// (timers fire with a constant delta, so arming order is deadline order).
+  /// Absolute outstanding drain-timeout deadlines, oldest first (each is
+  /// armed a constant delta after its word, so arming order is deadline
+  /// order).
   std::deque<Time> drain_deadlines_;
+  bool external_drive_{false};
 };
 
 }  // namespace aetr::core

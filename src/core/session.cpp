@@ -458,7 +458,7 @@ struct Session::Impl {
   /// Pending scheduler events the session can account for: one per armed
   /// standing service plus the sender's next launch.
   [[nodiscard]] std::size_t standing_timers() {
-    return (watchdog_armed ? 1u : 0u) + iface->drain_deadline_count() +
+    return (watchdog_armed ? 1u : 0u) + iface->drain_deadline_timers() +
            (sender->launch_pending() ? 1u : 0u);
   }
 
@@ -664,7 +664,7 @@ struct Session::Impl {
     clk.processed = r.u64();
     clk.cancelled = r.u64();
     sched.restore_clock_state(clk);
-    if (engine) engine->restore_state(r);
+    if (engine) engine->restore_state(r, kLatestDeadline);
 
     // A snapshot is taken where the timeline has sampled every grid point
     // up to the clock (and the last event) and none past it.
@@ -680,7 +680,7 @@ struct Session::Impl {
     if (had_watchdog) arm_watchdog_at(saved_watchdog_deadline);
 
     if (faults != nullptr) faults->restore_state(r);
-    iface->restore_state(r);
+    iface->restore_state(r, kLatestDeadline);
     sender->restore_state(r);
     caviar->restore_state(r);
     mcu->restore_state(r);

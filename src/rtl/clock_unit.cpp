@@ -57,7 +57,7 @@ void RtlClockUnit::sampling_tick(Time t) {
 
   // 2. Request synchroniser: the request is consumed sync_stages edges
   //    after the first edge that observed it (same convention as
-  //    ClockGenerator::capture_request).
+  //    ClockGenerator::begin_capture).
   sync_shift_ = (sync_shift_ << 1) | (req_level_ ? 1u : 0u);
   if ((sync_shift_ >> cfg_.sync_stages) & 1u) {
     const std::uint64_t latched = counter_;

@@ -179,6 +179,18 @@ ClockGeneratorConfig small_cfg() {
   return cfg;
 }
 
+/// A capture as the event-driven front-end runs one: begin_capture() at
+/// the scheduler's clock, the REQ rise, then complete_capture() scheduled
+/// at the sample edge that call returns, its result handed to `done`.
+template <class Done>
+void capture_now(sim::Scheduler& sched, ClockGenerator& cg,
+                 std::uint32_t sync_edges, Done done) {
+  const Time edge = cg.begin_capture(sync_edges, sched.now());
+  sched.schedule_at(edge, [&cg, done] { done(cg.complete_capture()); });
+}
+
+using Capture = ClockGenerator::CaptureResult;
+
 TEST(ClockGenerator, TminFromRingAndDividers) {
   sim::Scheduler sched;
   ClockGenerator cg{sched};
@@ -206,10 +218,10 @@ TEST(ClockGenerator, CaptureQuantisesToSamplingEdge) {
   std::uint64_t got_ticks = 0;
   Time got_edge;
   sched.schedule_at(tmin * 5 + 10_ns, [&] {
-    cg.capture_request(0, [&](Time edge, std::uint64_t ticks, bool sat) {
-      got_edge = edge;
-      got_ticks = ticks;
-      EXPECT_FALSE(sat);
+    capture_now(sched, cg, 0, [&](const Capture& c) {
+      got_edge = c.edge;
+      got_ticks = c.ticks;
+      EXPECT_FALSE(c.saturated);
     });
   });
   sched.run();
@@ -223,9 +235,7 @@ TEST(ClockGenerator, CaptureWithSyncEdges) {
   const Time tmin = cg.tmin();
   std::uint64_t got_ticks = 0;
   sched.schedule_at(tmin * 3 + 1_ns, [&] {
-    cg.capture_request(2, [&](Time, std::uint64_t ticks, bool) {
-      got_ticks = ticks;
-    });
+    capture_now(sched, cg, 2, [&](const Capture& c) { got_ticks = c.ticks; });
   });
   sched.run();
   EXPECT_EQ(got_ticks, 6u);  // edge 4 + 2 sync edges
@@ -238,8 +248,8 @@ TEST(ClockGenerator, CounterResetsAfterCapture) {
   std::vector<std::uint64_t> ticks;
   auto capture_at = [&](Time t) {
     sched.schedule_at(t, [&] {
-      cg.capture_request(
-          0, [&](Time, std::uint64_t tk, bool) { ticks.push_back(tk); });
+      capture_now(sched, cg, 0,
+                  [&](const Capture& c) { ticks.push_back(c.ticks); });
     });
   };
   capture_at(tmin * 4 + 1_ns);
@@ -258,9 +268,9 @@ TEST(ClockGenerator, SleepsAfterScheduleAndTagsSaturated) {
   std::uint64_t got_ticks = 0;
   sched.schedule_at(awake * 3, [&] {
     EXPECT_TRUE(cg.asleep());
-    cg.capture_request(2, [&](Time, std::uint64_t ticks, bool sat) {
-      saturated = sat;
-      got_ticks = ticks;
+    capture_now(sched, cg, 2, [&](const Capture& c) {
+      saturated = c.saturated;
+      got_ticks = c.ticks;
     });
   });
   sched.run();
@@ -273,8 +283,8 @@ TEST(ClockGenerator, OverlappingCaptureThrows) {
   sim::Scheduler sched;
   ClockGenerator cg{sched, small_cfg()};
   sched.schedule_at(1_ns, [&] {
-    cg.capture_request(2, [](Time, std::uint64_t, bool) {});
-    EXPECT_THROW(cg.capture_request(2, [](Time, std::uint64_t, bool) {}),
+    capture_now(sched, cg, 2, [](const Capture&) {});
+    EXPECT_THROW(capture_now(sched, cg, 2, [](const Capture&) {}),
                  std::logic_error);
   });
   sched.run();
@@ -314,6 +324,34 @@ TEST(ClockGenerator, NaiveModeNeverSleeps) {
   EXPECT_EQ(a.awake, 1_ms);
   // 15 MHz for 1 ms -> ~15000 cycles.
   EXPECT_NEAR(static_cast<double>(a.sampling_cycles), 15000.0, 2.0);
+}
+
+// An SPI retune between a capture's request and its sample edge settles
+// [origin, retune] once: the capture closes its books from the retune, so
+// the awake time and the sampling cycles stay within the elapsed time.
+TEST(ClockGenerator, RetuneMidCaptureBooksEachIntervalOnce) {
+  for (const bool divide : {true, false}) {
+    SCOPED_TRACE(divide ? "dividing" : "naive");
+    sim::Scheduler sched;
+    ClockGeneratorConfig cfg = small_cfg();
+    cfg.divide_enabled = divide;
+    ClockGenerator cg{sched, cfg};
+    const Time tmin = cg.tmin();
+    Time edge = Time::zero();
+    sched.schedule_at(tmin * 5 + 10_ns, [&] {
+      ASSERT_FALSE(cg.asleep());
+      edge = cg.begin_capture(2, sched.now());
+      sched.schedule_at(edge - 1_ns, [&] { cg.set_theta_div(16); });
+      sched.schedule_at(edge, [&] { (void)cg.complete_capture(); });
+    });
+    sched.run();
+    ASSERT_EQ(sched.now(), edge);
+    const ClockActivity a = cg.activity();
+    EXPECT_LE(a.awake, sched.now());
+    EXPECT_LE(a.sampling_cycles,
+              static_cast<std::uint64_t>(sched.now() / tmin) + 1);
+    EXPECT_EQ(a.captures, 1u);
+  }
 }
 
 TEST(ClockGenerator, RuntimeReconfigTakesEffect) {

@@ -2,8 +2,8 @@
 // RunResult field must be byte-identical on the analytic engine and on the
 // event-driven oracle (core::DesOracleScope), across rates that exercise
 // the shutdown ladder, FIFO overflow, both overflow policies,
-// metastability, and the no-MCU/no-flush corners. Also covers the
-// fault-plan eligibility rule: a plan whose probabilities are all zero
+// metastability, drain timeouts, and the no-MCU/no-flush corners. Also
+// covers the fault-plan eligibility rule: a plan whose probabilities are all zero
 // must not force the reference path. The sweep cases diff every figure's
 // artifacts, quick and full grids, between the two engines.
 #include <gtest/gtest.h>
@@ -107,6 +107,46 @@ TEST(FastPathScenario, BitIdenticalAcrossRatesAndCorners) {
   }
 }
 
+// A drain timeout runs on the engine too: each deadline is the interface's
+// shared transition, merged with the word pops. Timeouts of 1 ns (due
+// inside the handshake that armed it), exactly one I2S word time (due with
+// the first pop of a drain the same push started), 50 us, 5 ms, and 750
+// Tmin (about 50 us), which falls on the sampling-edge lattice, so a
+// deadline can be due at a later sample edge; a small FIFO that
+// overflows, and a threshold so high that deadlines start every drain,
+// with drains until empty or of one batch (whose size a deadline tied
+// with a push decides).
+TEST(FastPathScenario, DrainTimeoutBitIdentical) {
+  const ScenarioConfig defaults;
+  const Time word_time = defaults.interface.i2s.sck.period() *
+                         static_cast<Time::Rep>(
+                             defaults.interface.i2s.word_bits);
+  const Time tmin = Session{defaults}.interface().tick_unit();
+  for (const Time timeout : {Time::ns(1), word_time, Time::us(50.0),
+                             Time::ms(5.0), tmin * 750}) {
+    for (const double rate : {500.0, 5e4, 8e5}) {
+      for (const unsigned fifo : {0u, 1u, 2u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "timeout=" << timeout.count_ps() << "ps rate=" << rate
+                     << " fifo=" << fifo);
+        ScenarioConfig sc;
+        sc.interface.drain_timeout = timeout;
+        sc.interface.fifo.batch_threshold = fifo == 0 ? 16u : 1024u;
+        if (fifo == 0) sc.interface.fifo.capacity_words = 24;
+        if (fifo == 2) sc.interface.i2s.drain_until_empty = false;
+        sc.cooldown = Time::ms(2.0);
+        gen::PoissonSource src{rate, 64, 17};
+        const auto events = gen::take(src, 1500);
+
+        ASSERT_TRUE(fast_path_eligible(sc));
+        const RunResult fast = run_with(sc, events, true);
+        expect_identical(fast, run_with(sc, events, false));
+        EXPECT_GT(fast.batches, 0u);
+      }
+    }
+  }
+}
+
 TEST(FastPathScenario, EmptyStreamBitIdentical) {
   ScenarioConfig sc;
   sc.cooldown = Time::sec(0.5);
@@ -142,34 +182,39 @@ TEST(FastPathScenario, ActiveFaultPlanFallsBackToReference) {
   ScenarioConfig sc;
   sc.faults = plan;
   EXPECT_FALSE(fast_path_eligible(sc));
-  // A drain timeout also disqualifies; telemetry does not.
+  // Neither a drain timeout nor telemetry disqualifies.
   ScenarioConfig timed;
   timed.interface.drain_timeout = Time::us(50.0);
-  EXPECT_FALSE(fast_path_eligible(timed));
+  EXPECT_TRUE(fast_path_eligible(timed));
   ScenarioConfig traced;
   traced.telemetry.trace = true;
   traced.telemetry.metrics = true;
   EXPECT_TRUE(fast_path_eligible(traced));
 }
 
-// A traced and sampled run with no fault plan and no drain timeout runs
-// the analytic engine: the scheduler dispatches nothing from start to end.
+// A traced and sampled run with no fault plan runs the analytic engine,
+// with or without a drain timeout: the scheduler dispatches nothing from
+// start to end.
 TEST(FastPathScenario, ObservedRunDispatchesNoSchedulerEvent) {
-  ScenarioConfig sc;
-  sc.telemetry.trace = true;
-  sc.telemetry.metrics = true;
-  sc.telemetry.metrics_window = Time::us(200.0);
-  gen::PoissonSource src{5e4, 64, 5};
-  Session session{sc};
-  session.feed_all(gen::take(src, 2000));
-  const RunResult r = session.finish();
-  EXPECT_EQ(session.scheduler().processed(), 0u);
-  EXPECT_EQ(r.events_in, 2000u);
-  if (telemetry::compiled_in()) {
-    const telemetry::TelemetrySession* tel = session.telemetry_session();
-    ASSERT_NE(tel, nullptr);
-    EXPECT_FALSE(tel->trace().events().empty());
-    EXPECT_GT(tel->metrics().snapshots().size(), 100u);
+  for (const Time timeout : {Time::zero(), Time::us(50.0)}) {
+    SCOPED_TRACE(testing::Message() << "drain_timeout=" << timeout.count_ps());
+    ScenarioConfig sc;
+    sc.interface.drain_timeout = timeout;
+    sc.telemetry.trace = true;
+    sc.telemetry.metrics = true;
+    sc.telemetry.metrics_window = Time::us(200.0);
+    gen::PoissonSource src{5e4, 64, 5};
+    Session session{sc};
+    session.feed_all(gen::take(src, 2000));
+    const RunResult r = session.finish();
+    EXPECT_EQ(session.scheduler().processed(), 0u);
+    EXPECT_EQ(r.events_in, 2000u);
+    if (telemetry::compiled_in()) {
+      const telemetry::TelemetrySession* tel = session.telemetry_session();
+      ASSERT_NE(tel, nullptr);
+      EXPECT_FALSE(tel->trace().events().empty());
+      EXPECT_GT(tel->metrics().snapshots().size(), 100u);
+    }
   }
 }
 

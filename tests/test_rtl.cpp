@@ -163,12 +163,18 @@ struct FastHarness {
     // coincident with a sampling edge would be metastable in the first FF.
     const Time at = std::max(events[next].time, sched.now() + Time::ps(1));
     ++next;
-    sched.schedule_at(at, [this] {
-      cg.capture_request(sync, [this](Time, std::uint64_t t, bool s) {
-        ticks.push_back(t);
-        sats.push_back(s);
-        issue();
-      });
+    sched.schedule_at(at, [this] { capture(); });
+  }
+
+  /// The event-driven capture: begin at the REQ rise, complete at the
+  /// sample edge it returns, then issue the next request.
+  void capture() {
+    const Time edge = cg.begin_capture(sync, sched.now());
+    sched.schedule_at(edge, [this] {
+      const clockgen::ClockGenerator::CaptureResult r = cg.complete_capture();
+      ticks.push_back(r.ticks);
+      sats.push_back(r.saturated);
+      issue();
     });
   }
 

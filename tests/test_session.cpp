@@ -918,9 +918,10 @@ std::vector<std::uint8_t> buffered_blob(bool fast) {
 }
 
 void expect_refused(bool fast, const std::vector<std::uint8_t>& blob,
-                    const std::string& why, const std::string& what) {
+                    const std::string& why, const std::string& what,
+                    const core::ScenarioConfig& sc = {}) {
   try {
-    make_session({}, fast)->restore(blob);
+    make_session(sc, fast)->restore(blob);
     ADD_FAILURE() << what << ": restore accepted the blob";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string{e.what()}.find(why), std::string::npos)
@@ -941,11 +942,70 @@ TEST(Session, RestoreRefusesCountsTheBlobCannotHold) {
   }
 }
 
+/// A drain-timeout blob on `fast`'s engine, with ten deadlines pending,
+/// edited so that one deadline lies at or before the restored clock, past
+/// `timeline_end` (near Time::max() it would overflow the first word pop
+/// of the drain it starts), or before the one ahead of it: each is refused.
+void expect_drain_deadlines_refused(bool fast, std::uint64_t timeline_end) {
+  core::ScenarioConfig sc;
+  sc.interface.drain_timeout = Time::ms(5);
+  // Each word drains at once, so each lands in an empty FIFO and arms a
+  // deadline of its own.
+  sc.interface.fifo.batch_threshold = 1;
+  aer::EventStream events;
+  for (std::uint16_t i = 0; i < 10; ++i) {
+    events.push_back({i, Time::us(20.0 * (i + 1))});
+  }
+  const std::unique_ptr<core::Session> s = make_session(sc, fast);
+  s->feed_all(events);
+  s->advance_to(events.back().time + Time::us(10));
+  const std::vector<std::uint8_t> blob = s->snapshot();
+  EXPECT_NO_THROW(make_session(sc, fast)->restore(blob));
+  // The deadlines close the interface section, oldest first; the last is
+  // the last word's sample edge plus the timeout.
+  const auto& records = s->interface().front_end().records();
+  ASSERT_EQ(records.size(), events.size());
+  const auto last_ps = static_cast<std::uint64_t>(
+      (records.back().sample_edge + sc.interface.drain_timeout).count_ps());
+  std::uint8_t le[8];
+  for (std::size_t i = 0; i < 8; ++i) {
+    le[i] = static_cast<std::uint8_t>(last_ps >> (8 * i));
+  }
+  const auto it = std::search(blob.begin(), blob.end(), le, le + 8);
+  ASSERT_NE(it, blob.end());
+  const auto last = static_cast<std::size_t>(it - blob.begin());
+  const std::size_t first = last - 8 * (events.size() - 1);
+  std::uint64_t count = 0, clock = 0, before_last = 0;
+  std::memcpy(&count, blob.data() + first - 8, 8);
+  ASSERT_EQ(count, events.size());
+  std::memcpy(&clock, blob.data() + session_fields(blob).clock_now, 8);
+  std::memcpy(&before_last, blob.data() + last - 8, 8);
+  const struct {
+    std::size_t at;
+    std::uint64_t bad;
+    const char* why;
+  } rows[] = {
+      {last, last_ps | (std::uint64_t{1} << 63), "drain deadline out of range"},
+      {last, timeline_end + 1, "drain deadline out of range"},
+      {last, ~std::uint64_t{0} >> 1, "drain deadline out of range"},
+      {first, clock, "drain deadline out of range"},
+      {last, before_last - 1, "drain deadlines out of order"},
+  };
+  for (const auto& row : rows) {
+    std::vector<std::uint8_t> edited = blob;
+    poke_u64(edited, row.at, row.bad);
+    expect_refused(fast, edited, row.why,
+                   "drain deadline = " + std::to_string(row.bad), sc);
+  }
+}
+
 // Every restored time lies where the writer keeps it: event times in
-// [0, kLatestEventTime], the clock and timer deadlines no further than
-// one config time (ScenarioConfig::kMaxTime) past that. A time with its
-// sign bit flipped, or past its bound, is refused; a session that has run
-// past the latest event time still restores.
+// [0, kLatestEventTime], the clock, timer deadlines and the engine's
+// launch floor and last activity instant no further than one config time
+// (ScenarioConfig::kMaxTime) past that, and drain deadlines after the
+// clock and in order. A time with its sign bit flipped, or past its
+// bound, is refused; a session that has run past the latest event time
+// still restores.
 TEST(Session, RestoreRefusesTimesOutsideTheRunRange) {
   const std::uint64_t latest = aer::kLatestEventTime.count_ps();
   const std::uint64_t timeline_end =
@@ -978,6 +1038,20 @@ TEST(Session, RestoreRefusesTimesOutsideTheRunRange) {
                        std::string{field.name} + " = " + std::to_string(bad));
       }
     }
+    // The engine's launch floor and last activity instant, right after the
+    // scheduler clock's four fields.
+    if (fast) {
+      for (const std::size_t at : {f.clock_now + 32, f.clock_now + 40}) {
+        for (const std::uint64_t bad :
+             {std::uint64_t{1} << 63, timeline_end + 1}) {
+          std::vector<std::uint8_t> edited = blob;
+          poke_u64(edited, at, bad);
+          expect_refused(fast, edited, "engine time out of range",
+                         "engine field at " + std::to_string(at));
+        }
+      }
+    }
+    expect_drain_deadlines_refused(fast, timeline_end);
     // An event at kLatestEventTime: the clock runs past it, within bound.
     const std::unique_ptr<core::Session> s = make_session({}, fast);
     s->feed_all(aer::EventStream{{1, Time::us(5)}, {2, aer::kLatestEventTime}});
@@ -1189,7 +1263,48 @@ struct ObservedRun {
   core::RunResult result;
   std::string trace_json, trace_csv, metrics_csv;
   std::size_t in_capture{0}, in_tail{0};
+  /// With a drain timeout: drains a deadline started, and deadlines due at
+  /// the instant of a word pop, a REQ rise or a sample edge.
+  std::size_t deadline_drains{0}, deadline_ties{0};
 };
+
+/// Read the drain deadlines off a trace, which records events in dispatch
+/// order: a word pushed into an empty FIFO (its occupancy counter rising
+/// from zero) arms a deadline `timeout` later. Counts the drains that
+/// begin at a deadline and the deadlines that fall on a word pop, a REQ
+/// rise (capture begin) or a sample edge (capture end).
+void count_deadlines(const telemetry::TraceSession& trace, Time timeout,
+                     ObservedRun& out) {
+  using Phase = telemetry::TraceSession::Phase;
+  const auto is = [](const telemetry::TraceSession::Event& e, Phase phase,
+                     const char* name) {
+    return e.phase == phase && std::strcmp(e.name, name) == 0;
+  };
+  std::vector<Time> deadlines, drains, instants;
+  double occupancy = 0.0;
+  for (const auto& e : trace.events()) {
+    if (is(e, Phase::kCounter, "occupancy")) {
+      if (occupancy == 0.0 && e.args[0].value > 0.0) {
+        deadlines.push_back(e.ts + timeout);
+      }
+      occupancy = e.args[0].value;
+    } else if (is(e, Phase::kBegin, "drain")) {
+      drains.push_back(e.ts);
+    } else if (is(e, Phase::kInstant, "word") ||
+               is(e, Phase::kBegin, "capture") ||
+               is(e, Phase::kEnd, "capture")) {
+      instants.push_back(e.ts);
+    }
+  }
+  std::sort(instants.begin(), instants.end());
+  for (const Time d : deadlines) {
+    out.deadline_drains += static_cast<std::size_t>(
+        std::count(drains.begin(), drains.end(), d));
+    if (std::binary_search(instants.begin(), instants.end(), d)) {
+      ++out.deadline_ties;
+    }
+  }
+}
 
 /// Feed `events` in uneven chunks, advancing after each to a point up to
 /// 2 us short of its last event, and snapshot after about one chunk in
@@ -1225,6 +1340,9 @@ ObservedRun run_observed(const core::ScenarioConfig& sc,
   out.metrics_csv = read_file(sc.telemetry.metrics_csv_path);
 
   const core::InterfaceConfig& ic = sc.interface;
+  if (ic.drain_timeout > Time::zero()) {
+    count_deadlines(s->telemetry_session()->trace(), ic.drain_timeout, out);
+  }
   const Time tail = ic.front_end.ack_rise_delay + sc.sender.req_release +
                     ic.front_end.ack_fall_delay;
   const auto& rows = s->telemetry_session()->metrics().snapshots();
@@ -1268,6 +1386,51 @@ TEST(Session, FineGridTelemetryResumesAlikeOnBothEngines) {
     const ObservedRun& res = resumed.back();
     EXPECT_GT(kept.in_capture, 0u) << what;
     EXPECT_GT(kept.in_tail, 0u) << what;
+    expect_identical(kept.result, res.result, what + ", resumed");
+    expect_same_text(kept.trace_json, res.trace_json, what + ", trace JSON");
+    expect_same_text(kept.trace_csv, res.trace_csv, what + ", trace CSV");
+    expect_same_text(kept.metrics_csv, res.metrics_csv, what + ", metrics");
+  }
+  const ObservedRun& engine = resumed[0];
+  const ObservedRun& des = resumed[1];
+  expect_identical(engine.result, des.result, "engine vs DES");
+  expect_same_text(engine.trace_json, des.trace_json, "engine vs DES, JSON");
+  expect_same_text(engine.trace_csv, des.trace_csv, "engine vs DES, CSV");
+  expect_same_text(engine.metrics_csv, des.metrics_csv, "engine vs DES, rows");
+  for (const char* f : {"trace.json", "trace.csv", "metrics.csv"}) {
+    std::remove((dir + f).c_str());
+  }
+}
+
+// The same resume and engine agreement with a drain timeout. The timeout
+// is a whole number of Tmin, so a deadline armed at one sample edge can
+// fall on a later one; the stream is dense and the batch threshold above
+// its length, so deadlines start the drains and some land on the instant
+// of a word pop, a REQ rise or a sample edge, where the dispatch order
+// decides the trace.
+TEST(Session, DrainTimeoutResumesAlikeOnBothEngines) {
+  if (!telemetry::compiled_in()) GTEST_SKIP() << "built with AETR_TELEMETRY=0";
+  core::ScenarioConfig sc;
+  sc.interface.drain_timeout = core::Session{sc}.interface().tick_unit() * 60;
+  sc.interface.fifo.batch_threshold = 2048;
+  sc.telemetry.trace = true;
+  sc.telemetry.metrics = true;
+  sc.telemetry.metrics_window = Time::ns(700);
+  const std::string dir = testing::TempDir() + "aetr_drain_timeout_";
+  sc.telemetry.trace_json_path = dir + "trace.json";
+  sc.telemetry.trace_csv_path = dir + "trace.csv";
+  sc.telemetry.metrics_csv_path = dir + "metrics.csv";
+  gen::PoissonSource source{400e3, 256, 71};
+  const aer::EventStream events = gen::take(source, 1500);
+
+  std::vector<ObservedRun> resumed;
+  for (const bool fast : kEngines) {
+    const std::string what = engine_name(fast);
+    const ObservedRun kept = run_observed(sc, events, fast, false);
+    resumed.push_back(run_observed(sc, events, fast, true));
+    const ObservedRun& res = resumed.back();
+    EXPECT_GT(kept.deadline_drains, 10u) << what;
+    EXPECT_GT(kept.deadline_ties, 0u) << what;
     expect_identical(kept.result, res.result, what + ", resumed");
     expect_same_text(kept.trace_json, res.trace_json, what + ", trace JSON");
     expect_same_text(kept.trace_csv, res.trace_csv, what + ", trace CSV");
